@@ -274,6 +274,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     for seed in cfg.seeds:
         try:
             ests = seed_estimates(cfg, seed)
+        except DomainError as exc:
+            raise DomainError(exc.code, f"seed {seed}: {exc.detail}") from exc
         except Exception as exc:
             raise RuntimeError(f"experiment {cfg.name!r} failed at seed={seed}: {exc}") from exc
         block = {"seed": seed, "estimates": {}}
@@ -481,10 +483,21 @@ def load_config(path: str | None = None) -> dict:
 
 
 def run_claim(claim: str, config: dict | None = None) -> ExperimentReport:
-    """Run one registered claim and return its report with verdicts."""
+    """Run one registered claim and return its report with verdicts.
+
+    A ``DomainError`` keeps its code and gains the claim (and, when a seed
+    failed, the seed) in its detail.
+    """
     if claim not in CLAIM_IDS:
         raise KeyError(f"unknown claim {claim!r}; valid ids: {', '.join(CLAIM_IDS)}")
     cfg_all = config if config is not None else default_config()
+    try:
+        return _claim_report(claim, cfg_all)
+    except DomainError as exc:
+        raise DomainError(exc.code, f"claim {claim!r}: {exc.detail}") from exc
+
+
+def _claim_report(claim: str, cfg_all: dict) -> ExperimentReport:
     tol = cfg_all["tolerances"]
     exp_cfg = cfg_all["experiments"][claim]
 

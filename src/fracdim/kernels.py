@@ -1,42 +1,33 @@
-"""Hot counting kernels, in numba and pure-numpy flavours.
+"""Hot counting kernels, one numpy implementation per measure.
 
-The sequential loops that dominate runtime (greedy packing, neighbour
-counting, sausage-grid occupancy, per-column oscillation) live here twice:
-a ``@njit`` implementation and a numpy twin that produces bit-identical
-results.  The active backend is picked once at import: numba when importable,
-unless ``FRACDIM_NUMBA=0`` forces the numpy path.  ``active_backend()``
-reports the choice; ``benchmarks/bench_kernels.py`` times the two side by
-side.
+Distance convention, shared by every kernel that compares two points: the
+squared distance is accumulated axis by axis in axis order,
+``d2 = (x_0 - y_0)**2 + (x_1 - y_1)**2 + ...``, and compared with
+``radius * radius``.  Packing, thinning and neighbour counts treat a pair as
+close iff ``d2 < radius * radius`` (strict, so a pair at exactly the radius
+is separated); the sausage marks a cell iff ``d2 <= r * r``.  Candidate
+pairs come from an origin-anchored grid of side ``radius``: a point is only
+compared with the points of its ``3**m`` neighbour cells.
 
-All distance tests accumulate squared coordinate differences in the same
-order in both backends, so keep/reject decisions agree exactly even on
-boundary ties.
+Greedy packing and thinning are one scan (``_greedy_scan``): visit points in
+stored order and keep each eligible one that no earlier kept point is close
+to.
 """
 
-import os
+import itertools
 
 import numpy as np
 
-_env = os.environ.get("FRACDIM_NUMBA", "").strip().lower()
-_WANT_NUMBA = _env not in ("0", "false", "off")
-
-try:
-    from numba import njit, types
-    from numba.typed import Dict
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency in CI
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and _WANT_NUMBA
+from .errors import DomainError
 
 
 def active_backend() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the kernel implementation, recorded in benchmark run records."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
-# cell-key packing shared by both backends
+# grids
 
 
 def cell_indices(points: np.ndarray, width: float) -> np.ndarray:
@@ -49,12 +40,13 @@ def pack_cells(cells: np.ndarray, margin: int = 0):
 
     Returns ``(keys, mins, widths, strides)`` where a cell ``c`` has key
     ``sum((c - mins) * strides)``.  ``margin`` widens the addressable range on
-    each side so that neighbour probes stay collision-free.
+    each side so that neighbour probes stay collision-free.  Raises
+    ``DomainError("cell-grid-too-large")`` when the keys would reach 2^62.
     """
     mins = cells.min(axis=0) - margin
     widths = cells.max(axis=0) + margin - mins + 1
     if int(np.prod(widths.astype(object))) >= (1 << 62):
-        raise ValueError("cell grid too large to index")
+        raise DomainError("cell-grid-too-large", f"grid widths {widths.tolist()}")
     strides = np.ones_like(widths)
     for a in range(1, len(widths)):
         strides[a] = strides[a - 1] * widths[a - 1]
@@ -62,291 +54,107 @@ def pack_cells(cells: np.ndarray, margin: int = 0):
     return keys, mins, widths, strides
 
 
-def _csr_bins(keys: np.ndarray):
-    """Sort point indices by cell key for binary-searchable bin lookup."""
-    order = np.argsort(keys, kind="stable").astype(np.int64)
-    return keys[order], order
+def _neighbourhoods(pts: np.ndarray, radius: float):
+    """Points binned by cell of side ``radius``, with each point's neighbour
+    cells as ranges of the binned order.
+
+    Returns ``(order, ranges, sizes)``: ``order`` lists point indices sorted
+    by cell key, ``ranges`` holds one ``(lo, hi)`` pair of arrays per row of
+    neighbour cells, and point ``i`` has the candidates
+    ``order[lo[i]:hi[i]]`` over all rows; ``sizes[i]`` is their number, at
+    least 1 since it counts ``i`` itself.  Axis 0 has stride 1, so the three
+    neighbour cells of a row along axis 0 hold consecutive keys and need one
+    range; cells outside the occupied grid are never addressed.
+    """
+    cells = cell_indices(pts, radius)
+    keys, mins, widths, strides = pack_cells(cells)
+    cells -= mins
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    first = np.maximum(cells[:, 0] - 1, 0)
+    last = np.minimum(cells[:, 0] + 1, widths[0] - 1)
+    ranges = []
+    sizes = np.zeros(len(pts), dtype=np.int64)
+    for off in itertools.product((-1, 0, 1), repeat=cells.shape[1] - 1):
+        row = cells[:, 1:] + np.array(off, dtype=np.int64)
+        valid = np.all((row >= 0) & (row < widths[1:]), axis=1)
+        base = row @ strides[1:]
+        lo = np.searchsorted(sorted_keys, base + first, side="left")
+        hi = np.where(valid, np.searchsorted(sorted_keys, base + last, side="right"), lo)
+        sizes += hi - lo
+        ranges.append((lo, hi))
+    return order, ranges, sizes
 
 
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _greedy_pack_nb(pts, cells, widths, strides, sep2):
-        n, m = pts.shape
-        head = Dict.empty(key_type=types.int64, value_type=types.int64)
-        nxt = np.full(n, -1, dtype=np.int64)
-        kept = np.zeros(n, dtype=np.bool_)
-        n_off = 3**m
-        for i in range(n):
-            ok = True
-            for code in range(n_off):
-                c = code
-                key = np.int64(0)
-                valid = True
-                for a in range(m):
-                    da = c % 3 - 1
-                    c //= 3
-                    ca = cells[i, a] + da
-                    if ca < 0 or ca >= widths[a]:
-                        valid = False
-                        break
-                    key += ca * strides[a]
-                if not valid:
-                    continue
-                if key in head:
-                    j = head[key]
-                    while j >= 0:
-                        d2 = 0.0
-                        for a in range(m):
-                            diff = pts[i, a] - pts[j, a]
-                            d2 += diff * diff
-                        if d2 < sep2:
-                            ok = False
-                            break
-                        j = nxt[j]
-                if not ok:
-                    break
-            if ok:
-                kept[i] = True
-                key0 = np.int64(0)
-                for a in range(m):
-                    key0 += cells[i, a] * strides[a]
-                if key0 in head:
-                    nxt[i] = head[key0]
-                head[key0] = i
-        return kept
-
-    @njit(cache=True)
-    def _neighbor_counts_nb(pts, cells, widths, strides, sorted_keys, order, rad2):
-        n, m = pts.shape
-        out = np.zeros(n, dtype=np.int64)
-        n_off = 3**m
-        for i in range(n):
-            cnt = 0
-            for code in range(n_off):
-                c = code
-                key = np.int64(0)
-                valid = True
-                for a in range(m):
-                    da = c % 3 - 1
-                    c //= 3
-                    ca = cells[i, a] + da
-                    if ca < 0 or ca >= widths[a]:
-                        valid = False
-                        break
-                    key += ca * strides[a]
-                if not valid:
-                    continue
-                lo = np.searchsorted(sorted_keys, key, side="left")
-                hi = np.searchsorted(sorted_keys, key, side="right")
-                for t in range(lo, hi):
-                    j = order[t]
-                    if j == i:
-                        continue
-                    d2 = 0.0
-                    for a in range(m):
-                        diff = pts[i, a] - pts[j, a]
-                        d2 += diff * diff
-                    if d2 < rad2:
-                        cnt += 1
-            out[i] = cnt
-        return out
-
-    @njit(cache=True)
-    def _thin_select_nb(pts, cells, widths, strides, sorted_keys, order, good, rad2):
-        n, m = pts.shape
-        removed = np.zeros(n, dtype=np.bool_)
-        selected = np.zeros(n, dtype=np.bool_)
-        n_off = 3**m
-        for i in range(n):
-            if not good[i] or removed[i]:
-                continue
-            selected[i] = True
-            for code in range(n_off):
-                c = code
-                key = np.int64(0)
-                valid = True
-                for a in range(m):
-                    da = c % 3 - 1
-                    c //= 3
-                    ca = cells[i, a] + da
-                    if ca < 0 or ca >= widths[a]:
-                        valid = False
-                        break
-                    key += ca * strides[a]
-                if not valid:
-                    continue
-                lo = np.searchsorted(sorted_keys, key, side="left")
-                hi = np.searchsorted(sorted_keys, key, side="right")
-                for t in range(lo, hi):
-                    j = order[t]
-                    d2 = 0.0
-                    for a in range(m):
-                        diff = pts[i, a] - pts[j, a]
-                        d2 += diff * diff
-                    if d2 < rad2:
-                        removed[j] = True
-        return selected
-
-    @njit(cache=True)
-    def _sausage_occupancy_nb(pts, base, mins, widths, strides, h, r2, reach):
-        n, m = pts.shape
-        seen = Dict.empty(key_type=types.int64, value_type=types.int64)
-        side = 2 * reach + 1
-        n_off = side**m
-        for i in range(n):
-            for code in range(n_off):
-                c = code
-                key = np.int64(0)
-                d2 = 0.0
-                valid = True
-                for a in range(m):
-                    da = c % side - reach
-                    c //= side
-                    ca = base[i, a] + da
-                    sa = ca - mins[a]
-                    if sa < 0 or sa >= widths[a]:
-                        valid = False
-                        break
-                    center = (ca + 0.5) * h
-                    diff = pts[i, a] - center
-                    d2 += diff * diff
-                    key += sa * strides[a]
-                if valid and d2 <= r2:
-                    seen[key] = 1
-        return len(seen)
-
-    @njit(cache=True)
-    def _oscillation_counts_nb(values, n_cols, step, scale):
-        out = np.empty(n_cols, dtype=np.int64)
-        for k in range(n_cols):
-            lo = k * step
-            hi = lo + step
-            mx = values[lo]
-            mn = values[lo]
-            for t in range(lo + 1, hi + 1):
-                v = values[t]
-                if v > mx:
-                    mx = v
-                if v < mn:
-                    mn = v
-            w = np.ceil(scale * (mx - mn))
-            if w < 1.0:
-                w = 1.0
-            out[k] = np.int64(w)
-        return out
-
-    @njit(cache=True)
-    def _distinct_count_nb(keys):
-        if keys.size == 0:
-            return 0
-        ks = np.sort(keys)
-        cnt = 1
-        for i in range(1, ks.size):
-            if ks[i] != ks[i - 1]:
-                cnt += 1
-        return cnt
+def _close(pts: np.ndarray, i: int, order, ranges, rad2: float):
+    """Candidates of point ``i`` and the mask of those with ``d2 < rad2``."""
+    js = np.concatenate([order[lo[i]:hi[i]] for lo, hi in ranges])
+    d2 = np.zeros(js.size)
+    for a in range(pts.shape[1]):
+        diff = pts[i, a] - pts[js, a]
+        d2 += diff * diff
+    return js, d2 < rad2
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-
-def _greedy_pack_np(pts, cells, widths, strides, sep2):
-    n, m = pts.shape
-    head: dict[int, int] = {}
-    nxt = np.full(n, -1, dtype=np.int64)
-    kept = np.zeros(n, dtype=bool)
-    offsets = _neighbor_offsets(m)
-    for i in range(n):
-        ci = cells[i]
-        pi = pts[i]
-        ok = True
-        for off in offsets:
-            ca = ci + off
-            if np.any(ca < 0) or np.any(ca >= widths):
-                continue
-            key = int(ca @ strides)
-            j = head.get(key, -1)
-            while j >= 0:
-                d2 = 0.0
-                for a in range(m):
-                    diff = pi[a] - pts[j, a]
-                    d2 += diff * diff
-                if d2 < sep2:
-                    ok = False
-                    break
-                j = nxt[j]
-            if not ok:
-                break
-        if ok:
-            kept[i] = True
-            key0 = int(ci @ strides)
-            nxt[i] = head.get(key0, -1)
-            head[key0] = i
+def _greedy_scan(points: np.ndarray, radius: float, eligible: np.ndarray) -> np.ndarray:
+    """Keep-mask of the greedy scan: in stored order, keep each eligible point
+    that no earlier kept point is closer to than ``radius``."""
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    order, ranges, sizes = _neighbourhoods(pts, radius)
+    rad2 = radius * radius
+    removed = ~np.asarray(eligible, dtype=bool)
+    kept = np.zeros(len(pts), dtype=bool)
+    for i in range(len(pts)):
+        if removed[i]:
+            continue
+        kept[i] = True
+        if sizes[i] > 1:
+            js, close = _close(pts, i, order, ranges, rad2)
+            removed[js[close]] = True
     return kept
 
 
-def _neighbor_offsets(m):
-    grids = np.meshgrid(*([np.array([-1, 0, 1])] * m), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
+# ---------------------------------------------------------------------------
+# public kernels
 
 
-def _neighbor_counts_np(pts, cells, widths, strides, sorted_keys, order, rad2):
-    n, m = pts.shape
-    out = np.zeros(n, dtype=np.int64)
-    offsets = _neighbor_offsets(m)
-    for off in offsets:
-        ca = cells + off
-        valid = np.all((ca >= 0) & (ca < widths), axis=1)
-        keys = ca @ strides
-        lo = np.searchsorted(sorted_keys, keys, side="left")
-        hi = np.searchsorted(sorted_keys, keys, side="right")
-        for i in np.nonzero(valid)[0]:
-            js = order[lo[i]:hi[i]]
-            if js.size == 0:
-                continue
-            d2 = np.zeros(js.size)
-            for a in range(m):
-                diff = pts[i, a] - pts[js, a]
-                d2 += diff * diff
-            hits = d2 < rad2
-            out[i] += int(np.count_nonzero(hits & (js != i)))
+def greedy_pack_mask(points: np.ndarray, eps: float) -> np.ndarray:
+    """Greedy maximal 2*eps-separated subset, scanning points in stored order.
+
+    Returns a boolean keep-mask.  A point is kept iff its Euclidean distance
+    to every previously kept point is >= 2*eps.
+    """
+    return _greedy_scan(points, 2.0 * eps, np.ones(len(points), dtype=bool))
+
+
+def thin_select_mask(points: np.ndarray, radius: float, good: np.ndarray) -> np.ndarray:
+    """Scan good indices in order; select survivors, removing strict-<radius
+    neighbours (good or not) of each selection."""
+    return _greedy_scan(points, radius, good)
+
+
+def neighbor_counts(points: np.ndarray, radius: float) -> np.ndarray:
+    """Per-point count of other points at strict Euclidean distance < radius."""
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    order, ranges, sizes = _neighbourhoods(pts, radius)
+    rad2 = radius * radius
+    out = np.zeros(len(pts), dtype=np.int64)
+    for i in range(len(pts)):
+        if sizes[i] > 1:
+            js, close = _close(pts, i, order, ranges, rad2)
+            out[i] = np.count_nonzero(close & (js != i))
     return out
 
 
-def _thin_select_np(pts, cells, widths, strides, sorted_keys, order, good, rad2):
+def sausage_occupied_count(points: np.ndarray, r: float, cell: float) -> int:
+    """Number of origin-anchored grid cells of side ``cell`` whose center lies
+    within Euclidean distance ``r`` of some point."""
+    pts = np.ascontiguousarray(points, dtype=np.float64)
     n, m = pts.shape
-    removed = np.zeros(n, dtype=bool)
-    selected = np.zeros(n, dtype=bool)
-    offsets = _neighbor_offsets(m)
-    for i in range(n):
-        if not good[i] or removed[i]:
-            continue
-        selected[i] = True
-        for off in offsets:
-            ca = cells[i] + off
-            if np.any(ca < 0) or np.any(ca >= widths):
-                continue
-            key = ca @ strides
-            lo = np.searchsorted(sorted_keys, key, side="left")
-            hi = np.searchsorted(sorted_keys, key, side="right")
-            js = order[lo:hi]
-            if js.size == 0:
-                continue
-            d2 = np.zeros(js.size)
-            for a in range(m):
-                diff = pts[i, a] - pts[js, a]
-                d2 += diff * diff
-            removed[js[d2 < rad2]] = True
-    return selected
-
-
-def _sausage_occupancy_np(pts, base, mins, widths, strides, h, r2, reach):
-    n, m = pts.shape
-    side = 2 * reach + 1
+    reach = int(np.ceil(r / cell)) + 1
+    base = cell_indices(pts, cell)
+    _, mins, _, strides = pack_cells(base, margin=reach)
+    r2 = r * r
     grids = np.meshgrid(*([np.arange(-reach, reach + 1)] * m), indexing="ij")
     offsets = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
     chunks = []
@@ -355,7 +163,7 @@ def _sausage_occupancy_np(pts, base, mins, widths, strides, h, r2, reach):
         ca = base + off
         d2 = np.zeros(n)
         for a in range(m):
-            center = (ca[:, a] + 0.5) * h
+            center = (ca[:, a] + 0.5) * cell
             diff = pts[:, a] - center
             d2 += diff * diff
         hit = d2 <= r2
@@ -372,110 +180,29 @@ def _sausage_occupancy_np(pts, base, mins, widths, strides, h, r2, reach):
     return int(np.unique(np.concatenate(chunks)).size)
 
 
-def _oscillation_counts_np(values, n_cols, step, scale):
-    body = values[:-1].reshape(n_cols, step)
-    right = values[step::step]
-    mx = np.maximum(body.max(axis=1), right)
-    mn = np.minimum(body.min(axis=1), right)
-    w = np.ceil(scale * (mx - mn))
-    return np.maximum(w, 1.0).astype(np.int64)
-
-
-def _distinct_count_np(keys):
-    return int(np.unique(keys).size)
-
-
-# ---------------------------------------------------------------------------
-# public dispatching wrappers
-
-
-def greedy_pack_mask(points: np.ndarray, eps: float) -> np.ndarray:
-    """Greedy maximal 2*eps-separated subset, scanning points in stored order.
-
-    Returns a boolean keep-mask.  A point is kept iff its Euclidean distance
-    to every previously kept point is >= 2*eps.
-    """
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    sep = 2.0 * eps
-    cells = cell_indices(pts, sep)
-    _, mins, widths, strides = pack_cells(cells)
-    shifted = cells - mins
-    sep2 = sep * sep
-    if USE_NUMBA:
-        return _greedy_pack_nb(pts, shifted, widths, strides, sep2)
-    return _greedy_pack_np(pts, shifted, widths, strides, sep2)
-
-
-def neighbor_counts(points: np.ndarray, radius: float) -> np.ndarray:
-    """Per-point count of other points at strict Euclidean distance < radius."""
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    cells = cell_indices(pts, radius)
-    keys, mins, widths, strides = pack_cells(cells)
-    shifted = cells - mins
-    sorted_keys, order = _csr_bins(keys)
-    rad2 = radius * radius
-    if USE_NUMBA:
-        return _neighbor_counts_nb(pts, shifted, widths, strides, sorted_keys, order, rad2)
-    return _neighbor_counts_np(pts, shifted, widths, strides, sorted_keys, order, rad2)
-
-
-def thin_select_mask(points: np.ndarray, radius: float, good: np.ndarray) -> np.ndarray:
-    """Scan good indices in order; select survivors, removing strict-<radius
-    neighbours (good or not) of each selection."""
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    cells = cell_indices(pts, radius)
-    keys, mins, widths, strides = pack_cells(cells)
-    shifted = cells - mins
-    sorted_keys, order = _csr_bins(keys)
-    rad2 = radius * radius
-    good = np.asarray(good, dtype=bool)
-    if USE_NUMBA:
-        return _thin_select_nb(pts, shifted, widths, strides, sorted_keys, order, good, rad2)
-    return _thin_select_np(pts, shifted, widths, strides, sorted_keys, order, good, rad2)
-
-
-def sausage_occupied_count(points: np.ndarray, r: float, cell: float) -> int:
-    """Number of origin-anchored grid cells of side ``cell`` whose center lies
-    within Euclidean distance ``r`` of some point."""
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    reach = int(np.ceil(r / cell)) + 1
-    base = cell_indices(pts, cell)
-    _, mins, widths, strides = pack_cells(base, margin=reach)
-    r2 = r * r
-    if USE_NUMBA:
-        return int(_sausage_occupancy_nb(pts, base, mins, widths, strides, cell, r2, reach))
-    return _sausage_occupancy_np(pts, base, mins, widths, strides, cell, r2, reach)
-
-
 def oscillation_counts(values: np.ndarray, n: int) -> np.ndarray:
     """Column counts max(1, ceil(2^n * (max - min))) over the 2^n closed
     dyadic intervals, from values sampled on a uniform grid over [0, 1]."""
     vals = np.ascontiguousarray(values, dtype=np.float64)
     n_cols = 1 << n
     step = (vals.size - 1) // n_cols
-    scale = float(n_cols)
-    if USE_NUMBA:
-        return _oscillation_counts_nb(vals, n_cols, step, scale)
-    return _oscillation_counts_np(vals, n_cols, step, scale)
+    body = vals[:-1].reshape(n_cols, step)
+    right = vals[step::step]
+    mx = np.maximum(body.max(axis=1), right)
+    mn = np.minimum(body.min(axis=1), right)
+    w = np.ceil(float(n_cols) * (mx - mn))
+    return np.maximum(w, 1.0).astype(np.int64)
 
 
 def distinct_cell_count(cells: np.ndarray) -> int:
     """Number of distinct integer cell tuples (rows).
 
-    Always takes the numpy path: np.unique beats the jitted sort+scan here
-    (see benchmarks/bench_kernels.py); the numba twin stays for the
-    comparison table.
+    Rows are packed into scalar keys for one fast ``np.unique``; a grid too
+    large to pack is counted row-wise instead.
     """
-    keys, _, _, _ = pack_cells(np.ascontiguousarray(cells, dtype=np.int64))
-    return _distinct_count_np(keys)
-
-
-# implementation pairs, used by the parity tests and the benchmark
-IMPLEMENTATIONS = {
-    "greedy_pack": ("_greedy_pack_nb", "_greedy_pack_np"),
-    "neighbor_counts": ("_neighbor_counts_nb", "_neighbor_counts_np"),
-    "thin_select": ("_thin_select_nb", "_thin_select_np"),
-    "sausage_occupancy": ("_sausage_occupancy_nb", "_sausage_occupancy_np"),
-    "oscillation_counts": ("_oscillation_counts_nb", "_oscillation_counts_np"),
-    "distinct_count": ("_distinct_count_nb", "_distinct_count_np"),
-}
+    cells = np.ascontiguousarray(cells, dtype=np.int64)
+    try:
+        keys = pack_cells(cells)[0]
+    except DomainError:
+        return int(np.unique(cells, axis=0).shape[0])
+    return int(np.unique(keys).size)

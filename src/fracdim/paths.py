@@ -9,7 +9,7 @@ their right-limit value at every jump, which makes evaluation a single
 well-defined right-continuous function.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -152,6 +152,17 @@ class DriftSpec:
         if t[0] != 0.0:
             raise ValueError("table must start at t=0 to cover [0, 1]")
         return DriftSpec("table", dim=v.shape[1], table_times=t, table_values=v)
+
+    def __eq__(self, other) -> bool:
+        """Value equality: array fields compare by shape and elements."""
+        if not isinstance(other, DriftSpec):
+            return NotImplemented
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            arrays = isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+            if not (np.array_equal(a, b) if arrays else a == b):
+                return False
+        return True
 
     @property
     def is_zero(self) -> bool:

@@ -1,14 +1,24 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Everything here is deliberately naive (subset enumeration, exact rational
-arithmetic, O(n^2) scans) and shares no code with the implementations it
+arithmetic, O(n^2) scans) and shares no code with the kernels and metrics it
 checks.
 """
 
+import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
+
+
+def _d2(p, q) -> float:
+    """Squared distance summed axis by axis in axis order, in Python floats."""
+    total = 0.0
+    for a in range(len(p)):
+        diff = p[a] - q[a]
+        total += diff * diff
+    return total
 
 
 def pairwise_separated(points: np.ndarray, eps: float) -> bool:
@@ -52,13 +62,10 @@ def all_maximal_separated_subsets(points: np.ndarray, eps: float) -> list:
 
 def brute_neighbor_counts(points: np.ndarray, radius: float) -> np.ndarray:
     """N_i = #{j != i : |y_i - y_j| < radius} by direct O(n^2) scan."""
-    pts = np.atleast_2d(points)
-    n = len(pts)
-    out = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            if i != j and float(np.sqrt(((pts[i] - pts[j]) ** 2).sum())) < radius:
-                out[i] += 1
+    pts = np.atleast_2d(points).tolist()
+    out = np.zeros(len(pts), dtype=np.int64)
+    for i, p in enumerate(pts):
+        out[i] = sum(1 for j, q in enumerate(pts) if i != j and math.sqrt(_d2(p, q)) < radius)
     return out
 
 
@@ -102,3 +109,60 @@ def union_interval_length(centers, r: float) -> float:
         else:
             cur_hi = max(cur_hi, hi)
     return total + (cur_hi - cur_lo)
+
+
+def brute_greedy_thinning(points: np.ndarray, radius: float, good) -> np.ndarray:
+    """Keep-mask of the greedy scan: in stored order, keep each good point
+    whose squared distance to every earlier kept point is >= radius*radius."""
+    pts = np.atleast_2d(points).tolist()
+    rad2 = radius * radius
+    kept = []
+    for i, p in enumerate(pts):
+        if good[i] and all(_d2(p, pts[k]) >= rad2 for k in kept):
+            kept.append(i)
+    mask = np.zeros(len(pts), dtype=bool)
+    mask[kept] = True
+    return mask
+
+
+def brute_greedy_packing(points: np.ndarray, eps: float) -> np.ndarray:
+    """Keep-mask of the greedy 2*eps-packing: the greedy scan with every point
+    eligible."""
+    return brute_greedy_thinning(points, 2.0 * eps, [True] * len(points))
+
+
+def brute_sausage_count(points: np.ndarray, r: float, cell: float) -> int:
+    """Cells ``k*cell + [0, cell)^m`` whose center lies within ``r`` of a point
+    (axis-ordered ``d2 <= r*r``), testing every cell of the cloud's widened
+    bounding box against every point."""
+    pts = np.atleast_2d(points)
+    lo = np.floor((pts.min(axis=0) - r) / cell).astype(int) - 1
+    hi = np.floor((pts.max(axis=0) + r) / cell).astype(int) + 1
+    cells = np.array(list(product(*(range(a, b + 1) for a, b in zip(lo, hi)))))
+    centers = (cells + 0.5) * cell
+    marked = np.zeros(len(cells), dtype=bool)
+    for p in pts:
+        d2 = np.zeros(len(cells))
+        for a in range(len(p)):
+            diff = p[a] - centers[:, a]
+            d2 += diff * diff
+        marked |= d2 <= r * r
+    return int(marked.sum())
+
+
+def brute_oscillation_counts(values, n: int) -> list:
+    """max(1, ceil(2^n * (max - min))) over each closed dyadic column of a
+    uniformly sampled function, by a plain loop."""
+    vals = [float(v) for v in values]
+    cols = 1 << n
+    step = (len(vals) - 1) // cols
+    out = []
+    for k in range(cols):
+        seg = vals[k * step:(k + 1) * step + 1]
+        out.append(max(1, math.ceil(cols * (max(seg) - min(seg)))))
+    return out
+
+
+def brute_distinct_rows(cells) -> int:
+    """Number of distinct rows of an integer array."""
+    return len(set(map(tuple, np.atleast_2d(cells).tolist())))

@@ -140,7 +140,7 @@ def _tiny_config(tmp_path, target):
         "tolerances": {
             "constancy_iqr": 0.05, "inequality_slack": 0.10, "equality_tol": 0.10,
             "corollary_below": 0.10, "corollary_above": 0.15,
-            "example53_tol": 0.15, "example74_min_gap": 0.03,
+            "example74_min_gap": 0.03,
         },
         "experiments": {
             "example-53": {
@@ -190,3 +190,16 @@ def test_experiment_reports_are_reproducible(capsys, tmp_path):
                  "--out", str(f2)]) == 0
     capsys.readouterr()
     assert f1.read_bytes() == f2.read_bytes()
+
+
+@pytest.mark.parametrize("claim", ["constancy", "example-53"])
+def test_experiment_domain_error_exits_2_and_names_code_claim_seed(capsys, tmp_path, claim):
+    path = _tiny_config(tmp_path, [1.0, 5.0])
+    cfg = json.loads(path.read_text())
+    cfg["experiments"]["constancy"] = {"drift": "zero", "points": 20000000,
+                                       "scales": [3, 8], "seeds": [5, 6]}
+    cfg["experiments"]["example-53"].update(points=20000000, seeds=[5, 6])
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "experiment", "--name", claim, "--config", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: grid-too-large: claim '{claim}': seed 5: ")

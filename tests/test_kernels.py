@@ -1,37 +1,17 @@
-"""Backend parity: the numba kernels and their numpy twins must agree bit
-for bit on every input, including boundary ties."""
-
-import os
-import subprocess
-import sys
+"""Every kernel against an independent brute-force oracle (``oracles.py``),
+exactly, on random 1-3-D inputs with duplicate points and on dyadic lattices
+whose pairs sit exactly at the separation radius."""
 
 import numpy as np
 import pytest
 
+import oracles
 from fracdim import kernels
 
-pytestmark = pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
 
-
-def _prep_pack(points, eps):
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    sep = 2.0 * eps
-    cells = kernels.cell_indices(pts, sep)
-    _, mins, widths, strides = kernels.pack_cells(cells)
-    return pts, cells - mins, widths, strides, sep * sep
-
-
-def _prep_csr(points, radius):
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    cells = kernels.cell_indices(pts, radius)
-    keys, mins, widths, strides = kernels.pack_cells(cells)
-    sorted_keys, order = kernels._csr_bins(keys)
-    return pts, cells - mins, widths, strides, sorted_keys, order, radius * radius
-
-
-def _random_points(rng):
+def _random_points(rng, n_max=120):
     m = int(rng.integers(1, 4))
-    n = int(rng.integers(1, 120))
+    n = int(rng.integers(1, n_max))
     pts = rng.uniform(-1, 1, (n, m)) * rng.uniform(0.2, 5.0)
     # inject exact duplicates and near-boundary repeats
     if n > 4:
@@ -40,101 +20,121 @@ def _random_points(rng):
     return pts
 
 
-def test_greedy_pack_parity():
+def _lattice(m, side=6):
+    """Points k/4 for k in [-side/2, side/2)^m, in a shuffled but fixed order."""
+    axes = [np.arange(-side // 2, side // 2) / 4.0] * m
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
+    return grid[np.random.default_rng(m).permutation(len(grid))]
+
+
+def test_active_backend_is_numpy():
+    assert kernels.active_backend() == "numpy"
+
+
+def test_greedy_pack_matches_oracle():
     rng = np.random.default_rng(1)
     for _ in range(150):
         pts = _random_points(rng)
-        eps = float(rng.uniform(0.01, 0.5))
-        args = _prep_pack(pts, eps)
-        assert np.array_equal(kernels._greedy_pack_nb(*args), kernels._greedy_pack_np(*args))
+        eps = float(rng.choice([0.1, rng.uniform(0.01, 0.5)]))
+        assert np.array_equal(kernels.greedy_pack_mask(pts, eps),
+                              oracles.brute_greedy_packing(pts, eps))
 
 
-def test_neighbor_counts_parity():
+def test_neighbor_counts_match_oracle():
     rng = np.random.default_rng(2)
     for _ in range(150):
         pts = _random_points(rng)
         radius = float(rng.uniform(0.02, 1.0))
-        args = _prep_csr(pts, radius)
-        assert np.array_equal(
-            kernels._neighbor_counts_nb(*args), kernels._neighbor_counts_np(*args)
-        )
+        assert np.array_equal(kernels.neighbor_counts(pts, radius),
+                              oracles.brute_neighbor_counts(pts, radius))
 
 
-def test_thin_select_parity():
+def test_thin_select_matches_oracle():
     rng = np.random.default_rng(3)
     for _ in range(150):
         pts = _random_points(rng)
         radius = float(rng.uniform(0.02, 1.0))
-        pts_, cells, widths, strides, sk, order, rad2 = _prep_csr(pts, radius)
-        good = rng.random(len(pts_)) < 0.7
-        a = kernels._thin_select_nb(pts_, cells, widths, strides, sk, order, good, rad2)
-        b = kernels._thin_select_np(pts_, cells, widths, strides, sk, order, good, rad2)
-        assert np.array_equal(a, b)
+        good = rng.random(len(pts)) < 0.7
+        assert np.array_equal(kernels.thin_select_mask(pts, radius, good),
+                              oracles.brute_greedy_thinning(pts, radius, good))
 
 
-def test_sausage_occupancy_parity():
-    rng = np.random.default_rng(4)
+def test_greedy_pack_is_thinning_with_every_point_eligible():
+    rng = np.random.default_rng(8)
     for _ in range(100):
         pts = _random_points(rng)
-        r = float(rng.uniform(0.05, 0.8))
-        q = int(rng.integers(2, 7))
-        cell = r / q
-        reach = int(np.ceil(r / cell)) + 1
-        base = kernels.cell_indices(pts, cell)
-        _, mins, widths, strides = kernels.pack_cells(base, margin=reach)
-        a = kernels._sausage_occupancy_nb(pts, base, mins, widths, strides, cell, r * r, reach)
-        b = kernels._sausage_occupancy_np(pts, base, mins, widths, strides, cell, r * r, reach)
-        assert int(a) == int(b)
+        eps = float(rng.uniform(0.01, 0.5))
+        assert np.array_equal(kernels.greedy_pack_mask(pts, eps),
+                              kernels.thin_select_mask(pts, 2 * eps, np.ones(len(pts), bool)))
 
 
-def test_oscillation_parity():
+def test_sausage_occupancy_matches_oracle():
+    rng = np.random.default_rng(4)
+    for _ in range(60):
+        pts = _random_points(rng, n_max=30)
+        spread = float(np.ptp(pts, axis=0).max()) or 1.0
+        r = spread * float(rng.uniform(0.25, 0.5))
+        cell = r / int(rng.integers(2, 4))
+        assert kernels.sausage_occupied_count(pts, r, cell) == \
+            oracles.brute_sausage_count(pts, r, cell)
+
+
+def test_oscillation_matches_oracle():
     rng = np.random.default_rng(5)
     for _ in range(150):
         j = int(rng.integers(2, 10))
         n = int(rng.integers(0, j + 1))
         vals = rng.standard_normal(2**j + 1).cumsum()
-        n_cols = 1 << n
-        step = (vals.size - 1) // n_cols
-        a = kernels._oscillation_counts_nb(vals, n_cols, step, float(n_cols))
-        b = kernels._oscillation_counts_np(vals, n_cols, step, float(n_cols))
-        assert np.array_equal(a, b)
+        # dyadic walks: 2^n * (max - min) is often an exact integer, and
+        # flat columns have no oscillation at all
+        walk = rng.integers(-1, 2, 2**j + 1).cumsum() / 8.0
+        for v in (vals, walk):
+            assert kernels.oscillation_counts(v, n).tolist() == \
+                oracles.brute_oscillation_counts(v, n)
 
 
-def test_distinct_count_parity():
+def test_distinct_cell_count_matches_oracle():
     rng = np.random.default_rng(6)
     for _ in range(150):
-        keys = rng.integers(-50, 50, int(rng.integers(1, 400)))
-        assert kernels._distinct_count_nb(keys) == kernels._distinct_count_np(keys)
+        cells = rng.integers(-50, 50, (int(rng.integers(1, 400)), int(rng.integers(1, 4))))
+        assert kernels.distinct_cell_count(cells) == oracles.brute_distinct_rows(cells)
 
 
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, FRACDIM_NUMBA="0")
-    out = subprocess.run(
-        [sys.executable, "-c", "import fracdim; print(fracdim.active_backend())"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "numpy"
+def test_distinct_cell_count_beyond_packable_grid():
+    # widths of about 2^40 per axis: packed keys would need 2^120
+    far = 1 << 40
+    cells = np.array([[0, 0, 0], [far, far, far], [0, 0, 0], [far, 0, far]])
+    assert kernels.distinct_cell_count(cells) == oracles.brute_distinct_rows(cells) == 3
 
 
-def test_public_wrappers_agree_across_backends():
-    # spot-check the public results through a subprocess running pure numpy
-    rng = np.random.default_rng(7)
-    pts = rng.uniform(0, 1, (300, 2))
-    eps = 0.03
-    here = [
-        int(kernels.greedy_pack_mask(pts, eps).sum()),
-        int(kernels.neighbor_counts(pts, 2 * eps).sum()),
-        kernels.sausage_occupied_count(pts, 0.1, 0.025),
-    ]
-    code = (
-        "import numpy as np\nfrom fracdim import kernels\n"
-        "rng = np.random.default_rng(7)\n"
-        "pts = rng.uniform(0, 1, (300, 2))\n"
-        "print(int(kernels.greedy_pack_mask(pts, 0.03).sum()))\n"
-        "print(int(kernels.neighbor_counts(pts, 0.06).sum()))\n"
-        "print(kernels.sausage_occupied_count(pts, 0.1, 0.025))\n"
-    )
-    env = dict(os.environ, FRACDIM_NUMBA="0")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    assert [int(x) for x in out.stdout.split()] == here
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_dyadic_lattice_ties_are_separated(m):
+    # lattice spacing 1/4 = 2*eps exactly: d2 == sep2 for every neighbour pair
+    pts = _lattice(m)
+    eps = 1 / 8
+    assert kernels.greedy_pack_mask(pts, eps).all()
+    assert np.array_equal(kernels.greedy_pack_mask(pts, eps),
+                          oracles.brute_greedy_packing(pts, eps))
+    good = np.arange(len(pts)) % 3 != 0
+    assert np.array_equal(kernels.thin_select_mask(pts, 2 * eps, good), good)
+    assert not kernels.neighbor_counts(pts, 2 * eps).any()
+    # at radius 1/2 (or 3/4) the pairs 1/2 (or 3/4) apart along an axis sit
+    # exactly on the radius and are not neighbours
+    for radius in (0.5, 0.75):
+        assert np.array_equal(kernels.neighbor_counts(pts, radius),
+                              oracles.brute_neighbor_counts(pts, radius))
+        good = np.ones(len(pts), bool)
+        assert np.array_equal(kernels.thin_select_mask(pts, radius, good),
+                              oracles.brute_greedy_thinning(pts, radius, good))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_dyadic_lattice_sausage_ties_are_marked(m):
+    # points k/2 + 1/8 on the centers of every other cell of side 1/4, with
+    # r = 1/4: the centers of the axis neighbour cells sit at exactly
+    # d2 == r*r and are marked
+    pts = 2 * _lattice(m, side=4) + 0.125
+    count = kernels.sausage_occupied_count(pts, 0.25, 0.25)
+    assert count == oracles.brute_sausage_count(pts, 0.25, 0.25)
+    # 4^m points, each marking its own cell and its 2m axis neighbours
+    assert count == 4**m + m * 5 * 4 ** (m - 1)

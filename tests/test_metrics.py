@@ -100,6 +100,13 @@ def test_box_boundary_goes_up():
     assert fd.box_count(cloud([[0.2], [0.2 - 1e-12]]), 0.1) == 2
 
 
+def test_box_count_on_a_grid_too_large_to_pack():
+    # about 2^40 cells per axis: the cell tuples cannot be packed into int64 keys
+    pts = [[0.0, 0.0, 0.0], [1e6, 1e6, 1e6]]
+    assert fd.box_count(cloud(pts), 2.0**-20) == 2
+    assert fd.box_count(cloud(pts + [[1e6, 0.0, 1e6]]), 2.0**-20) == 3
+
+
 def test_box_packing_sandwich_random():
     rng = np.random.default_rng(99)
     for _ in range(N_INSTANCES):

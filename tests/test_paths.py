@@ -244,3 +244,17 @@ def test_sample_path_csv_roundtrip():
     assert np.array_equal(back.bm_values, p.bm_values)
     assert np.array_equal(back.drift_values, p.drift_values)
     assert np.array_equal(back.grid.times, p.grid.times)
+
+
+def test_drift_specs_compare_by_value():
+    assert fd.DriftSpec.linear([1.0, 2.0]) == fd.DriftSpec.linear([1.0, 2.0])
+    assert fd.DriftSpec.linear([1.0, 2.0]) != fd.DriftSpec.linear([1.0, 2.5])
+    assert fd.DriftSpec.linear([1.0, 2.0]) != fd.DriftSpec.linear([1.0, 2.0, 0.0])
+    assert fd.DriftSpec.linear([1.0]) != fd.DriftSpec.zero(1)
+    br, vv = fd.staircase_steps(16)
+    table = fd.DriftSpec.table(br[:-1], vv)
+    assert table == fd.DriftSpec.table(br[:-1].copy(), vv.copy())
+    assert table != fd.DriftSpec.table(br[:-1], vv + 1.0)
+    assert table != fd.DriftSpec.table(br[:-1], np.column_stack([vv, vv]))
+    assert fd.DriftSpec.psi_n(16) == fd.DriftSpec.psi_n(16) != fd.DriftSpec.psi_n(32)
+    assert fd.DriftSpec.zero(1) != "zero"
