@@ -22,6 +22,7 @@ from .experiments import (
     ExperimentConfig,
     ExperimentReport,
     run_claim,
+    run_claims,
     run_experiment,
 )
 from .kernels import active_backend
@@ -86,6 +87,7 @@ __all__ = [
     "psi_graph_count_formula",
     "read_path_csv",
     "run_claim",
+    "run_claims",
     "run_experiment",
     "sausage_volume",
     "scale_sweep",

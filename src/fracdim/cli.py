@@ -21,12 +21,13 @@ from .constructions import (
 )
 from .errors import DomainError
 from .experiments import (
+    _METHOD_KINDS,
     CLAIM_IDS,
     build_grid,
     load_config,
     parse_drift_string,
     parse_set_string,
-    run_claim,
+    run_claims,
 )
 from .metrics import estimate_dimension, graph_cloud, image_cloud, scale_sweep
 from .paths import apply_drift, generate_bm, levy_construct, read_path_csv, write_path_csv
@@ -79,9 +80,7 @@ def cmd_dims(args) -> int:
         path = _build_path(args)
     cloud = image_cloud(path) if args.object == "image" else graph_cloud(path)
     j_min, j_max = (int(x) for x in args.scales.split(":"))
-    kind = {"box": "box", "packing": "packing",
-            "sausage": "sausage_volume", "oscillation": "oscillation"}[args.method]
-    series = scale_sweep(cloud, kind, j_min, j_max, refine=args.refine)
+    series = scale_sweep(cloud, _METHOD_KINDS[args.method], j_min, j_max, refine=args.refine)
     estimate = estimate_dimension(series)
     config = {
         "command": "dims", "object": args.object, "method": args.method,
@@ -127,16 +126,10 @@ def cmd_experiment(args) -> int:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
     names = list(CLAIM_IDS) if args.name == "all" else [args.name]
-    for name in names:
-        if name not in CLAIM_IDS:
-            print(f"unknown claim {name!r}; valid ids: {', '.join(CLAIM_IDS)}", file=sys.stderr)
-            return 2
-    reports = {}
+    reports = {name: report.to_dict() for name, report in run_claims(names, config).items()}
     all_pass = True
-    for name in names:
-        report = run_claim(name, config)
-        reports[name] = report.to_dict()
-        for verdict in report.verdicts:
+    for report in reports.values():
+        for verdict in report["verdicts"]:
             all_pass &= verdict["pass"]
             status = "PASS" if verdict["pass"] else "FAIL"
             print(f"{status} {verdict['claim']}: margin={verdict['margin']:.4f} "

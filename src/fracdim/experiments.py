@@ -7,8 +7,13 @@ interquartile range, and applies registered pass/fail checks.  Medians are
 used because slope estimates at coarse scales are heavy-tailed; every
 tolerance lives in the shipped config file, never in the check code.
 
-Registered claim ids: constancy, thm13-image, thm15-graph, thm16-equality,
-cor14-bound, example-53, example-74-directional.
+The claims registry ``CLAIMS`` is a table with one check per claim id:
+constancy, thm13-image, thm15-graph, thm16-equality, cor14-bound,
+example-53, example-74-directional.  ``run_claims`` shares per-seed
+estimates between the claims of one call, so ``experiment --name all`` runs
+each distinct (experiment, seed) once: example-53 and
+example-74-directional share one experiment, and thm15-graph reuses
+constancy's seeds.
 """
 
 import importlib.resources
@@ -19,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import (
-    LacunarySchedule,
     inverse_power_grid,
     lacunary_tail_bound,
     parse_schedule,
@@ -39,16 +43,6 @@ from .metrics import (
     scale_sweep,
 )
 from .paths import DriftSpec, TimeGrid, apply_drift, generate_bm
-
-CLAIM_IDS = (
-    "constancy",
-    "thm13-image",
-    "thm15-graph",
-    "thm16-equality",
-    "cor14-bound",
-    "example-53",
-    "example-74-directional",
-)
 
 _METHOD_KINDS = {
     "box": "box",
@@ -157,6 +151,8 @@ class ExperimentConfig:
         bad = [m for m in self.methods if m not in _METHOD_KINDS]
         if bad:
             raise ValueError(f"unknown methods {bad}")
+        if self.refine < 2:
+            raise ValueError(f"refine={self.refine}; need refine >= 2")
 
     @staticmethod
     def from_dict(name: str, cfg: dict) -> "ExperimentConfig":
@@ -269,11 +265,23 @@ def seed_estimates(cfg: ExperimentConfig, seed: int) -> dict:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run seeds x methods x objects and aggregate; deterministic in cfg."""
+    return _run_experiment(cfg, {})
+
+
+def _run_experiment(cfg: ExperimentConfig, memo: dict) -> ExperimentReport:
+    """``run_experiment`` taking the estimates of a seed from ``memo`` when an
+    experiment that differs from ``cfg`` at most in name and seeds put them
+    there."""
+    setup = {k: v for k, v in cfg.to_dict().items() if k not in ("name", "seeds")}
+    setup_key = json.dumps(setup, sort_keys=True)
     per_seed = []
     slopes: dict = {}
     for seed in cfg.seeds:
         try:
-            ests = seed_estimates(cfg, seed)
+            key = (setup_key, seed)
+            if key not in memo:
+                memo[key] = seed_estimates(cfg, seed)
+            ests = memo[key]
         except DomainError as exc:
             raise DomainError(exc.code, f"seed {seed}: {exc.detail}") from exc
         except Exception as exc:
@@ -429,38 +437,6 @@ def check_example_74(report: ExperimentReport, min_gap: float) -> dict:
     )
 
 
-def run_example_experiment(schedule: LacunarySchedule, truncation: int, seeds,
-                           scales: tuple, points: int,
-                           target: tuple, min_gap: float) -> ExperimentReport:
-    """Run the lacunary-staircase experiment and attach both example verdicts.
-
-    The report metadata records the certified tail envelope of the dropped
-    schedule terms.  Only simulable schedules are accepted; the symbolic
-    preset raises ``schedule-not-simulable``.
-    """
-    drift = schedule.drift(truncation)
-    cfg = ExperimentConfig(
-        name="example",
-        drift=drift,
-        drift_config=f"lacunary:{schedule.preset}:{truncation}",
-        set_kind="uniform",
-        set_params=(),
-        d=1,
-        seeds=tuple(seeds),
-        points=points,
-        scales=scales,
-        methods=("box",),
-        target=tuple(target),
-    )
-    report = run_experiment(cfg)
-    report.config["tail_bound"] = lacunary_tail_bound(schedule, truncation)
-    verdicts = [
-        check_example_53(report, float(target[1])),
-        check_example_74(report, min_gap),
-    ]
-    return report.with_verdicts(verdicts)
-
-
 # ---------------------------------------------------------------------------
 # claims registry
 
@@ -482,54 +458,70 @@ def load_config(path: str | None = None) -> dict:
         return json.load(fh)
 
 
-def run_claim(claim: str, config: dict | None = None) -> ExperimentReport:
-    """Run one registered claim and return its report with verdicts.
+def _claim_config(claim: str, exp_cfg: dict) -> ExperimentConfig:
+    """Experiment of one claim's config entry.
 
-    A ``DomainError`` keeps its code and gains the claim (and, when a seed
-    failed, the seed) in its detail.
+    An example entry names a lacunary schedule and its truncation; it runs
+    as the experiment ``example`` with the drift ``lacunary:<schedule>:<K>``
+    over the uniform grid in one dimension.
     """
-    if claim not in CLAIM_IDS:
-        raise KeyError(f"unknown claim {claim!r}; valid ids: {', '.join(CLAIM_IDS)}")
+    if "schedule" not in exp_cfg:
+        return ExperimentConfig.from_dict(claim, exp_cfg)
+    return ExperimentConfig.from_dict("example", {
+        "drift": f"lacunary:{exp_cfg['schedule']}:{int(exp_cfg['truncation'])}",
+        "points": exp_cfg["points"],
+        "scales": exp_cfg["scales"],
+        "seeds": exp_cfg["seeds"],
+        "target": exp_cfg["target"],
+    })
+
+
+# One row per claim: its check, called as check(report, exp_cfg, tolerances).
+CLAIMS = {
+    "constancy": lambda rep, exp, tol: check_constancy(rep, float(tol["constancy_iqr"])),
+    "thm13-image": lambda rep, exp, tol: check_image_inequality(
+        rep, float(tol["inequality_slack"])),
+    "thm15-graph": lambda rep, exp, tol: check_graph_inequality(
+        rep, float(tol["inequality_slack"])),
+    "thm16-equality": lambda rep, exp, tol: check_graph_equality_continuous(
+        rep, float(tol["equality_tol"])),
+    "cor14-bound": lambda rep, exp, tol: check_corollary_bound(
+        rep, float(exp["beta"]), float(tol["corollary_below"]), float(tol["corollary_above"])),
+    "example-53": lambda rep, exp, tol: check_example_53(rep, float(exp["target"][1])),
+    "example-74-directional": lambda rep, exp, tol: check_example_74(
+        rep, float(tol["example74_min_gap"])),
+}
+
+CLAIM_IDS = tuple(CLAIMS)
+
+
+def run_claims(names, config: dict | None = None) -> dict:
+    """Run registered claims and return ``{claim: report with its verdict}``.
+
+    The claims of one call share per-seed estimates, so each distinct
+    (experiment, seed) runs once.  A ``DomainError`` keeps its code and gains
+    the claim (and, when a seed failed, the seed) in its detail.
+    """
+    for claim in names:
+        if claim not in CLAIMS:
+            raise KeyError(f"unknown claim {claim!r}; valid ids: {', '.join(CLAIM_IDS)}")
     cfg_all = config if config is not None else default_config()
-    try:
-        return _claim_report(claim, cfg_all)
-    except DomainError as exc:
-        raise DomainError(exc.code, f"claim {claim!r}: {exc.detail}") from exc
-
-
-def _claim_report(claim: str, cfg_all: dict) -> ExperimentReport:
     tol = cfg_all["tolerances"]
-    exp_cfg = cfg_all["experiments"][claim]
+    memo: dict = {}
+    reports = {}
+    for claim in names:
+        exp_cfg = cfg_all["experiments"][claim]
+        try:
+            report = _run_experiment(_claim_config(claim, exp_cfg), memo)
+            if "schedule" in exp_cfg:
+                report.config["tail_bound"] = lacunary_tail_bound(
+                    parse_schedule(exp_cfg["schedule"]), int(exp_cfg["truncation"]))
+            reports[claim] = report.with_verdicts([CLAIMS[claim](report, exp_cfg, tol)])
+        except DomainError as exc:
+            raise DomainError(exc.code, f"claim {claim!r}: {exc.detail}") from exc
+    return reports
 
-    if claim in ("example-53", "example-74-directional"):
-        schedule = parse_schedule(exp_cfg["schedule"])
-        report = run_example_experiment(
-            schedule,
-            int(exp_cfg["truncation"]),
-            exp_cfg["seeds"],
-            (int(exp_cfg["scales"][0]), int(exp_cfg["scales"][1])),
-            int(exp_cfg["points"]),
-            tuple(exp_cfg["target"]),
-            float(tol["example74_min_gap"]),
-        )
-        wanted = [v for v in report.verdicts if v["claim"] == claim]
-        return report.with_verdicts(wanted)
 
-    cfg = ExperimentConfig.from_dict(claim, exp_cfg)
-    report = run_experiment(cfg)
-    if claim == "constancy":
-        verdict = check_constancy(report, float(tol["constancy_iqr"]))
-    elif claim == "thm13-image":
-        verdict = check_image_inequality(report, float(tol["inequality_slack"]))
-    elif claim == "thm15-graph":
-        verdict = check_graph_inequality(report, float(tol["inequality_slack"]))
-    elif claim == "thm16-equality":
-        verdict = check_graph_equality_continuous(report, float(tol["equality_tol"]))
-    else:  # cor14-bound
-        verdict = check_corollary_bound(
-            report,
-            float(exp_cfg["beta"]),
-            float(tol["corollary_below"]),
-            float(tol["corollary_above"]),
-        )
-    return report.with_verdicts([verdict])
+def run_claim(claim: str, config: dict | None = None) -> ExperimentReport:
+    """Run one registered claim and return its report with its verdict."""
+    return run_claims([claim], config)[claim]

@@ -65,9 +65,20 @@ def _neighbourhoods(pts: np.ndarray, radius: float):
     least 1 since it counts ``i`` itself.  Axis 0 has stride 1, so the three
     neighbour cells of a row along axis 0 hold consecutive keys and need one
     range; cells outside the occupied grid are never addressed.
+
+    A grid too large to pack is first compacted: each axis's distinct cell
+    coordinates are re-ranked with steps of ``min(gap, 2)``, which keeps
+    exactly which cells are neighbours and bounds each width by ``2 * n``.
     """
     cells = cell_indices(pts, radius)
-    keys, mins, widths, strides = pack_cells(cells)
+    try:
+        keys, mins, widths, strides = pack_cells(cells)
+    except DomainError:
+        for a in range(cells.shape[1]):
+            coords, inverse = np.unique(cells[:, a], return_inverse=True)
+            ranks = np.concatenate([[0], np.cumsum(np.minimum(np.diff(coords), 2))])
+            cells[:, a] = ranks[inverse]
+        keys, mins, widths, strides = pack_cells(cells)
     cells -= mins
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]

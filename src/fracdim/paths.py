@@ -164,6 +164,14 @@ class DriftSpec:
                 return False
         return True
 
+    def __hash__(self) -> int:
+        """Hash of the field values, so that equal specs hash equally (an
+        array field by its shape and elements, where ``-0.0 == 0.0``)."""
+        return hash(tuple(
+            (v.shape, tuple(v.ravel().tolist())) if isinstance(v, np.ndarray) else v
+            for v in (getattr(self, f.name) for f in fields(self))
+        ))
+
     @property
     def is_zero(self) -> bool:
         return self.variant == "zero"

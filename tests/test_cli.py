@@ -203,3 +203,34 @@ def test_experiment_domain_error_exits_2_and_names_code_claim_seed(capsys, tmp_p
     code, out, err = run_cli(capsys, "experiment", "--name", claim, "--config", str(path))
     assert code == 2 and out == ""
     assert err.startswith(f"error: grid-too-large: claim '{claim}': seed 5: ")
+
+
+def test_experiment_refine_below_two_exits_2(capsys, tmp_path):
+    path = _tiny_config(tmp_path, [1.0, 5.0])
+    cfg = json.loads(path.read_text())
+    cfg["experiments"]["constancy"] = {"drift": "zero", "points": 2**9 + 1, "scales": [3, 7],
+                                       "seeds": [1], "methods": ["sausage"], "refine": 1}
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "experiment", "--name", "constancy", "--config", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "refine" in err
+
+
+def test_experiment_all_names_the_failing_claim_and_seed(capsys, tmp_path):
+    path = _tiny_config(tmp_path, [1.0, 5.0])
+    cfg = json.loads(path.read_text())
+    small = {"points": 2**9 + 1, "scales": [3, 7], "seeds": [5, 6, 7, 8, 9, 10, 11, 12]}
+    cfg["experiments"].update({
+        "constancy": dict(small, drift="psi_n:16"),
+        "thm13-image": dict(small, drift={"kind": "staircase_table", "n": 16, "d": 2},
+                            set="power:1", d=2),
+        "thm15-graph": dict(small, drift="psi_n:16"),
+        "thm16-equality": dict(small, drift="linear:5.0", points=20000000),
+        "cor14-bound": dict(small, drift="zero", set="power:1", beta=1.0),
+    })
+    cfg["experiments"]["example-74-directional"] = cfg["experiments"]["example-53"]
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "experiment", "--name", "all", "--config", str(path))
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].startswith(
+        "error: grid-too-large: claim 'thm16-equality': seed 5: ")

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import fracdim as fd
+from fracdim import experiments
+from fracdim.constructions import parse_schedule
 from fracdim.errors import DomainError
 from fracdim.experiments import (
     ExperimentConfig,
@@ -16,7 +18,8 @@ from fracdim.experiments import (
     check_image_inequality,
     parse_drift_string,
     parse_set_string,
-    run_example_experiment,
+    run_claim,
+    run_claims,
     run_experiment,
 )
 from fracdim.metrics import (
@@ -107,6 +110,8 @@ def test_config_validation():
         small_config(points=2**8)  # under-resolves j_max=7
     with pytest.raises(ValueError):
         small_config(methods=("magic",))
+    with pytest.raises(ValueError):
+        small_config(methods=("sausage",), refine=1)
 
 
 def test_oscillation_method_runs_on_uniform_graphs():
@@ -215,27 +220,99 @@ def test_check_corollary_window():
 # the lacunary example experiment
 
 
+TOLERANCES = {
+    "constancy_iqr": 0.05, "inequality_slack": 0.10, "equality_tol": 0.10,
+    "corollary_below": 0.10, "corollary_above": 0.15, "example74_min_gap": 0.03,
+}
+
+
+def example_config(schedule, truncation, seeds, scales, points, target, **more):
+    """Claims config whose two example claims share one lacunary experiment;
+    ``more`` adds further claim entries."""
+    entry = {"schedule": schedule, "truncation": truncation, "seeds": list(seeds),
+             "scales": list(scales), "points": points, "target": list(target)}
+    experiments_cfg = {"example-53": entry, "example-74-directional": dict(entry), **more}
+    return {"tolerances": dict(TOLERANCES), "experiments": experiments_cfg}
+
+
 def test_example_experiment_rejects_paper_schedule():
+    config = example_config("paper", 3, (1,), (3, 7), 2**9 + 1, (1.0, 0.2))
     with pytest.raises(DomainError) as ei:
-        run_example_experiment(
-            fd.LacunarySchedule.paper(), 3, (1,), (3, 7), 2**9 + 1, (1.0, 0.2), 0.03
-        )
+        run_claim("example-53", config)
     assert ei.value.code == "schedule-not-simulable"
 
 
 def test_example_experiment_zero_truncation():
     # truncation 0 means no drift terms: graph(drift) is a flat segment
-    report = run_example_experiment(
-        fd.LacunarySchedule.desk(), 0, (1, 2), (4, 10), 2**14 + 1, (1.0, 0.2), 0.03
-    )
+    config = example_config("desk", 0, (1, 2), (4, 10), 2**14 + 1, (1.0, 0.2))
+    reports = run_claims(["example-53", "example-74-directional"], config)
+    report = reports["example-53"]
     med_drift = report.median("graph_drift", "box")
     med_sum = report.median("graph_sum", "box")
     assert abs(med_drift - 1.0) < 0.1
     assert med_sum > med_drift + 0.03
-    by_claim = {v["claim"]: v for v in report.verdicts}
+    by_claim = {v["claim"]: v for r in reports.values() for v in r.verdicts}
     assert by_claim["example-53"]["pass"]
     assert by_claim["example-74-directional"]["pass"]
     assert report.config["tail_bound"] == fd.lacunary_tail_bound(fd.LacunarySchedule.desk(), 0)
+
+
+def test_example_report_echoes_a_drift_that_parses_back():
+    config = example_config("custom(16,64)", 2, (1,), (3, 7), 2**9 + 1, (1.0, 5.0))
+    report = run_claim("example-53", config)
+    assert report.config["drift"] == "lacunary:custom(16,64):2"
+    assert parse_drift_string(report.config["drift"]) == parse_schedule("custom(16,64)").drift(2)
+    desk = run_claim("example-53", example_config("desk", 3, (1,), (3, 7), 2**9 + 1, (1.0, 5.0)))
+    assert desk.config["drift"] == "lacunary:desk:3"
+
+
+def shared_run_config():
+    """Both example claims on one experiment, and constancy with thm15-graph
+    on the first half of its seeds, all at toy size."""
+    noise = {"drift": "psi_n:16", "set": "uniform", "d": 1, "points": 2**9 + 1,
+             "scales": [3, 7], "seeds": list(range(1, 9)), "methods": ["box"]}
+    return example_config("custom(16,64)", 2, (3, 4), (3, 7), 2**9 + 1, (1.0, 5.0),
+                          constancy=noise, **{"thm15-graph": dict(noise, seeds=[1, 2, 3, 4])})
+
+
+SHARED_CLAIMS = ("constancy", "thm15-graph", "example-53", "example-74-directional")
+
+
+def test_run_claims_matches_per_claim_runs():
+    config = shared_run_config()
+    together = run_claims(SHARED_CLAIMS, config)
+    assert list(together) == list(SHARED_CLAIMS)
+    for claim in SHARED_CLAIMS:
+        assert together[claim].to_json() == run_claim(claim, config).to_json()
+        assert [v["claim"] for v in together[claim].verdicts] == [claim]
+
+
+def test_run_claims_runs_each_distinct_experiment_seed_once(monkeypatch):
+    calls = []
+    real = experiments.seed_estimates
+
+    def counting(cfg, seed):
+        calls.append((cfg.name, seed))
+        return real(cfg, seed)
+
+    monkeypatch.setattr(experiments, "seed_estimates", counting)
+    # thm15-graph reuses 4 of constancy's 8 seeds; the examples share 2 seeds
+    once = [("constancy", s) for s in range(1, 9)] + [("example", 3), ("example", 4)]
+    run_claims(SHARED_CLAIMS, shared_run_config())
+    assert calls == once
+    calls.clear()
+    run_claims(SHARED_CLAIMS, shared_run_config())
+    assert calls == once  # nothing is cached across calls
+
+
+def test_run_claims_keeps_different_custom_schedules_apart():
+    config = example_config("custom(16,64)", 2, (1, 2), (3, 7), 2**9 + 1, (1.0, 5.0))
+    config["experiments"]["example-74-directional"]["schedule"] = "custom(16,256)"
+    together = run_claims(["example-53", "example-74-directional"], config)
+    assert together["example-53"].config["drift"] == "lacunary:custom(16,64):2"
+    assert together["example-74-directional"].config["drift"] == "lacunary:custom(16,256):2"
+    for claim, report in together.items():
+        assert report.to_json() == run_claim(claim, config).to_json()
 
 
 def test_example_74_margin_monotone():

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from fracdim import kernels
+from fracdim.errors import DomainError
 
 
 def _random_points(rng, n_max=120):
@@ -105,6 +106,50 @@ def test_distinct_cell_count_beyond_packable_grid():
     far = 1 << 40
     cells = np.array([[0, 0, 0], [far, far, far], [0, 0, 0], [far, 0, far]])
     assert kernels.distinct_cell_count(cells) == oracles.brute_distinct_rows(cells) == 3
+
+
+def test_scans_on_a_grid_too_large_to_pack():
+    # about 2^40 cells of side 2^-20 per axis: the cell tuples cannot be packed
+    far = np.array([[0.0, 0.0, 0.0], [1e6, 1e6, 1e6]])
+    assert kernels.greedy_pack_mask(far, 2.0**-20).tolist() == [True, True]
+    assert kernels.neighbor_counts(far, 2.0**-20).tolist() == [0, 0]
+    assert kernels.thin_select_mask(far, 2.0**-20, np.array([True, True])).tolist() == [True, True]
+
+
+# Per ambient dimension, a cluster spacing that puts the grid of every radius
+# used below past the 2^62 packable keys.  In 1-D that needs cell indices
+# near the int64 limit, so the random inputs are 2-D and 3-D.
+_FAR = {2: 1e10, 3: 1e7}
+
+
+def _far_clusters(rng, radius):
+    """Clusters of points a few radii wide around far-apart centres, with
+    exact duplicates, on a grid too large to pack."""
+    m = int(rng.integers(2, 4))
+    centres = rng.integers(-3, 4, (int(rng.integers(2, 5)), m)) * _FAR[m]
+    centres[:2] = [[-3 * _FAR[m]] * m, [3 * _FAR[m]] * m]
+    n = int(rng.integers(3, 60))
+    which = rng.integers(0, len(centres), n)
+    which[:3] = [0, 0, 1]
+    pts = centres[which] + rng.uniform(-3, 3, (n, m)) * radius
+    pts[1] = pts[0]
+    with pytest.raises(DomainError):
+        kernels.pack_cells(kernels.cell_indices(pts, radius))
+    return pts
+
+
+def test_scans_on_far_apart_clusters_match_oracles():
+    rng = np.random.default_rng(9)
+    for _ in range(60):
+        radius = float(rng.uniform(0.02, 1.0))
+        pts = _far_clusters(rng, radius)
+        good = rng.random(len(pts)) < 0.7
+        assert np.array_equal(kernels.greedy_pack_mask(pts, radius / 2),
+                              oracles.brute_greedy_packing(pts, radius / 2))
+        assert np.array_equal(kernels.neighbor_counts(pts, radius),
+                              oracles.brute_neighbor_counts(pts, radius))
+        assert np.array_equal(kernels.thin_select_mask(pts, radius, good),
+                              oracles.brute_greedy_thinning(pts, radius, good))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

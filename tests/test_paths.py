@@ -258,3 +258,16 @@ def test_drift_specs_compare_by_value():
     assert table != fd.DriftSpec.table(br[:-1], np.column_stack([vv, vv]))
     assert fd.DriftSpec.psi_n(16) == fd.DriftSpec.psi_n(16) != fd.DriftSpec.psi_n(32)
     assert fd.DriftSpec.zero(1) != "zero"
+
+
+def test_drift_spec_hash_agrees_with_equality():
+    assert hash(fd.DriftSpec.linear([1.0, 2.0])) == hash(fd.DriftSpec.linear([1.0, 2.0]))
+    # -0.0 == 0.0, so the two specs are equal and must hash equally
+    assert fd.DriftSpec.linear([-0.0]) == fd.DriftSpec.linear([0.0])
+    assert hash(fd.DriftSpec.linear([-0.0])) == hash(fd.DriftSpec.linear([0.0]))
+    br, vv = fd.staircase_steps(16)
+    table = fd.DriftSpec.table(br[:-1], vv)
+    assert hash(table) == hash(fd.DriftSpec.table(br[:-1].copy(), vv.copy()))
+    specs = {fd.DriftSpec.linear([1.0]), fd.DriftSpec.linear([1.0]), table,
+             fd.DriftSpec.table(br[:-1].copy(), vv.copy()), fd.DriftSpec.psi_n(16)}
+    assert len(specs) == 3
