@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .paths import DriftSpec, GridDescriptor, TimeGrid, _staircase
+from .paths import MAX_GRID_POINTS, DriftSpec, GridDescriptor, TimeGrid, _staircase
 
 TAIL_SUM_CAP = 1.0e6
 _TAIL_MAX_TERMS = 100_000
@@ -148,6 +148,8 @@ def inverse_power_grid(beta: float, n_max: int) -> TimeGrid:
         raise ValueError("beta must be positive")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if n_max + 1 > MAX_GRID_POINTS:
+        raise DomainError("grid-too-large", f"{n_max + 1} points exceed cap {MAX_GRID_POINTS}")
     pts = np.arange(1, n_max + 1, dtype=np.float64) ** (-float(beta))
     times = np.concatenate([[0.0], pts[::-1]])
     return TimeGrid(times, GridDescriptor("power_set", {"beta": float(beta), "n_max": int(n_max)}))

@@ -12,6 +12,13 @@ compared with the points of its ``3**m`` neighbour cells.
 Greedy packing and thinning are one scan (``_greedy_scan``): visit points in
 stored order and keep each eligible one that no earlier kept point is close
 to.
+
+The sausage count is a scanline (``sausage_occupied_count``): for each point
+and each row of cells in the first ``m - 1`` axes, the marked cells along the
+last axis form one run, estimated with ``sqrt`` and made exact by the
+``d2 <= r * r`` test at both ends; the count is the size of the union of the
+runs.  Its work is ``(2 * reach + 1)^(m - 1)`` rows a point, not the
+``(2 * reach + 1)^m`` cells of the window around it.
 """
 
 import itertools
@@ -19,6 +26,16 @@ import itertools
 import numpy as np
 
 from .errors import DomainError
+
+
+# A sausage point scans (2 * reach + 1)^(m - 1) rows of cells; more than this
+# many (in 1-D, cells in its one row) is refused.  refine = 64 in 3-D needs
+# 131^2 = 17161.
+MAX_SAUSAGE_ROWS = 1 << 16
+# (point, row) pairs scanned at once, and runs collected before a merge: the
+# sausage's memory is bounded whatever the number of points
+_SAUSAGE_CHUNK = 1 << 18
+_SAUSAGE_MERGE = 1 << 20
 
 
 def active_backend() -> str:
@@ -54,6 +71,25 @@ def pack_cells(cells: np.ndarray, margin: int = 0):
     return keys, mins, widths, strides
 
 
+def _pack_sparse(cells: np.ndarray, near: int, margin: int = 0):
+    """``pack_cells(cells, margin)``, compacting a grid too large to pack.
+
+    The compaction re-ranks each axis's distinct coordinates in place, with
+    steps of ``min(gap, near + 1)``: differences up to ``near`` are kept and
+    larger ones stay larger than ``near``, so cells ``near`` or fewer apart on
+    every axis keep their offsets, and each width is at most
+    ``(near + 1) * n + 2 * margin``.
+    """
+    try:
+        return pack_cells(cells, margin)
+    except DomainError:
+        for a in range(cells.shape[1]):
+            coords, inverse = np.unique(cells[:, a], return_inverse=True)
+            ranks = np.concatenate([[0], np.cumsum(np.minimum(np.diff(coords), near + 1))])
+            cells[:, a] = ranks[inverse]
+        return pack_cells(cells, margin)
+
+
 def _neighbourhoods(pts: np.ndarray, radius: float):
     """Points binned by cell of side ``radius``, with each point's neighbour
     cells as ranges of the binned order.
@@ -66,19 +102,11 @@ def _neighbourhoods(pts: np.ndarray, radius: float):
     neighbour cells of a row along axis 0 hold consecutive keys and need one
     range; cells outside the occupied grid are never addressed.
 
-    A grid too large to pack is first compacted: each axis's distinct cell
-    coordinates are re-ranked with steps of ``min(gap, 2)``, which keeps
-    exactly which cells are neighbours and bounds each width by ``2 * n``.
+    A grid too large to pack is first compacted (``_pack_sparse``), which
+    keeps exactly which cells are neighbours.
     """
     cells = cell_indices(pts, radius)
-    try:
-        keys, mins, widths, strides = pack_cells(cells)
-    except DomainError:
-        for a in range(cells.shape[1]):
-            coords, inverse = np.unique(cells[:, a], return_inverse=True)
-            ranks = np.concatenate([[0], np.cumsum(np.minimum(np.diff(coords), 2))])
-            cells[:, a] = ranks[inverse]
-        keys, mins, widths, strides = pack_cells(cells)
+    keys, mins, widths, strides = _pack_sparse(cells, near=1)
     cells -= mins
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
@@ -159,36 +187,113 @@ def neighbor_counts(points: np.ndarray, radius: float) -> np.ndarray:
 
 def sausage_occupied_count(points: np.ndarray, r: float, cell: float) -> int:
     """Number of origin-anchored grid cells of side ``cell`` whose center lies
-    within Euclidean distance ``r`` of some point."""
+    within Euclidean distance ``r`` of some point.
+
+    Only cells within ``reach = ceil(r / cell) + 1`` cells of a point's own
+    cell on every axis are tested.  The count is a scanline: for each point
+    and each row of cells in the first ``m - 1`` axes, the marked cells along
+    the last axis form one run (see ``_row_runs``), and the count is the size
+    of the union of all runs.  The runs are taken on packed cell keys, in
+    which the last axis has stride 1 and each row owns a key range wider than
+    any run in it: sorting the keys sorts by (row, start), and the running
+    max of run ends never carries from one row into the next.  A grid too
+    large to pack is compacted first (``_pack_sparse``).
+
+    Raises ``DomainError("sausage-too-fine")`` when a point would scan more
+    than ``MAX_SAUSAGE_ROWS`` rows (in 1-D, more cells in its one row).
+    """
     pts = np.ascontiguousarray(points, dtype=np.float64)
     n, m = pts.shape
     reach = int(np.ceil(r / cell)) + 1
+    width = 2 * reach + 1
+    if width ** max(m - 1, 1) > MAX_SAUSAGE_ROWS:
+        unit = "cells" if m == 1 else "rows of cells"
+        raise DomainError("sausage-too-fine",
+                          f"r/cell = {r / cell:g} in {m}-D: over {MAX_SAUSAGE_ROWS} {unit} a point")
     base = cell_indices(pts, cell)
-    _, mins, _, strides = pack_cells(base, margin=reach)
-    r2 = r * r
-    grids = np.meshgrid(*([np.arange(-reach, reach + 1)] * m), indexing="ij")
-    offsets = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
-    chunks = []
+    # keys of the (possibly compacted) cells, last axis first so that it has
+    # stride 1; the distance tests use the true cells in ``base``
+    keys, _, _, strides = _pack_sparse(base[:, ::-1].copy(), near=2 * reach, margin=reach)
+    steps = np.arange(-reach, reach + 1, dtype=np.int64)
+    row_keys = np.zeros(1, dtype=np.int64)
+    for a in range(m - 1):
+        row_keys = (row_keys[:, None] + steps * strides[m - 1 - a]).ravel()
+    chunk = max(1, _SAUSAGE_CHUNK // row_keys.size)
+    starts, ends = [], []
     pending = 0
-    for off in offsets:
-        ca = base + off
-        d2 = np.zeros(n)
-        for a in range(m):
-            center = (ca[:, a] + 0.5) * cell
-            diff = pts[:, a] - center
-            d2 += diff * diff
-        hit = d2 <= r2
-        if not np.any(hit):
-            continue
-        keys = (ca[hit] - mins) @ strides
-        chunks.append(keys)
-        pending += keys.size
-        if pending > 4_000_000:
-            chunks = [np.unique(np.concatenate(chunks))]
-            pending = chunks[0].size
-    if not chunks:
-        return 0
-    return int(np.unique(np.concatenate(chunks)).size)
+    for s in range(0, n, chunk):
+        point, row, lo, hi = _row_runs(pts[s:s + chunk], base[s:s + chunk], steps, cell, r * r)
+        start = keys[s + point] + row_keys[row] + (lo - base[s + point, -1])
+        starts.append(start)
+        ends.append(start + (hi - lo))
+        pending += start.size
+        if pending > _SAUSAGE_MERGE:
+            merged = _union(np.concatenate(starts), np.concatenate(ends))
+            starts, ends = [merged[0]], [merged[1]]
+            pending = merged[0].size
+    start, end = _union(np.concatenate(starts), np.concatenate(ends))
+    return int((end - start).sum()) + start.size
+
+
+def _row_runs(pts: np.ndarray, base: np.ndarray, steps: np.ndarray, cell: float, r2: float):
+    """The marked cells of each (point, row) pair, as runs along the last axis.
+
+    Rows are the cells ``base[:, :-1] + offset`` for offsets in ``steps`` on
+    each of the first ``m - 1`` axes, numbered in row-major offset order.
+    The partial ``d2`` of a row sums the axis terms in axis order, as the full
+    ``d2`` does, so adding the last axis term gives the full ``d2`` bit for
+    bit, and a row whose partial already exceeds ``r2`` is dropped.  Along
+    the last axis, ``d2 <= r2`` holds on one run of cells: every float
+    operation in it is monotone in the distance from the point.  The run is
+    estimated with ``sqrt(r2 - partial)``; each end is then widened while
+    the next cell out is marked and narrowed while it is not marked, which
+    is exact whenever the estimate is at most one cell off.  Cells stay
+    within ``steps`` of ``base`` on the last axis too.
+
+    Returns ``(point, row, lo, hi)`` for the pairs with a non-empty run.
+    """
+    k, m = pts.shape
+    partial = np.zeros((k, 1))
+    for a in range(m - 1):
+        diff = pts[:, a, None] - ((base[:, a, None] + steps) + 0.5) * cell
+        partial = (partial[:, :, None] + (diff * diff)[:, None, :]).reshape(k, -1)
+    point, row = np.nonzero(partial <= r2)
+    partial = partial[point, row]
+    x, b = pts[point, -1], base[point, -1]
+    first, last = b + steps[0], b + steps[-1]
+    half = np.sqrt(r2 - partial)
+    lo = np.clip(np.ceil((x - half) / cell - 0.5), first, last).astype(np.int64)
+    hi = np.clip(np.floor((x + half) / cell - 0.5), first, last).astype(np.int64)
+
+    def marked(c, i):
+        diff = x[i] - (c + 0.5) * cell
+        return partial[i] + diff * diff <= r2
+
+    for end, step, edge in ((lo, -1, first), (hi, 1, last)):
+        _walk(end, step, lambda i: (end[i] != edge[i]) & marked(end[i] + step, i))
+    for end, step in ((lo, 1), (hi, -1)):
+        _walk(end, step, lambda i: (lo[i] <= hi[i]) & ~marked(end[i], i))
+    keep = lo <= hi
+    return point[keep], row[keep], lo[keep], hi[keep]
+
+
+def _walk(end: np.ndarray, step: int, move) -> None:
+    """Add ``step`` to ``end[i]`` while ``move(i)`` holds, for each ``i``."""
+    i = np.flatnonzero(move(np.arange(end.size)))
+    while i.size:
+        end[i] += step
+        i = i[move(i)]
+
+
+def _union(start: np.ndarray, end: np.ndarray):
+    """Disjoint runs ``[start, end]`` whose union is that of the given runs."""
+    order = np.argsort(start)
+    start, end = start[order], end[order]
+    reached = np.maximum.accumulate(end)
+    new_run = np.ones(start.size, dtype=bool)
+    new_run[1:] = start[1:] > reached[:-1] + 1
+    first = np.flatnonzero(new_run)
+    return start[first], np.maximum.reduceat(end, first)
 
 
 def oscillation_counts(values: np.ndarray, n: int) -> np.ndarray:

@@ -207,7 +207,10 @@ def sausage_volume(cloud: PointCloud, r: float, refine: int = 4, cell: float | N
     radii) are marked when their center lies within distance r of some point;
     the volume is the marked count times the cell volume.  Converges to the
     true union-of-balls volume as refine grows.  Supported for ambient
-    dimension m <= 3; the cost explodes beyond that.
+    dimension m <= 3; the cost explodes beyond that.  A cell that is not
+    positive and finite raises ``DomainError("bad-scale")``, and one so small
+    against r that a point would scan more than ``kernels.MAX_SAUSAGE_ROWS``
+    rows of cells raises ``DomainError("sausage-too-fine")``.
     """
     _check_scale(r)
     if refine < 2:
@@ -215,6 +218,8 @@ def sausage_volume(cloud: PointCloud, r: float, refine: int = 4, cell: float | N
     if cloud.dim > 3:
         raise DomainError("dimension-unsupported", "sausage volumes computed for m <= 3 only")
     h = float(r) / refine if cell is None else float(cell)
+    if not 0 < h < math.inf:
+        raise DomainError("bad-scale", f"cell must be positive and finite, got {h}")
     count = kernels.sausage_occupied_count(cloud.points, float(r), h)
     return count * h**cloud.dim
 

@@ -205,6 +205,18 @@ def test_experiment_domain_error_exits_2_and_names_code_claim_seed(capsys, tmp_p
     assert err.startswith(f"error: grid-too-large: claim '{claim}': seed 5: ")
 
 
+def test_experiment_power_grid_over_the_point_cap_exits_2(capsys, tmp_path):
+    path = _tiny_config(tmp_path, [1.0, 5.0])
+    cfg = json.loads(path.read_text())
+    cfg["experiments"]["thm13-image"] = {
+        "drift": {"kind": "staircase_table", "n": 16, "d": 2}, "set": "power:1", "d": 2,
+        "points": 20000000, "scales": [3, 7], "seeds": [5]}
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "experiment", "--name", "thm13-image", "--config", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: grid-too-large: claim 'thm13-image': ")
+
+
 def test_experiment_refine_below_two_exits_2(capsys, tmp_path):
     path = _tiny_config(tmp_path, [1.0, 5.0])
     cfg = json.loads(path.read_text())

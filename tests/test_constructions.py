@@ -2,6 +2,7 @@
 structure, and tail envelopes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import fracdim as fd
 from fracdim import constructions
 from fracdim.errors import DomainError
 from fracdim.metrics import PointCloud
+from fracdim.paths import MAX_GRID_POINTS
 
 from oracles import inverse_power_cell_count
 
@@ -21,6 +23,19 @@ def test_inverse_power_grid_small():
     assert np.allclose(g2.times, [0.0, 0.25, 1.0])
     assert g2.descriptor.kind == "power_set"
     assert g2.descriptor.params == {"beta": 2.0, "n_max": 2}
+
+
+def test_inverse_power_grid_refuses_more_points_than_the_cap():
+    # n_max = cap gives cap + 1 points with the origin
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError) as ei:
+            fd.inverse_power_grid(1.0, MAX_GRID_POINTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ei.value.code == "grid-too-large"
+    assert peak < 1 << 20
 
 
 def test_inverse_power_grid_counts_match_integer_oracle():

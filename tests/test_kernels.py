@@ -2,6 +2,11 @@
 exactly, on random 1-3-D inputs with duplicate points and on dyadic lattices
 whose pairs sit exactly at the separation radius."""
 
+import itertools
+import math
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -69,13 +74,52 @@ def test_greedy_pack_is_thinning_with_every_point_eligible():
                               kernels.thin_select_mask(pts, 2 * eps, np.ones(len(pts), bool)))
 
 
-def test_sausage_occupancy_matches_oracle():
-    rng = np.random.default_rng(4)
+def _sausage_inputs(rng):
+    """(points, r, cell) triples for the sausage oracle tests.
+
+    * random 1-3-D clouds with cell r/2 or r/3;
+    * for each q in 2..16, a random cloud and a 1-D cloud with cell r/q;
+    * for each q, points on cell centres with r = q cells.  With cells of
+      side 1/8, every centre q cells away along an axis (or a 3-4-5 or
+      5-12-13 diagonal) sits exactly at d2 == r*r, and the sqrt estimate of
+      a run end lands on it.  With cells of side 1/10, which binary floats
+      round, d2 lands within rounding of r*r, and the estimate of a run end
+      is often one cell off.
+    """
     for _ in range(60):
         pts = _random_points(rng, n_max=30)
         spread = float(np.ptp(pts, axis=0).max()) or 1.0
         r = spread * float(rng.uniform(0.25, 0.5))
-        cell = r / int(rng.integers(2, 4))
+        yield pts, r, r / int(rng.integers(2, 4))
+    for q in range(2, 17):
+        pts = _random_points(rng, n_max=30)
+        line = rng.uniform(-2, 2, (int(rng.integers(1, 30)), 1))
+        for cloud in (pts, line):
+            spread = float(np.ptp(cloud, axis=0).max()) or 1.0
+            r = spread * float(rng.uniform(0.1, 0.5))
+            yield cloud, r, r / q
+        for side in (8, 10):
+            m = int(rng.integers(1, 4))
+            centres = (rng.integers(-2 * q, 2 * q, (int(rng.integers(1, 12)), m)) + 0.5) / side
+            yield centres, q / side, 1 / side
+
+
+def test_sausage_occupancy_matches_oracle():
+    rng = np.random.default_rng(4)
+    for pts, r, cell in _sausage_inputs(rng):
+        assert kernels.sausage_occupied_count(pts, r, cell) == \
+            oracles.brute_sausage_count(pts, r, cell)
+    # a point on a cell corner with r half a cell: the nearest centres are
+    # sqrt(1/2) away, so no cell is marked
+    assert kernels.sausage_occupied_count(np.zeros((1, 2)), 0.5, 1.0) == 0
+
+
+def test_sausage_in_small_chunks_with_merges_matches_oracle(monkeypatch):
+    # one or a few points a chunk, and the runs merged every few dozen
+    monkeypatch.setattr(kernels, "_SAUSAGE_CHUNK", 40)
+    monkeypatch.setattr(kernels, "_SAUSAGE_MERGE", 30)
+    rng = np.random.default_rng(12)
+    for pts, r, cell in itertools.islice(_sausage_inputs(rng), 0, None, 3):
         assert kernels.sausage_occupied_count(pts, r, cell) == \
             oracles.brute_sausage_count(pts, r, cell)
 
@@ -183,3 +227,41 @@ def test_dyadic_lattice_sausage_ties_are_marked(m):
     assert count == oracles.brute_sausage_count(pts, 0.25, 0.25)
     # 4^m points, each marking its own cell and its 2m axis neighbours
     assert count == 4**m + m * 5 * 4 ** (m - 1)
+
+
+def test_sausage_on_a_grid_too_large_to_pack():
+    # about 2^42 cells of side 2^-22 per axis: the cell tuples cannot be packed
+    far = np.array([[0.0, 0.0, 0.0], [1e6, 1e6, 1e6]])
+    one = kernels.sausage_occupied_count(far[:1], 2.0**-20, 2.0**-22)
+    assert kernels.sausage_occupied_count(far, 2.0**-20, 2.0**-22) == 2 * one
+    # clusters far apart on a grid too large to pack add up, cluster by cluster
+    rng = np.random.default_rng(10)
+    for m, spacing in _FAR.items():
+        centres = np.array([[-3.0] * m, [3.0] * m, [3.0] + [-3.0] * (m - 1)]) * spacing
+        clusters = [c + rng.uniform(-1, 1, (int(rng.integers(1, 20)), m)) for c in centres]
+        r = float(rng.uniform(0.2, 0.5))
+        pts = np.concatenate(clusters)
+        with pytest.raises(DomainError):
+            kernels.pack_cells(kernels.cell_indices(pts, r / 4))
+        assert kernels.sausage_occupied_count(pts, r, r / 4) == \
+            sum(kernels.sausage_occupied_count(c, r, r / 4) for c in clusters)
+
+
+def test_sausage_too_fine_raises_before_allocating():
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        with pytest.raises(DomainError) as ei:
+            # 2 * 10^6 + 5 rows of cells a point
+            kernels.sausage_occupied_count(np.zeros((3, 2)), 1.0, 1e-6)
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ei.value.code == "sausage-too-fine"
+    assert elapsed < 1.0 and peak < 1 << 20
+    # refine = 64 stays within the cap in every supported dimension
+    for m in (1, 2, 3):
+        count = kernels.sausage_occupied_count(np.zeros((1, m)), 1.0, 1 / 64)
+        ball = math.pi ** (m / 2) / math.gamma(m / 2 + 1)
+        assert abs(count / 64**m - ball) < 0.03 * ball

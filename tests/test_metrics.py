@@ -190,6 +190,13 @@ def test_sausage_dimension_guard():
     assert ei.value.code == "dimension-unsupported"
 
 
+def test_sausage_rejects_a_cell_that_is_not_positive_and_finite():
+    for cell in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(DomainError) as ei:
+            fd.sausage_volume(cloud([[0.0], [1.0]]), 0.5, cell=cell)
+        assert ei.value.code == "bad-scale"
+
+
 def test_sausage_matches_exact_union_length_1d():
     rng = np.random.default_rng(31337)
     for _ in range(100):
