@@ -166,3 +166,14 @@ def brute_oscillation_counts(values, n: int) -> list:
 def brute_distinct_rows(cells) -> int:
     """Number of distinct rows of an integer array."""
     return len(set(map(tuple, np.atleast_2d(cells).tolist())))
+
+
+def brute_box_cells(points, eps: float) -> set:
+    """Occupied half-open boxes ``[k*eps, (k+1)*eps)^m``: the distinct tuples
+    of ``math.floor(x / eps)``, in Python floats and unbounded integers."""
+    return {tuple(math.floor(x / eps) for x in p) for p in np.atleast_2d(points).tolist()}
+
+
+def brute_box_count(points, eps: float) -> int:
+    """Number of occupied half-open boxes of side ``eps``."""
+    return len(brute_box_cells(points, eps))

@@ -196,6 +196,99 @@ def test_scans_on_far_apart_clusters_match_oracles():
                               oracles.brute_greedy_thinning(pts, radius, good))
 
 
+def _split_clusters(rng, radius):
+    """Four clusters of points about six radii wide, with exact duplicates,
+    around corners of a far-apart square or cube."""
+    m = int(rng.integers(2, 4))
+    corners = np.array(list(itertools.product((-3, 3), repeat=m)))
+    centres = corners[rng.permutation(len(corners))[:4]] * _FAR[m]
+    clusters = []
+    for centre in centres:
+        c = centre + rng.uniform(-3, 3, (int(rng.integers(4, 16)), m)) * radius
+        c[1] = c[0]
+        c[2:4] = centre + np.array([[2.9], [-2.9]]) * radius
+        clusters.append(c)
+    return clusters
+
+
+# Key limits, per ambient dimension, that one cluster of ``_split_clusters``
+# stays below and four clusters pass even compacted: with cells of side
+# ``radius`` for the scans (a cluster is at most 7 cells wide, four at least
+# 6 + 2 + 6 on two axes) and of side ``radius / 2`` for the sausage (at most
+# 13 + 2 * 3 margin, at least 12 + 7 + 12 + 6 on two axes)
+_SCAN_LIMIT = {2: 128, 3: 512}
+_SAUSAGE_LIMIT = {2: 1024, 3: 1 << 14}
+
+
+def test_scans_on_clusters_split_into_groups_match_oracles(monkeypatch):
+    cuts = []
+    halves = kernels._halves
+
+    def recording(*args):
+        cuts.append(args)
+        return halves(*args)
+
+    monkeypatch.setattr(kernels, "_halves", recording)
+    rng = np.random.default_rng(13)
+    for _ in range(30):
+        radius = float(rng.uniform(0.02, 1.0))
+        clusters = _split_clusters(rng, radius)
+        pts = np.concatenate(clusters)
+        m = pts.shape[1]
+        good = rng.random(len(pts)) < 0.7
+        monkeypatch.setattr(kernels, "_KEY_LIMIT", _SCAN_LIMIT[m])
+        before = len(cuts)
+        assert np.array_equal(kernels.greedy_pack_mask(pts, radius / 2),
+                              oracles.brute_greedy_packing(pts, radius / 2))
+        assert np.array_equal(kernels.neighbor_counts(pts, radius),
+                              oracles.brute_neighbor_counts(pts, radius))
+        assert np.array_equal(kernels.thin_select_mask(pts, radius, good),
+                              oracles.brute_greedy_thinning(pts, radius, good))
+        assert len(cuts) - before >= 3
+        monkeypatch.setattr(kernels, "_KEY_LIMIT", _SAUSAGE_LIMIT[m])
+        before = len(cuts)
+        assert kernels.sausage_occupied_count(pts, radius, radius / 2) == \
+            sum(oracles.brute_sausage_count(c, radius, radius / 2) for c in clusters)
+        assert len(cuts) > before
+
+
+def test_scans_on_cells_beyond_int64_match_oracles():
+    # cells of 2^62 and more stay float floors, which the compaction turns
+    # into small int64 offsets; the sausage refuses them
+    for pts in ([[0.0], [1e300], [1e300], [-1e18], [1e18], [-1e300]],
+                [[0.0, 1e300], [0.01, 1e300], [-1e18, 0.0], [1e18, 0.05], [1e18, 0.0]]):
+        pts = np.array(pts)
+        assert np.array_equal(kernels.greedy_pack_mask(pts, 2.0**-4),
+                              oracles.brute_greedy_packing(pts, 2.0**-4))
+        assert np.array_equal(kernels.neighbor_counts(pts, 0.125),
+                              oracles.brute_neighbor_counts(pts, 0.125))
+        good = np.arange(len(pts)) % 2 == 0
+        assert np.array_equal(kernels.thin_select_mask(pts, 0.125, good),
+                              oracles.brute_greedy_thinning(pts, 0.125, good))
+        with pytest.raises(DomainError) as ei:
+            kernels.sausage_occupied_count(pts, 0.125, 2.0**-5)
+        assert ei.value.code == "cell-grid-too-large"
+
+
+def test_sausage_past_the_compacted_grid():
+    # 240000 points, each alone in a window of 7 cells per axis, on a grid of
+    # 2^41 cells per axis: even compacted, 7 * 240000 cells per axis cannot be
+    # packed, and the grid is cut into groups.  Every point sits on a cell
+    # centre, so each one marks as many cells as the first; the clusters are
+    # counted by the oracle.
+    rng = np.random.default_rng(14)
+    cell = 2.0**-21
+    r = 2 * cell
+    lone = (rng.integers(0, 1 << 41, (240_000, 3)) + 0.5) * cell
+    with pytest.raises(DomainError):
+        kernels.pack_cells(kernels._compact(kernels.cell_indices(lone, cell), 6), 3)
+    clusters = [c + rng.uniform(-4, 4, (int(rng.integers(2, 8)), 3)) * cell
+                for c in ([0.0, 0.0, 0.0], [1e6, 0.0, 1e6], [0.5e6, 1e6, 0.0])]
+    per_point = oracles.brute_sausage_count(lone[:1], r, cell)
+    assert kernels.sausage_occupied_count(np.concatenate([lone] + clusters), r, cell) == \
+        len(lone) * per_point + sum(oracles.brute_sausage_count(c, r, cell) for c in clusters)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_dyadic_lattice_ties_are_separated(m):
     # lattice spacing 1/4 = 2*eps exactly: d2 == sep2 for every neighbour pair

@@ -19,6 +19,7 @@ from fracdim.metrics import (
 
 from oracles import (
     all_maximal_separated_subsets,
+    brute_box_count,
     brute_max_packing,
     brute_neighbor_counts,
     pairwise_separated,
@@ -105,6 +106,27 @@ def test_box_count_on_a_grid_too_large_to_pack():
     pts = [[0.0, 0.0, 0.0], [1e6, 1e6, 1e6]]
     assert fd.box_count(cloud(pts), 2.0**-20) == 2
     assert fd.box_count(cloud(pts + [[1e6, 0.0, 1e6]]), 2.0**-20) == 3
+
+
+def test_box_count_of_cells_beyond_int64():
+    # floor(x / eps) of 2^62 and more is counted as distinct float floors
+    for pts in ([[0.0], [1e300]], [[-1e18], [1e18]], [[1e18, 0.0], [1e18, 1.0], [1e18, 0.0]]):
+        assert fd.box_count(cloud(pts), 2.0**-4) == brute_box_count(pts, 2.0**-4) == 2
+    # x / eps itself overflows
+    with pytest.raises(DomainError) as ei:
+        fd.box_count(cloud([[0.0], [1e308]]), 2.0**-4)
+    assert ei.value.code == "non-finite-cell"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_are_rejected(bad):
+    pts = [[0.0, 0.0], [0.5, bad]]
+    for call in (lambda: PointCloud.from_points(pts),
+                 lambda: fd.good_point_thinning(pts, 0.1),
+                 lambda: neighbor_collision_counts(pts, 0.1)):
+        with pytest.raises(DomainError) as ei:
+            call()
+        assert ei.value.code == "non-finite-point"
 
 
 def test_box_packing_sandwich_random():
