@@ -7,19 +7,30 @@ interquartile range, and applies registered pass/fail checks.  Medians are
 used because slope estimates at coarse scales are heavy-tailed; every
 tolerance lives in the shipped config file, never in the check code.
 
+Only the noise is random.  The grid, the drift's values on it and the
+estimates of the drift's image and graph depend on the experiment's setup
+alone (its config without name and seeds), so ``seed_free_part`` computes
+them once and every seed reuses them: ``seed_estimates`` then generates the
+noise on the shared grid, adds the shared drift values, and sweeps only the
+noise and the sum.  This is exact, not approximate: drift values are a
+function of the grid times only, and a sweep of the same cloud gives the
+same bytes, so every per-seed block equals the one computed from scratch.
+
 The claims registry ``CLAIMS`` is a table with one check per claim id:
 constancy, thm13-image, thm15-graph, thm16-equality, cor14-bound,
-example-53, example-74-directional.  ``run_claims`` shares per-seed
-estimates between the claims of one call, so ``experiment --name all`` runs
+example-53, example-74-directional.  ``run_claims`` shares seed-free parts
+and per-seed estimates between the claims of one call, so ``experiment
+--name all`` computes each distinct setup's seed-free part once and runs
 each distinct (experiment, seed) once: example-53 and
 example-74-directional share one experiment, and thm15-graph reuses
-constancy's seeds.
+constancy's setup and seeds.
 """
 
 import importlib.resources
 import json
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,7 +53,7 @@ from .metrics import (
     image_cloud,
     scale_sweep,
 )
-from .paths import DriftSpec, TimeGrid, apply_drift, generate_bm
+from .paths import DriftSpec, SamplePath, TimeGrid, apply_drift, generate_bm
 
 _METHOD_KINDS = {
     "box": "box",
@@ -88,8 +99,11 @@ def drift_from_config(spec, d: int) -> DriftSpec:
         return parse_drift_string(spec, d)
     kind = spec.get("kind")
     if kind == "staircase_table":
+        cols_d = int(spec.get("d", d))
+        if cols_d < 1:
+            raise ValueError(f"staircase_table drift with d={cols_d}; need d >= 1")
         breaks, values = staircase_steps(int(spec["n"]))
-        cols = np.zeros((values.size, int(spec.get("d", d))))
+        cols = np.zeros((values.size, cols_d))
         cols[:, 0] = values
         return DriftSpec.table(breaks[:-1], cols)
     raise ValueError(f"unknown drift config {spec!r}")
@@ -141,9 +155,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if len(self.seeds) == 0:
             raise ValueError("need at least one seed")
+        if not (isinstance(self.scales, tuple) and len(self.scales) == 2
+                and all(isinstance(j, int) and not isinstance(j, bool) for j in self.scales)):
+            raise ValueError(f"scales must be two integers [j_min, j_max], got {self.scales!r}")
         j_min, j_max = self.scales
         if j_min >= j_max:
             raise ValueError("scales must satisfy j_min < j_max")
+        if self.d < 1:
+            raise ValueError(f"d={self.d}; need d >= 1")
+        if self.set_kind == "power_set":
+            beta = dict(self.set_params)["beta"]
+            if not (math.isfinite(beta) and beta > 0):
+                raise ValueError(f"power grid beta={beta}; need a positive finite beta")
         if self.points < (1 << (j_max + 2)):
             raise ValueError(
                 f"points={self.points} under-resolves j_max={j_max}; need >= 2^{j_max + 2}"
@@ -159,6 +182,7 @@ class ExperimentConfig:
         set_kind, set_params = parse_set_string(cfg.get("set", "uniform"))
         d = int(cfg.get("d", 1))
         drift_cfg = cfg.get("drift", "zero")
+        scales = cfg["scales"]
         return ExperimentConfig(
             name=name,
             drift=drift_from_config(drift_cfg, d),
@@ -168,7 +192,7 @@ class ExperimentConfig:
             d=d,
             seeds=tuple(int(s) for s in cfg["seeds"]),
             points=int(cfg["points"]),
-            scales=(int(cfg["scales"][0]), int(cfg["scales"][1])),
+            scales=tuple(scales) if isinstance(scales, list) else scales,
             methods=tuple(cfg.get("methods", ["box"])),
             refine=int(cfg.get("refine", 4)),
             target=tuple(cfg["target"]) if cfg.get("target") is not None else None,
@@ -225,16 +249,6 @@ class ExperimentReport:
 # running
 
 
-def _object_clouds(path, drift: DriftSpec) -> dict:
-    clouds = {"image_bm": bm_image_cloud(path), "graph_bm": bm_graph_cloud(path)}
-    if not drift.is_zero:
-        clouds["image_drift"] = drift_image_cloud(path)
-        clouds["graph_drift"] = drift_graph_cloud(path)
-        clouds["image_sum"] = image_cloud(path)
-        clouds["graph_sum"] = graph_cloud(path)
-    return clouds
-
-
 def _method_applies(method: str, obj: str, cloud: PointCloud, cfg: ExperimentConfig) -> bool:
     if method == "sausage":
         return cloud.dim <= 3
@@ -246,20 +260,57 @@ def _method_applies(method: str, obj: str, cloud: PointCloud, cfg: ExperimentCon
     return True
 
 
-def seed_estimates(cfg: ExperimentConfig, seed: int) -> dict:
-    """All requested estimates for one seed; pure in (cfg, seed)."""
-    grid = build_grid(cfg.set_kind, dict(cfg.set_params), cfg.points)
-    path = apply_drift(generate_bm(grid, cfg.d, seed), cfg.drift)
+def _estimates(cfg: ExperimentConfig, clouds: dict) -> dict:
+    """``{object: {method: estimate}}`` for every method that applies."""
     j_min, j_max = cfg.scales
-    out = {}
-    for obj, cloud in _object_clouds(path, cfg.drift).items():
-        per = {}
-        for method in cfg.methods:
-            if not _method_applies(method, obj, cloud, cfg):
-                continue
-            series = scale_sweep(cloud, _METHOD_KINDS[method], j_min, j_max, refine=cfg.refine)
-            per[method] = estimate_dimension(series)
-        out[obj] = per
+    return {
+        obj: {
+            method: estimate_dimension(
+                scale_sweep(cloud, _METHOD_KINDS[method], j_min, j_max, refine=cfg.refine))
+            for method in cfg.methods if _method_applies(method, obj, cloud, cfg)
+        }
+        for obj, cloud in clouds.items()
+    }
+
+
+@dataclass(frozen=True, eq=False)
+class SeedFreePart:
+    """What every seed of one experiment shares: the grid, the drift's values
+    on it, and the estimates of the drift's image and graph (none when the
+    drift is zero)."""
+
+    grid: TimeGrid
+    drift_values: np.ndarray
+    estimates: dict
+
+
+def seed_free_part(cfg: ExperimentConfig) -> SeedFreePart:
+    """The part of an experiment that no seed changes; pure in ``cfg`` less
+    its name and seeds."""
+    grid = build_grid(cfg.set_kind, dict(cfg.set_params), cfg.points)
+    still = np.zeros((len(grid), cfg.d))
+    # the drift alone: the drift applied to a path whose noise is zero
+    drift = apply_drift(SamplePath(grid, cfg.d, still, still, 0, "increments"), cfg.drift)
+    estimates = {} if cfg.drift.is_zero else _estimates(cfg, {
+        "image_drift": drift_image_cloud(drift), "graph_drift": drift_graph_cloud(drift)})
+    return SeedFreePart(grid, drift.drift_values, estimates)
+
+
+def seed_estimates(cfg: ExperimentConfig, seed: int, shared: SeedFreePart | None = None) -> dict:
+    """All requested estimates for one seed; pure in (cfg, seed).
+
+    ``shared`` is ``seed_free_part(cfg)``, computed here when not given.  The
+    seed's noise is generated on the shared grid and the shared drift values
+    are attached to it, which gives the path ``apply_drift`` would build; the
+    drift's estimates are copied from ``shared``.
+    """
+    if shared is None:
+        shared = seed_free_part(cfg)
+    path = replace(generate_bm(shared.grid, cfg.d, seed), drift_values=shared.drift_values)
+    out = _estimates(cfg, {"image_bm": bm_image_cloud(path), "graph_bm": bm_graph_cloud(path)})
+    out.update((obj, dict(per)) for obj, per in shared.estimates.items())
+    if not cfg.drift.is_zero:
+        out.update(_estimates(cfg, {"image_sum": image_cloud(path), "graph_sum": graph_cloud(path)}))
     return out
 
 
@@ -269,9 +320,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _run_experiment(cfg: ExperimentConfig, memo: dict) -> ExperimentReport:
-    """``run_experiment`` taking the estimates of a seed from ``memo`` when an
-    experiment that differs from ``cfg`` at most in name and seeds put them
-    there."""
+    """``run_experiment`` sharing ``memo`` with the experiments that differ
+    from ``cfg`` at most in name and seeds: under the setup key it keeps their
+    seed-free part, computed when a seed first needs it, and under (setup
+    key, seed) the estimates of that seed."""
     setup = {k: v for k, v in cfg.to_dict().items() if k not in ("name", "seeds")}
     setup_key = json.dumps(setup, sort_keys=True)
     per_seed = []
@@ -280,7 +332,9 @@ def _run_experiment(cfg: ExperimentConfig, memo: dict) -> ExperimentReport:
         try:
             key = (setup_key, seed)
             if key not in memo:
-                memo[key] = seed_estimates(cfg, seed)
+                if setup_key not in memo:
+                    memo[setup_key] = seed_free_part(cfg)
+                memo[key] = seed_estimates(cfg, seed, memo[setup_key])
             ests = memo[key]
         except DomainError as exc:
             raise DomainError(exc.code, f"seed {seed}: {exc.detail}") from exc

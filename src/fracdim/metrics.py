@@ -340,16 +340,25 @@ def neighbor_collision_counts(values, epsilon: float) -> np.ndarray:
 # sweeps and estimation
 
 
+# 2^-j is a positive finite double exactly for these j: 2^1023 is the largest
+# power of two below overflow and 2^-1074 the smallest subnormal
+SWEEP_J_RANGE = (-1023, 1074)
+
+
 def scale_sweep(cloud: PointCloud, kind: str, j_min: int, j_max: int,
                 refine: int = 4, meta: dict | None = None) -> ScaleSeries:
     """Evaluate one counting method at the dyadic scales eps = 2^-j.
 
     For ``oscillation`` the cloud must be the graph of a 1-D function sampled
     on the full uniform dyadic grid; its second column is used as the sampled
-    values.
+    values.  A window outside ``SWEEP_J_RANGE``, where some ``2^-j`` is not a
+    positive finite double, raises ``DomainError("bad-scale")``.
     """
     if j_min >= j_max:
         raise ValueError("need j_min < j_max")
+    if j_min < SWEEP_J_RANGE[0] or j_max > SWEEP_J_RANGE[1]:
+        raise DomainError("bad-scale", f"scales 2^-j for j in [{j_min}, {j_max}] leave "
+                          f"the positive finite doubles (j in {list(SWEEP_J_RANGE)})")
     js = np.arange(j_min, j_max + 1)
     eps = 2.0 ** -js.astype(np.float64)
     if kind == "box":

@@ -228,6 +228,27 @@ def test_experiment_refine_below_two_exits_2(capsys, tmp_path):
     assert err.startswith("error: ") and "refine" in err
 
 
+@pytest.mark.parametrize("fields, word", [
+    ({"scales": [5]}, "scales"),
+    ({"scales": 5}, "scales"),
+    ({"scales": [3, "7"]}, "scales"),
+    ({"d": 0}, "d=0"),
+    ({"d": 0, "drift": {"kind": "staircase_table", "n": 16}}, "d=0"),
+    ({"set": "power:-1"}, "beta"),
+    ({"set": "power:nan"}, "beta"),
+])
+def test_experiment_invalid_config_field_exits_2_with_one_error_line(
+        capsys, tmp_path, fields, word):
+    path = _tiny_config(tmp_path, [1.0, 5.0])
+    cfg = json.loads(path.read_text())
+    cfg["experiments"]["constancy"] = {"drift": "psi_n:16", "points": 2**9 + 1,
+                                       "scales": [3, 7], "seeds": [1, 2], **fields}
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "experiment", "--name", "constancy", "--config", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and word in err
+
+
 def test_experiment_all_names_the_failing_claim_and_seed(capsys, tmp_path):
     path = _tiny_config(tmp_path, [1.0, 5.0])
     cfg = json.loads(path.read_text())

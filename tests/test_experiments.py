@@ -1,5 +1,7 @@
 """Experiment orchestration: structure, determinism, checks, registry."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -24,8 +26,12 @@ from fracdim.experiments import (
 )
 from fracdim.metrics import (
     PointCloud,
+    bm_graph_cloud,
+    bm_image_cloud,
     drift_graph_cloud,
+    drift_image_cloud,
     graph_cloud,
+    image_cloud,
     neighbor_collision_counts,
     packing_indices,
     packing_number,
@@ -291,9 +297,9 @@ def test_run_claims_runs_each_distinct_experiment_seed_once(monkeypatch):
     calls = []
     real = experiments.seed_estimates
 
-    def counting(cfg, seed):
+    def counting(cfg, seed, *shared):
         calls.append((cfg.name, seed))
-        return real(cfg, seed)
+        return real(cfg, seed, *shared)
 
     monkeypatch.setattr(experiments, "seed_estimates", counting)
     # thm15-graph reuses 4 of constancy's 8 seeds; the examples share 2 seeds
@@ -303,6 +309,124 @@ def test_run_claims_runs_each_distinct_experiment_seed_once(monkeypatch):
     calls.clear()
     run_claims(SHARED_CLAIMS, shared_run_config())
     assert calls == once  # nothing is cached across calls
+
+
+def test_seed_free_part_is_computed_once_per_distinct_setup(monkeypatch):
+    names = []
+    real = experiments.seed_free_part
+
+    def counting(cfg):
+        names.append(cfg.name)
+        return real(cfg)
+
+    monkeypatch.setattr(experiments, "seed_free_part", counting)
+    drifted = small_config(drift=fd.DriftSpec.psi_n(16), drift_config="psi_n:16",
+                           seeds=(1, 2, 3))
+    apart = shared_run_config()
+    apart["experiments"]["thm15-graph"]["seeds"] = [9, 10]
+    for _ in range(2):  # nothing is cached across calls
+        names.clear()
+        run_claims(["constancy", "thm15-graph"], apart)
+        assert names == ["constancy"]  # thm15-graph's new seeds reuse constancy's setup
+        names.clear()
+        run_claims(SHARED_CLAIMS, shared_run_config())
+        assert names == ["constancy", "example"]
+        names.clear()
+        run_experiment(drifted)
+        assert names == ["t"]
+
+
+def test_drift_objects_are_swept_once_per_experiment(monkeypatch):
+    swept = []
+    real = experiments.scale_sweep
+
+    def counting(cloud, *args, **kwargs):
+        swept.append(cloud.points.tobytes())
+        return real(cloud, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "scale_sweep", counting)
+    run_experiment(small_config(drift=fd.DriftSpec.psi_n(16), drift_config="psi_n:16",
+                                seeds=(1, 2, 3)))
+    # image and graph of the drift once, then noise and sum for each seed
+    assert len(swept) == 2 + 3 * 4
+    assert len(set(swept)) == len(swept)
+
+
+def scratch_estimates(cfg, seed) -> dict:
+    """One seed's estimates with nothing shared: the grid, the path with its
+    drift applied and every object's sweep, built from the public functions."""
+    grid = experiments.build_grid(cfg.set_kind, dict(cfg.set_params), cfg.points)
+    path = fd.apply_drift(fd.generate_bm(grid, cfg.d, seed), cfg.drift)
+    clouds = {"image_bm": bm_image_cloud(path), "graph_bm": bm_graph_cloud(path)}
+    if not cfg.drift.is_zero:
+        clouds.update(image_drift=drift_image_cloud(path), graph_drift=drift_graph_cloud(path),
+                      image_sum=image_cloud(path), graph_sum=graph_cloud(path))
+    return {
+        obj: {m: fd.estimate_dimension(fd.scale_sweep(
+            cloud, experiments._METHOD_KINDS[m], *cfg.scales, refine=cfg.refine)).to_dict()
+            for m in cfg.methods if experiments._method_applies(m, obj, cloud, cfg)}
+        for obj, cloud in clouds.items()
+    }
+
+
+@pytest.mark.parametrize("cfg", [
+    small_config(drift=fd.DriftSpec.psi_n(16), drift_config="psi_n:16", seeds=(1, 2),
+                 methods=("box", "oscillation")),
+    small_config(drift=fd.DriftSpec.linear([1.0, -2.0]), drift_config="linear:1.0,-2.0",
+                 set_kind="power_set", set_params=(("beta", 1.0),), d=2, seeds=(3, 4),
+                 methods=("box", "packing")),
+    small_config(seeds=(5, 6)),
+])
+def test_seed_estimates_with_the_shared_part_equal_those_from_scratch(cfg):
+    shared = experiments.seed_free_part(cfg)
+    for seed in cfg.seeds:
+        ests = experiments.seed_estimates(cfg, seed, shared)
+        as_dicts = {obj: {m: e.to_dict() for m, e in per.items()} for obj, per in ests.items()}
+        assert as_dicts == scratch_estimates(cfg, seed)
+        alone = experiments.seed_estimates(cfg, seed)
+        assert {obj: {m: e.to_dict() for m, e in per.items()}
+                for obj, per in alone.items()} == as_dicts
+
+
+def golden_config() -> dict:
+    """Every claim at toy size: 2 seeds each (constancy needs 8), at most
+    2^14 + 1 points; thm15-graph shares constancy's setup."""
+    uniform = {"drift": "psi_n:64", "set": "uniform", "d": 1, "points": 2**14 + 1,
+               "scales": [5, 11], "seeds": list(range(1, 9)), "methods": ["box"]}
+    power = {"set": "power:1", "d": 1, "points": 2**12 + 1, "scales": [4, 10],
+             "seeds": [1, 2], "methods": ["box"]}
+    example = {"schedule": "desk", "truncation": 3, "points": 2**14 + 1, "scales": [4, 12],
+               "seeds": [1, 2], "target": [1.1097, 0.15]}
+    return {"tolerances": dict(TOLERANCES), "experiments": {
+        "constancy": uniform,
+        "thm13-image": dict(power, drift={"kind": "staircase_table", "n": 64, "d": 2}, d=2),
+        "thm15-graph": dict(uniform, seeds=[1, 2]),
+        "thm16-equality": dict(uniform, drift="linear:5.0", seeds=[1, 2]),
+        "cor14-bound": dict(power, drift="zero", beta=1.0),
+        "example-53": example,
+        "example-74-directional": dict(example),
+    }}
+
+
+# sha256 of each claim's report JSON under ``golden_config``, recorded before
+# the seed-free part of an experiment was shared between its seeds
+GOLDEN_DIGESTS = {
+    "constancy": "f4f42894466361fabce7138748d82ba14961192c71ca12dbe489fdfb07face05",
+    "thm13-image": "e323a1783037e4e0554dfda0c92c7310d2973d76704fec5160e15d5551ad692e",
+    "thm15-graph": "a0416cac701df4c5bf031f54b36539eee1c66286bd291b487668fb399ed099b3",
+    "thm16-equality": "9549e0c3d96a848ab27e09ccc84b7d0be97b00b561e7973d2389453a7617e829",
+    "cor14-bound": "de93babd7c3a507e9e08f3f8e0db9dd4ac570c14c008ec2ad23430c36f95763c",
+    "example-53": "9b3e054e2152055841c86d3037a3f459dca3118f74afb8c5813221ec07292e03",
+    "example-74-directional":
+        "7381e7e5fbd13e901fd17211097498ae0c3ec87247a1c70fed880a24db9f2010",
+}
+
+
+def test_claim_reports_keep_their_bytes():
+    reports = run_claims(fd.CLAIM_IDS, golden_config())
+    digests = {claim: hashlib.sha256(report.to_json().encode()).hexdigest()
+               for claim, report in reports.items()}
+    assert digests == GOLDEN_DIGESTS
 
 
 def test_run_claims_keeps_different_custom_schedules_apart():

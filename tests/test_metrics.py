@@ -338,6 +338,15 @@ def test_scale_sweep_single_point():
     assert est.ls_slope == 0.0 and est.lower == 0.0 and est.upper == 0.0
 
 
+@pytest.mark.parametrize("j_min, j_max", [(-1100, 0), (-1024, 0), (0, 1075)])
+def test_scale_sweep_window_beyond_the_doubles_is_bad_scale(j_min, j_max):
+    with pytest.raises(DomainError) as ei:
+        fd.scale_sweep(cloud([[0.3, 0.4]]), "box", j_min, j_max)
+    assert ei.value.code == "bad-scale"
+    # the coarsest window that is still valid sweeps without a warning
+    assert np.all(fd.scale_sweep(cloud([[0.3, 0.4]]), "box", -1023, -1020).values == 1)
+
+
 def test_scale_sweep_bm_graph_near_three_halves():
     grid = fd.TimeGrid.uniform(2**18 + 1)
     p = fd.generate_bm(grid, 1, 3)
