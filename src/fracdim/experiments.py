@@ -43,6 +43,7 @@ from .constructions import (
 )
 from .errors import DomainError
 from .metrics import (
+    SWEEP_J_RANGE,
     PointCloud,
     bm_graph_cloud,
     bm_image_cloud,
@@ -161,13 +162,16 @@ class ExperimentConfig:
         j_min, j_max = self.scales
         if j_min >= j_max:
             raise ValueError("scales must satisfy j_min < j_max")
+        if j_min < SWEEP_J_RANGE[0] or j_max > SWEEP_J_RANGE[1]:
+            raise ValueError(f"scales {list(self.scales)} must lie in {list(SWEEP_J_RANGE)}, "
+                             "where every 2^-j is a positive finite double")
         if self.d < 1:
             raise ValueError(f"d={self.d}; need d >= 1")
         if self.set_kind == "power_set":
             beta = dict(self.set_params)["beta"]
             if not (math.isfinite(beta) and beta > 0):
                 raise ValueError(f"power grid beta={beta}; need a positive finite beta")
-        if self.points < (1 << (j_max + 2)):
+        if self.points < 2 ** (j_max + 2):
             raise ValueError(
                 f"points={self.points} under-resolves j_max={j_max}; need >= 2^{j_max + 2}"
             )
@@ -296,16 +300,14 @@ def seed_free_part(cfg: ExperimentConfig) -> SeedFreePart:
     return SeedFreePart(grid, drift.drift_values, estimates)
 
 
-def seed_estimates(cfg: ExperimentConfig, seed: int, shared: SeedFreePart | None = None) -> dict:
-    """All requested estimates for one seed; pure in (cfg, seed).
+def seed_estimates(cfg: ExperimentConfig, seed: int, shared: SeedFreePart) -> dict:
+    """All requested estimates for one seed; pure in (cfg, seed, shared).
 
-    ``shared`` is ``seed_free_part(cfg)``, computed here when not given.  The
-    seed's noise is generated on the shared grid and the shared drift values
-    are attached to it, which gives the path ``apply_drift`` would build; the
-    drift's estimates are copied from ``shared``.
+    ``shared`` is ``seed_free_part(cfg)``.  The seed's noise is generated on
+    the shared grid and the shared drift values are attached to it, which
+    gives the path ``apply_drift`` would build; the drift's estimates are
+    copied from ``shared``.
     """
-    if shared is None:
-        shared = seed_free_part(cfg)
     path = replace(generate_bm(shared.grid, cfg.d, seed), drift_values=shared.drift_values)
     out = _estimates(cfg, {"image_bm": bm_image_cloud(path), "graph_bm": bm_graph_cloud(path)})
     out.update((obj, dict(per)) for obj, per in shared.estimates.items())

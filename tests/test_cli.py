@@ -232,6 +232,8 @@ def test_experiment_refine_below_two_exits_2(capsys, tmp_path):
     ({"scales": [5]}, "scales"),
     ({"scales": 5}, "scales"),
     ({"scales": [3, "7"]}, "scales"),
+    ({"scales": [-2000, 7]}, "scales"),
+    ({"scales": [3, 10**12]}, "scales"),
     ({"d": 0}, "d=0"),
     ({"d": 0, "drift": {"kind": "staircase_table", "n": 16}}, "d=0"),
     ({"set": "power:-1"}, "beta"),

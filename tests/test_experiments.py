@@ -118,6 +118,12 @@ def test_config_validation():
         small_config(methods=("magic",))
     with pytest.raises(ValueError):
         small_config(methods=("sausage",), refine=1)
+    with pytest.raises(ValueError, match="must lie in"):
+        small_config(scales=(-2000, 7))
+    with pytest.raises(ValueError, match="must lie in"):
+        small_config(scales=(3, 10**12))
+    # scales above 1 need no resolution at all; they are coarse, not invalid
+    assert small_config(scales=(-10, -5), points=3).scales == (-10, -5)
 
 
 def test_oscillation_method_runs_on_uniform_graphs():
@@ -297,9 +303,9 @@ def test_run_claims_runs_each_distinct_experiment_seed_once(monkeypatch):
     calls = []
     real = experiments.seed_estimates
 
-    def counting(cfg, seed, *shared):
+    def counting(cfg, seed, shared):
         calls.append((cfg.name, seed))
-        return real(cfg, seed, *shared)
+        return real(cfg, seed, shared)
 
     monkeypatch.setattr(experiments, "seed_estimates", counting)
     # thm15-graph reuses 4 of constancy's 8 seeds; the examples share 2 seeds
@@ -383,9 +389,6 @@ def test_seed_estimates_with_the_shared_part_equal_those_from_scratch(cfg):
         ests = experiments.seed_estimates(cfg, seed, shared)
         as_dicts = {obj: {m: e.to_dict() for m, e in per.items()} for obj, per in ests.items()}
         assert as_dicts == scratch_estimates(cfg, seed)
-        alone = experiments.seed_estimates(cfg, seed)
-        assert {obj: {m: e.to_dict() for m, e in per.items()}
-                for obj, per in alone.items()} == as_dicts
 
 
 def golden_config() -> dict:
@@ -402,7 +405,7 @@ def golden_config() -> dict:
         "thm13-image": dict(power, drift={"kind": "staircase_table", "n": 64, "d": 2}, d=2),
         "thm15-graph": dict(uniform, seeds=[1, 2]),
         "thm16-equality": dict(uniform, drift="linear:5.0", seeds=[1, 2]),
-        "cor14-bound": dict(power, drift="zero", beta=1.0),
+        "cor14-bound": dict(power, drift="zero", beta=1.0),  # read by the cor14 check
         "example-53": example,
         "example-74-directional": dict(example),
     }}
