@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .paths import MAX_GRID_POINTS, DriftSpec, GridDescriptor, TimeGrid, _staircase
+from .paths import MAX_GRID_POINTS, DriftSpec, TimeGrid, _staircase
 
 TAIL_SUM_CAP = 1.0e6
 _TAIL_MAX_TERMS = 100_000
@@ -75,22 +75,18 @@ class LacunarySchedule:
             return self.frequencies_list[:count]
         return tuple(int(round(2.0 ** self.log2_frequency(k))) for k in range(1, count + 1))
 
-    def simulable(self, truncation: int) -> bool:
-        """Whether the truncated sum can be evaluated on float64 grids."""
-        try:
-            DriftSpec.lacunary(self.frequencies(truncation))
-            return True
-        except (DomainError, OverflowError, ValueError):
-            return False
-
     def drift(self, truncation: int) -> DriftSpec:
-        if not self.simulable(truncation):
+        """The sum of the first ``truncation`` staircases, if float grids can hold it."""
+        if truncation < 0:
+            raise ValueError(f"truncation={truncation}; need truncation >= 0")
+        try:
+            return DriftSpec.lacunary(self.frequencies(truncation))
+        except (DomainError, OverflowError) as exc:
             raise DomainError(
                 "schedule-not-simulable",
                 f"{self.preset} schedule truncated at {truncation} has frequencies "
                 "beyond float-grid resolution; only the closed-form operations apply",
-            )
-        return DriftSpec.lacunary(self.frequencies(truncation))
+            ) from exc
 
 
 def parse_schedule(token: str) -> LacunarySchedule:
@@ -152,7 +148,7 @@ def inverse_power_grid(beta: float, n_max: int) -> TimeGrid:
         raise DomainError("grid-too-large", f"{n_max + 1} points exceed cap {MAX_GRID_POINTS}")
     pts = np.arange(1, n_max + 1, dtype=np.float64) ** (-float(beta))
     times = np.concatenate([[0.0], pts[::-1]])
-    return TimeGrid(times, GridDescriptor("power_set", {"beta": float(beta), "n_max": int(n_max)}))
+    return TimeGrid(times)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,7 @@ constancy's setup and seeds.
 import importlib.resources
 import json
 import math
-import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -94,32 +93,40 @@ def parse_drift_string(text: str, d: int = 1) -> DriftSpec:
     raise ValueError(f"bad drift spec {text!r}: unknown form {head!r}")
 
 
+def _integer(name: str, value) -> int:
+    """``value`` if it is an int (not a bool), else a ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def drift_from_config(spec, d: int) -> DriftSpec:
-    """Drift from a config entry: a grammar string or a structured object."""
+    """Drift from a grammar string, or from a ``staircase_table`` object with
+    the keys ``kind``, ``n`` and, optionally, ``d``."""
     if isinstance(spec, str):
         return parse_drift_string(spec, d)
-    kind = spec.get("kind")
-    if kind == "staircase_table":
-        cols_d = int(spec.get("d", d))
-        if cols_d < 1:
-            raise ValueError(f"staircase_table drift with d={cols_d}; need d >= 1")
-        breaks, values = staircase_steps(int(spec["n"]))
-        cols = np.zeros((values.size, cols_d))
-        cols[:, 0] = values
-        return DriftSpec.table(breaks[:-1], cols)
-    raise ValueError(f"unknown drift config {spec!r}")
+    if not (isinstance(spec, dict) and spec.get("kind") == "staircase_table"
+            and set(spec) <= {"kind", "n", "d"}):
+        raise ValueError(f"unknown drift config {spec!r}")
+    cols_d = _integer("staircase_table d", spec.get("d", d))
+    if cols_d < 1:
+        raise ValueError(f"staircase_table drift with d={cols_d}; need d >= 1")
+    breaks, values = staircase_steps(_integer("staircase_table n", spec.get("n")))
+    cols = np.zeros((values.size, cols_d))
+    cols[:, 0] = values
+    return DriftSpec.table(breaks[:-1], cols)
 
 
 def parse_set_string(text: str) -> tuple[str, dict]:
-    """Parse a grid descriptor token: uniform | power:<beta> | dyadic:<level>."""
-    parts = text.split(":")
+    """Parse a set token: uniform | power:<beta> | dyadic:<level>, level >= 0."""
+    parts = text.split(":") if isinstance(text, str) else [None]
     if parts[0] == "uniform" and len(parts) == 1:
         return "uniform", {}
     if parts[0] == "power" and len(parts) == 2:
         return "power_set", {"beta": float(parts[1])}
-    if parts[0] == "dyadic" and len(parts) == 2:
+    if parts[0] == "dyadic" and len(parts) == 2 and parts[1].isdecimal():
         return "dyadic", {"level": int(parts[1])}
-    raise ValueError(f"bad set descriptor {text!r}")
+    raise ValueError(f"bad set {text!r}; need uniform | power:<beta> | dyadic:<level >= 0>")
 
 
 def build_grid(set_kind: str, params: dict, points: int) -> TimeGrid:
@@ -136,13 +143,33 @@ def build_grid(set_kind: str, params: dict, points: int) -> TimeGrid:
 # configuration
 
 
+# the keys of an experiment entry, and of an example entry
+_ENTRY_KEYS = ("drift", "set", "d", "seeds", "points", "scales", "methods", "refine", "target")
+_EXAMPLE_KEYS = ("schedule", "truncation", "points", "scales", "seeds", "target")
+
+
+def _check_entry(entry, allowed: tuple, required: tuple) -> None:
+    """Refuse a non-object entry, a key not in ``allowed`` or a missing one."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"an experiment entry must be an object, got {entry!r}")
+    unknown = sorted(set(entry) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}; allowed: {list(allowed)}")
+    missing = [key for key in required if key not in entry]
+    if missing:
+        raise ValueError(f"missing config keys {missing}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one experiment byte for byte."""
+    """Everything needed to reproduce one experiment byte for byte.
+
+    ``drift`` is the drift in config form, a grammar string or a structured
+    dict, as reports echo it; ``drift_spec`` is derived from it.
+    """
 
     name: str
-    drift: DriftSpec
-    drift_config: object  # grammar string or structured dict, echoed in reports
+    drift: object
     set_kind: str
     set_params: tuple
     d: int
@@ -152,10 +179,17 @@ class ExperimentConfig:
     methods: tuple
     refine: int = 4
     target: tuple | None = None  # (claimed value, tolerance)
+    drift_spec: DriftSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.seeds) == 0:
-            raise ValueError("need at least one seed")
+        for name in ("seeds", "scales", "methods", "target"):  # JSON lists
+            if isinstance(getattr(self, name), list):
+                object.__setattr__(self, name, tuple(getattr(self, name)))
+        if not (isinstance(self.seeds, tuple) and self.seeds):
+            raise ValueError(f"seeds must be a non-empty list, got {self.seeds!r}")
+        for name, value in [("d", self.d), ("points", self.points), ("refine", self.refine),
+                            *(("each seed", seed) for seed in self.seeds)]:
+            _integer(name, value)
         if not (isinstance(self.scales, tuple) and len(self.scales) == 2
                 and all(isinstance(j, int) and not isinstance(j, bool) for j in self.scales)):
             raise ValueError(f"scales must be two integers [j_min, j_max], got {self.scales!r}")
@@ -175,37 +209,42 @@ class ExperimentConfig:
             raise ValueError(
                 f"points={self.points} under-resolves j_max={j_max}; need >= 2^{j_max + 2}"
             )
-        bad = [m for m in self.methods if m not in _METHOD_KINDS]
+        if not (isinstance(self.methods, tuple) and self.methods):
+            raise ValueError(f"methods must be a non-empty list, got {self.methods!r}")
+        bad = [m for m in self.methods if not isinstance(m, str) or m not in _METHOD_KINDS]
         if bad:
             raise ValueError(f"unknown methods {bad}")
         if self.refine < 2:
             raise ValueError(f"refine={self.refine}; need refine >= 2")
+        if self.target is not None and not (
+                isinstance(self.target, tuple) and len(self.target) == 2
+                and all(isinstance(x, (int, float)) for x in self.target)):
+            raise ValueError(f"target must be two numbers [value, tolerance], got {self.target!r}")
+        object.__setattr__(self, "drift_spec", drift_from_config(self.drift, self.d))
 
     @staticmethod
     def from_dict(name: str, cfg: dict) -> "ExperimentConfig":
+        """The experiment of one config entry, with every key checked."""
+        _check_entry(cfg, _ENTRY_KEYS, ("points", "scales", "seeds"))
         set_kind, set_params = parse_set_string(cfg.get("set", "uniform"))
-        d = int(cfg.get("d", 1))
-        drift_cfg = cfg.get("drift", "zero")
-        scales = cfg["scales"]
         return ExperimentConfig(
             name=name,
-            drift=drift_from_config(drift_cfg, d),
-            drift_config=drift_cfg,
+            drift=cfg.get("drift", "zero"),
             set_kind=set_kind,
             set_params=tuple(sorted(set_params.items())),
-            d=d,
-            seeds=tuple(int(s) for s in cfg["seeds"]),
-            points=int(cfg["points"]),
-            scales=tuple(scales) if isinstance(scales, list) else scales,
-            methods=tuple(cfg.get("methods", ["box"])),
-            refine=int(cfg.get("refine", 4)),
-            target=tuple(cfg["target"]) if cfg.get("target") is not None else None,
+            d=cfg.get("d", 1),
+            seeds=cfg["seeds"],
+            points=cfg["points"],
+            scales=cfg["scales"],
+            methods=cfg.get("methods", ["box"]),
+            refine=cfg.get("refine", 4),
+            target=cfg.get("target"),
         )
 
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "drift": self.drift_config,
+            "drift": self.drift,
             "set": {"kind": self.set_kind, **dict(self.set_params)},
             "d": self.d,
             "seeds": list(self.seeds),
@@ -235,14 +274,8 @@ class ExperimentReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
-    def with_verdicts(self, verdicts) -> "ExperimentReport":
-        return ExperimentReport(self.config, self.per_seed, self.aggregates, tuple(verdicts))
-
     def median(self, obj: str, method: str) -> float:
         return self.aggregates[obj][method]["median"]
-
-    def iqr(self, obj: str, method: str) -> float:
-        return self.aggregates[obj][method]["iqr"]
 
     @property
     def objects(self) -> list:
@@ -294,8 +327,8 @@ def seed_free_part(cfg: ExperimentConfig) -> SeedFreePart:
     grid = build_grid(cfg.set_kind, dict(cfg.set_params), cfg.points)
     still = np.zeros((len(grid), cfg.d))
     # the drift alone: the drift applied to a path whose noise is zero
-    drift = apply_drift(SamplePath(grid, cfg.d, still, still, 0, "increments"), cfg.drift)
-    estimates = {} if cfg.drift.is_zero else _estimates(cfg, {
+    drift = apply_drift(SamplePath(grid, cfg.d, still, still, 0, "increments"), cfg.drift_spec)
+    estimates = {} if cfg.drift_spec.is_zero else _estimates(cfg, {
         "image_drift": drift_image_cloud(drift), "graph_drift": drift_graph_cloud(drift)})
     return SeedFreePart(grid, drift.drift_values, estimates)
 
@@ -311,9 +344,16 @@ def seed_estimates(cfg: ExperimentConfig, seed: int, shared: SeedFreePart) -> di
     path = replace(generate_bm(shared.grid, cfg.d, seed), drift_values=shared.drift_values)
     out = _estimates(cfg, {"image_bm": bm_image_cloud(path), "graph_bm": bm_graph_cloud(path)})
     out.update((obj, dict(per)) for obj, per in shared.estimates.items())
-    if not cfg.drift.is_zero:
+    if not cfg.drift_spec.is_zero:
         out.update(_estimates(cfg, {"image_sum": image_cloud(path), "graph_sum": graph_cloud(path)}))
     return out
+
+
+def _prefixed(exc: ValueError, prefix: str) -> ValueError:
+    """``exc`` with ``prefix`` before its message; a ``DomainError`` keeps its code."""
+    if isinstance(exc, DomainError):
+        return DomainError(exc.code, prefix + exc.detail)
+    return ValueError(prefix + str(exc))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -338,10 +378,8 @@ def _run_experiment(cfg: ExperimentConfig, memo: dict) -> ExperimentReport:
                     memo[setup_key] = seed_free_part(cfg)
                 memo[key] = seed_estimates(cfg, seed, memo[setup_key])
             ests = memo[key]
-        except DomainError as exc:
-            raise DomainError(exc.code, f"seed {seed}: {exc.detail}") from exc
-        except Exception as exc:
-            raise RuntimeError(f"experiment {cfg.name!r} failed at seed={seed}: {exc}") from exc
+        except ValueError as exc:
+            raise _prefixed(exc, f"seed {seed}: ") from exc
         block = {"seed": seed, "estimates": {}}
         for obj, per in ests.items():
             block["estimates"][obj] = {m: e.to_dict() for m, e in per.items()}
@@ -424,7 +462,7 @@ def check_graph_equality_continuous(report: ExperimentReport, tol: float) -> dic
     if not drift.is_continuous:
         raise DomainError("drift-not-continuous", f"{drift_cfg!r} has jumps")
     if report.config["set"]["kind"] != "uniform" or report.config["d"] != 1:
-        raise DomainError("drift-not-continuous", "equality check needs d=1 over [0, 1]")
+        raise DomainError("equality-needs-uniform-d1", "equality check needs d=1 over [0, 1]")
     method = _primary_method(report)
     if "graph_sum" not in report.aggregates:
         return _verdict("thm16-equality", True, 0.0, "zero drift: trivial equality")
@@ -440,15 +478,14 @@ def check_graph_equality_continuous(report: ExperimentReport, tol: float) -> dic
     )
 
 
-def check_corollary_bound(report: ExperimentReport, beta: float,
-                          below: float, above: float) -> dict:
-    """Image dimension of the noise over the power grid sits in the window
-    around 2*alpha/(alpha+1) with alpha = 1/(1+beta)."""
+def check_corollary_bound(report: ExperimentReport, below: float, above: float) -> dict:
+    """Image dimension of the noise over the power grid {n^-beta} sits in the
+    window around 2*alpha/(alpha+1) with alpha = 1/(1+beta)."""
     if report.config["set"]["kind"] != "power_set":
         raise DomainError("not-power-grid", "corollary check needs a power_set grid")
     if report.config["d"] != 1:
         raise DomainError("corollary-needs-d1", "the 2a/(a+1) branch applies to d=1 only")
-    alpha = 1.0 / (1.0 + beta)
+    alpha = 1.0 / (1.0 + report.config["set"]["beta"])
     target = theoretical_image_bound(alpha, 1)
     method = _primary_method(report)
     med = report.median("image_bm", method)
@@ -461,12 +498,12 @@ def check_corollary_bound(report: ExperimentReport, beta: float,
     )
 
 
-def check_example_53(report: ExperimentReport, tol: float) -> dict:
-    """Measured graph dimension of the truncated staircase sum is within tol
-    of the analytic target frozen in the config."""
+def check_example_53(report: ExperimentReport) -> dict:
+    """Measured graph dimension of the truncated staircase sum is within the
+    tolerance of the analytic target, both frozen in the config's target."""
     if report.config["target"] is None:
         raise ValueError("example-53 needs a (target, tolerance) in the config")
-    target = float(report.config["target"][0])
+    target, tol = (float(x) for x in report.config["target"])
     method = _primary_method(report)
     med = report.median("graph_drift", method)
     margin = med - target
@@ -498,11 +535,7 @@ def check_example_74(report: ExperimentReport, min_gap: float) -> dict:
 
 
 def default_config() -> dict:
-    """Shipped defaults, overridable via FRACDIM_CONFIG or an explicit path."""
-    env_path = os.environ.get("FRACDIM_CONFIG")
-    if env_path:
-        with open(env_path, encoding="utf-8") as fh:
-            return json.load(fh)
+    """The shipped defaults, read from the package's data file."""
     ref = importlib.resources.files("fracdim").joinpath("data/default_config.json")
     return json.loads(ref.read_text(encoding="utf-8"))
 
@@ -521,30 +554,30 @@ def _claim_config(claim: str, exp_cfg: dict) -> ExperimentConfig:
     as the experiment ``example`` with the drift ``lacunary:<schedule>:<K>``
     over the uniform grid in one dimension.
     """
-    if "schedule" not in exp_cfg:
+    if not isinstance(exp_cfg, dict) or "schedule" not in exp_cfg:
         return ExperimentConfig.from_dict(claim, exp_cfg)
+    _check_entry(exp_cfg, _EXAMPLE_KEYS, ("truncation", "points", "scales", "seeds"))
+    truncation = _integer("truncation", exp_cfg["truncation"])
     return ExperimentConfig.from_dict("example", {
-        "drift": f"lacunary:{exp_cfg['schedule']}:{int(exp_cfg['truncation'])}",
+        "drift": f"lacunary:{exp_cfg['schedule']}:{truncation}",
         "points": exp_cfg["points"],
         "scales": exp_cfg["scales"],
         "seeds": exp_cfg["seeds"],
-        "target": exp_cfg["target"],
+        "target": exp_cfg.get("target"),
     })
 
 
-# One row per claim: its check, called as check(report, exp_cfg, tolerances).
+# One row per claim: its check, called as check(report, tolerances).
 CLAIMS = {
-    "constancy": lambda rep, exp, tol: check_constancy(rep, float(tol["constancy_iqr"])),
-    "thm13-image": lambda rep, exp, tol: check_image_inequality(
-        rep, float(tol["inequality_slack"])),
-    "thm15-graph": lambda rep, exp, tol: check_graph_inequality(
-        rep, float(tol["inequality_slack"])),
-    "thm16-equality": lambda rep, exp, tol: check_graph_equality_continuous(
+    "constancy": lambda rep, tol: check_constancy(rep, float(tol["constancy_iqr"])),
+    "thm13-image": lambda rep, tol: check_image_inequality(rep, float(tol["inequality_slack"])),
+    "thm15-graph": lambda rep, tol: check_graph_inequality(rep, float(tol["inequality_slack"])),
+    "thm16-equality": lambda rep, tol: check_graph_equality_continuous(
         rep, float(tol["equality_tol"])),
-    "cor14-bound": lambda rep, exp, tol: check_corollary_bound(
-        rep, float(exp["beta"]), float(tol["corollary_below"]), float(tol["corollary_above"])),
-    "example-53": lambda rep, exp, tol: check_example_53(rep, float(exp["target"][1])),
-    "example-74-directional": lambda rep, exp, tol: check_example_74(
+    "cor14-bound": lambda rep, tol: check_corollary_bound(
+        rep, float(tol["corollary_below"]), float(tol["corollary_above"])),
+    "example-53": lambda rep, tol: check_example_53(rep),
+    "example-74-directional": lambda rep, tol: check_example_74(
         rep, float(tol["example74_min_gap"])),
 }
 
@@ -555,8 +588,9 @@ def run_claims(names, config: dict | None = None) -> dict:
     """Run registered claims and return ``{claim: report with its verdict}``.
 
     The claims of one call share per-seed estimates, so each distinct
-    (experiment, seed) runs once.  A ``DomainError`` keeps its code and gains
-    the claim (and, when a seed failed, the seed) in its detail.
+    (experiment, seed) runs once.  A ``ValueError`` gains the claim (and, when
+    a seed failed, the seed) before its message; a ``DomainError`` keeps its
+    code.
     """
     for claim in names:
         if claim not in CLAIMS:
@@ -571,10 +605,10 @@ def run_claims(names, config: dict | None = None) -> dict:
             report = _run_experiment(_claim_config(claim, exp_cfg), memo)
             if "schedule" in exp_cfg:
                 report.config["tail_bound"] = lacunary_tail_bound(
-                    parse_schedule(exp_cfg["schedule"]), int(exp_cfg["truncation"]))
-            reports[claim] = report.with_verdicts([CLAIMS[claim](report, exp_cfg, tol)])
-        except DomainError as exc:
-            raise DomainError(exc.code, f"claim {claim!r}: {exc.detail}") from exc
+                    parse_schedule(exp_cfg["schedule"]), exp_cfg["truncation"])
+            reports[claim] = replace(report, verdicts=(CLAIMS[claim](report, tol),))
+        except ValueError as exc:
+            raise _prefixed(exc, f"claim {claim!r}: ") from exc
     return reports
 
 

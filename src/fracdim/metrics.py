@@ -38,12 +38,10 @@ from .paths import SamplePath
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Finite set of points in R^m with its exact bounding box."""
+    """Finite set of points in R^m with finite coordinates."""
 
     points: np.ndarray  # (n, m) float64
     dim: int
-    bbox_min: np.ndarray
-    bbox_max: np.ndarray
     # (eps, distinct cells) of the last box count, see ``box_count``
     _boxes: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -53,12 +51,11 @@ class PointCloud:
         if pts.ndim != 2 or pts.size == 0:
             raise DomainError("empty-cloud", "point cloud must be non-empty")
         # column by column, an order of magnitude faster than axis-0
-        # reductions of an (n, m) array; a NaN or infinity shows in the box
-        lo = np.array([col.min() for col in pts.T])
-        hi = np.array([col.max() for col in pts.T])
-        _check_finite(np.concatenate([lo, hi]))
+        # reductions of an (n, m) array; a NaN or infinity shows in a
+        # column's minimum or maximum
+        _check_finite(np.array([(col.min(), col.max()) for col in pts.T]))
         pts.flags.writeable = False
-        return PointCloud(pts, pts.shape[1], lo, hi)
+        return PointCloud(pts, pts.shape[1])
 
     def __len__(self) -> int:
         return int(self.points.shape[0])
@@ -346,7 +343,7 @@ SWEEP_J_RANGE = (-1023, 1074)
 
 
 def scale_sweep(cloud: PointCloud, kind: str, j_min: int, j_max: int,
-                refine: int = 4, meta: dict | None = None) -> ScaleSeries:
+                refine: int = 4) -> ScaleSeries:
     """Evaluate one counting method at the dyadic scales eps = 2^-j.
 
     For ``oscillation`` the cloud must be the graph of a 1-D function sampled
@@ -372,10 +369,8 @@ def scale_sweep(cloud: PointCloud, kind: str, j_min: int, j_max: int,
         vals = [graph_box_count_oscillation(_uniform_graph_values(cloud), int(j)) for j in js]
     else:
         raise ValueError(f"unknown series kind {kind!r}")
-    info = {"ambient_dim": cloud.dim, "n_points": len(cloud)}
-    if meta:
-        info.update(meta)
-    return ScaleSeries(kind, eps, np.asarray(vals, dtype=np.float64), info)
+    return ScaleSeries(kind, eps, np.asarray(vals, dtype=np.float64),
+                       {"ambient_dim": cloud.dim, "n_points": len(cloud)})
 
 
 def _uniform_graph_values(cloud: PointCloud) -> np.ndarray:
@@ -388,14 +383,13 @@ def _uniform_graph_values(cloud: PointCloud) -> np.ndarray:
     return cloud.points[:, 1]
 
 
-def estimate_dimension(series: ScaleSeries, window: tuple | None = None,
-                       ambient_dim: int | None = None) -> DimensionEstimate:
+def estimate_dimension(series: ScaleSeries, window: tuple | None = None) -> DimensionEstimate:
     """Slope summary of log2(value) against j = log2(1/eps).
 
     ``window = (j_min, j_max)`` restricts to scales inside the window
     (default: whole series).  For sausage-volume series every slope is
     shifted by the ambient dimension m (volumes scale like eps^(m - dim)),
-    taken from the series metadata unless passed explicitly.
+    taken from the series metadata.
     """
     js = -np.log2(series.epsilons)
     if window is None:
@@ -411,7 +405,7 @@ def estimate_dimension(series: ScaleSeries, window: tuple | None = None,
     resid = float(np.sqrt(np.mean((y - (ls * x + intercept)) ** 2)))
     shift = 0.0
     if series.kind == "sausage_volume":
-        m = ambient_dim if ambient_dim is not None else series.meta.get("ambient_dim")
+        m = series.meta.get("ambient_dim")
         if m is None:
             raise ValueError("sausage series needs the ambient dimension")
         shift = float(m)

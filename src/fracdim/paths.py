@@ -9,7 +9,7 @@ their right-limit value at every jump, which makes evaluation a single
 well-defined right-continuous function.
 """
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -27,22 +27,10 @@ MAX_STAIRCASE_N = 1 << 24
 
 
 @dataclass(frozen=True)
-class GridDescriptor:
-    """Tag describing which ideal subset of [0,1] a grid discretizes."""
-
-    kind: str  # uniform | power_set | dyadic | custom
-    params: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, **self.params}
-
-
-@dataclass(frozen=True)
 class TimeGrid:
     """Finite, strictly increasing sample times inside [0, 1]."""
 
     times: np.ndarray
-    descriptor: GridDescriptor
 
     def __post_init__(self):
         t = np.ascontiguousarray(self.times, dtype=np.float64)
@@ -67,7 +55,7 @@ class TimeGrid:
         if n_points > MAX_GRID_POINTS:
             raise DomainError("grid-too-large", f"{n_points} points exceed cap {MAX_GRID_POINTS}")
         times = np.array([0.0]) if n_points == 1 else np.linspace(0.0, 1.0, n_points)
-        return TimeGrid(times, GridDescriptor("uniform", {"n_points": n_points}))
+        return TimeGrid(times)
 
     @staticmethod
     def dyadic(level: int) -> "TimeGrid":
@@ -76,11 +64,7 @@ class TimeGrid:
         n = (1 << level) + 1
         if n > MAX_GRID_POINTS:
             raise DomainError("grid-too-large", f"2^{level}+1 points exceed cap {MAX_GRID_POINTS}")
-        return TimeGrid(np.linspace(0.0, 1.0, n), GridDescriptor("dyadic", {"level": level}))
-
-    @staticmethod
-    def custom(times) -> "TimeGrid":
-        return TimeGrid(np.asarray(times, dtype=np.float64), GridDescriptor("custom"))
+        return TimeGrid(np.linspace(0.0, 1.0, n))
 
 
 # ---------------------------------------------------------------------------
@@ -185,18 +169,6 @@ class DriftSpec:
             return bool(np.all(self.table_values == self.table_values[0]))
         return False
 
-    def spec_string(self) -> str:
-        """Round-trippable CLI form of this drift."""
-        if self.variant == "zero":
-            return "zero"
-        if self.variant == "linear":
-            return "linear:" + ",".join(repr(float(x)) for x in self.mu)
-        if self.variant == "psi_n":
-            return f"psi_n:{self.n}"
-        if self.variant == "lacunary_sum":
-            return "lacunary:custom(%s):%d" % (",".join(map(str, self.schedule)), self.truncation)
-        return "table:<inline>"
-
 
 def _staircase(n: int, x: np.ndarray) -> np.ndarray:
     """Sawtooth staircase n^(-3/4) * floor(sqrt(n) * tent(n x)) with the
@@ -295,7 +267,7 @@ def generate_bm(grid: TimeGrid, d: int, seed: int) -> SamplePath:
     return SamplePath(grid, d, values, np.zeros_like(values), int(seed), "increments")
 
 
-def levy_construct(depth: int, d: int, seed: int, max_points: int = MAX_GRID_POINTS) -> SamplePath:
+def levy_construct(depth: int, d: int, seed: int) -> SamplePath:
     """Brownian path on the dyadic grid of 2^depth intervals by midpoint
     displacement.
 
@@ -307,8 +279,8 @@ def levy_construct(depth: int, d: int, seed: int, max_points: int = MAX_GRID_POI
     if d < 1:
         raise ValueError("dimension must be >= 1")
     n_intervals = 1 << depth
-    if n_intervals + 1 > max_points:
-        raise DomainError("grid-too-large", f"2^{depth}+1 points exceed cap {max_points}")
+    if n_intervals + 1 > MAX_GRID_POINTS:
+        raise DomainError("grid-too-large", f"2^{depth}+1 points exceed cap {MAX_GRID_POINTS}")
     values = np.zeros((n_intervals + 1, d))
     values[-1] = stream(seed, 0).standard_normal(d)
     for k in range(1, depth + 1):
@@ -350,5 +322,5 @@ def read_path_csv(fh) -> SamplePath:
         raise ValueError("not a sample-path CSV (expected header t,b_1..,f_1..)")
     d = (len(header) - 1) // 2
     rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-    grid = TimeGrid.custom(rows[:, 0])
+    grid = TimeGrid(rows[:, 0])
     return SamplePath(grid, d, rows[:, 1:1 + d], rows[:, 1 + d:1 + 2 * d], 0, "file")

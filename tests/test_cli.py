@@ -238,17 +238,35 @@ def test_experiment_refine_below_two_exits_2(capsys, tmp_path):
     ({"d": 0, "drift": {"kind": "staircase_table", "n": 16}}, "d=0"),
     ({"set": "power:-1"}, "beta"),
     ({"set": "power:nan"}, "beta"),
+    ({"set": "dyadic:-1"}, "dyadic:-1"),
+    ({"d": 1.5}, "d must be an integer"),
+    ({"d": True}, "d must be an integer"),
+    ({"points": 4097.9}, "points must be an integer"),
+    ({"seeds": [1.7]}, "seed must be an integer"),
+    ({"refine": 2.5}, "refine must be an integer"),
+    ({"seeds": 5}, "seeds must be a non-empty list"),
+    ({"methods": []}, "methods must be a non-empty list"),
+    ({"target": [1.0]}, "target must be two numbers"),
+    ({"drift": ["psi_n", 16]}, "unknown drift config"),
+    ({"drift": {"kind": "staircase_table", "n": 16.0}}, "staircase_table n"),
+    ({"beta": 1.0}, "'beta'"),
+    ({"method": ["box"]}, "'method'"),
+    # with a schedule the entry is an example entry, which has its own keys
+    ({"schedule": "desk", "truncation": 2.5}, "truncation must be an integer"),
+    ({"schedule": "desk", "truncation": 3, "method": ["box"]}, "'method'"),
+    ({"schedule": "desk", "truncation": 3, "drift": "zero"}, "'drift'"),
 ])
 def test_experiment_invalid_config_field_exits_2_with_one_error_line(
         capsys, tmp_path, fields, word):
     path = _tiny_config(tmp_path, [1.0, 5.0])
     cfg = json.loads(path.read_text())
-    cfg["experiments"]["constancy"] = {"drift": "psi_n:16", "points": 2**9 + 1,
-                                       "scales": [3, 7], "seeds": [1, 2], **fields}
+    cfg["experiments"]["constancy"] = {"points": 2**9 + 1, "scales": [3, 7], "seeds": [1, 2],
+                                       **fields}
     path.write_text(json.dumps(cfg))
     code, out, err = run_cli(capsys, "experiment", "--name", "constancy", "--config", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and word in err
+    assert "claim 'constancy': " in err
 
 
 def test_experiment_all_names_the_failing_claim_and_seed(capsys, tmp_path):
@@ -261,7 +279,7 @@ def test_experiment_all_names_the_failing_claim_and_seed(capsys, tmp_path):
                             set="power:1", d=2),
         "thm15-graph": dict(small, drift="psi_n:16"),
         "thm16-equality": dict(small, drift="linear:5.0", points=20000000),
-        "cor14-bound": dict(small, drift="zero", set="power:1", beta=1.0),
+        "cor14-bound": dict(small, drift="zero", set="power:1"),
     })
     cfg["experiments"]["example-74-directional"] = cfg["experiments"]["example-53"]
     path.write_text(json.dumps(cfg))

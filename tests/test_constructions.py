@@ -21,8 +21,6 @@ def test_inverse_power_grid_small():
     assert np.allclose(g.times, [0.0, 0.25, 1 / 3, 0.5, 1.0])
     g2 = fd.inverse_power_grid(2.0, 2)
     assert np.allclose(g2.times, [0.0, 0.25, 1.0])
-    assert g2.descriptor.kind == "power_set"
-    assert g2.descriptor.params == {"beta": 2.0, "n_max": 2}
 
 
 def test_inverse_power_grid_refuses_more_points_than_the_cap():

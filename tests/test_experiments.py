@@ -14,6 +14,7 @@ from fracdim.experiments import (
     ExperimentReport,
     check_constancy,
     check_corollary_bound,
+    check_example_53,
     check_example_74,
     check_graph_equality_continuous,
     check_graph_inequality,
@@ -40,7 +41,7 @@ from fracdim.metrics import (
 
 def small_config(**kw):
     base = dict(
-        name="t", drift=fd.DriftSpec.zero(1), drift_config="zero",
+        name="t", drift="zero",
         set_kind="uniform", set_params=(), d=1, seeds=(1,),
         points=2**9 + 1, scales=(3, 7), methods=("box",),
     )
@@ -48,7 +49,7 @@ def small_config(**kw):
     return ExperimentConfig(**base)
 
 
-def synthetic_report(slopes_by_obj, seeds=8, drift="zero", set_kind="uniform", d=1):
+def synthetic_report(slopes_by_obj, seeds=8, drift="zero", set_kind="uniform", d=1, **set_params):
     per_seed = []
     n = max(len(v) for v in slopes_by_obj.values())
     aggregates = {}
@@ -58,7 +59,7 @@ def synthetic_report(slopes_by_obj, seeds=8, drift="zero", set_kind="uniform", d
             "iqr": float(np.percentile(slopes, 75) - np.percentile(slopes, 25)),
         }}
     config = {
-        "name": "synthetic", "drift": drift, "set": {"kind": set_kind}, "d": d,
+        "name": "synthetic", "drift": drift, "set": {"kind": set_kind, **set_params}, "d": d,
         "seeds": list(range(n)), "points": 2**9 + 1, "scales": [3, 7],
         "methods": ["box"], "refine": 4, "target": None,
     }
@@ -76,7 +77,7 @@ def test_zero_drift_report_has_only_noise_objects():
 
 
 def test_nonzero_drift_report_has_six_objects():
-    cfg = small_config(drift=fd.DriftSpec.psi_n(16), drift_config="psi_n:16")
+    cfg = small_config(drift="psi_n:16")
     report = run_experiment(cfg)
     assert report.objects == [
         "graph_bm", "graph_drift", "graph_sum", "image_bm", "image_drift", "image_sum",
@@ -84,8 +85,7 @@ def test_nonzero_drift_report_has_six_objects():
 
 
 def test_report_byte_identical_reruns():
-    cfg = small_config(drift=fd.DriftSpec.linear([2.0]), drift_config="linear:2.0",
-                       seeds=(3, 4))
+    cfg = small_config(drift="linear:2.0", seeds=(3, 4))
     a = run_experiment(cfg).to_json()
     b = run_experiment(cfg).to_json()
     assert a == b
@@ -122,8 +122,26 @@ def test_config_validation():
         small_config(scales=(-2000, 7))
     with pytest.raises(ValueError, match="must lie in"):
         small_config(scales=(3, 10**12))
+    with pytest.raises(ValueError, match="d must be an integer"):
+        small_config(d=1.5)
     # scales above 1 need no resolution at all; they are coarse, not invalid
     assert small_config(scales=(-10, -5), points=3).scales == (-10, -5)
+
+
+def test_config_measures_the_drift_it_reports():
+    cfg = small_config(drift="psi_n:16")
+    assert cfg.drift_spec == fd.DriftSpec.psi_n(16)
+    report = run_experiment(cfg)
+    assert report.config["drift"] == "psi_n:16"
+    grid = experiments.build_grid(cfg.set_kind, dict(cfg.set_params), cfg.points)
+    measured = experiments.seed_free_part(cfg).drift_values
+    reported = parse_drift_string(report.config["drift"], report.config["d"])
+    assert np.array_equal(measured, fd.eval_drift(reported, grid.times))
+    # the drift has one source: no second drift argument exists
+    with pytest.raises(TypeError):
+        small_config(drift="zero", drift_config="psi_n:16")
+    with pytest.raises(TypeError):
+        small_config(drift_spec=fd.DriftSpec.psi_n(16))
 
 
 def test_oscillation_method_runs_on_uniform_graphs():
@@ -187,6 +205,21 @@ def test_check_equality_guards_discontinuous_drift():
     assert ei.value.code == "drift-not-continuous"
 
 
+@pytest.mark.parametrize("set_kind, d, drift", [
+    ("dyadic", 1, "linear:5.0"),
+    ("power_set", 1, "zero"),
+    ("uniform", 2, "linear:1.0,2.0"),
+])
+def test_check_equality_guards_the_set_and_dimension(set_kind, d, drift):
+    rep = synthetic_report(
+        {"graph_bm": [1.5] * 8, "graph_drift": [1.0] * 8, "graph_sum": [1.5] * 8},
+        drift=drift, set_kind=set_kind, d=d,
+    )
+    with pytest.raises(DomainError) as ei:
+        check_graph_equality_continuous(rep, 0.1)
+    assert ei.value.code == "equality-needs-uniform-d1"
+
+
 def test_check_equality_continuous_passes():
     rep = synthetic_report(
         {"graph_bm": [1.5] * 8, "graph_drift": [1.0] * 8, "graph_sum": [1.52] * 8},
@@ -210,22 +243,31 @@ def test_run_claim_thm16_equality_default_passes():
 
 
 def test_check_corollary_guards():
-    rep = synthetic_report({"image_bm": [0.65] * 8}, set_kind="power_set", d=2)
+    rep = synthetic_report({"image_bm": [0.65] * 8}, set_kind="power_set", d=2, beta=1.0)
     with pytest.raises(DomainError) as ei:
-        check_corollary_bound(rep, 1.0, 0.1, 0.15)
+        check_corollary_bound(rep, 0.1, 0.15)
     assert ei.value.code == "corollary-needs-d1"
     rep2 = synthetic_report({"image_bm": [0.65] * 8}, set_kind="uniform", d=1)
     with pytest.raises(DomainError) as ei2:
-        check_corollary_bound(rep2, 1.0, 0.1, 0.15)
+        check_corollary_bound(rep2, 0.1, 0.15)
     assert ei2.value.code == "not-power-grid"
 
 
 def test_check_corollary_window():
-    rep = synthetic_report({"image_bm": [0.64] * 8}, set_kind="power_set", d=1)
-    v = check_corollary_bound(rep, 1.0, 0.1, 0.15)
+    rep = synthetic_report({"image_bm": [0.64] * 8}, set_kind="power_set", d=1, beta=1.0)
+    v = check_corollary_bound(rep, 0.1, 0.15)
     assert v["pass"]
-    rep_low = synthetic_report({"image_bm": [0.40] * 8}, set_kind="power_set", d=1)
-    assert not check_corollary_bound(rep_low, 1.0, 0.1, 0.15)["pass"]
+    rep_low = synthetic_report({"image_bm": [0.40] * 8}, set_kind="power_set", d=1, beta=1.0)
+    assert not check_corollary_bound(rep_low, 0.1, 0.15)["pass"]
+
+
+def test_check_corollary_reads_beta_from_the_set():
+    # beta = 3 gives alpha = 1/4 and the target 2a/(a+1) = 0.4, which the
+    # median 0.64 misses; beta = 1 gives the target 2/3, which it meets
+    steep = synthetic_report({"image_bm": [0.64] * 8}, set_kind="power_set", d=1, beta=3.0)
+    v = check_corollary_bound(steep, 0.1, 0.15)
+    assert not v["pass"] and abs(v["margin"] - 0.24) < 1e-12
+    assert "target 0.4000" in v["detail"]
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +368,7 @@ def test_seed_free_part_is_computed_once_per_distinct_setup(monkeypatch):
         return real(cfg)
 
     monkeypatch.setattr(experiments, "seed_free_part", counting)
-    drifted = small_config(drift=fd.DriftSpec.psi_n(16), drift_config="psi_n:16",
-                           seeds=(1, 2, 3))
+    drifted = small_config(drift="psi_n:16", seeds=(1, 2, 3))
     apart = shared_run_config()
     apart["experiments"]["thm15-graph"]["seeds"] = [9, 10]
     for _ in range(2):  # nothing is cached across calls
@@ -351,8 +392,7 @@ def test_drift_objects_are_swept_once_per_experiment(monkeypatch):
         return real(cloud, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "scale_sweep", counting)
-    run_experiment(small_config(drift=fd.DriftSpec.psi_n(16), drift_config="psi_n:16",
-                                seeds=(1, 2, 3)))
+    run_experiment(small_config(drift="psi_n:16", seeds=(1, 2, 3)))
     # image and graph of the drift once, then noise and sum for each seed
     assert len(swept) == 2 + 3 * 4
     assert len(set(swept)) == len(swept)
@@ -362,9 +402,9 @@ def scratch_estimates(cfg, seed) -> dict:
     """One seed's estimates with nothing shared: the grid, the path with its
     drift applied and every object's sweep, built from the public functions."""
     grid = experiments.build_grid(cfg.set_kind, dict(cfg.set_params), cfg.points)
-    path = fd.apply_drift(fd.generate_bm(grid, cfg.d, seed), cfg.drift)
+    path = fd.apply_drift(fd.generate_bm(grid, cfg.d, seed), cfg.drift_spec)
     clouds = {"image_bm": bm_image_cloud(path), "graph_bm": bm_graph_cloud(path)}
-    if not cfg.drift.is_zero:
+    if not cfg.drift_spec.is_zero:
         clouds.update(image_drift=drift_image_cloud(path), graph_drift=drift_graph_cloud(path),
                       image_sum=image_cloud(path), graph_sum=graph_cloud(path))
     return {
@@ -376,10 +416,8 @@ def scratch_estimates(cfg, seed) -> dict:
 
 
 @pytest.mark.parametrize("cfg", [
-    small_config(drift=fd.DriftSpec.psi_n(16), drift_config="psi_n:16", seeds=(1, 2),
-                 methods=("box", "oscillation")),
-    small_config(drift=fd.DriftSpec.linear([1.0, -2.0]), drift_config="linear:1.0,-2.0",
-                 set_kind="power_set", set_params=(("beta", 1.0),), d=2, seeds=(3, 4),
+    small_config(drift="psi_n:16", seeds=(1, 2), methods=("box", "oscillation")),
+    small_config(drift="linear:1.0,-2.0", set_kind="power_set", set_params=(("beta", 1.0),), d=2, seeds=(3, 4),
                  methods=("box", "packing")),
     small_config(seeds=(5, 6)),
 ])
@@ -405,7 +443,7 @@ def golden_config() -> dict:
         "thm13-image": dict(power, drift={"kind": "staircase_table", "n": 64, "d": 2}, d=2),
         "thm15-graph": dict(uniform, seeds=[1, 2]),
         "thm16-equality": dict(uniform, drift="linear:5.0", seeds=[1, 2]),
-        "cor14-bound": dict(power, drift="zero", beta=1.0),  # read by the cor14 check
+        "cor14-bound": dict(power, drift="zero"),
         "example-53": example,
         "example-74-directional": dict(example),
     }}
@@ -440,6 +478,15 @@ def test_run_claims_keeps_different_custom_schedules_apart():
     assert together["example-74-directional"].config["drift"] == "lacunary:custom(16,256):2"
     for claim, report in together.items():
         assert report.to_json() == run_claim(claim, config).to_json()
+
+
+def test_check_example_53_reads_its_tolerance_from_the_target():
+    rep = synthetic_report({"graph_drift": [1.1] * 8})
+    rep.config["target"] = [1.0, 0.15]
+    v = check_example_53(rep)
+    assert v["pass"] and abs(v["margin"] - 0.1) < 1e-12 and "tolerance 0.15" in v["detail"]
+    rep.config["target"] = [1.0, 0.05]
+    assert not check_example_53(rep)["pass"]
 
 
 def test_example_74_margin_monotone():

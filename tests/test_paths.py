@@ -1,6 +1,7 @@
 """Path generation, drifts, and the splittable RNG."""
 
 import io
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -34,39 +35,39 @@ def test_generate_bm_deterministic():
 
 
 def test_generate_bm_starts_at_origin():
-    grid = fd.TimeGrid.custom([0.0])
+    grid = fd.TimeGrid([0.0])
     p = fd.generate_bm(grid, 3, 999)
     assert np.array_equal(p.bm_values, np.zeros((1, 3)))
 
 
 def test_generate_bm_nonzero_start_has_spread():
-    grid = fd.TimeGrid.custom([0.25, 0.75])
+    grid = fd.TimeGrid([0.25, 0.75])
     vals = np.array([fd.generate_bm(grid, 1, s).bm_values[0, 0] for s in range(512)])
     assert abs(vals.var(ddof=1) - 0.25) < 0.07
 
 
 def test_empty_grid_error():
     with pytest.raises(DomainError) as ei:
-        fd.TimeGrid.custom([])
+        fd.TimeGrid([])
     assert ei.value.code == "empty-grid"
 
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        fd.TimeGrid.custom([0.0, 0.5, 0.5])
+        fd.TimeGrid([0.0, 0.5, 0.5])
     with pytest.raises(ValueError):
-        fd.TimeGrid.custom([0.0, 1.5])
+        fd.TimeGrid([0.0, 1.5])
 
 
 def test_bm_mean_over_seeds():
     # 3-sigma/sqrt(N) CLT bound on the sample mean of B(1)
-    grid = fd.TimeGrid.custom([0.0, 1.0])
+    grid = fd.TimeGrid([0.0, 1.0])
     vals = np.array([fd.generate_bm(grid, 1, s).bm_values[-1, 0] for s in range(N_SEEDS)])
     assert abs(vals.mean()) <= 3.0 / np.sqrt(N_SEEDS)
 
 
 def test_gaussian_marginals_and_increment_independence():
-    grid = fd.TimeGrid.custom([0.0, 0.5, 1.0])
+    grid = fd.TimeGrid([0.0, 0.5, 1.0])
     half = np.empty(N_SEEDS)
     one = np.empty(N_SEEDS)
     for s in range(N_SEEDS):
@@ -119,9 +120,16 @@ def test_levy_and_increments_agree_in_law():
 
 
 def test_levy_grid_cap():
-    with pytest.raises(DomainError) as ei:
-        fd.levy_construct(8, 1, 0, max_points=100)
+    # depth 24 gives 2^24 + 1 points, one over the cap; refused before allocating
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError) as ei:
+            fd.levy_construct(24, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert ei.value.code == "grid-too-large"
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
