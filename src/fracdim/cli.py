@@ -55,7 +55,7 @@ def _add_generation_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--drift", default="zero",
                    help="zero | linear:<mu> | psi_n:<n> | lacunary:<preset>:<K> | table:<file>")
-    p.add_argument("--set", default="uniform", help="uniform | power:<beta> | dyadic:<level>")
+    p.add_argument("--set", default="uniform", help="uniform | power:<beta>")
 
 
 def cmd_simulate(args) -> int:

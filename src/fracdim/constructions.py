@@ -69,16 +69,21 @@ class LacunarySchedule:
         """Number of terms, or None for the infinite presets."""
         return len(self.frequencies_list) if self.preset == "custom" else None
 
+    def check_truncation(self, count: int) -> None:
+        """Refuse a truncation below 0 or past the end of a custom schedule."""
+        top = math.inf if self.length() is None else self.length()
+        if not 0 <= count <= top:
+            raise ValueError(f"truncation={count}; need 0 <= truncation <= {top}")
+
     def frequencies(self, count: int) -> tuple[int, ...]:
         """The first ``count`` frequencies as integers."""
+        self.check_truncation(count)
         if self.preset == "custom":
             return self.frequencies_list[:count]
         return tuple(int(round(2.0 ** self.log2_frequency(k))) for k in range(1, count + 1))
 
     def drift(self, truncation: int) -> DriftSpec:
         """The sum of the first ``truncation`` staircases, if float grids can hold it."""
-        if truncation < 0:
-            raise ValueError(f"truncation={truncation}; need truncation >= 0")
         try:
             return DriftSpec.lacunary(self.frequencies(truncation))
         except (DomainError, OverflowError) as exc:
@@ -107,8 +112,7 @@ def lacunary_tail_bound(schedule: LacunarySchedule, truncation: int) -> float:
     terms vanish; a schedule whose envelope sum blows past a fixed cap is
     rejected as non-lacunary.
     """
-    if truncation < 0:
-        raise ValueError("truncation must be >= 0")
+    schedule.check_truncation(truncation)
     total = 0.0
     k = truncation + 1
     terms = 0
@@ -225,9 +229,9 @@ def staircase_steps(n: int) -> tuple[np.ndarray, np.ndarray]:
     return breaks, values
 
 
-def lacunary_steps(frequencies, truncation: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Merged breakpoints and values of a truncated staircase sum."""
-    freqs = tuple(int(x) for x in frequencies)[: truncation if truncation is not None else None]
+def lacunary_steps(frequencies) -> tuple[np.ndarray, np.ndarray]:
+    """Merged breakpoints and values of the staircase sum over ``frequencies``."""
+    freqs = tuple(int(x) for x in frequencies)
     if not freqs:
         return np.array([0.0, 1.0]), np.array([0.0])
     all_breaks = [staircase_steps(n)[0] for n in freqs]

@@ -118,15 +118,13 @@ def drift_from_config(spec, d: int) -> DriftSpec:
 
 
 def parse_set_string(text: str) -> tuple[str, dict]:
-    """Parse a set token: uniform | power:<beta> | dyadic:<level>, level >= 0."""
+    """Parse a set token: uniform | power:<beta>.  ``points`` sizes either."""
     parts = text.split(":") if isinstance(text, str) else [None]
     if parts[0] == "uniform" and len(parts) == 1:
         return "uniform", {}
     if parts[0] == "power" and len(parts) == 2:
         return "power_set", {"beta": float(parts[1])}
-    if parts[0] == "dyadic" and len(parts) == 2 and parts[1].isdecimal():
-        return "dyadic", {"level": int(parts[1])}
-    raise ValueError(f"bad set {text!r}; need uniform | power:<beta> | dyadic:<level >= 0>")
+    raise ValueError(f"bad set {text!r}; need uniform | power:<beta>")
 
 
 def build_grid(set_kind: str, params: dict, points: int) -> TimeGrid:
@@ -134,8 +132,6 @@ def build_grid(set_kind: str, params: dict, points: int) -> TimeGrid:
         return TimeGrid.uniform(points)
     if set_kind == "power_set":
         return inverse_power_grid(params["beta"], points - 1)
-    if set_kind == "dyadic":
-        return TimeGrid.dyadic(params["level"])
     raise ValueError(f"unknown set kind {set_kind!r}")
 
 
@@ -275,6 +271,9 @@ class ExperimentReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     def median(self, obj: str, method: str) -> float:
+        """The median of ``obj`` by ``method``; ``not-measured`` if there is none."""
+        if method not in self.aggregates.get(obj, {}):
+            raise DomainError("not-measured", f"{obj} by {method}")
         return self.aggregates[obj][method]["median"]
 
     @property
@@ -416,10 +415,10 @@ def check_constancy(report: ExperimentReport, iqr_tol: float) -> dict:
     for every measured object."""
     if len(report.config["seeds"]) < 8:
         raise DomainError("insufficient-seeds", "constancy needs >= 8 seeds")
-    worst = 0.0
-    for obj in report.objects:
-        for m, agg in report.aggregates[obj].items():
-            worst = max(worst, agg["iqr"])
+    iqrs = [agg["iqr"] for per in report.aggregates.values() for agg in per.values()]
+    if not iqrs:
+        raise DomainError("not-measured", f"any object by {', '.join(report.config['methods'])}")
+    worst = max(iqrs)
     return _verdict(
         "constancy",
         worst <= iqr_tol,
@@ -430,7 +429,7 @@ def check_constancy(report: ExperimentReport, iqr_tol: float) -> dict:
 
 def _inequality(report: ExperimentReport, claim: str, prefix: str, slack: float) -> dict:
     method = _primary_method(report)
-    if f"{prefix}_sum" not in report.aggregates:
+    if report.config["drift"] == "zero":
         return _verdict(claim, True, 0.0, "zero drift: inequality collapses to equality")
     med_sum = report.median(f"{prefix}_sum", method)
     med_bm = report.median(f"{prefix}_bm", method)
@@ -464,7 +463,7 @@ def check_graph_equality_continuous(report: ExperimentReport, tol: float) -> dic
     if report.config["set"]["kind"] != "uniform" or report.config["d"] != 1:
         raise DomainError("equality-needs-uniform-d1", "equality check needs d=1 over [0, 1]")
     method = _primary_method(report)
-    if "graph_sum" not in report.aggregates:
+    if drift_cfg == "zero":
         return _verdict("thm16-equality", True, 0.0, "zero drift: trivial equality")
     med_sum = report.median("graph_sum", method)
     med_bm = report.median("graph_bm", method)
@@ -567,18 +566,15 @@ def _claim_config(claim: str, exp_cfg: dict) -> ExperimentConfig:
     })
 
 
-# One row per claim: its check, called as check(report, tolerances).
+# One row per claim: (check, tolerance keys), called as check(report, *tolerances).
 CLAIMS = {
-    "constancy": lambda rep, tol: check_constancy(rep, float(tol["constancy_iqr"])),
-    "thm13-image": lambda rep, tol: check_image_inequality(rep, float(tol["inequality_slack"])),
-    "thm15-graph": lambda rep, tol: check_graph_inequality(rep, float(tol["inequality_slack"])),
-    "thm16-equality": lambda rep, tol: check_graph_equality_continuous(
-        rep, float(tol["equality_tol"])),
-    "cor14-bound": lambda rep, tol: check_corollary_bound(
-        rep, float(tol["corollary_below"]), float(tol["corollary_above"])),
-    "example-53": lambda rep, tol: check_example_53(rep),
-    "example-74-directional": lambda rep, tol: check_example_74(
-        rep, float(tol["example74_min_gap"])),
+    "constancy": (check_constancy, ("constancy_iqr",)),
+    "thm13-image": (check_image_inequality, ("inequality_slack",)),
+    "thm15-graph": (check_graph_inequality, ("inequality_slack",)),
+    "thm16-equality": (check_graph_equality_continuous, ("equality_tol",)),
+    "cor14-bound": (check_corollary_bound, ("corollary_below", "corollary_above")),
+    "example-53": (check_example_53, ()),
+    "example-74-directional": (check_example_74, ("example74_min_gap",)),
 }
 
 CLAIM_IDS = tuple(CLAIMS)
@@ -587,29 +583,41 @@ CLAIM_IDS = tuple(CLAIMS)
 def run_claims(names, config: dict | None = None) -> dict:
     """Run registered claims and return ``{claim: report with its verdict}``.
 
-    The claims of one call share per-seed estimates, so each distinct
-    (experiment, seed) runs once.  A ``ValueError`` gains the claim (and, when
-    a seed failed, the seed) before its message; a ``DomainError`` keeps its
-    code.
+    Every named claim's config and tolerances are checked before any
+    experiment runs.  The claims of one call share per-seed estimates, so
+    each distinct (experiment, seed) runs once.  A ``ValueError`` gains the
+    claim (and, when a seed failed, the seed) before its message; a
+    ``DomainError`` keeps its code.
     """
-    for claim in names:
-        if claim not in CLAIMS:
-            raise KeyError(f"unknown claim {claim!r}; valid ids: {', '.join(CLAIM_IDS)}")
     cfg_all = config if config is not None else default_config()
-    tol = cfg_all["tolerances"]
-    memo: dict = {}
-    reports = {}
-    for claim in names:
-        exp_cfg = cfg_all["experiments"][claim]
-        try:
-            report = _run_experiment(_claim_config(claim, exp_cfg), memo)
+    tol = cfg_all.get("tolerances", {})
+    plans, memo, reports = {}, {}, {}
+    try:
+        for claim in names:
+            if claim not in CLAIMS:
+                raise KeyError(f"unknown claim {claim!r}; valid ids: {', '.join(CLAIM_IDS)}")
+            check, keys = CLAIMS[claim]
+            exp_cfg = cfg_all["experiments"][claim]
+            plans[claim] = (exp_cfg, _claim_config(claim, exp_cfg), check,
+                            [_tolerance(tol, key) for key in keys])
+        for claim, (exp_cfg, exp, check, values) in plans.items():
+            report = _run_experiment(exp, memo)
             if "schedule" in exp_cfg:
                 report.config["tail_bound"] = lacunary_tail_bound(
                     parse_schedule(exp_cfg["schedule"]), exp_cfg["truncation"])
-            reports[claim] = replace(report, verdicts=(CLAIMS[claim](report, tol),))
-        except ValueError as exc:
-            raise _prefixed(exc, f"claim {claim!r}: ") from exc
+            reports[claim] = replace(report, verdicts=(check(report, *values),))
+    except ValueError as exc:  # ``claim`` is the claim that raised
+        raise _prefixed(exc, f"claim {claim!r}: ") from exc
     return reports
+
+
+def _tolerance(tol: dict, key: str) -> float:
+    """The tolerance ``key``, which must be present and a finite number."""
+    value = tol.get(key)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"tolerance {key!r} must be a finite number, got {value!r}"
+                         if key in tol else f"missing tolerance {key!r}")
+    return float(value)
 
 
 def run_claim(claim: str, config: dict | None = None) -> ExperimentReport:

@@ -376,9 +376,8 @@ def scale_sweep(cloud: PointCloud, kind: str, j_min: int, j_max: int,
 def _uniform_graph_values(cloud: PointCloud) -> np.ndarray:
     if cloud.dim != 2:
         raise DomainError("not-dyadic-grid", "oscillation needs a 1-D graph cloud")
-    t = cloud.points[:, 0]
-    n = t.size - 1
-    if n < 1 or (n & (n - 1)) != 0 or not np.array_equal(t, np.linspace(0.0, 1.0, t.size)):
+    # the 2^J + 1 sample count is checked by graph_box_count_oscillation
+    if not np.array_equal(cloud.points[:, 0], np.linspace(0.0, 1.0, len(cloud))):
         raise DomainError("not-dyadic-grid", "oscillation needs the full uniform dyadic grid")
     return cloud.points[:, 1]
 

@@ -54,17 +54,16 @@ class TimeGrid:
             raise DomainError("empty-grid", "n_points must be >= 1")
         if n_points > MAX_GRID_POINTS:
             raise DomainError("grid-too-large", f"{n_points} points exceed cap {MAX_GRID_POINTS}")
-        times = np.array([0.0]) if n_points == 1 else np.linspace(0.0, 1.0, n_points)
-        return TimeGrid(times)
+        return TimeGrid(np.linspace(0.0, 1.0, n_points))
 
     @staticmethod
     def dyadic(level: int) -> "TimeGrid":
+        """The uniform grid of 2^level + 1 points."""
         if level < 0:
             raise ValueError("level must be >= 0")
-        n = (1 << level) + 1
-        if n > MAX_GRID_POINTS:
+        if level >= (MAX_GRID_POINTS - 1).bit_length():  # checked before forming 2^level
             raise DomainError("grid-too-large", f"2^{level}+1 points exceed cap {MAX_GRID_POINTS}")
-        return TimeGrid(np.linspace(0.0, 1.0, n))
+        return TimeGrid.uniform((1 << level) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -75,18 +74,16 @@ class TimeGrid:
 class DriftSpec:
     """Declarative description of a cadlag drift f: [0,1] -> R^d.
 
-    Variants: ``zero``, ``linear`` (slope mu), ``psi_n`` (one staircase
-    oscillation of frequency n), ``lacunary_sum`` (truncated sum of
-    staircases over a frequency schedule), ``table`` (right-continuous step
-    function through given knots).
+    Variants: ``zero``, ``linear`` (finite slope mu), ``lacunary_sum`` (the
+    sum of the staircases of a strictly increasing frequency ``schedule``;
+    ``psi_n(n)`` is its one-term case), ``table`` (right-continuous step
+    function through finite knots).
     """
 
     variant: str
     dim: int = 1
     mu: np.ndarray | None = None
-    n: int | None = None
     schedule: tuple[int, ...] | None = None
-    truncation: int | None = None
     table_times: np.ndarray | None = None
     table_values: np.ndarray | None = None
 
@@ -97,31 +94,25 @@ class DriftSpec:
     @staticmethod
     def linear(mu) -> "DriftSpec":
         mu = np.atleast_1d(np.asarray(mu, dtype=np.float64))
+        if not np.all(np.isfinite(mu)):
+            raise ValueError(f"linear drift slope {mu.tolist()} must be finite")
         return DriftSpec("linear", dim=mu.size, mu=mu)
 
     @staticmethod
     def psi_n(n: int) -> "DriftSpec":
-        n = int(n)
-        if n < 1 or n > MAX_STAIRCASE_N:
-            raise ValueError(f"staircase frequency must be in [1, {MAX_STAIRCASE_N}]")
-        return DriftSpec("psi_n", dim=1, n=n)
+        return DriftSpec.lacunary([n])
 
     @staticmethod
-    def lacunary(schedule, truncation: int | None = None) -> "DriftSpec":
+    def lacunary(schedule) -> "DriftSpec":
         sched = tuple(int(n) for n in schedule)
-        if any(b <= a for a, b in zip(sched, sched[1:])):
-            raise ValueError("frequency schedule must be strictly increasing")
-        if any(n < 1 for n in sched):
-            raise ValueError("frequencies must be positive integers")
-        k = len(sched) if truncation is None else int(truncation)
-        if not 0 <= k <= len(sched):
-            raise ValueError("truncation outside schedule length")
-        if any(n > MAX_STAIRCASE_N for n in sched[:k]):
+        if any(b <= a for a, b in zip(sched, sched[1:])) or any(n < 1 for n in sched):
+            raise ValueError("frequency schedule must be strictly increasing positive integers")
+        if any(n > MAX_STAIRCASE_N for n in sched):
             raise DomainError(
                 "schedule-not-simulable",
                 f"frequencies above {MAX_STAIRCASE_N} cannot be evaluated on float grids",
             )
-        return DriftSpec("lacunary_sum", dim=1, schedule=sched, truncation=k)
+        return DriftSpec("lacunary_sum", dim=1, schedule=sched)
 
     @staticmethod
     def table(times, values) -> "DriftSpec":
@@ -131,6 +122,8 @@ class DriftSpec:
             v = v[:, None]
         if t.ndim != 1 or t.size != v.shape[0] or t.size == 0:
             raise ValueError("table needs matching non-empty times and values")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise ValueError("table times and values must be finite")
         if not np.all(np.diff(t) > 0):
             raise ValueError("table times must be strictly increasing")
         if t[0] != 0.0:
@@ -195,7 +188,8 @@ def eval_drift(spec: DriftSpec, t) -> np.ndarray:
     """Evaluate a drift at time(s) t in [0, 1].
 
     Scalar t gives shape (d,); an array of shape (k,) gives (k, d).  Step
-    variants return the right-limit value at jumps.
+    variants return the right-limit value at jumps.  A staircase sum adds its
+    terms to a zero start, so ``psi_n(n)`` gives the bare staircase bit for bit.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     scalar = np.ndim(t) == 0
@@ -206,11 +200,9 @@ def eval_drift(spec: DriftSpec, t) -> np.ndarray:
         out = np.zeros((t_arr.size, spec.dim))
     elif spec.variant == "linear":
         out = t_arr[:, None] * spec.mu[None, :]
-    elif spec.variant == "psi_n":
-        out = _staircase(spec.n, t_arr)[:, None]
     elif spec.variant == "lacunary_sum":
         acc = np.zeros(t_arr.size)
-        for n_k in spec.schedule[: spec.truncation]:
+        for n_k in spec.schedule:
             acc += _staircase(n_k, t_arr)
         out = acc[:, None]
     elif spec.variant == "table":
@@ -274,13 +266,10 @@ def levy_construct(depth: int, d: int, seed: int) -> SamplePath:
     Level k draws from its own random stream, so refining the same seed to a
     larger depth leaves all coarser dyadic values unchanged.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    n_intervals = 1 << depth
-    if n_intervals + 1 > MAX_GRID_POINTS:
-        raise DomainError("grid-too-large", f"2^{depth}+1 points exceed cap {MAX_GRID_POINTS}")
+    grid = TimeGrid.dyadic(depth)
+    n_intervals = len(grid) - 1
     values = np.zeros((n_intervals + 1, d))
     values[-1] = stream(seed, 0).standard_normal(d)
     for k in range(1, depth + 1):
@@ -288,7 +277,6 @@ def levy_construct(depth: int, d: int, seed: int) -> SamplePath:
         mids = np.arange(step, n_intervals, 2 * step)
         z = stream(seed, k).standard_normal((mids.size, d))
         values[mids] = 0.5 * (values[mids - step] + values[mids + step]) + np.sqrt(2.0 ** -(k + 1)) * z
-    grid = TimeGrid.dyadic(depth)
     return SamplePath(grid, d, values, np.zeros_like(values), int(seed), "levy")
 
 

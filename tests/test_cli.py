@@ -39,6 +39,18 @@ def test_simulate_staircase_drift_values(capsys):
     assert drift_col == {"0.25", "0.375"}
 
 
+@pytest.mark.parametrize("argv, word", [
+    (["--drift", "lacunary:custom(16,64):5"], "truncation=5"),
+    (["--drift", "linear:nan"], "finite"),
+    (["--drift", "linear:1,-inf", "--d", "2"], "finite"),
+    (["--set", "dyadic:4"], "dyadic:4"),
+])
+def test_simulate_refuses_invalid_generation_flags(capsys, argv, word):
+    code, out, err = run_cli(capsys, "simulate", "--points", "65", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and word in err
+
+
 def test_simulate_bad_drift_names_token(capsys):
     code, _, err = run_cli(capsys, "simulate", "--drift", "wiggle:2")
     assert code == 2
@@ -125,6 +137,9 @@ def test_bounds_formulas(capsys):
 def test_bounds_out_of_domain(capsys):
     code, _, err = run_cli(capsys, "bounds", "image", "--alpha", "1.5", "--d", "1")
     assert code == 2 and "alpha" in err
+    code, _, err = run_cli(capsys, "bounds", "tail", "--schedule", "custom(16,64)",
+                           "--truncation", "5")
+    assert code == 2 and "truncation=5" in err
 
 
 def test_experiment_unknown_claim_lists_ids(capsys):
@@ -255,6 +270,11 @@ def test_experiment_refine_below_two_exits_2(capsys, tmp_path):
     ({"schedule": "desk", "truncation": 2.5}, "truncation must be an integer"),
     ({"schedule": "desk", "truncation": 3, "method": ["box"]}, "'method'"),
     ({"schedule": "desk", "truncation": 3, "drift": "zero"}, "'drift'"),
+    ({"schedule": "custom(16,64)", "truncation": 5}, "truncation=5"),
+    ({"drift": "lacunary:custom(16,64):5"}, "truncation=5"),
+    ({"drift": "linear:nan"}, "linear:nan"),
+    ({"drift": "linear:inf"}, "linear:inf"),
+    ({"set": "dyadic:6", "points": 4097}, "dyadic:6"),
 ])
 def test_experiment_invalid_config_field_exits_2_with_one_error_line(
         capsys, tmp_path, fields, word):
@@ -267,6 +287,35 @@ def test_experiment_invalid_config_field_exits_2_with_one_error_line(
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and word in err
     assert "claim 'constancy': " in err
+
+
+@pytest.mark.parametrize("claim, entry, word", [
+    # 4096 points are not a 2^J + 1 grid, so oscillation measures nothing
+    ("constancy", {"points": 4096, "seeds": list(range(1, 9))}, "any object by oscillation"),
+    # oscillation measures graphs only, never the images the check compares
+    ("thm13-image", {"points": 2**9 + 1, "seeds": [1], "drift": "psi_n:16"},
+     "image_sum by oscillation"),
+])
+def test_experiment_check_without_its_estimates_exits_2(capsys, tmp_path, claim, entry, word):
+    path = _tiny_config(tmp_path, [1.0, 5.0])
+    cfg = json.loads(path.read_text())
+    cfg["experiments"][claim] = {"scales": [3, 7], "methods": ["oscillation"], **entry}
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "experiment", "--name", claim, "--config", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: not-measured: claim '{claim}': {word}\n"
+
+
+def test_experiment_missing_tolerance_exits_2_naming_claim_and_key(capsys, tmp_path):
+    path = _tiny_config(tmp_path, [1.0, 5.0])
+    cfg = json.loads(path.read_text())
+    del cfg["tolerances"]["corollary_below"]
+    cfg["experiments"]["cor14-bound"] = {"set": "power:1", "points": 2**9 + 1,
+                                         "scales": [3, 7], "seeds": [1]}
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "experiment", "--name", "cor14-bound", "--config", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: claim 'cor14-bound': missing tolerance 'corollary_below'\n"
 
 
 def test_experiment_all_names_the_failing_claim_and_seed(capsys, tmp_path):

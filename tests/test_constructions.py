@@ -140,6 +140,9 @@ def test_lacunary_tail_bound_paper_and_custom():
     sched = fd.LacunarySchedule.custom([16, 64, 256])
     assert fd.lacunary_tail_bound(sched, 3) == 0.0
     assert fd.lacunary_tail_bound(sched, 2) == 256.0**-0.25
+    for truncation in (-1, 4):  # the same check as the schedule's drift
+        with pytest.raises(ValueError, match=f"truncation={truncation}"):
+            fd.lacunary_tail_bound(sched, truncation)
 
 
 def test_lacunary_tail_diverges_guard(monkeypatch):

@@ -1,6 +1,7 @@
 """Experiment orchestration: structure, determinism, checks, registry."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -181,11 +182,27 @@ def test_check_inequalities_zero_drift_trivial():
     assert check_graph_inequality(rep, 0.1)["pass"]
 
 
+def test_checks_refuse_estimates_they_did_not_get():
+    # a drifted report whose methods measured only the graphs
+    rep = synthetic_report({"graph_bm": [1.5] * 8, "graph_drift": [1.0] * 8,
+                            "graph_sum": [1.5] * 8}, drift="psi_n:16")
+    with pytest.raises(DomainError) as ei:
+        check_image_inequality(rep, 0.1)
+    assert ei.value.code == "not-measured" and ei.value.detail == "image_sum by box"
+    with pytest.raises(DomainError) as ei:
+        rep.median("graph_bm", "oscillation")
+    assert ei.value.code == "not-measured" and ei.value.detail == "graph_bm by oscillation"
+    unmeasured = replace(synthetic_report({"graph_bm": [1.5] * 8}), aggregates={})
+    with pytest.raises(DomainError) as ei:
+        check_constancy(unmeasured, 0.05)
+    assert ei.value.code == "not-measured"
+
+
 def test_check_inequality_detects_violation():
     rep = synthetic_report({
         "image_bm": [1.0] * 8, "image_drift": [0.6] * 8, "image_sum": [0.8] * 8,
         "graph_bm": [1.5] * 8, "graph_drift": [1.0] * 8, "graph_sum": [1.3] * 8,
-    })
+    }, drift="psi_n:16")
     v = check_image_inequality(rep, 0.1)
     assert not v["pass"] and abs(v["margin"] + 0.2) < 1e-12
     v2 = check_graph_inequality(rep, 0.1)
@@ -383,6 +400,25 @@ def test_seed_free_part_is_computed_once_per_distinct_setup(monkeypatch):
         assert names == ["t"]
 
 
+@pytest.mark.parametrize("tolerance, word", [
+    (None, "missing tolerance 'example74_min_gap'"),
+    ("0.03", "tolerance 'example74_min_gap' must be a finite number"),
+    (True, "tolerance 'example74_min_gap' must be a finite number"),
+    (float("nan"), "tolerance 'example74_min_gap' must be a finite number"),
+])
+def test_run_claims_reads_tolerances_before_running(monkeypatch, tolerance, word):
+    calls = []
+    monkeypatch.setattr(experiments, "seed_free_part", lambda cfg: calls.append(cfg.name))
+    config = shared_run_config()
+    del config["tolerances"]["example74_min_gap"]
+    if tolerance is not None:
+        config["tolerances"]["example74_min_gap"] = tolerance
+    with pytest.raises(ValueError) as ei:
+        run_claims(SHARED_CLAIMS, config)
+    assert str(ei.value).startswith(f"claim 'example-74-directional': {word}")
+    assert calls == []
+
+
 def test_drift_objects_are_swept_once_per_experiment(monkeypatch):
     swept = []
     real = experiments.scale_sweep
@@ -528,7 +564,7 @@ def test_run_claim_unknown_id():
 def test_parse_drift_string_round_trip():
     assert parse_drift_string("zero", 2).dim == 2
     assert np.array_equal(parse_drift_string("linear:1.5,-2", 2).mu, [1.5, -2.0])
-    assert parse_drift_string("psi_n:64", 1).n == 64
+    assert parse_drift_string("psi_n:64", 1) == fd.DriftSpec.lacunary([64])
     spec = parse_drift_string("lacunary:desk:2", 1)
     assert spec.schedule == (64, 256)
     with pytest.raises(ValueError):
@@ -540,6 +576,7 @@ def test_parse_drift_string_round_trip():
 def test_parse_set_string():
     assert parse_set_string("uniform") == ("uniform", {})
     assert parse_set_string("power:1.5") == ("power_set", {"beta": 1.5})
-    assert parse_set_string("dyadic:4") == ("dyadic", {"level": 4})
-    with pytest.raises(ValueError):
-        parse_set_string("grid:9")
+    # a dyadic grid is ``uniform`` with 2^L + 1 points; there is no dyadic token
+    for text in ("grid:9", "dyadic:4"):
+        with pytest.raises(ValueError):
+            parse_set_string(text)

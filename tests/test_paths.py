@@ -119,6 +119,27 @@ def test_levy_and_increments_agree_in_law():
         assert 0.44 <= vals.var(ddof=1) <= 0.56
 
 
+def test_dyadic_grid_is_the_uniform_grid():
+    for level in range(0, 13):
+        dyadic = fd.TimeGrid.dyadic(level).times
+        assert dyadic.tobytes() == fd.TimeGrid.uniform(2**level + 1).times.tobytes()
+    with pytest.raises(ValueError):
+        fd.TimeGrid.dyadic(-1)
+
+
+def test_levy_depth_refused_before_forming_two_to_the_depth():
+    # 2^(10^9) would be a 125 MB integer
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError) as ei:
+            fd.levy_construct(10**9, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ei.value.code == "grid-too-large"
+    assert peak < 1 << 20
+
+
 def test_levy_grid_cap():
     # depth 24 gives 2^24 + 1 points, one over the cap; refused before allocating
     tracemalloc.start()
@@ -222,16 +243,48 @@ def test_lacunary_schedule_validation():
         fd.DriftSpec.lacunary([64, 64, 256])
     with pytest.raises(ValueError):
         fd.DriftSpec.lacunary([64, 16])
-    with pytest.raises(ValueError):
-        fd.DriftSpec.lacunary([16, 64], truncation=5)
+    # the truncation of a schedule is checked by the schedule alone
+    for truncation in (-1, 3, 5):
+        with pytest.raises(ValueError) as ei:
+            fd.LacunarySchedule.custom([16, 64]).drift(truncation)
+        assert f"truncation={truncation}" in str(ei.value)
 
 
 def test_lacunary_drift_is_sum_of_staircases():
-    spec = fd.DriftSpec.lacunary([64, 256, 1024], truncation=2)
+    spec = fd.LacunarySchedule.custom([64, 256, 1024]).drift(2)
+    assert spec == fd.DriftSpec.lacunary([64, 256])
     ts = np.linspace(0, 1, 257)
     want = (fd.eval_drift(fd.DriftSpec.psi_n(64), ts)
             + fd.eval_drift(fd.DriftSpec.psi_n(256), ts))
     assert np.array_equal(fd.eval_drift(spec, ts), want)
+
+
+def test_psi_n_is_the_one_term_staircase_sum():
+    ts = np.linspace(0.0, 1.0, 2**16 + 1)
+    for n in (1, 4, 16, 64, 1024, 4096):
+        spec = fd.DriftSpec.psi_n(n)
+        assert spec == fd.DriftSpec.lacunary([n])
+        vals = fd.eval_drift(spec, ts)
+        # the same bits as the bare staircase: no value is -0.0
+        assert vals.tobytes() == fd.paths._staircase(n, ts)[:, None].tobytes()
+
+
+def test_staircase_frequency_bounds():
+    with pytest.raises(ValueError):
+        fd.DriftSpec.psi_n(0)
+    with pytest.raises(DomainError) as ei:
+        fd.DriftSpec.psi_n(fd.paths.MAX_STAIRCASE_N + 1)
+    assert ei.value.code == "schedule-not-simulable"
+
+
+@pytest.mark.parametrize("mu", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_drift_parameters_are_refused(mu):
+    with pytest.raises(ValueError):
+        fd.DriftSpec.linear([1.0, mu])
+    with pytest.raises(ValueError):
+        fd.DriftSpec.table([0.0, 0.5], [[1.0], [mu]])
+    with pytest.raises(ValueError):
+        fd.DriftSpec.table([0.0, mu], [[1.0], [2.0]])
 
 
 def test_table_right_continuous_lookup():
