@@ -26,7 +26,6 @@ from .experiments import (
     build_grid,
     load_config,
     parse_drift_string,
-    parse_set_string,
     run_claims,
 )
 from .metrics import estimate_dimension, graph_cloud, image_cloud, scale_sweep
@@ -42,9 +41,7 @@ def _build_path(args):
     if args.levy_depth is not None:
         path = levy_construct(args.levy_depth, args.d, args.seed)
     else:
-        set_kind, set_params = parse_set_string(args.set)
-        grid = build_grid(set_kind, set_params, args.points)
-        path = generate_bm(grid, args.d, args.seed)
+        path = generate_bm(build_grid(args.set, args.points), args.d, args.seed)
     return apply_drift(path, drift)
 
 

@@ -29,7 +29,7 @@ constancy's setup and seeds.
 import importlib.resources
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .metrics import (
     image_cloud,
     scale_sweep,
 )
-from .paths import DriftSpec, SamplePath, TimeGrid, apply_drift, generate_bm
+from .paths import DriftSpec, SamplePath, TimeGrid, apply_drift, check_path_shape, generate_bm
 
 _METHOD_KINDS = {
     "box": "box",
@@ -102,46 +102,48 @@ def _integer(name: str, value) -> int:
 
 def drift_from_config(spec, d: int) -> DriftSpec:
     """Drift from a grammar string, or from a ``staircase_table`` object with
-    the keys ``kind``, ``n`` and, optionally, ``d``."""
+    the keys ``kind``, ``n`` and, optionally, ``d``, which must be the
+    experiment's ``d``."""
     if isinstance(spec, str):
         return parse_drift_string(spec, d)
     if not (isinstance(spec, dict) and spec.get("kind") == "staircase_table"
             and set(spec) <= {"kind", "n", "d"}):
         raise ValueError(f"unknown drift config {spec!r}")
-    cols_d = _integer("staircase_table d", spec.get("d", d))
-    if cols_d < 1:
-        raise ValueError(f"staircase_table drift with d={cols_d}; need d >= 1")
+    if _integer("staircase_table d", spec.get("d", d)) != d:
+        raise ValueError(f"staircase_table drift with d={spec['d']} in a d={d} experiment")
     breaks, values = staircase_steps(_integer("staircase_table n", spec.get("n")))
-    cols = np.zeros((values.size, cols_d))
+    cols = np.zeros((values.size, d))
     cols[:, 0] = values
     return DriftSpec.table(breaks[:-1], cols)
 
 
 def parse_set_string(text: str) -> tuple[str, dict]:
-    """Parse a set token: uniform | power:<beta>.  ``points`` sizes either."""
+    """Parse a set token: uniform | power:<beta>, with beta positive and
+    finite.  ``points`` sizes either."""
     parts = text.split(":") if isinstance(text, str) else [None]
     if parts[0] == "uniform" and len(parts) == 1:
         return "uniform", {}
     if parts[0] == "power" and len(parts) == 2:
-        return "power_set", {"beta": float(parts[1])}
+        try:
+            beta = float(parts[1])
+        except ValueError:
+            beta = math.nan
+        if math.isfinite(beta) and beta > 0:
+            return "power_set", {"beta": beta}
+        raise ValueError(f"bad set {text!r}; power:<beta> needs a positive finite beta")
     raise ValueError(f"bad set {text!r}; need uniform | power:<beta>")
 
 
-def build_grid(set_kind: str, params: dict, points: int) -> TimeGrid:
-    if set_kind == "uniform":
+def build_grid(token: str, points: int) -> TimeGrid:
+    """The grid of the set ``token`` with ``points`` points."""
+    kind, params = parse_set_string(token)
+    if kind == "uniform":
         return TimeGrid.uniform(points)
-    if set_kind == "power_set":
-        return inverse_power_grid(params["beta"], points - 1)
-    raise ValueError(f"unknown set kind {set_kind!r}")
+    return inverse_power_grid(params["beta"], points - 1)
 
 
 # ---------------------------------------------------------------------------
 # configuration
-
-
-# the keys of an experiment entry, and of an example entry
-_ENTRY_KEYS = ("drift", "set", "d", "seeds", "points", "scales", "methods", "refine", "target")
-_EXAMPLE_KEYS = ("schedule", "truncation", "points", "scales", "seeds", "target")
 
 
 def _check_entry(entry, allowed: tuple, required: tuple) -> None:
@@ -160,19 +162,19 @@ def _check_entry(entry, allowed: tuple, required: tuple) -> None:
 class ExperimentConfig:
     """Everything needed to reproduce one experiment byte for byte.
 
-    ``drift`` is the drift in config form, a grammar string or a structured
-    dict, as reports echo it; ``drift_spec`` is derived from it.
+    Every field but ``name`` and ``drift_spec`` is the entry key of that
+    name, as the entry gives it, with the default an entry that leaves the
+    key out gets; ``drift_spec`` is derived from ``drift``.
     """
 
     name: str
-    drift: object
-    set_kind: str
-    set_params: tuple
-    d: int
     seeds: tuple
     points: int
     scales: tuple  # (j_min, j_max)
-    methods: tuple
+    drift: object = "zero"
+    set: str = "uniform"
+    d: int = 1
+    methods: tuple = ("box",)
     refine: int = 4
     target: tuple | None = None  # (claimed value, tolerance)
     drift_spec: DriftSpec = field(init=False, repr=False, compare=False)
@@ -195,12 +197,8 @@ class ExperimentConfig:
         if j_min < SWEEP_J_RANGE[0] or j_max > SWEEP_J_RANGE[1]:
             raise ValueError(f"scales {list(self.scales)} must lie in {list(SWEEP_J_RANGE)}, "
                              "where every 2^-j is a positive finite double")
-        if self.d < 1:
-            raise ValueError(f"d={self.d}; need d >= 1")
-        if self.set_kind == "power_set":
-            beta = dict(self.set_params)["beta"]
-            if not (math.isfinite(beta) and beta > 0):
-                raise ValueError(f"power grid beta={beta}; need a positive finite beta")
+        check_path_shape(self.points, self.d)
+        parse_set_string(self.set)
         if self.points < 2 ** (j_max + 2):
             raise ValueError(
                 f"points={self.points} under-resolves j_max={j_max}; need >= 2^{j_max + 2}"
@@ -218,30 +216,12 @@ class ExperimentConfig:
             raise ValueError(f"target must be two numbers [value, tolerance], got {self.target!r}")
         object.__setattr__(self, "drift_spec", drift_from_config(self.drift, self.d))
 
-    @staticmethod
-    def from_dict(name: str, cfg: dict) -> "ExperimentConfig":
-        """The experiment of one config entry, with every key checked."""
-        _check_entry(cfg, _ENTRY_KEYS, ("points", "scales", "seeds"))
-        set_kind, set_params = parse_set_string(cfg.get("set", "uniform"))
-        return ExperimentConfig(
-            name=name,
-            drift=cfg.get("drift", "zero"),
-            set_kind=set_kind,
-            set_params=tuple(sorted(set_params.items())),
-            d=cfg.get("d", 1),
-            seeds=cfg["seeds"],
-            points=cfg["points"],
-            scales=cfg["scales"],
-            methods=cfg.get("methods", ["box"]),
-            refine=cfg.get("refine", 4),
-            target=cfg.get("target"),
-        )
-
     def to_dict(self) -> dict:
+        kind, params = parse_set_string(self.set)
         return {
             "name": self.name,
             "drift": self.drift,
-            "set": {"kind": self.set_kind, **dict(self.set_params)},
+            "set": {"kind": kind, **params},
             "d": self.d,
             "seeds": list(self.seeds),
             "points": self.points,
@@ -250,6 +230,13 @@ class ExperimentConfig:
             "refine": self.refine,
             "target": list(self.target) if self.target else None,
         }
+
+
+# the keys of an experiment entry, those it needs, and the keys of an example entry
+_ENTRY_FIELDS = [f for f in fields(ExperimentConfig) if f.init and f.name != "name"]
+_ENTRY_KEYS = tuple(f.name for f in _ENTRY_FIELDS)
+_REQUIRED_KEYS = tuple(f.name for f in _ENTRY_FIELDS if f.default is MISSING)
+_EXAMPLE_KEYS = ("schedule", "truncation", "points", "scales", "seeds", "target")
 
 
 @dataclass(frozen=True)
@@ -290,7 +277,7 @@ def _method_applies(method: str, obj: str, cloud: PointCloud, cfg: ExperimentCon
         return cloud.dim <= 3
     if method == "oscillation":
         uniform_dyadic = (
-            cfg.set_kind == "uniform" and (cfg.points - 1) & (cfg.points - 2) == 0
+            cfg.set == "uniform" and (cfg.points - 1) & (cfg.points - 2) == 0
         )
         return obj.startswith("graph") and cloud.dim == 2 and uniform_dyadic
     return True
@@ -323,7 +310,7 @@ class SeedFreePart:
 def seed_free_part(cfg: ExperimentConfig) -> SeedFreePart:
     """The part of an experiment that no seed changes; pure in ``cfg`` less
     its name and seeds."""
-    grid = build_grid(cfg.set_kind, dict(cfg.set_params), cfg.points)
+    grid = build_grid(cfg.set, cfg.points)
     still = np.zeros((len(grid), cfg.d))
     # the drift alone: the drift applied to a path whose noise is zero
     drift = apply_drift(SamplePath(grid, cfg.d, still, still, 0, "increments"), cfg.drift_spec)
@@ -500,8 +487,6 @@ def check_corollary_bound(report: ExperimentReport, below: float, above: float) 
 def check_example_53(report: ExperimentReport) -> dict:
     """Measured graph dimension of the truncated staircase sum is within the
     tolerance of the analytic target, both frozen in the config's target."""
-    if report.config["target"] is None:
-        raise ValueError("example-53 needs a (target, tolerance) in the config")
     target, tol = (float(x) for x in report.config["target"])
     method = _primary_method(report)
     med = report.median("graph_drift", method)
@@ -540,30 +525,30 @@ def default_config() -> dict:
 
 
 def load_config(path: str | None = None) -> dict:
+    """The shipped defaults, or the config object in the JSON file ``path``."""
     if path is None:
         return default_config()
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"config {path} must hold a JSON object, got {config!r}")
+    return config
 
 
-def _claim_config(claim: str, exp_cfg: dict) -> ExperimentConfig:
+def _claim_config(claim: str, entry: dict) -> ExperimentConfig:
     """Experiment of one claim's config entry.
 
     An example entry names a lacunary schedule and its truncation; it runs
     as the experiment ``example`` with the drift ``lacunary:<schedule>:<K>``
     over the uniform grid in one dimension.
     """
-    if not isinstance(exp_cfg, dict) or "schedule" not in exp_cfg:
-        return ExperimentConfig.from_dict(claim, exp_cfg)
-    _check_entry(exp_cfg, _EXAMPLE_KEYS, ("truncation", "points", "scales", "seeds"))
-    truncation = _integer("truncation", exp_cfg["truncation"])
-    return ExperimentConfig.from_dict("example", {
-        "drift": f"lacunary:{exp_cfg['schedule']}:{truncation}",
-        "points": exp_cfg["points"],
-        "scales": exp_cfg["scales"],
-        "seeds": exp_cfg["seeds"],
-        "target": exp_cfg.get("target"),
-    })
+    if not isinstance(entry, dict) or "schedule" not in entry:
+        _check_entry(entry, _ENTRY_KEYS, _REQUIRED_KEYS)
+        return ExperimentConfig(claim, **entry)
+    _check_entry(entry, _EXAMPLE_KEYS, ("truncation", "points", "scales", "seeds"))
+    truncation = _integer("truncation", entry["truncation"])
+    rest = {k: v for k, v in entry.items() if k not in ("schedule", "truncation")}
+    return ExperimentConfig("example", drift=f"lacunary:{entry['schedule']}:{truncation}", **rest)
 
 
 # One row per claim: (check, tolerance keys), called as check(report, *tolerances).
@@ -590,16 +575,23 @@ def run_claims(names, config: dict | None = None) -> dict:
     ``DomainError`` keeps its code.
     """
     cfg_all = config if config is not None else default_config()
-    tol = cfg_all.get("tolerances", {})
+    tol, entries = cfg_all.get("tolerances", {}), cfg_all.get("experiments")
+    for key, value in (("tolerances", tol), ("experiments", entries)):
+        if not isinstance(value, dict):
+            raise ValueError(f"config key {key!r} must be an object, got {value!r}")
     plans, memo, reports = {}, {}, {}
     try:
         for claim in names:
             if claim not in CLAIMS:
                 raise KeyError(f"unknown claim {claim!r}; valid ids: {', '.join(CLAIM_IDS)}")
+            if claim not in entries:
+                raise ValueError("no entry under config key 'experiments'")
             check, keys = CLAIMS[claim]
-            exp_cfg = cfg_all["experiments"][claim]
-            plans[claim] = (exp_cfg, _claim_config(claim, exp_cfg), check,
-                            [_tolerance(tol, key) for key in keys])
+            exp_cfg = entries[claim]
+            exp = _claim_config(claim, exp_cfg)
+            if check is check_example_53 and exp.target is None:
+                raise ValueError("missing target [value, tolerance]")
+            plans[claim] = (exp_cfg, exp, check, [_tolerance(tol, key) for key in keys])
         for claim, (exp_cfg, exp, check, values) in plans.items():
             report = _run_experiment(exp, memo)
             if "schedule" in exp_cfg:

@@ -366,7 +366,8 @@ def scale_sweep(cloud: PointCloud, kind: str, j_min: int, j_max: int,
     elif kind == "sausage_volume":
         vals = [sausage_volume(cloud, e, refine=refine) for e in eps]
     elif kind == "oscillation":
-        vals = [graph_box_count_oscillation(_uniform_graph_values(cloud), int(j)) for j in js]
+        values = _uniform_graph_values(cloud)
+        vals = [graph_box_count_oscillation(values, int(j)) for j in js]
     else:
         raise ValueError(f"unknown series kind {kind!r}")
     return ScaleSeries(kind, eps, np.asarray(vals, dtype=np.float64),

@@ -17,6 +17,8 @@ from .errors import DomainError
 from .rng import stream
 
 MAX_GRID_POINTS = 1 << 24
+# sample values (points x d) that one path array may hold
+MAX_PATH_VALUES = 4 * MAX_GRID_POINTS
 
 # staircase frequencies above this lose integer resolution in float64 grids
 MAX_STAIRCASE_N = 1 << 24
@@ -64,6 +66,15 @@ class TimeGrid:
         if level >= (MAX_GRID_POINTS - 1).bit_length():  # checked before forming 2^level
             raise DomainError("grid-too-large", f"2^{level}+1 points exceed cap {MAX_GRID_POINTS}")
         return TimeGrid.uniform((1 << level) + 1)
+
+
+def check_path_shape(n_points: int, d: int) -> None:
+    """Refuse ``d < 1``, or a path of ``n_points`` x ``d`` values above the cap."""
+    if d < 1:
+        raise ValueError(f"d={d}; need d >= 1")
+    if n_points * d > MAX_PATH_VALUES:
+        raise DomainError("grid-too-large",
+                          f"{n_points} points x d={d} exceed cap {MAX_PATH_VALUES} path values")
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +261,7 @@ def generate_bm(grid: TimeGrid, d: int, seed: int) -> SamplePath:
     equal to the first grid time (exactly zero when the grid starts at 0).
     Deterministic given (grid, d, seed).
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    check_path_shape(len(grid), d)
     t = grid.times
     dt = np.diff(t, prepend=0.0)
     z = stream(seed, 0).standard_normal((t.size, d))
@@ -266,9 +276,8 @@ def levy_construct(depth: int, d: int, seed: int) -> SamplePath:
     Level k draws from its own random stream, so refining the same seed to a
     larger depth leaves all coarser dyadic values unchanged.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
     grid = TimeGrid.dyadic(depth)
+    check_path_shape(len(grid), d)
     n_intervals = len(grid) - 1
     values = np.zeros((n_intervals + 1, d))
     values[-1] = stream(seed, 0).standard_normal(d)

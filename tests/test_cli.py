@@ -44,11 +44,22 @@ def test_simulate_staircase_drift_values(capsys):
     (["--drift", "linear:nan"], "finite"),
     (["--drift", "linear:1,-inf", "--d", "2"], "finite"),
     (["--set", "dyadic:4"], "dyadic:4"),
+    (["--set", "power:nan"], "positive finite beta"),
+    (["--set", "power:0"], "positive finite beta"),
+    (["--d", str(10**12)], "grid-too-large"),
+    (["--d", "0"], "d=0"),
 ])
 def test_simulate_refuses_invalid_generation_flags(capsys, argv, word):
     code, out, err = run_cli(capsys, "simulate", "--points", "65", *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and word in err
+
+
+@pytest.mark.parametrize("beta", ["nan", "0", "-1"])
+def test_dims_refuses_the_beta_that_the_config_refuses(capsys, beta):
+    code, out, err = run_cli(capsys, "dims", "--points", "65", "--set", f"power:{beta}")
+    assert code == 2 and out == ""
+    assert err == f"error: bad set 'power:{beta}'; power:<beta> needs a positive finite beta\n"
 
 
 def test_simulate_bad_drift_names_token(capsys):
@@ -275,6 +286,11 @@ def test_experiment_refine_below_two_exits_2(capsys, tmp_path):
     ({"drift": "linear:nan"}, "linear:nan"),
     ({"drift": "linear:inf"}, "linear:inf"),
     ({"set": "dyadic:6", "points": 4097}, "dyadic:6"),
+    # resource guards, before anything of that size is allocated
+    ({"d": 10**12}, "grid-too-large"),
+    ({"drift": {"kind": "staircase_table", "n": 2**40}}, "grid-too-large"),
+    ({"drift": {"kind": "staircase_table", "n": 0}}, "positive perfect-square"),
+    ({"drift": {"kind": "staircase_table", "n": 16, "d": 2}}, "d=2 in a d=1 experiment"),
 ])
 def test_experiment_invalid_config_field_exits_2_with_one_error_line(
         capsys, tmp_path, fields, word):
@@ -336,3 +352,25 @@ def test_experiment_all_names_the_failing_claim_and_seed(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err.splitlines()[-1].startswith(
         "error: grid-too-large: claim 'thm16-equality': seed 5: ")
+
+
+TINY_ENTRY = {"set": "power:1", "points": 2**9 + 1, "scales": [3, 7], "seeds": [1]}
+
+
+@pytest.mark.parametrize("config, message", [
+    *[(top, f"must hold a JSON object, got {top!r}") for top in ([], 5, "x", None)],
+    *[({"experiments": value}, f"config key 'experiments' must be an object, got {value!r}")
+      for value in (None, [], 5, "x")],
+    *[({"tolerances": value, "experiments": {"cor14-bound": TINY_ENTRY}},
+       f"config key 'tolerances' must be an object, got {value!r}")
+      for value in (None, [], 5, "x")],
+    ({"experiments": {"constancy": TINY_ENTRY}},
+     "claim 'cor14-bound': no entry under config key 'experiments'"),
+])
+def test_experiment_config_of_the_wrong_shape_exits_2_with_one_error_line(
+        capsys, tmp_path, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "experiment", "--name", "cor14-bound", "--config", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err

@@ -137,6 +137,8 @@ def test_lacunary_tail_bound_desk():
 
 def test_lacunary_tail_bound_paper_and_custom():
     assert fd.lacunary_tail_bound(fd.LacunarySchedule.paper(), 1) <= 0.002
+    # n_k = 2^(6^k) leaves the doubles: the tail is 0, not an overflow
+    assert fd.lacunary_tail_bound(fd.LacunarySchedule.paper(), 10**9) == 0.0
     sched = fd.LacunarySchedule.custom([16, 64, 256])
     assert fd.lacunary_tail_bound(sched, 3) == 0.0
     assert fd.lacunary_tail_bound(sched, 2) == 256.0**-0.25
@@ -145,11 +147,11 @@ def test_lacunary_tail_bound_paper_and_custom():
             fd.lacunary_tail_bound(sched, truncation)
 
 
-def test_lacunary_tail_diverges_guard(monkeypatch):
-    monkeypatch.setattr(constructions, "TAIL_SUM_CAP", 0.5)
-    with pytest.raises(DomainError) as ei:
-        fd.lacunary_tail_bound(fd.LacunarySchedule.custom(list(range(1, 50))), 0)
-    assert ei.value.code == "tail-diverges"
+def test_lacunary_tail_bound_sums_every_term_of_a_long_custom_schedule():
+    # 100002 terms whose envelope sums to about 7497: finite, so no cap applies
+    got = fd.lacunary_tail_bound(fd.LacunarySchedule.custom(range(1, 100003)), 0)
+    want = math.fsum(n**-0.25 for n in range(1, 100003))
+    assert abs(got - want) < 1e-9 * want and 7497 < got < 7498
 
 
 def test_schedule_presets_and_parse():

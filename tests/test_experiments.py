@@ -41,11 +41,7 @@ from fracdim.metrics import (
 
 
 def small_config(**kw):
-    base = dict(
-        name="t", drift="zero",
-        set_kind="uniform", set_params=(), d=1, seeds=(1,),
-        points=2**9 + 1, scales=(3, 7), methods=("box",),
-    )
+    base = dict(name="t", seeds=(1,), points=2**9 + 1, scales=(3, 7))
     base.update(kw)
     return ExperimentConfig(**base)
 
@@ -134,7 +130,7 @@ def test_config_measures_the_drift_it_reports():
     assert cfg.drift_spec == fd.DriftSpec.psi_n(16)
     report = run_experiment(cfg)
     assert report.config["drift"] == "psi_n:16"
-    grid = experiments.build_grid(cfg.set_kind, dict(cfg.set_params), cfg.points)
+    grid = experiments.build_grid(cfg.set, cfg.points)
     measured = experiments.seed_free_part(cfg).drift_values
     reported = parse_drift_string(report.config["drift"], report.config["d"])
     assert np.array_equal(measured, fd.eval_drift(reported, grid.times))
@@ -419,6 +415,21 @@ def test_run_claims_reads_tolerances_before_running(monkeypatch, tolerance, word
     assert calls == []
 
 
+@pytest.mark.parametrize("target", [None, "absent"])
+def test_run_claims_reads_the_example_53_target_before_running(monkeypatch, target):
+    calls = []
+    monkeypatch.setattr(experiments, "seed_free_part", lambda cfg: calls.append(cfg.name))
+    config = shared_run_config()
+    entry = config["experiments"]["example-53"]
+    del entry["target"]
+    if target is None:
+        entry["target"] = None
+    with pytest.raises(ValueError) as ei:
+        run_claims(SHARED_CLAIMS, config)
+    assert str(ei.value) == "claim 'example-53': missing target [value, tolerance]"
+    assert calls == []
+
+
 def test_drift_objects_are_swept_once_per_experiment(monkeypatch):
     swept = []
     real = experiments.scale_sweep
@@ -437,7 +448,7 @@ def test_drift_objects_are_swept_once_per_experiment(monkeypatch):
 def scratch_estimates(cfg, seed) -> dict:
     """One seed's estimates with nothing shared: the grid, the path with its
     drift applied and every object's sweep, built from the public functions."""
-    grid = experiments.build_grid(cfg.set_kind, dict(cfg.set_params), cfg.points)
+    grid = experiments.build_grid(cfg.set, cfg.points)
     path = fd.apply_drift(fd.generate_bm(grid, cfg.d, seed), cfg.drift_spec)
     clouds = {"image_bm": bm_image_cloud(path), "graph_bm": bm_graph_cloud(path)}
     if not cfg.drift_spec.is_zero:
@@ -453,7 +464,7 @@ def scratch_estimates(cfg, seed) -> dict:
 
 @pytest.mark.parametrize("cfg", [
     small_config(drift="psi_n:16", seeds=(1, 2), methods=("box", "oscillation")),
-    small_config(drift="linear:1.0,-2.0", set_kind="power_set", set_params=(("beta", 1.0),), d=2, seeds=(3, 4),
+    small_config(drift="linear:1.0,-2.0", set="power:1", d=2, seeds=(3, 4),
                  methods=("box", "packing")),
     small_config(seeds=(5, 6)),
 ])
@@ -577,6 +588,13 @@ def test_parse_set_string():
     assert parse_set_string("uniform") == ("uniform", {})
     assert parse_set_string("power:1.5") == ("power_set", {"beta": 1.5})
     # a dyadic grid is ``uniform`` with 2^L + 1 points; there is no dyadic token
-    for text in ("grid:9", "dyadic:4"):
-        with pytest.raises(ValueError):
+    for text in ("grid:9", "dyadic:4", "power", "power:1:2", 5, None):
+        with pytest.raises(ValueError, match="bad set"):
             parse_set_string(text)
+    # the parser is beta's only check, for the config and the CLI alike
+    for text in ("power:0", "power:-1", "power:nan", "power:inf", "power:abc"):
+        with pytest.raises(ValueError, match="positive finite beta"):
+            parse_set_string(text)
+        with pytest.raises(ValueError, match="positive finite beta"):
+            small_config(set=text)
+    assert small_config(set="power:1.5").to_dict()["set"] == {"kind": "power_set", "beta": 1.5}
