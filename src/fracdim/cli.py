@@ -17,6 +17,7 @@ from .constructions import (
     lacunary_tail_bound,
     parse_schedule,
     psi_graph_count_formula,
+    psi_jump_size,
     theoretical_image_bound,
 )
 from .errors import DomainError
@@ -69,6 +70,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _parse_scales(text: str) -> tuple:
+    """``(jmin, jmax)`` of a ``--scales jmin:jmax`` flag."""
+    try:
+        j_min, j_max = (int(x) for x in text.split(":"))
+    except ValueError:
+        raise ValueError(f"--scales must be jmin:jmax with two integers, got {text!r}") from None
+    return j_min, j_max
+
+
 def cmd_dims(args) -> int:
     if args.input:
         with open(args.input, encoding="utf-8") as fh:
@@ -76,7 +86,7 @@ def cmd_dims(args) -> int:
     else:
         path = _build_path(args)
     cloud = image_cloud(path) if args.object == "image" else graph_cloud(path)
-    j_min, j_max = (int(x) for x in args.scales.split(":"))
+    j_min, j_max = _parse_scales(args.scales)
     series = scale_sweep(cloud, _METHOD_KINDS[args.method], j_min, j_max, refine=args.refine)
     estimate = estimate_dimension(series)
     config = {
@@ -105,7 +115,7 @@ def cmd_bounds(args) -> int:
         value = holder_cover_bound(args.L, args.gamma, args.beta, args.eps)
         params = {"L": args.L, "gamma": args.gamma, "beta": args.beta, "eps": args.eps}
     elif args.formula == "psi-count":
-        eps = float(args.n) ** -0.75 if args.eps == "auto" else float(args.eps)
+        eps = psi_jump_size(args.n) if args.eps == "auto" else float(args.eps)
         value = psi_graph_count_formula(args.n, eps)
         params = {"n": args.n, "eps": eps}
     else:  # tail

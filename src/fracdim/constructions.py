@@ -157,15 +157,21 @@ def holder_cover_bound(L: float, gamma: float, beta: float, epsilon: float) -> i
     The first term covers the accumulation head near 0, the second grants one
     ball to each of the k isolated tail points.
     """
-    if L < 0:
-        raise ValueError("L must be >= 0")
+    if not 0 <= L < math.inf:
+        raise ValueError(f"L must be finite and >= 0, got {L}")
     if not 0 < gamma <= 1:
         raise ValueError("gamma must lie in (0, 1]")
-    if beta <= 0 or epsilon <= 0:
-        raise ValueError("beta and epsilon must be positive")
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     gb = gamma * beta
-    k = math.ceil(epsilon ** (-1.0 / (gb + 1.0)))
-    return int(math.ceil(2.0 * L * k**-gb / epsilon)) + int(k)
+    try:
+        k = math.ceil(epsilon ** (-1.0 / (gb + 1.0)))
+        return int(math.ceil(2.0 * L * k**-gb / epsilon)) + int(k)
+    except OverflowError:
+        raise ValueError(f"the bound overflows a double at L={L}, gamma={gamma}, "
+                         f"beta={beta}, epsilon={epsilon}") from None
 
 
 def theoretical_image_bound(alpha: float, d: int) -> float:
@@ -179,6 +185,14 @@ def theoretical_image_bound(alpha: float, d: int) -> float:
     return 2.0 * alpha / (alpha + 1.0) if d == 1 else 2.0 * alpha
 
 
+def psi_jump_size(n: int) -> float:
+    """Jump size n^(-3/4) of the frequency-n staircase, where the two
+    branches of ``psi_graph_count_formula`` meet."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return float(n) ** -0.75
+
+
 def psi_graph_count_formula(n: int, epsilon: float) -> float:
     """Order-of-magnitude box count for the graph of the frequency-n
     staircase, with implied constant 1.
@@ -189,12 +203,11 @@ def psi_graph_count_formula(n: int, epsilon: float) -> float:
     n^(5/4), when eps = n^(-3/4).  Valid for eps strictly between the step
     width n^(-3/2) and 1.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    jump = psi_jump_size(n)
     lo = float(n) ** -1.5
     if not lo < epsilon < 1.0:
         raise DomainError("scale-out-of-regime", f"need eps in (n^-1.5, 1), got {epsilon}")
-    if epsilon < float(n) ** -0.75:
+    if epsilon < jump:
         return math.sqrt(float(n)) / epsilon
     return float(n) ** -0.25 / epsilon**2
 

@@ -20,21 +20,28 @@ last axis form one run, estimated with ``sqrt`` and made exact by the
 runs.  Its work is ``(2 * reach + 1)^(m - 1)`` rows a point, not the
 ``(2 * reach + 1)^m`` cells of the window around it.
 
-Box counts de-duplicate cells (``distinct_cells``), and a sweep over the
-scales ``eps, 2 * eps, 4 * eps, ...`` de-duplicates the cells of the points
-only at the finest scale: each coarser scale takes the distinct cells of the
-one before, halved (``coarser_cells``), which is exact because ``x / eps``
-and ``x / (2 * eps)`` differ by an exact factor 2 and ``floor(floor(y) / 2)
-== floor(y / 2)``.
+Box counts keep the occupied cells as sorted distinct packed keys
+(``box_keys``): axis ``a`` gets a bit field of ``bit_length(max_a - min_a)
++ 1`` bits holding ``c_a - min_a``, and the fields are concatenated into one
+``uint32`` or ``uint64`` key.  A sweep over the scales ``eps, 2 * eps, 4 *
+eps, ...`` floors the points only at the finest scale: each coarser scale
+halves the keys of the one before in place (``coarser_keys``), then sorts
+them and drops adjacent duplicates.  This is exact: ``x / eps`` and ``x /
+(2 * eps)`` differ by an exact factor 2, so ``floor(x / (2 * eps)) ==
+floor(floor(x / eps) / 2)``, and with ``u = c - min``, ``floor((u + min) /
+2) == ((u + (min & 1)) >> 1) + (min >> 1)``; the spare bit of each field
+holds the carried ``u + 1``.  Keys are never unpacked into cell rows.
 
-Cells are int64 below ``2^62`` in magnitude and float floors beyond: box
-counting de-duplicates those row-wise, the scans compact them (see
-``_packed_groups``), and the sausage refuses them.  A grid too large to
-pack into int64 keys is compacted, and cut into groups that cannot interact
-when even that is too large.
+Cells are int64 below ``2^62`` in magnitude and float floors beyond.  Box
+counting counts those, and grids whose key fields need more than 63 bits,
+from the cells of the points (``distinct_cell_count``); the scans compact
+them (see ``_packed_groups``), and the sausage refuses them.  A grid too
+large to pack into int64 keys is compacted, and cut into groups that cannot
+interact when even that is too large.
 """
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -442,36 +449,98 @@ def oscillation_counts(values: np.ndarray, n: int) -> np.ndarray:
 
 
 def distinct_cell_count(cells: np.ndarray) -> int:
-    """Number of distinct integer cell tuples (rows)."""
-    return len(distinct_cells(np.asarray(cells)))
+    """Number of distinct integer cell tuples (rows).
 
-
-def distinct_cells(cells: np.ndarray) -> np.ndarray:
-    """The distinct rows of a cell array.
-
-    Rows are packed into scalar keys for one sort and unpacked again; a grid
-    too large to pack, or float floors, are de-duplicated row-wise instead.
+    Rows are packed into scalar keys for one sort; a grid too large to
+    pack, or float floors, are de-duplicated row-wise instead.
     """
+    cells = np.asarray(cells)
     try:
-        keys, mins, widths, _ = pack_cells(cells)
+        keys = pack_cells(cells)[0]
     except DomainError:
-        return np.unique(cells, axis=0)
-    # sort and mask: several times faster than np.unique on int64 keys
-    keys = np.sort(keys)
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    rows = np.empty((keys.size, cells.shape[1]), dtype=np.int64)
-    for a in range(cells.shape[1]):
-        keys, rows[:, a] = np.divmod(keys, widths[a])
-    return rows + mins
+        return len(np.unique(cells, axis=0))
+    return len(_sorted_distinct(keys))
 
 
-def coarser_cells(cells: np.ndarray) -> np.ndarray:
-    """The cells of a grid twice as coarse: ``floor(c / 2)`` per axis.
+class KeyLayout(NamedTuple):
+    """Where each axis sits in a packed box key: the cell of axis ``a`` is
+    ``mins[a]`` plus the bits of the key from ``shifts[a]`` up to the next
+    field."""
 
-    numpy's ``>>`` on int64 is floor division, negative cells included; float
-    floors (cells of ``2^62`` or more) halve exactly as floats and become
-    int64 once they fit.
+    mins: tuple  # Python ints
+    shifts: tuple  # axis 0 at bit 0
+
+
+def box_keys(points: np.ndarray, eps: float):
+    """The occupied cells ``floor(x / eps)`` of the points as sorted distinct
+    packed keys: ``(keys, layout)``.
+
+    The floors are those of ``cell_indices``, bit for bit, taken column by
+    column.  Axis ``a`` gets a field of ``bit_length(max_a - min_a) + 1``
+    bits holding ``c_a - min_a``; the spare bit is the room
+    ``coarser_keys`` needs.  Keys are ``uint32`` when the fields total at
+    most 32 bits and ``uint64`` up to 63 bits.  Returns ``None`` when a floor
+    is ``2^62`` or more in magnitude or not finite, or the fields need more
+    than 63 bits.
     """
-    if cells.dtype.kind == "f":
-        return _as_cells(np.floor(cells / 2))
-    return cells >> 1
+    floors, mins, bits = [], [], []
+    for a in range(points.shape[1]):
+        # an overflow gives an infinite floor, which is refused below
+        with np.errstate(over="ignore"):
+            col = np.floor(points[:, a] / eps)
+        lo, hi = col.min(), col.max()
+        # NaN fails both comparisons
+        if not (-_CELL_LIMIT < lo and hi < _CELL_LIMIT):
+            return None
+        floors.append(col)
+        mins.append(int(lo))
+        bits.append((int(hi) - int(lo)).bit_length() + 1)
+    if sum(bits) > 63:
+        return None
+    dtype = np.uint32 if sum(bits) <= 32 else np.uint64
+    shifts = tuple(itertools.accumulate(bits[:-1], initial=0))
+    keys = None
+    for col, lo, shift in zip(floors, mins, shifts):
+        field = col.astype(np.int64)
+        field -= lo
+        field = field.astype(dtype, copy=False)
+        field <<= dtype(shift)
+        if keys is None:
+            keys = field
+        else:
+            keys |= field
+    return _sorted_distinct(keys), KeyLayout(tuple(mins), shifts)
+
+
+def coarser_keys(keys: np.ndarray, layout: KeyLayout):
+    """The keys of the grid twice as coarse: ``(keys, layout)``, sorted and
+    distinct, from those of ``box_keys`` or of an earlier call.
+
+    A field holds ``u = c - min``, and ``floor(c / 2) == ((u + (min & 1)) >>
+    1) + (min >> 1)``.  So adding the carry ``min & 1`` at each field's start
+    and shifting the whole key right by one halves every field at once; the
+    bit that each field shifts into the top of the one below is masked off,
+    and the minima are halved.  ``u + 1`` fits in the field's spare bit, and
+    the halved ``u`` leaves that bit free again.
+    """
+    word = keys.dtype.type
+    carry = sum((lo & 1) << shift for lo, shift in zip(layout.mins, layout.shifts))
+    below = sum(1 << (shift - 1) for shift in layout.shifts[1:])
+    halved = keys + word(carry)
+    halved >>= word(1)
+    halved &= ~word(below)
+    return (_sorted_distinct(halved),
+            KeyLayout(tuple(lo >> 1 for lo in layout.mins), layout.shifts))
+
+
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys``, sorted; ``keys`` is sorted in place.
+
+    Sort and mask: several times faster than ``np.unique``, and
+    ``np.compress`` is several times faster than boolean indexing.
+    """
+    keys.sort()
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return np.compress(first, keys)

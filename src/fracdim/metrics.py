@@ -11,9 +11,9 @@ Conventions fixed here for reproducibility:
 
 * boxes are half-open ``[k*eps, (k+1)*eps)`` anchored at the origin; values
   exactly on a boundary go to the higher-index cell.  A box sweep counts from
-  the finest scale to the coarsest, and each scale halves the distinct cells
-  of the one before (see ``box_count``), with the same counts as from the
-  points;
+  the finest scale to the coarsest, and each scale halves the packed keys of
+  the distinct cells of the one before (see ``box_count``), with the same
+  counts as from the points;
 * packing is greedy maximal (scan order), which preserves dimension exponents
   although it can undercount the true maximum by a constant factor;
 * sausage grids are anchored at the origin with cells of side r/q, so volume
@@ -42,7 +42,7 @@ class PointCloud:
 
     points: np.ndarray  # (n, m) float64
     dim: int
-    # (eps, distinct cells) of the last box count, see ``box_count``
+    # (eps, keys, layout) of the last box count, see ``box_count``
     _boxes: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
@@ -186,26 +186,33 @@ def packing_number(cloud: PointCloud, eps: float) -> int:
 def box_count(cloud: PointCloud, eps: float) -> int:
     """Occupied half-open cells [k*eps,(k+1)*eps)^m, anchored at the origin.
 
-    The cloud keeps the distinct cells of its last box count.  When that
-    count was at ``eps / 2`` and ``eps <= 1``, the cells are those halved
-    (``kernels.coarser_cells``), not the cells of every point, so a sweep
-    from the finest scale to the coarsest de-duplicates all points once and
-    then ever fewer cells (after Liebovitch & Toth, Phys. Lett. A 141, 1989).
-    The count is the same bit for bit: ``x / eps`` is ``x / (eps / 2)``
-    halved exactly in binary floating point, and ``floor(floor(y) / 2) ==
-    floor(y / 2)``.  Above 1, ``x / eps`` of a tiny ``x`` could round to
-    zero, so such scales start from the points.
+    The cloud keeps the cells of its last box count as sorted distinct packed
+    keys (``kernels.box_keys``).  When that count was at ``eps / 2`` and
+    ``eps <= 1``, the cells are those keys halved in place
+    (``kernels.coarser_keys``), not the cells of every point, so a sweep from
+    the finest scale to the coarsest floors and sorts all points once and
+    then ever fewer keys, never unpacking them into cell rows (after
+    Liebovitch & Toth, Phys. Lett. A 141, 1989).  The count is the same bit
+    for bit: ``x / eps`` is ``x / (eps / 2)`` halved exactly in binary
+    floating point, ``floor(floor(y) / 2) == floor(y / 2)``, and the key
+    layout halves each cell exactly (see ``kernels.coarser_keys``).  Above 1,
+    ``x / eps`` of a tiny ``x`` could round to zero, so such scales start
+    from the points.  Cells too large for the keys (float floors, or fields
+    over 63 bits) are counted from the cells of the points, and nothing is
+    kept for the next scale.
     """
     _check_scale(eps)
     eps = float(eps)
     finer = cloud._boxes
     if finer is not None and eps == 2.0 * finer[0] and eps <= 1.0:
-        cells = kernels.coarser_cells(finer[1])
+        boxes = kernels.coarser_keys(finer[1], finer[2])
     else:
-        cells = kernels.cell_indices(cloud.points, eps)
-    cells = kernels.distinct_cells(cells)
-    object.__setattr__(cloud, "_boxes", (eps, cells))
-    return len(cells)
+        boxes = kernels.box_keys(cloud.points, eps)
+    if boxes is None:
+        object.__setattr__(cloud, "_boxes", None)
+        return kernels.distinct_cell_count(kernels.cell_indices(cloud.points, eps))
+    object.__setattr__(cloud, "_boxes", (eps,) + boxes)
+    return len(boxes[0])
 
 
 def graph_box_count_oscillation(values, n: int | None = None) -> int:

@@ -177,3 +177,17 @@ def brute_box_cells(points, eps: float) -> set:
 def brute_box_count(points, eps: float) -> int:
     """Number of occupied half-open boxes of side ``eps``."""
     return len(brute_box_cells(points, eps))
+
+
+def decode_box_keys(keys, layout) -> list:
+    """The cell tuples of packed box keys, in key order, in Python ints: axis
+    ``a`` is ``layout.mins[a]`` plus the key's bits from ``layout.shifts[a]``
+    up to the next axis's field (all the bits above, for the last axis)."""
+    mins, shifts = layout.mins, layout.shifts
+    ends = list(shifts[1:]) + [None]
+    cells = []
+    for key in np.asarray(keys).tolist():
+        cells.append(tuple(lo + ((key >> start) if end is None
+                                 else (key >> start) & ((1 << (end - start)) - 1))
+                           for lo, start, end in zip(mins, shifts, ends)))
+    return cells

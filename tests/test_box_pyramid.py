@@ -1,6 +1,7 @@
-"""Box sweeps (``scale_sweep(..., "box", ...)``, which halve the distinct
-cells of each scale for the next coarser one) against the brute-force box
-oracle and against ``box_count`` of a fresh cloud at every scale, exactly."""
+"""Box sweeps (``scale_sweep(..., "box", ...)``, which halve the packed keys
+of the distinct cells of each scale for the next coarser one) against the
+brute-force box oracle and against ``box_count`` of a fresh cloud at every
+scale, exactly."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import fracdim as fd
 from fracdim import kernels
 from fracdim.metrics import PointCloud
 
-from oracles import brute_box_cells, brute_box_count
+from oracles import brute_box_cells, brute_box_count, decode_box_keys
 
 
 def _check_sweep(pts, j_min, j_max):
@@ -76,42 +77,50 @@ def test_two_scales():
 
 
 def test_grid_too_large_to_pack_at_the_finest_scale_only():
-    # about 2^40 cells of side 2^-20 per axis: the finest levels cannot be
-    # packed into int64 keys and are de-duplicated row-wise; from j = 0 up,
-    # 1e6 cells per axis pack
+    # about 2^40 cells of side 2^-20 per axis: the finest levels need 3 * 42
+    # key bits and are counted from the points; from j = 0 up, 1e6 cells per
+    # axis fit into 3 * 21 bits
     rng = np.random.default_rng(24)
     pts = np.concatenate([[[0.0, 0.0, 0.0], [1e6, 1e6, 1e6], [1e6, 0.0, 1e6]],
                           rng.uniform(0, 1e6, (40, 3))])
-    with pytest.raises(fd.DomainError):
-        kernels.pack_cells(kernels.cell_indices(pts, 2.0**-20))
-    kernels.pack_cells(kernels.cell_indices(pts, 1.0))
+    assert kernels.box_keys(pts, 2.0**-20) is None
+    assert kernels.box_keys(pts, 1.0) is not None
     _check_sweep(pts, -3, 20)
 
 
 def test_cells_beyond_int64():
-    # cells of 2^62 and more are float floors; they halve as floats and
-    # become int64 cells once they fit
+    # cells of 2^62 and more are float floors, counted from the points at
+    # each scale until the cells fit into keys
     pts = np.array([[-1e18], [1e18], [1e300], [1e300], [3.0], [-1e300]])
     assert _check_sweep(pts, -8, 6)[-1] == 5
     assert _check_sweep(pts[:2], 0, 4) == [2] * 5
 
 
 def test_each_scale_halves_the_distinct_cells_of_the_one_before(monkeypatch):
-    # a sweep de-duplicates the cells of all n points at the finest scale
-    # once, and then only the halved distinct cells of the scale before;
-    # each scale's distinct cells are the oracle's, negative cells included
+    # a sweep floors and sorts the keys of all n points at the finest scale
+    # once, and then halves only the distinct keys of the scale before; each
+    # scale's keys are sorted, distinct, and decode to the oracle's cells,
+    # negative cells included
     sizes, found = [], []
-    distinct_cells = kernels.distinct_cells
+    box_keys, coarser_keys = kernels.box_keys, kernels.coarser_keys
 
-    def recording(cells):
-        sizes.append(len(cells))
-        found.append(distinct_cells(cells))
+    def finest(points, eps):
+        sizes.append(len(points))
+        found.append(box_keys(points, eps))
         return found[-1]
 
-    monkeypatch.setattr(kernels, "distinct_cells", recording)
+    def halving(keys, layout):
+        sizes.append(len(keys))
+        found.append(coarser_keys(keys, layout))
+        return found[-1]
+
+    monkeypatch.setattr(kernels, "box_keys", finest)
+    monkeypatch.setattr(kernels, "coarser_keys", halving)
     rng = np.random.default_rng(25)
     pts = rng.uniform(-1, 1, (2000, 2))
     counts = fd.scale_sweep(PointCloud.from_points(pts), "box", 2, 8).values.astype(int)
     assert sizes == [2000] + counts[:0:-1].tolist()
-    for j, cells in zip(range(8, 1, -1), found):
-        assert set(map(tuple, cells.tolist())) == brute_box_cells(pts, 2.0**-j)
+    for j, (keys, layout) in zip(range(8, 1, -1), found):
+        assert keys.tolist() == sorted(set(keys.tolist()))
+        cells = decode_box_keys(keys, layout)
+        assert len(cells) == len(keys) and set(cells) == brute_box_cells(pts, 2.0**-j)

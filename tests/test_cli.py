@@ -151,6 +151,27 @@ def test_bounds_out_of_domain(capsys):
     code, _, err = run_cli(capsys, "bounds", "tail", "--schedule", "custom(16,64)",
                            "--truncation", "5")
     assert code == 2 and "truncation=5" in err
+    holder = {"--L": "1", "--gamma": "0.5", "--beta": "1", "--eps": "0.01"}
+    for flag, value, named in (("--L", "inf", "L must"), ("--L", "nan", "L must"),
+                               ("--beta", "nan", "beta"), ("--beta", "inf", "beta"),
+                               ("--eps", "inf", "epsilon"), ("--eps", "nan", "epsilon"),
+                               ("--L", "1e308", "overflows")):
+        argv = [x for key, v in {**holder, flag: value}.items() for x in (key, v)]
+        code, out, err = run_cli(capsys, "bounds", "holder", *argv)
+        assert (code, out) == (2, "") and err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_bounds_psi_count_refuses_n_below_one(capsys, n):
+    code, out, err = run_cli(capsys, "bounds", "psi-count", "--n", n)
+    assert (code, out, err) == (2, "", "error: n must be >= 1\n")
+
+
+@pytest.mark.parametrize("scales", ["4", "4:x", "4:5:6", "", "4.0:9"])
+def test_dims_refuses_malformed_scales(capsys, scales):
+    code, out, err = run_cli(capsys, "dims", "--points", "65", "--scales", scales)
+    assert (code, out) == (2, "")
+    assert err == f"error: --scales must be jmin:jmax with two integers, got {scales!r}\n"
 
 
 def test_experiment_unknown_claim_lists_ids(capsys):

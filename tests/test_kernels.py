@@ -152,6 +152,49 @@ def test_distinct_cell_count_beyond_packable_grid():
     assert kernels.distinct_cell_count(cells) == oracles.brute_distinct_rows(cells) == 3
 
 
+def _key_bits(cells) -> tuple:
+    """Key bits the cells need (a field of bit_length(span) + 1 per axis),
+    their largest magnitude and their widest span."""
+    spans = [max(c) - min(c) for c in zip(*cells)]
+    return (sum(s.bit_length() + 1 for s in spans), max(abs(x) for c in cells for x in c),
+            max(spans))
+
+
+def test_box_keys_halved_scale_by_scale_match_the_oracle():
+    # uint32, uint64 and unpackable grids (float floors, or fields over 63
+    # bits); odd and negative minima, whose halving needs the carry; spans of
+    # up to 2^100 cells, so over 2^53 in the uint64 keys
+    rng = np.random.default_rng(26)
+    seen, odd_negative, wide = set(), 0, 0
+    for _ in range(400):
+        m, n = int(rng.integers(1, 4)), int(rng.integers(1, 60))
+        pts = rng.uniform(-1, 1, (n, m)) * 2.0 ** int(rng.integers(-4, 30))
+        pts += rng.uniform(-1, 1, m) * 2.0 ** int(rng.integers(-4, 30))
+        if n > 2:
+            pts[1] = pts[0]
+            pts[2] = np.round(pts[2])
+        j = int(rng.integers(0, 70))
+        bits, biggest, span = _key_bits(oracles.brute_box_cells(pts, 2.0**-j))
+        found = kernels.box_keys(pts, 2.0**-j)
+        if bits > 63 or biggest >= 2**62:
+            assert found is None
+            seen.add(None)
+            continue
+        keys, layout = found
+        assert keys.dtype == (np.uint32 if bits <= 32 else np.uint64)
+        seen.add(keys.dtype.name)
+        wide += span > 2**53
+        for level in range(min(j, 10) + 1):
+            if level:
+                odd_negative += any(lo < 0 and lo % 2 for lo in layout.mins)
+                keys, layout = kernels.coarser_keys(keys, layout)
+            eps = 2.0 ** (level - j)
+            assert len(keys) == oracles.brute_box_count(pts, eps)
+            assert keys.tolist() == sorted(set(keys.tolist()))
+            assert set(oracles.decode_box_keys(keys, layout)) == oracles.brute_box_cells(pts, eps)
+    assert seen == {"uint32", "uint64", None} and odd_negative > 50 and wide > 5
+
+
 def test_scans_on_a_grid_too_large_to_pack():
     # about 2^40 cells of side 2^-20 per axis: the cell tuples cannot be packed
     far = np.array([[0.0, 0.0, 0.0], [1e6, 1e6, 1e6]])
