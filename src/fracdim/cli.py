@@ -79,6 +79,16 @@ def _parse_scales(text: str) -> tuple:
     return j_min, j_max
 
 
+def _parse_eps(text: str, n: int) -> float:
+    """The scale of a ``bounds psi-count --eps auto | <float>`` flag."""
+    if text == "auto":
+        return psi_jump_size(n)
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"--eps must be auto | <float>, got {text!r}") from None
+
+
 def cmd_dims(args) -> int:
     if args.input:
         with open(args.input, encoding="utf-8") as fh:
@@ -115,7 +125,7 @@ def cmd_bounds(args) -> int:
         value = holder_cover_bound(args.L, args.gamma, args.beta, args.eps)
         params = {"L": args.L, "gamma": args.gamma, "beta": args.beta, "eps": args.eps}
     elif args.formula == "psi-count":
-        eps = psi_jump_size(args.n) if args.eps == "auto" else float(args.eps)
+        eps = _parse_eps(args.eps, args.n)
         value = psi_graph_count_formula(args.n, eps)
         params = {"n": args.n, "eps": eps}
     else:  # tail
@@ -165,8 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_generation_flags(p_dims)
     p_dims.add_argument("--input", default=None, help="sample-path CSV to analyse")
     p_dims.add_argument("--object", choices=["image", "graph"], default="graph")
-    p_dims.add_argument("--method", choices=["box", "packing", "sausage", "oscillation"],
-                        default="box")
+    p_dims.add_argument("--method", choices=list(_METHOD_KINDS), default="box")
     p_dims.add_argument("--scales", default="4:10", help="jmin:jmax for eps = 2^-j")
     p_dims.add_argument("--refine", type=int, default=4, help="sausage grid refinement")
     p_dims.add_argument("--out", default=None, help="prefix for .csv/.json outputs")

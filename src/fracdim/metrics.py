@@ -264,46 +264,44 @@ def sausage_volume(cloud: PointCloud, r: float, refine: int = 4, cell: float | N
 def step_graph_box_count(breaks, values, eps: float) -> int:
     """Exact count of closed lattice boxes of side eps meeting a step graph.
 
-    The graph is of the right-continuous step function taking ``values[i]``
-    on [breaks[i], breaks[i+1]); its closure is the union of the closed
-    horizontal segments [breaks[i], breaks[i+1]] x {values[i]}.  A box is
-    counted whenever it intersects that closure, so a segment sitting exactly
-    on a lattice line touches the boxes on both sides.  Boundary contact is
-    detected within 1e-9 relative tolerance, which is exact for
-    lattice-aligned inputs such as staircase graphs at their natural scales.
+    The closure of the graph is the union of the closed segments
+    [breaks[i], breaks[i+1]] x {values[i]}.  In units of eps, the closed box
+    [k, k+1] meets [x, y] iff ``ceil(x) - 1 <= k <= floor(y)``, so a segment
+    at value v meets rows ``ceil(v) - 1 .. floor(v)``, two when v is on a
+    lattice line.  An end or value within ``1e-9 * max(1, |q|)`` of a lattice
+    line lies on it.  Each (segment, row) is one run of columns and the count
+    is the size of their union, so the cost grows with the number of steps,
+    not with 1/eps.  Raises ``DomainError("non-finite-cell")`` for a break or
+    value over eps that is not finite and ``DomainError("cell-grid-too-large")``
+    for cells of 2^62 or more.
     """
     _check_scale(eps)
     b = np.asarray(breaks, dtype=np.float64)
     v = np.asarray(values, dtype=np.float64).ravel()
-    if b.size != v.size + 1:
-        raise ValueError("need len(breaks) == len(values) + 1")
-    qa, qb, qv = b[:-1] / eps, b[1:] / eps, v / eps
-    k_min, _ = _snap_floor(qa, touch_down=True)
-    k_max, _ = _snap_floor(qb, touch_down=False)
-    row_hi, on_line = _snap_floor(qv, touch_down=False)
-    counts = k_max - k_min + 1
-    seg = np.repeat(np.arange(v.size), counts)
-    offsets = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
-    cols = k_min[seg] + offsets
-    rows = row_hi[seg]
-    keys = cols * (1 << 31) + rows
-    touch = on_line[seg]
-    extra = cols[touch] * (1 << 31) + (rows[touch] - 1)
-    return int(np.unique(np.concatenate([keys, extra])).size)
-
-
-def _snap_floor(q: np.ndarray, touch_down: bool):
-    """floor(q) with near-integer q treated as exact lattice contact.
-
-    Returns the adjusted floor and the contact mask.  ``touch_down`` shifts
-    boundary hits one box lower (the left end of a closed interval starting
-    on a lattice line still touches the box to its left).
-    """
+    if b.size != v.size + 1 or np.any(b[1:] < b[:-1]):
+        raise ValueError("need len(values) + 1 non-decreasing breaks")
+    if not v.size:
+        return 0
+    with np.errstate(over="ignore"):
+        q = np.stack([b[:-1], b[1:], v]) / eps
+    if not np.isfinite(q).all():
+        raise DomainError("non-finite-cell", "breaks / eps or values / eps is not finite")
+    if np.any(np.abs(q) >= 2.0**62):
+        raise DomainError("cell-grid-too-large", "cell indices of 2^62 or more")
     r = np.round(q)
-    near = np.abs(q - r) <= 1e-9 * np.maximum(1.0, np.abs(q))
-    fl = np.floor(q).astype(np.int64)
-    snapped = r.astype(np.int64) - (1 if touch_down else 0)
-    return np.where(near, snapped, fl), near
+    q = np.where(np.abs(q - r) <= 1e-9 * np.maximum(1.0, np.abs(q)), r, q)
+    below, above = np.ceil(q).astype(np.int64) - 1, np.floor(q).astype(np.int64)
+    two = below[2] < above[2]
+    seg = np.concatenate([np.arange(v.size), np.flatnonzero(two)])
+    rows, rank = np.unique(np.concatenate([above[2], below[2][two]]), return_inverse=True)
+    # two spare cells a row keep runs of different rows from touching
+    origin = below[0].min()
+    width = int(above[1].max()) - int(origin) + 3
+    if rows.size * width >= 1 << 62:
+        raise DomainError("cell-grid-too-large", f"{rows.size} rows of {width} cells")
+    offset = rank * width - origin
+    start, end = kernels._union(offset + below[0][seg], offset + above[1][seg])
+    return int((end - start).sum()) + start.size
 
 
 def good_point_thinning(values, epsilon: float, threshold: float | None = None) -> np.ndarray:

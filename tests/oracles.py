@@ -191,3 +191,29 @@ def decode_box_keys(keys, layout) -> list:
                                  else (key >> start) & ((1 << (end - start)) - 1))
                            for lo, start, end in zip(mins, shifts, ends)))
     return cells
+
+
+def brute_closed_step_boxes(breaks, values, eps: float) -> set:
+    """The closed boxes ``[k, k+1] x [l, l+1]`` (units of eps) meeting some
+    segment ``[breaks[i], breaks[i+1]] x {values[i]}``, as ``(k, l)`` pairs.
+
+    Each end and value is taken in exact rationals and moved onto the nearest
+    lattice line when within ``1e-9 * max(1, |q|)`` of it; then every box
+    near the segment is tested for contact, in Python ints.
+    """
+    unit = Fraction(eps)
+    tol = Fraction(1e-9)
+
+    def snapped(x):
+        q = Fraction(x) / unit
+        line = round(q)
+        return Fraction(line) if abs(q - line) <= tol * max(1, abs(q)) else q
+
+    boxes = set()
+    for a, b, v in zip(breaks[:-1], breaks[1:], values):
+        a, b, v = snapped(a), snapped(b), snapped(v)
+        for k in range(math.floor(a) - 1, math.floor(b) + 2):
+            for l in range(math.floor(v) - 1, math.floor(v) + 2):
+                if k <= b and a <= k + 1 and l <= v <= l + 1:
+                    boxes.add((k, l))
+    return boxes

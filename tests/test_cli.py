@@ -174,6 +174,13 @@ def test_dims_refuses_malformed_scales(capsys, scales):
     assert err == f"error: --scales must be jmin:jmax with two integers, got {scales!r}\n"
 
 
+@pytest.mark.parametrize("eps", ["abc", "", "0.1x"])
+def test_bounds_psi_count_refuses_malformed_eps(capsys, eps):
+    code, out, err = run_cli(capsys, "bounds", "psi-count", "--n", "16", "--eps", eps)
+    assert (code, out) == (2, "")
+    assert err == f"error: --eps must be auto | <float>, got {eps!r}\n"
+
+
 def test_experiment_unknown_claim_lists_ids(capsys):
     code, _, err = run_cli(capsys, "experiment", "--name", "bogus")
     assert code == 2

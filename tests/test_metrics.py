@@ -3,6 +3,9 @@ randomized property suites (1000 instances each, fixed seeds)."""
 
 import io
 import json
+import time
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from fracdim.metrics import (
 from oracles import (
     all_maximal_separated_subsets,
     brute_box_count,
+    brute_closed_step_boxes,
     brute_max_packing,
     brute_neighbor_counts,
     pairwise_separated,
@@ -455,3 +459,85 @@ def test_step_graph_matches_box_count_off_lattice():
         idx = np.clip(np.searchsorted(breaks, ts, side="right") - 1, 0, k)
         sampled = cloud(np.column_stack([ts, vals[idx]]))
         assert fd.step_graph_box_count(breaks, vals, eps) == fd.box_count(sampled, eps)
+
+
+def test_step_graph_box_count_matches_closed_box_oracle():
+    # rows 2^31 and 0 of neighbouring columns are distinct boxes: 12 + 12
+    e = 2.0**-32
+    assert fd.step_graph_box_count([0, 4 * e, 8 * e], [0.5, 0.0], e) == 24
+    assert len(brute_closed_step_boxes([0, 4 * e, 8 * e], [0.5, 0.0], e)) == 24
+    rng = np.random.default_rng(11)
+    seen = set()
+    for _ in range(400):
+        eps = float(rng.choice([2.0**-32, 0.125, 0.2, 1 / 3]))
+        # large cell indices only at dyadic scales, where ends stay exact
+        big = eps in (2.0**-32, 0.125)
+        col0 = int(rng.choice([0, -9, 2**31 - 4, 2**33] if big else [0, -9]))
+        row0 = int(rng.choice([0, -6, 2**31 - 2, -2**31 - 1] if big else [0, -6]))
+        k = int(rng.integers(1, 6))
+
+        def frac(size):
+            # on a lattice line, on a quarter line or anywhere in the cell
+            return np.where(rng.random(size) < 0.6, rng.integers(0, 4, size) / 4,
+                            rng.uniform(0, 1, size))
+
+        cols = col0 + np.sort(rng.integers(0, 12, k + 1) + frac(k + 1))
+        rows = row0 + rng.integers(-3, 4, k) + frac(k)
+        breaks, values = cols * eps, rows * eps
+        expected = len(brute_closed_step_boxes(breaks, values, eps))
+        assert fd.step_graph_box_count(breaks, values, eps) == expected
+        seen |= {"contact"} if np.any(rows == np.round(rows)) else set()
+        seen |= {"negative"} if np.any(rows < 0) else set()
+        seen |= {"row >= 2^31"} if np.any(rows >= 2**31) else set()
+    assert seen == {"contact", "negative", "row >= 2^31"}
+
+
+def test_step_graph_box_count_cost_does_not_grow_with_one_over_eps():
+    breaks, values = fd.staircase_steps(256)
+    for j in (22, 40):
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            count = fd.step_graph_box_count(breaks, values, 2.0**-j)
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the graph spans 2^j columns
+        assert count > 2**j
+        assert elapsed < 1.0 and peak < 4 << 20
+
+
+@pytest.mark.parametrize("breaks, values, eps, code", [
+    # breaks / eps overflows to infinity
+    ([0.0, 1.0], [0.5], 5e-324, "non-finite-cell"),
+    ([0.0, np.nan], [0.5], 0.1, "non-finite-cell"),
+    ([0.0, 1.0], [np.inf], 0.1, "non-finite-cell"),
+    ([0.0, 1.0], [0.5], 2.0**-62, "cell-grid-too-large"),
+    # two rows of keys 2^61 + 4 wide reach 2^62
+    ([0.0, 2.0**61], [1.0], 1.0, "cell-grid-too-large"),
+])
+def test_step_graph_box_count_refuses_grids_it_cannot_index(breaks, values, eps, code):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as ei:
+            fd.step_graph_box_count(breaks, values, eps)
+    assert ei.value.code == code
+
+
+def test_step_graph_box_count_refuses_decreasing_breaks():
+    # a segment running backwards inside one column is no step graph
+    with pytest.raises(ValueError, match="non-decreasing breaks"):
+        fd.step_graph_box_count([0.55, 0.5], [0.1], 0.1)
+
+
+def test_step_graph_box_count_staircase_refuses_the_smallest_scale():
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError) as ei:
+            fd.step_graph_box_count(*fd.staircase_steps(256), 5e-324)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ei.value.code == "non-finite-cell"
+    assert peak < 1 << 20
