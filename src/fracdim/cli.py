@@ -3,9 +3,10 @@
 Subcommands: ``simulate`` (emit a sample-path CSV), ``dims`` (scale series
 plus dimension estimate for one object/method), ``bounds`` (closed-form
 values), ``experiment`` (registered claim experiments).  Exit codes: 0
-success, 1 failed verdict, 2 usage/config error.  JSON payloads embed the
-effective configuration; CSV payloads keep their fixed schema, with the
-configuration echoed on stderr.
+success, 1 failed verdict, 2 usage/config error, including a file that
+cannot be read or written.  JSON payloads embed the effective
+configuration; CSV payloads keep their fixed schema, with the configuration
+echoed on stderr.
 """
 
 import argparse
@@ -137,11 +138,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    try:
-        config = load_config(args.config)
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return 2
+    config = load_config(args.config)
     names = list(CLAIM_IDS) if args.name == "all" else [args.name]
     reports = {name: report.to_dict() for name, report in run_claims(names, config).items()}
     all_pass = True
@@ -212,7 +209,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, ValueError, KeyError) as exc:
+    except (DomainError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,6 +9,7 @@ their right-limit value at every jump, which makes evaluation a single
 well-defined right-continuous function.
 """
 
+import warnings
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -303,21 +304,47 @@ def apply_drift(path: SamplePath, spec: DriftSpec) -> SamplePath:
 # CSV serialization: header t,b_1..b_d,f_1..f_d, 17 significant digits
 
 
+# rows formatted by one ``%`` call: one call per row costs most of a write,
+# one call per file holds the whole file's text in memory at once
+CSV_BLOCK_ROWS = 4096
+
+
+def _csv_header(d: int) -> str:
+    """``t,b_1..b_d,f_1..f_d``"""
+    names = [f"b_{i}" for i in range(1, d + 1)] + [f"f_{i}" for i in range(1, d + 1)]
+    return ",".join(["t"] + names)
+
+
 def write_path_csv(path: SamplePath, fh) -> None:
-    d = path.dim
-    header = "t," + ",".join(f"b_{i}" for i in range(1, d + 1))
-    header += "," + ",".join(f"f_{i}" for i in range(1, d + 1))
-    fh.write(header + "\n")
-    for t, b, f in zip(path.grid.times, path.bm_values, path.drift_values):
-        row = [f"{t:.17g}"] + [f"{x:.17g}" for x in b] + [f"{x:.17g}" for x in f]
-        fh.write(",".join(row) + "\n")
+    fh.write(_csv_header(path.dim) + "\n")
+    row = ",".join(["%.17g"] * (1 + 2 * path.dim)) + "\n"
+    times = path.grid.times
+    for start in range(0, len(times), CSV_BLOCK_ROWS):
+        rows = slice(start, start + CSV_BLOCK_ROWS)
+        block = np.hstack([times[rows, None], path.bm_values[rows], path.drift_values[rows]])
+        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_path_csv(fh) -> SamplePath:
-    header = fh.readline().strip().split(",")
-    if not header or header[0] != "t" or (len(header) - 1) % 2 != 0:
-        raise ValueError("not a sample-path CSV (expected header t,b_1..,f_1..)")
-    d = (len(header) - 1) // 2
-    rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+    """Read a CSV of ``write_path_csv``.
+
+    Refuses, with a ``ValueError``, a header other than ``t,b_1..b_d,f_1..f_d``
+    for some ``d >= 1``, rows whose value count differs from the header's,
+    and a file with no rows.
+    """
+    header = fh.readline().strip()
+    n_cols = header.count(",") + 1
+    d = (n_cols - 1) // 2
+    if d < 1 or header != _csv_header(d):
+        raise ValueError(f"not a sample-path CSV: header {header!r} is not t,b_1..b_d,f_1..f_d")
+    with warnings.catch_warnings():
+        # a file without rows is refused below, not warned about
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if rows.shape[0] == 0:
+        raise ValueError(f"sample-path CSV has the header {header!r} but no rows")
+    if rows.shape[1] != n_cols:
+        raise ValueError(f"sample-path CSV rows have {rows.shape[1]} values; "
+                         f"the header {header!r} names {n_cols}")
     grid = TimeGrid(rows[:, 0])
-    return SamplePath(grid, d, rows[:, 1:1 + d], rows[:, 1 + d:1 + 2 * d], 0, "file")
+    return SamplePath(grid, d, rows[:, 1:1 + d], rows[:, 1 + d:], 0, "file")

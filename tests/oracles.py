@@ -217,3 +217,15 @@ def brute_closed_step_boxes(breaks, values, eps: float) -> set:
                 if k <= b and a <= k + 1 and l <= v <= l + 1:
                     boxes.add((k, l))
     return boxes
+
+
+def rowwise_path_csv(path, fh) -> None:
+    """A sample-path CSV written one row per ``write`` call, each value by
+    its own ``f"{x:.17g}"``."""
+    d = path.dim
+    header = "t," + ",".join(f"b_{i}" for i in range(1, d + 1))
+    header += "," + ",".join(f"f_{i}" for i in range(1, d + 1))
+    fh.write(header + "\n")
+    for t, b, f in zip(path.grid.times, path.bm_values, path.drift_values):
+        row = [f"{t:.17g}"] + [f"{x:.17g}" for x in b] + [f"{x:.17g}" for x in f]
+        fh.write(",".join(row) + "\n")

@@ -120,6 +120,40 @@ def test_dims_incompatible_method(capsys, tmp_path):
     assert "dimension-unsupported" in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, word", [
+    ("t,x,y\n0,1,2\n", "header 't,x,y'"),
+    ("t,b_1,b_2,f_1\n0,1,2,3\n", "header 't,b_1,b_2,f_1'"),
+    ("t\n0\n", "header 't'"),
+    ("", "header ''"),
+    ("t,b_1,f_1\n0,1,2,3,4\n0.5,1,2,3,4\n", "rows have 5 values"),
+    ("t,b_1,f_1\n0\n0.5\n", "rows have 1 values"),
+    ("t,b_1,f_1\n", "no rows"),
+    ("t,b_1,f_1\n\n", "no rows"),
+])
+def test_dims_refuses_a_malformed_path_csv(capsys, tmp_path, text, word):
+    csv = tmp_path / "bad.csv"
+    csv.write_text(text)
+    code, out, err = run_cli(capsys, "dims", "--input", str(csv), "--scales", "2:4")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and word in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "--input", "missing.csv"],
+    ["simulate", "--points", "9", "--out", "nodir/x.csv"],
+    ["dims", "--points", "65", "--scales", "2:4", "--out", "nodir/x"],
+    ["experiment", "--name", "cor14-bound", "--config", "missing.json"],
+])
+def test_a_file_that_cannot_be_opened_exits_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    last = err.splitlines()[-1]
+    assert last.startswith("error: ") and "No such file or directory" in last
+    assert "Traceback" not in err
+
+
 def test_dims_writes_files(capsys, tmp_path):
     prefix = tmp_path / "run"
     code, _, _ = run_cli(capsys, "dims", "--points", "1025", "--seed", "3",

@@ -11,7 +11,7 @@ import fracdim as fd
 from fracdim.errors import DomainError
 from fracdim.rng import stream
 
-from oracles import staircase_exact_level
+from oracles import rowwise_path_csv, staircase_exact_level
 
 N_SEEDS = 4096
 
@@ -305,6 +305,71 @@ def test_sample_path_csv_roundtrip():
     assert np.array_equal(back.bm_values, p.bm_values)
     assert np.array_equal(back.drift_values, p.drift_values)
     assert np.array_equal(back.grid.times, p.grid.times)
+
+
+EDGE_VALUES = (-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308)
+
+
+def _edge_path(n: int, d: int, seed: int) -> fd.SamplePath:
+    """Finite values of every magnitude, with the edge values at the first
+    row, at both sides of each block boundary and at the last row."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((2, n, d)) * 10.0 ** rng.integers(-300, 300, (2, n, d))
+    rows = [r for r in (0, 4094, 4095, 4096, 4097, n - 1) if r < n]
+    for k, r in enumerate(rows):
+        values[k % 2, r] = np.resize(np.roll(EDGE_VALUES, k), d)
+    times = np.linspace(0.0, 1.0, n)
+    times[0] = -0.0
+    return fd.SamplePath(fd.TimeGrid(times), d, values[0], values[1], seed, "file")
+
+
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 8193])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_write_path_csv_matches_rowwise_oracle(n, d):
+    path = _edge_path(n, d, seed=10 * n + d)
+    text, expected = io.StringIO(), io.StringIO()
+    fd.write_path_csv(path, text)
+    rowwise_path_csv(path, expected)
+    assert text.getvalue() == expected.getvalue()
+    back = fd.read_path_csv(io.StringIO(text.getvalue()))
+    assert back.grid.times.tobytes() == path.grid.times.tobytes()
+    assert back.bm_values.tobytes() == path.bm_values.tobytes()
+    assert back.drift_values.tobytes() == path.drift_values.tobytes()
+
+    nonfinite = np.array(path.bm_values)
+    nonfinite[[0, -1]] = np.resize([np.nan, np.inf, -np.inf], d)
+    path = fd.SamplePath(path.grid, d, nonfinite, -nonfinite, path.seed, "file")
+    text, expected = io.StringIO(), io.StringIO()
+    fd.write_path_csv(path, text)
+    rowwise_path_csv(path, expected)
+    assert text.getvalue() == expected.getvalue()
+
+
+class _CharCount:
+    """A text sink that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+def test_write_path_csv_formats_blockwise_in_bounded_memory():
+    path = fd.apply_drift(fd.levy_construct(16, 1, 0), fd.DriftSpec.linear([0.5]))
+    sink = _CharCount()
+    tracemalloc.start()
+    try:
+        fd.write_path_csv(path, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # formatting all 2^16 + 1 rows in one call holds about 13 MiB
+    assert peak < 2 << 20
+    expected = io.StringIO()
+    rowwise_path_csv(path, expected)
+    assert sink.chars == len(expected.getvalue())
 
 
 def test_drift_specs_compare_by_value():
