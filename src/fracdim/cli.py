@@ -10,7 +10,9 @@ echoed on stderr.
 """
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 from .constructions import (
@@ -30,12 +32,36 @@ from .experiments import (
     parse_drift_string,
     run_claims,
 )
-from .metrics import estimate_dimension, graph_cloud, image_cloud, scale_sweep
+from .metrics import check_sweep_window, estimate_dimension, graph_cloud, image_cloud, scale_sweep
 from .paths import apply_drift, generate_bm, levy_construct, read_path_csv, write_path_csv
 
 
 def _echo_config(cfg: dict) -> None:
     print(json.dumps({"config": cfg}, sort_keys=True), file=sys.stderr)
+
+
+@contextlib.contextmanager
+def _output(target: str | None):
+    """The stream a command writes to: stdout, or a temporary file beside
+    ``target`` that replaces it when the command returns and is deleted when
+    it raises.  A target that cannot be written fails before any work."""
+    if not target:
+        yield sys.stdout
+        return
+    if os.path.isdir(target):
+        raise OSError(f"cannot write {target!r}: Is a directory")
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:
+        raise OSError(f"cannot write {target!r}: {exc.strerror}") from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _build_path(args):
@@ -47,27 +73,26 @@ def _build_path(args):
     return apply_drift(path, drift)
 
 
-def _add_generation_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--points", type=int, default=1025, help="grid points (uniform/power sets)")
-    p.add_argument("--levy-depth", type=int, default=None, help="midpoint-displacement depth")
-    p.add_argument("--d", type=int, default=1, help="ambient dimension")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--drift", default="zero",
-                   help="zero | linear:<mu> | psi_n:<n> | lacunary:<preset>:<K> | table:<file>")
-    p.add_argument("--set", default="uniform", help="uniform | power:<beta>")
+# the flags that make a path, shared by ``simulate`` and ``dims``
+_GENERATION = argparse.ArgumentParser(add_help=False)
+_GENERATION.add_argument("--points", type=int, default=1025,
+                         help="grid points (uniform/power sets)")
+_GENERATION.add_argument("--levy-depth", type=int, default=None, help="midpoint-displacement depth")
+_GENERATION.add_argument("--d", type=int, default=1, help="ambient dimension")
+_GENERATION.add_argument("--seed", type=int, default=0)
+_GENERATION.add_argument("--drift", default="zero", help="zero | linear:<mu> | psi_n:<n> | "
+                         "lacunary:<preset>:<K> | table:<file>")
+_GENERATION.add_argument("--set", default="uniform", help="uniform | power:<beta>")
 
 
 def cmd_simulate(args) -> int:
-    path = _build_path(args)
-    _echo_config({
-        "command": "simulate", "points": len(path.grid), "d": path.dim,
-        "seed": path.seed, "drift": args.drift, "set": args.set, "method": path.method,
-    })
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_path_csv(path, fh)
-    else:
-        write_path_csv(path, sys.stdout)
+    with _output(args.out) as out:
+        path = _build_path(args)
+        _echo_config({
+            "command": "simulate", "points": len(path.grid), "d": path.dim,
+            "seed": path.seed, "drift": args.drift, "set": args.set, "method": path.method,
+        })
+        write_path_csv(path, out)
     return 0
 
 
@@ -91,30 +116,34 @@ def _parse_eps(text: str, n: int) -> float:
 
 
 def cmd_dims(args) -> int:
-    if args.input:
-        with open(args.input, encoding="utf-8") as fh:
-            path = read_path_csv(fh)
-    else:
-        path = _build_path(args)
-    cloud = image_cloud(path) if args.object == "image" else graph_cloud(path)
     j_min, j_max = _parse_scales(args.scales)
-    series = scale_sweep(cloud, _METHOD_KINDS[args.method], j_min, j_max, refine=args.refine)
-    estimate = estimate_dimension(series)
-    config = {
-        "command": "dims", "object": args.object, "method": args.method,
-        "scales": [j_min, j_max], "input": args.input, "seed": path.seed,
-        "drift": args.drift, "set": args.set, "d": path.dim, "points": len(path.grid),
-        "refine": args.refine,
-    }
-    payload = json.dumps({"config": config, "estimate": estimate.to_dict()}, sort_keys=True)
-    if args.out:
-        with open(args.out + ".csv", "w", encoding="utf-8") as fh:
-            series.write_csv(fh)
-        with open(args.out + ".json", "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        series.write_csv(sys.stdout)
-        print(payload)
+    check_sweep_window(j_min, j_max)
+    ignored = [f"--{dest.replace('_', '-')}" for dest, default
+               in vars(_GENERATION.parse_args([])).items() if getattr(args, dest) != default]
+    if args.input and ignored:
+        raise ValueError(f"--input reads the path from its CSV; drop {', '.join(ignored)}")
+    prefix = args.out
+    with _output(prefix and prefix + ".csv") as csv_out, \
+            _output(prefix and prefix + ".json") as json_out:
+        if args.input:
+            with open(args.input, encoding="utf-8") as fh:
+                path = read_path_csv(fh)
+        else:
+            path = _build_path(args)
+        cloud = image_cloud(path) if args.object == "image" else graph_cloud(path)
+        series = scale_sweep(cloud, _METHOD_KINDS[args.method], j_min, j_max, refine=args.refine)
+        estimate = estimate_dimension(series)
+        # a CSV records neither the seed, the drift nor the set of its path
+        made = (dict(seed=None, drift=None, set=None) if args.input
+                else dict(seed=path.seed, drift=args.drift, set=args.set))
+        config = {
+            "command": "dims", "object": args.object, "method": args.method,
+            "scales": [j_min, j_max], "input": args.input, **made, "d": path.dim,
+            "points": len(path.grid), "refine": args.refine,
+        }
+        series.write_csv(csv_out)
+        print(json.dumps({"config": config, "estimate": estimate.to_dict()}, sort_keys=True),
+              file=json_out)
     return 0
 
 
@@ -138,23 +167,19 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    config = load_config(args.config)
-    names = list(CLAIM_IDS) if args.name == "all" else [args.name]
-    reports = {name: report.to_dict() for name, report in run_claims(names, config).items()}
-    all_pass = True
-    for report in reports.values():
-        for verdict in report["verdicts"]:
-            all_pass &= verdict["pass"]
-            status = "PASS" if verdict["pass"] else "FAIL"
-            print(f"{status} {verdict['claim']}: margin={verdict['margin']:.4f} "
-                  f"({verdict['detail']})", file=sys.stderr)
-    payload = reports[names[0]] if len(names) == 1 else reports
-    text = json.dumps(payload, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with _output(args.out) as out:
+        config = load_config(args.config)
+        names = list(CLAIM_IDS) if args.name == "all" else [args.name]
+        reports = {name: report.to_dict() for name, report in run_claims(names, config).items()}
+        all_pass = True
+        for report in reports.values():
+            for verdict in report["verdicts"]:
+                all_pass &= verdict["pass"]
+                status = "PASS" if verdict["pass"] else "FAIL"
+                print(f"{status} {verdict['claim']}: margin={verdict['margin']:.4f} "
+                      f"({verdict['detail']})", file=sys.stderr)
+        payload = reports[names[0]] if len(names) == 1 else reports
+        print(json.dumps(payload, sort_keys=True), file=out)
     return 0 if all_pass else 1
 
 
@@ -163,13 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Box-dimension experiments for noisy paths")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="generate a sample path CSV")
-    _add_generation_flags(p_sim)
+    p_sim = sub.add_parser("simulate", parents=[_GENERATION], help="generate a sample path CSV")
     p_sim.add_argument("--out", default=None)
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_dims = sub.add_parser("dims", help="scale series and dimension estimate")
-    _add_generation_flags(p_dims)
+    p_dims = sub.add_parser("dims", parents=[_GENERATION],
+                            help="scale series and dimension estimate")
     p_dims.add_argument("--input", default=None, help="sample-path CSV to analyse")
     p_dims.add_argument("--object", choices=["image", "graph"], default="graph")
     p_dims.add_argument("--method", choices=list(_METHOD_KINDS), default="box")

@@ -42,10 +42,10 @@ from .constructions import (
 )
 from .errors import DomainError
 from .metrics import (
-    SWEEP_J_RANGE,
     PointCloud,
     bm_graph_cloud,
     bm_image_cloud,
+    check_sweep_window,
     drift_graph_cloud,
     drift_image_cloud,
     estimate_dimension,
@@ -192,11 +192,7 @@ class ExperimentConfig:
                 and all(isinstance(j, int) and not isinstance(j, bool) for j in self.scales)):
             raise ValueError(f"scales must be two integers [j_min, j_max], got {self.scales!r}")
         j_min, j_max = self.scales
-        if j_min >= j_max:
-            raise ValueError("scales must satisfy j_min < j_max")
-        if j_min < SWEEP_J_RANGE[0] or j_max > SWEEP_J_RANGE[1]:
-            raise ValueError(f"scales {list(self.scales)} must lie in {list(SWEEP_J_RANGE)}, "
-                             "where every 2^-j is a positive finite double")
+        check_sweep_window(j_min, j_max)
         check_path_shape(self.points, self.d)
         parse_set_string(self.set)
         if self.points < 2 ** (j_max + 2):
@@ -393,125 +389,105 @@ def _verdict(claim: str, passed: bool, margin: float, detail: str) -> dict:
     return {"claim": claim, "pass": bool(passed), "margin": float(margin), "detail": detail}
 
 
-def _primary_method(report: ExperimentReport) -> str:
-    return report.config["methods"][0]
-
-
-def check_constancy(report: ExperimentReport, iqr_tol: float) -> dict:
+def check_constancy(cfg: ExperimentConfig, report: ExperimentReport, iqr_tol: float) -> dict:
     """Cross-seed constancy: the IQR of ls_slope stays below the tolerance
     for every measured object."""
-    if len(report.config["seeds"]) < 8:
-        raise DomainError("insufficient-seeds", "constancy needs >= 8 seeds")
     iqrs = [agg["iqr"] for per in report.aggregates.values() for agg in per.values()]
     if not iqrs:
-        raise DomainError("not-measured", f"any object by {', '.join(report.config['methods'])}")
+        raise DomainError("not-measured", f"any object by {', '.join(cfg.methods)}")
     worst = max(iqrs)
-    return _verdict(
-        "constancy",
-        worst <= iqr_tol,
-        worst,
-        f"max ls_slope IQR {worst:.4f} across objects (tolerance {iqr_tol})",
-    )
+    return _verdict("constancy", worst <= iqr_tol, worst,
+                    f"max ls_slope IQR {worst:.4f} across objects (tolerance {iqr_tol})")
 
 
-def _inequality(report: ExperimentReport, claim: str, prefix: str, slack: float) -> dict:
-    method = _primary_method(report)
-    if report.config["drift"] == "zero":
+def _inequality(cfg: ExperimentConfig, report: ExperimentReport, claim: str, prefix: str,
+                slack: float) -> dict:
+    if cfg.drift_spec.is_zero:
         return _verdict(claim, True, 0.0, "zero drift: inequality collapses to equality")
+    method = cfg.methods[0]
     med_sum = report.median(f"{prefix}_sum", method)
     med_bm = report.median(f"{prefix}_bm", method)
     med_drift = report.median(f"{prefix}_drift", method)
     margin = med_sum - max(med_bm, med_drift)
-    return _verdict(
-        claim,
-        margin >= -slack,
-        margin,
-        f"median {prefix}(sum)={med_sum:.4f} vs max(bm={med_bm:.4f}, drift={med_drift:.4f}), slack {slack}",
-    )
+    return _verdict(claim, margin >= -slack, margin, f"median {prefix}(sum)={med_sum:.4f} vs "
+                    f"max(bm={med_bm:.4f}, drift={med_drift:.4f}), slack {slack}")
 
 
-def check_image_inequality(report: ExperimentReport, slack: float) -> dict:
+def check_image_inequality(cfg: ExperimentConfig, report: ExperimentReport, slack: float) -> dict:
     """Adding a drift cannot shrink the image dimension (up to the slack)."""
-    return _inequality(report, "thm13-image", "image", slack)
+    return _inequality(cfg, report, "thm13-image", "image", slack)
 
 
-def check_graph_inequality(report: ExperimentReport, slack: float) -> dict:
+def check_graph_inequality(cfg: ExperimentConfig, report: ExperimentReport, slack: float) -> dict:
     """Adding a drift cannot shrink the graph dimension (up to the slack)."""
-    return _inequality(report, "thm15-graph", "graph", slack)
+    return _inequality(cfg, report, "thm15-graph", "graph", slack)
 
 
-def check_graph_equality_continuous(report: ExperimentReport, tol: float) -> dict:
+def check_graph_equality_continuous(cfg: ExperimentConfig, report: ExperimentReport,
+                                    tol: float) -> dict:
     """For continuous drifts over the full interval in 1-D, the graph
     dimension of the sum matches the larger component dimension."""
-    drift_cfg = report.config["drift"]
-    drift = drift_from_config(drift_cfg, report.config["d"])
-    if not drift.is_continuous:
-        raise DomainError("drift-not-continuous", f"{drift_cfg!r} has jumps")
-    if report.config["set"]["kind"] != "uniform" or report.config["d"] != 1:
-        raise DomainError("equality-needs-uniform-d1", "equality check needs d=1 over [0, 1]")
-    method = _primary_method(report)
-    if drift_cfg == "zero":
+    if cfg.drift_spec.is_zero:
         return _verdict("thm16-equality", True, 0.0, "zero drift: trivial equality")
+    method = cfg.methods[0]
     med_sum = report.median("graph_sum", method)
     med_bm = report.median("graph_bm", method)
     med_drift = report.median("graph_drift", method)
     diff = abs(med_sum - max(med_bm, med_drift))
-    return _verdict(
-        "thm16-equality",
-        diff <= tol,
-        diff,
-        f"|median graph(sum) - max components| = {diff:.4f} (tolerance {tol})",
-    )
+    return _verdict("thm16-equality", diff <= tol, diff,
+                    f"|median graph(sum) - max components| = {diff:.4f} (tolerance {tol})")
 
 
-def check_corollary_bound(report: ExperimentReport, below: float, above: float) -> dict:
+def check_corollary_bound(cfg: ExperimentConfig, report: ExperimentReport, below: float,
+                          above: float) -> dict:
     """Image dimension of the noise over the power grid {n^-beta} sits in the
     window around 2*alpha/(alpha+1) with alpha = 1/(1+beta)."""
-    if report.config["set"]["kind"] != "power_set":
-        raise DomainError("not-power-grid", "corollary check needs a power_set grid")
-    if report.config["d"] != 1:
-        raise DomainError("corollary-needs-d1", "the 2a/(a+1) branch applies to d=1 only")
-    alpha = 1.0 / (1.0 + report.config["set"]["beta"])
+    alpha = 1.0 / (1.0 + parse_set_string(cfg.set)[1]["beta"])
     target = theoretical_image_bound(alpha, 1)
-    method = _primary_method(report)
-    med = report.median("image_bm", method)
+    med = report.median("image_bm", cfg.methods[0])
     margin = med - target
-    return _verdict(
-        "cor14-bound",
-        -below <= margin <= above,
-        margin,
-        f"median image(bm)={med:.4f} vs target {target:.4f} (window -{below}/+{above})",
-    )
+    return _verdict("cor14-bound", -below <= margin <= above, margin, f"median image(bm)={med:.4f} "
+                    f"vs target {target:.4f} (window -{below}/+{above})")
 
 
-def check_example_53(report: ExperimentReport) -> dict:
+def check_example_53(cfg: ExperimentConfig, report: ExperimentReport) -> dict:
     """Measured graph dimension of the truncated staircase sum is within the
     tolerance of the analytic target, both frozen in the config's target."""
-    target, tol = (float(x) for x in report.config["target"])
-    method = _primary_method(report)
-    med = report.median("graph_drift", method)
+    target, tol = (float(x) for x in cfg.target)
+    med = report.median("graph_drift", cfg.methods[0])
     margin = med - target
-    return _verdict(
-        "example-53",
-        abs(margin) <= tol,
-        margin,
-        f"median graph(drift)={med:.4f} vs analytic target {target:.4f} (tolerance {tol})",
-    )
+    return _verdict("example-53", abs(margin) <= tol, margin, f"median graph(drift)={med:.4f} "
+                    f"vs analytic target {target:.4f} (tolerance {tol})")
 
 
-def check_example_74(report: ExperimentReport, min_gap: float) -> dict:
+def check_example_74(cfg: ExperimentConfig, report: ExperimentReport, min_gap: float) -> dict:
     """Directional version of the jump-interpolation effect: the graph of
     noise+staircase beats the staircase graph by at least min_gap."""
-    method = _primary_method(report)
+    method = cfg.methods[0]
     med_sum = report.median("graph_sum", method)
     med_drift = report.median("graph_drift", method)
     margin = med_sum - med_drift
-    return _verdict(
-        "example-74-directional",
-        margin >= min_gap,
-        margin,
-        f"median graph(sum)={med_sum:.4f} vs graph(drift)={med_drift:.4f} (min gap {min_gap})",
-    )
+    return _verdict("example-74-directional", margin >= min_gap, margin, f"median graph(sum)="
+                    f"{med_sum:.4f} vs graph(drift)={med_drift:.4f} (min gap {min_gap})")
+
+
+def _requires(claim: str, cfg: ExperimentConfig) -> None:
+    """Refuse a config whose claim's check could not judge it: the premises
+    of the claim, checked before any of its seeds runs."""
+    if claim == "constancy" and len(cfg.seeds) < 8:
+        raise DomainError("insufficient-seeds", "constancy needs >= 8 seeds")
+    if claim == "thm16-equality":
+        if not cfg.drift_spec.is_continuous:
+            raise DomainError("drift-not-continuous", f"{cfg.drift!r} has jumps")
+        if cfg.set != "uniform" or cfg.d != 1:
+            raise DomainError("equality-needs-uniform-d1", "equality check needs d=1 over [0, 1]")
+    if claim == "cor14-bound":
+        if parse_set_string(cfg.set)[0] != "power_set":
+            raise DomainError("not-power-grid", "corollary check needs a power_set grid")
+        if cfg.d != 1:
+            raise DomainError("corollary-needs-d1", "the 2a/(a+1) branch applies to d=1 only")
+    if claim == "example-53" and cfg.target is None:
+        raise ValueError("missing target [value, tolerance]")
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +527,8 @@ def _claim_config(claim: str, entry: dict) -> ExperimentConfig:
     return ExperimentConfig("example", drift=f"lacunary:{entry['schedule']}:{truncation}", **rest)
 
 
-# One row per claim: (check, tolerance keys), called as check(report, *tolerances).
+# One row per claim: (check, tolerance keys), called as
+# check(cfg, report, *tolerances) on the claim's config and report.
 CLAIMS = {
     "constancy": (check_constancy, ("constancy_iqr",)),
     "thm13-image": (check_image_inequality, ("inequality_slack",)),
@@ -568,8 +545,8 @@ CLAIM_IDS = tuple(CLAIMS)
 def run_claims(names, config: dict | None = None) -> dict:
     """Run registered claims and return ``{claim: report with its verdict}``.
 
-    Every named claim's config and tolerances are checked before any
-    experiment runs.  The claims of one call share per-seed estimates, so
+    Every named claim's config, tolerances and premises (``_requires``) are
+    checked before any experiment runs.  The claims of one call share per-seed estimates, so
     each distinct (experiment, seed) runs once.  A ``ValueError`` gains the
     claim (and, when a seed failed, the seed) before its message; a
     ``DomainError`` keeps its code.
@@ -589,15 +566,14 @@ def run_claims(names, config: dict | None = None) -> dict:
             check, keys = CLAIMS[claim]
             exp_cfg = entries[claim]
             exp = _claim_config(claim, exp_cfg)
-            if check is check_example_53 and exp.target is None:
-                raise ValueError("missing target [value, tolerance]")
+            _requires(claim, exp)
             plans[claim] = (exp_cfg, exp, check, [_tolerance(tol, key) for key in keys])
         for claim, (exp_cfg, exp, check, values) in plans.items():
             report = _run_experiment(exp, memo)
             if "schedule" in exp_cfg:
                 report.config["tail_bound"] = lacunary_tail_bound(
                     parse_schedule(exp_cfg["schedule"]), exp_cfg["truncation"])
-            reports[claim] = replace(report, verdicts=(check(report, *values),))
+            reports[claim] = replace(report, verdicts=(check(exp, report, *values),))
     except ValueError as exc:  # ``claim`` is the claim that raised
         raise _prefixed(exc, f"claim {claim!r}: ") from exc
     return reports

@@ -449,17 +449,8 @@ def oscillation_counts(values: np.ndarray, n: int) -> np.ndarray:
 
 
 def distinct_cell_count(cells: np.ndarray) -> int:
-    """Number of distinct integer cell tuples (rows).
-
-    Rows are packed into scalar keys for one sort; a grid too large to
-    pack, or float floors, are de-duplicated row-wise instead.
-    """
-    cells = np.asarray(cells)
-    try:
-        keys = pack_cells(cells)[0]
-    except DomainError:
-        return len(np.unique(cells, axis=0))
-    return len(_sorted_distinct(keys))
+    """Number of distinct cell tuples (rows), int64 cells or float floors."""
+    return len(np.unique(np.asarray(cells), axis=0))
 
 
 class KeyLayout(NamedTuple):

@@ -347,20 +347,26 @@ def neighbor_collision_counts(values, epsilon: float) -> np.ndarray:
 SWEEP_J_RANGE = (-1023, 1074)
 
 
+def check_sweep_window(j_min: int, j_max: int) -> None:
+    """Refuse a sweep window ``[j_min, j_max]`` unless ``j_min < j_max`` and
+    both lie in ``SWEEP_J_RANGE``; outside it some ``2^-j`` is not a positive
+    finite double, which raises ``DomainError("bad-scale")``."""
+    if j_min >= j_max:
+        raise ValueError(f"scales [{j_min}, {j_max}] need j_min < j_max")
+    if j_min < SWEEP_J_RANGE[0] or j_max > SWEEP_J_RANGE[1]:
+        raise DomainError("bad-scale", f"scales [{j_min}, {j_max}] must lie in "
+                          f"{list(SWEEP_J_RANGE)}, where every 2^-j is a positive finite double")
+
+
 def scale_sweep(cloud: PointCloud, kind: str, j_min: int, j_max: int,
                 refine: int = 4) -> ScaleSeries:
     """Evaluate one counting method at the dyadic scales eps = 2^-j.
 
     For ``oscillation`` the cloud must be the graph of a 1-D function sampled
     on the full uniform dyadic grid; its second column is used as the sampled
-    values.  A window outside ``SWEEP_J_RANGE``, where some ``2^-j`` is not a
-    positive finite double, raises ``DomainError("bad-scale")``.
+    values.  The window must pass ``check_sweep_window``.
     """
-    if j_min >= j_max:
-        raise ValueError("need j_min < j_max")
-    if j_min < SWEEP_J_RANGE[0] or j_max > SWEEP_J_RANGE[1]:
-        raise DomainError("bad-scale", f"scales 2^-j for j in [{j_min}, {j_max}] leave "
-                          f"the positive finite doubles (j in {list(SWEEP_J_RANGE)})")
+    check_sweep_window(j_min, j_max)
     js = np.arange(j_min, j_max + 1)
     eps = 2.0 ** -js.astype(np.float64)
     if kind == "box":

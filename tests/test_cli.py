@@ -1,10 +1,12 @@
 """CLI surface: subcommands, formats, exit codes."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+from fracdim import cli, experiments
 from fracdim.cli import main
 
 
@@ -154,6 +156,80 @@ def test_a_file_that_cannot_be_opened_exits_2(capsys, tmp_path, monkeypatch, arg
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--out", "nodir/p.csv"],
+    ["dims", "--out", "nodir/x"],
+    ["dims", "--scales", "4"],
+    ["dims", "--scales", "9:3"],
+    ["dims", "--scales=-2000:3"],
+    ["experiment", "--name", "all", "--out", "nodir/all.json"],
+])
+def test_a_bad_out_or_scales_exits_2_before_any_work(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    monkeypatch.setattr(cli, "generate_bm", lambda *args: calls.append("generate_bm"))
+    monkeypatch.setattr(cli, "run_claims", lambda *args: calls.append("run_claims"))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--drift", "wiggle:2", "--out", "kept"],
+    ["dims", "--input", "missing.csv", "--out", "kept"],
+    ["dims", "--points", "65", "--method", "oscillation", "--set", "power:1", "--out", "kept"],
+    ["experiment", "--name", "cor14-bound", "--config", "missing.json", "--out", "kept"],
+])
+def test_a_failed_run_leaves_an_existing_out_file_as_it_was(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    kept = {name: f"old {name}\n".encode() for name in ("kept", "kept.csv", "kept.json")}
+    for name, data in kept.items():
+        (tmp_path / name).write_bytes(data)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and err.splitlines()[-1].startswith("error: ")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == kept
+
+
+def test_out_files_get_the_mode_open_would_give_them(capsys, tmp_path):
+    umask = os.umask(0)
+    os.umask(umask)
+    target = tmp_path / "p.csv"
+    assert main(["simulate", "--points", "9", "--out", str(target)]) == 0
+    capsys.readouterr()
+    assert os.stat(target).st_mode & 0o777 == 0o666 & ~umask
+    assert [p.name for p in tmp_path.iterdir()] == ["p.csv"]
+
+
+def test_dims_input_echoes_null_for_what_the_csv_does_not_record(capsys, tmp_path):
+    csv = tmp_path / "p.csv"
+    assert main(["simulate", "--levy-depth", "6", "--seed", "3", "--drift", "lacunary:desk:3",
+                 "--out", str(csv)]) == 0
+    # a generation flag at its default value is no conflict
+    code, out, _ = run_cli(capsys, "dims", "--input", str(csv), "--scales", "2:4", "--seed", "0")
+    config = json.loads(out.splitlines()[-1])["config"]
+    assert code == 0
+    assert (config["seed"], config["drift"], config["set"]) == (None, None, None)
+    assert (config["d"], config["points"]) == (1, 65)
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--drift", "psi_n:64", "--set", "power:2"], "--drift, --set"),
+    (["--seed", "3"], "--seed"),
+    (["--points", "65"], "--points"),
+    (["--levy-depth", "4"], "--levy-depth"),
+    (["--d", "2"], "--d"),
+])
+def test_dims_input_refuses_generation_flags_it_would_ignore(capsys, tmp_path, monkeypatch,
+                                                               flags, named):
+    csv = tmp_path / "p.csv"
+    csv.write_text("t,b_1,f_1\n0,0,0\n1,1,0\n")
+    monkeypatch.setattr(cli, "read_path_csv", lambda fh: pytest.fail("read the CSV"))
+    code, out, err = run_cli(capsys, "dims", "--input", str(csv), *flags)
+    assert (code, out) == (2, "")
+    assert err == f"error: --input reads the path from its CSV; drop {named}\n"
+
+
 def test_dims_writes_files(capsys, tmp_path):
     prefix = tmp_path / "run"
     code, _, _ = run_cli(capsys, "dims", "--points", "1025", "--seed", "3",
@@ -263,10 +339,12 @@ def test_experiment_runs_and_exit_codes(capsys, tmp_path):
     assert report["verdicts"][0]["pass"] is True
     assert report["config"]["seeds"] == [1, 2, 3, 4, 5, 6, 7, 8]
 
+    # a failed verdict still writes its report
     bad = _tiny_config(tmp_path, [9.9, 0.0001])
     code, _, _ = run_cli(capsys, "experiment", "--name", "example-53",
-                         "--config", str(bad))
+                         "--config", str(bad), "--out", str(out_file))
     assert code == 1
+    assert json.loads(out_file.read_text())["verdicts"][0]["pass"] is False
 
 
 def test_experiment_reports_are_reproducible(capsys, tmp_path):
@@ -285,7 +363,7 @@ def test_experiment_domain_error_exits_2_and_names_code_claim_seed(capsys, tmp_p
     path = _tiny_config(tmp_path, [1.0, 5.0])
     cfg = json.loads(path.read_text())
     cfg["experiments"]["constancy"] = {"drift": "zero", "points": 20000000,
-                                       "scales": [3, 8], "seeds": [5, 6]}
+                                       "scales": [3, 8], "seeds": list(range(5, 13))}
     cfg["experiments"]["example-53"].update(points=20000000, seeds=[5, 6])
     path.write_text(json.dumps(cfg))
     code, out, err = run_cli(capsys, "experiment", "--name", claim, "--config", str(path))
@@ -414,6 +492,38 @@ def test_experiment_all_names_the_failing_claim_and_seed(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err.splitlines()[-1].startswith(
         "error: grid-too-large: claim 'thm16-equality': seed 5: ")
+
+
+@pytest.mark.parametrize("claim, fields, start", [
+    ("constancy", {"seeds": [1, 2]}, "insufficient-seeds: claim 'constancy': "),
+    ("thm16-equality", {"drift": "psi_n:16"}, "drift-not-continuous: claim 'thm16-equality': "),
+    ("thm16-equality", {"set": "power:1"}, "equality-needs-uniform-d1: claim 'thm16-equality': "),
+    ("cor14-bound", {"set": "uniform"}, "not-power-grid: claim 'cor14-bound': "),
+    ("cor14-bound", {"d": 2}, "corollary-needs-d1: claim 'cor14-bound': "),
+    ("example-53", {"target": None}, "claim 'example-53': missing target [value, tolerance]"),
+])
+def test_experiment_all_refuses_a_claim_it_cannot_judge_before_any_seed_runs(
+        capsys, tmp_path, monkeypatch, claim, fields, start):
+    calls = []
+    monkeypatch.setattr(experiments, "seed_free_part", lambda *args: calls.append(args))
+    monkeypatch.setattr(experiments, "seed_estimates", lambda *args: calls.append(args))
+    path = _tiny_config(tmp_path, [1.0, 5.0])
+    cfg = json.loads(path.read_text())
+    small = {"points": 2**9 + 1, "scales": [3, 7], "seeds": [5, 6, 7, 8, 9, 10, 11, 12]}
+    cfg["experiments"].update({
+        "constancy": dict(small, drift="psi_n:16"),
+        "thm13-image": dict(small, drift={"kind": "staircase_table", "n": 16, "d": 2},
+                            set="power:1", d=2),
+        "thm15-graph": dict(small, drift="psi_n:16"),
+        "thm16-equality": dict(small, drift="linear:5.0"),
+        "cor14-bound": dict(small, drift="zero", set="power:1"),
+        "example-74-directional": dict(cfg["experiments"]["example-53"]),
+    })
+    cfg["experiments"][claim].update(fields)
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "experiment", "--name", "all", "--config", str(path))
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("error: " + start) and err.count("\n") == 1  # and no PASS line
 
 
 TINY_ENTRY = {"set": "power:1", "points": 2**9 + 1, "scales": [3, 7], "seeds": [1]}

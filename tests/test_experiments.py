@@ -1,7 +1,6 @@
 """Experiment orchestration: structure, determinism, checks, registry."""
 
 import hashlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,21 +45,15 @@ def small_config(**kw):
     return ExperimentConfig(**base)
 
 
-def synthetic_report(slopes_by_obj, seeds=8, drift="zero", set_kind="uniform", d=1, **set_params):
-    per_seed = []
-    n = max(len(v) for v in slopes_by_obj.values())
-    aggregates = {}
-    for obj, slopes in slopes_by_obj.items():
-        aggregates[obj] = {"box": {
-            "median": float(np.median(slopes)),
-            "iqr": float(np.percentile(slopes, 75) - np.percentile(slopes, 25)),
-        }}
-    config = {
-        "name": "synthetic", "drift": drift, "set": {"kind": set_kind, **set_params}, "d": d,
-        "seeds": list(range(n)), "points": 2**9 + 1, "scales": [3, 7],
-        "methods": ["box"], "refine": 4, "target": None,
-    }
-    return ExperimentReport(config, tuple(per_seed), aggregates, ())
+def synthetic(slopes_by_obj, **kw):
+    """``(cfg, report)``: a config with 8 seeds, changed by ``kw``, and a report
+    whose box aggregates are the median and IQR of the given slopes."""
+    cfg = small_config(**{"seeds": tuple(range(8)), **kw})
+    aggregates = {obj: {"box": {
+        "median": float(np.median(slopes)),
+        "iqr": float(np.percentile(slopes, 75) - np.percentile(slopes, 25)),
+    }} for obj, slopes in slopes_by_obj.items()}
+    return cfg, ExperimentReport(cfg.to_dict(), (), aggregates, ())
 
 
 # ---------------------------------------------------------------------------
@@ -153,98 +146,62 @@ def test_oscillation_method_runs_on_uniform_graphs():
 
 
 def test_check_constancy_duplicated_seed_passes():
-    rep = synthetic_report({"graph_bm": [1.3] * 8})
-    v = check_constancy(rep, 0.05)
+    v = check_constancy(*synthetic({"graph_bm": [1.3] * 8}), 0.05)
     assert v["pass"] and v["margin"] == 0.0
 
 
 def test_check_constancy_split_slopes_fails():
-    rep = synthetic_report({"graph_bm": [1.0] * 4 + [1.5] * 4})
-    v = check_constancy(rep, 0.05)
+    v = check_constancy(*synthetic({"graph_bm": [1.0] * 4 + [1.5] * 4}), 0.05)
     assert not v["pass"]
     assert abs(v["margin"] - 0.5) < 1e-12
 
 
-def test_check_constancy_needs_eight_seeds():
-    rep = synthetic_report({"graph_bm": [1.0] * 4})
-    with pytest.raises(DomainError) as ei:
-        check_constancy(rep, 0.05)
-    assert ei.value.code == "insufficient-seeds"
-
-
 def test_check_inequalities_zero_drift_trivial():
-    rep = synthetic_report({"image_bm": [1.0] * 8, "graph_bm": [1.5] * 8})
-    assert check_image_inequality(rep, 0.1)["pass"]
-    assert check_graph_inequality(rep, 0.1)["pass"]
+    cfg, rep = synthetic({"image_bm": [1.0] * 8, "graph_bm": [1.5] * 8})
+    assert check_image_inequality(cfg, rep, 0.1)["pass"]
+    assert check_graph_inequality(cfg, rep, 0.1)["pass"]
 
 
 def test_checks_refuse_estimates_they_did_not_get():
     # a drifted report whose methods measured only the graphs
-    rep = synthetic_report({"graph_bm": [1.5] * 8, "graph_drift": [1.0] * 8,
-                            "graph_sum": [1.5] * 8}, drift="psi_n:16")
+    cfg, rep = synthetic({"graph_bm": [1.5] * 8, "graph_drift": [1.0] * 8,
+                          "graph_sum": [1.5] * 8}, drift="psi_n:16")
     with pytest.raises(DomainError) as ei:
-        check_image_inequality(rep, 0.1)
+        check_image_inequality(cfg, rep, 0.1)
     assert ei.value.code == "not-measured" and ei.value.detail == "image_sum by box"
     with pytest.raises(DomainError) as ei:
         rep.median("graph_bm", "oscillation")
     assert ei.value.code == "not-measured" and ei.value.detail == "graph_bm by oscillation"
-    unmeasured = replace(synthetic_report({"graph_bm": [1.5] * 8}), aggregates={})
+    cfg, rep = synthetic({})
     with pytest.raises(DomainError) as ei:
-        check_constancy(unmeasured, 0.05)
+        check_constancy(cfg, rep, 0.05)
     assert ei.value.code == "not-measured"
 
 
 def test_check_inequality_detects_violation():
-    rep = synthetic_report({
+    cfg, rep = synthetic({
         "image_bm": [1.0] * 8, "image_drift": [0.6] * 8, "image_sum": [0.8] * 8,
         "graph_bm": [1.5] * 8, "graph_drift": [1.0] * 8, "graph_sum": [1.3] * 8,
     }, drift="psi_n:16")
-    v = check_image_inequality(rep, 0.1)
+    v = check_image_inequality(cfg, rep, 0.1)
     assert not v["pass"] and abs(v["margin"] + 0.2) < 1e-12
-    v2 = check_graph_inequality(rep, 0.1)
+    v2 = check_graph_inequality(cfg, rep, 0.1)
     assert not v2["pass"] and abs(v2["margin"] + 0.2) < 1e-12
     # widening the tolerance never flips pass -> fail
-    assert check_image_inequality(rep, 0.25)["pass"]
-    assert check_graph_inequality(rep, 0.21)["pass"]
-
-
-def test_check_equality_guards_discontinuous_drift():
-    rep = synthetic_report(
-        {"graph_bm": [1.5] * 8, "graph_drift": [1.0] * 8, "graph_sum": [1.5] * 8},
-        drift="psi_n:16",
-    )
-    with pytest.raises(DomainError) as ei:
-        check_graph_equality_continuous(rep, 0.1)
-    assert ei.value.code == "drift-not-continuous"
-
-
-@pytest.mark.parametrize("set_kind, d, drift", [
-    ("dyadic", 1, "linear:5.0"),
-    ("power_set", 1, "zero"),
-    ("uniform", 2, "linear:1.0,2.0"),
-])
-def test_check_equality_guards_the_set_and_dimension(set_kind, d, drift):
-    rep = synthetic_report(
-        {"graph_bm": [1.5] * 8, "graph_drift": [1.0] * 8, "graph_sum": [1.5] * 8},
-        drift=drift, set_kind=set_kind, d=d,
-    )
-    with pytest.raises(DomainError) as ei:
-        check_graph_equality_continuous(rep, 0.1)
-    assert ei.value.code == "equality-needs-uniform-d1"
+    assert check_image_inequality(cfg, rep, 0.25)["pass"]
+    assert check_graph_inequality(cfg, rep, 0.21)["pass"]
 
 
 def test_check_equality_continuous_passes():
-    rep = synthetic_report(
+    v = check_graph_equality_continuous(*synthetic(
         {"graph_bm": [1.5] * 8, "graph_drift": [1.0] * 8, "graph_sum": [1.52] * 8},
         drift="linear:5.0",
-    )
-    v = check_graph_equality_continuous(rep, 0.1)
+    ), 0.1)
     assert v["pass"] and abs(v["margin"] - 0.02) < 1e-12
 
 
 def test_check_equality_zero_drift_trivial():
-    rep = synthetic_report({"graph_bm": [1.5] * 8})
-    v = check_graph_equality_continuous(rep, 0.1)
+    v = check_graph_equality_continuous(*synthetic({"graph_bm": [1.5] * 8}), 0.1)
     assert v["pass"] and v["margin"] == 0.0
 
 
@@ -255,30 +212,18 @@ def test_run_claim_thm16_equality_default_passes():
     assert verdict["pass"]
 
 
-def test_check_corollary_guards():
-    rep = synthetic_report({"image_bm": [0.65] * 8}, set_kind="power_set", d=2, beta=1.0)
-    with pytest.raises(DomainError) as ei:
-        check_corollary_bound(rep, 0.1, 0.15)
-    assert ei.value.code == "corollary-needs-d1"
-    rep2 = synthetic_report({"image_bm": [0.65] * 8}, set_kind="uniform", d=1)
-    with pytest.raises(DomainError) as ei2:
-        check_corollary_bound(rep2, 0.1, 0.15)
-    assert ei2.value.code == "not-power-grid"
-
-
 def test_check_corollary_window():
-    rep = synthetic_report({"image_bm": [0.64] * 8}, set_kind="power_set", d=1, beta=1.0)
-    v = check_corollary_bound(rep, 0.1, 0.15)
+    v = check_corollary_bound(*synthetic({"image_bm": [0.64] * 8}, set="power:1"), 0.1, 0.15)
     assert v["pass"]
-    rep_low = synthetic_report({"image_bm": [0.40] * 8}, set_kind="power_set", d=1, beta=1.0)
-    assert not check_corollary_bound(rep_low, 0.1, 0.15)["pass"]
+    low = synthetic({"image_bm": [0.40] * 8}, set="power:1")
+    assert not check_corollary_bound(*low, 0.1, 0.15)["pass"]
 
 
 def test_check_corollary_reads_beta_from_the_set():
     # beta = 3 gives alpha = 1/4 and the target 2a/(a+1) = 0.4, which the
     # median 0.64 misses; beta = 1 gives the target 2/3, which it meets
-    steep = synthetic_report({"image_bm": [0.64] * 8}, set_kind="power_set", d=1, beta=3.0)
-    v = check_corollary_bound(steep, 0.1, 0.15)
+    steep = synthetic({"image_bm": [0.64] * 8}, set="power:3")
+    v = check_corollary_bound(*steep, 0.1, 0.15)
     assert not v["pass"] and abs(v["margin"] - 0.24) < 1e-12
     assert "target 0.4000" in v["detail"]
 
@@ -415,19 +360,75 @@ def test_run_claims_reads_tolerances_before_running(monkeypatch, tolerance, word
     assert calls == []
 
 
+def refused_before_running(monkeypatch, claim, config) -> list:
+    """The errors of ``run_claims`` on ``claim`` alone and on every claim id
+    with ``claim`` last, as ``--name all`` would run it after all the others;
+    counting stubs check that neither run computed a seed-free part or a
+    seed's estimates."""
+    calls = []
+    for name in ("seed_free_part", "seed_estimates"):
+        def counting(cfg, *args, real=getattr(experiments, name)):
+            calls.append(cfg.name)
+            return real(cfg, *args)
+
+        monkeypatch.setattr(experiments, name, counting)
+    errors = []
+    for names in ([claim], [c for c in fd.CLAIM_IDS if c != claim] + [claim]):
+        with pytest.raises(ValueError) as ei:
+            run_claims(names, config)
+        errors.append(ei.value)
+    assert calls == []
+    return errors
+
+
 @pytest.mark.parametrize("target", [None, "absent"])
 def test_run_claims_reads_the_example_53_target_before_running(monkeypatch, target):
-    calls = []
-    monkeypatch.setattr(experiments, "seed_free_part", lambda cfg: calls.append(cfg.name))
-    config = shared_run_config()
+    config = golden_config()
     entry = config["experiments"]["example-53"]
     del entry["target"]
     if target is None:
         entry["target"] = None
-    with pytest.raises(ValueError) as ei:
-        run_claims(SHARED_CLAIMS, config)
-    assert str(ei.value) == "claim 'example-53': missing target [value, tolerance]"
-    assert calls == []
+    for err in refused_before_running(monkeypatch, "example-53", config):
+        assert not isinstance(err, DomainError)
+        assert str(err) == "claim 'example-53': missing target [value, tolerance]"
+
+
+def test_check_constancy_needs_eight_seeds(monkeypatch):
+    config = golden_config()
+    config["experiments"]["constancy"]["seeds"] = list(range(1, 8))
+    for err in refused_before_running(monkeypatch, "constancy", config):
+        assert err.code == "insufficient-seeds"
+        assert err.detail == "claim 'constancy': constancy needs >= 8 seeds"
+
+
+def test_check_equality_guards_discontinuous_drift(monkeypatch):
+    for drift in ("psi_n:16", {"kind": "staircase_table", "n": 16}):
+        config = golden_config()
+        config["experiments"]["thm16-equality"]["drift"] = drift
+        for err in refused_before_running(monkeypatch, "thm16-equality", config):
+            assert err.code == "drift-not-continuous"
+            assert err.detail == f"claim 'thm16-equality': {drift!r} has jumps"
+
+
+@pytest.mark.parametrize("grid, d, drift", [
+    ("power:1", 1, "linear:5.0"),
+    ("power:1", 1, "zero"),
+    ("uniform", 2, "linear:1.0,2.0"),
+])
+def test_check_equality_guards_the_set_and_dimension(monkeypatch, grid, d, drift):
+    config = golden_config()
+    config["experiments"]["thm16-equality"].update(set=grid, d=d, drift=drift)
+    for err in refused_before_running(monkeypatch, "thm16-equality", config):
+        assert err.code == "equality-needs-uniform-d1"
+        assert err.detail.startswith("claim 'thm16-equality': ")
+
+
+def test_check_corollary_guards(monkeypatch):
+    for fields, code in (({"d": 2}, "corollary-needs-d1"), ({"set": "uniform"}, "not-power-grid")):
+        config = golden_config()
+        config["experiments"]["cor14-bound"].update(fields)
+        for err in refused_before_running(monkeypatch, "cor14-bound", config):
+            assert err.code == code and err.detail.startswith("claim 'cor14-bound': ")
 
 
 def test_drift_objects_are_swept_once_per_experiment(monkeypatch):
@@ -528,18 +529,15 @@ def test_run_claims_keeps_different_custom_schedules_apart():
 
 
 def test_check_example_53_reads_its_tolerance_from_the_target():
-    rep = synthetic_report({"graph_drift": [1.1] * 8})
-    rep.config["target"] = [1.0, 0.15]
-    v = check_example_53(rep)
+    v = check_example_53(*synthetic({"graph_drift": [1.1] * 8}, target=(1.0, 0.15)))
     assert v["pass"] and abs(v["margin"] - 0.1) < 1e-12 and "tolerance 0.15" in v["detail"]
-    rep.config["target"] = [1.0, 0.05]
-    assert not check_example_53(rep)["pass"]
+    assert not check_example_53(*synthetic({"graph_drift": [1.1] * 8}, target=(1.0, 0.05)))["pass"]
 
 
 def test_example_74_margin_monotone():
-    rep = synthetic_report({"graph_drift": [1.1] * 8, "graph_sum": [1.15] * 8})
-    assert check_example_74(rep, 0.03)["pass"]
-    assert not check_example_74(rep, 0.10)["pass"]
+    cfg, rep = synthetic({"graph_drift": [1.1] * 8, "graph_sum": [1.15] * 8})
+    assert check_example_74(cfg, rep, 0.03)["pass"]
+    assert not check_example_74(cfg, rep, 0.10)["pass"]
 
 
 def test_thinning_packing_transfer_in_experiment_flow():
