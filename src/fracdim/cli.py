@@ -85,7 +85,25 @@ _GENERATION.add_argument("--drift", default="zero", help="zero | linear:<mu> | p
 _GENERATION.add_argument("--set", default="uniform", help="uniform | power:<beta>")
 
 
+def _refuse_unused(args) -> None:
+    """Refuse, before any work, the generation flags given a non-default
+    value that the command would ignore: every one beside ``dims --input``,
+    and ``--points`` and ``--set`` beside ``--levy-depth``."""
+    defaults = vars(_GENERATION.parse_args([]))
+    if getattr(args, "input", None):
+        unused, why = defaults, "--input reads the path from its CSV"
+    elif args.levy_depth is not None:
+        unused, why = ("points", "set"), "--levy-depth builds its own dyadic grid"
+    else:
+        return
+    given = [f"--{dest.replace('_', '-')}" for dest in unused
+             if getattr(args, dest) != defaults[dest]]
+    if given:
+        raise ValueError(f"{why}; drop {', '.join(given)}")
+
+
 def cmd_simulate(args) -> int:
+    _refuse_unused(args)
     with _output(args.out) as out:
         path = _build_path(args)
         _echo_config({
@@ -118,10 +136,7 @@ def _parse_eps(text: str, n: int) -> float:
 def cmd_dims(args) -> int:
     j_min, j_max = _parse_scales(args.scales)
     check_sweep_window(j_min, j_max)
-    ignored = [f"--{dest.replace('_', '-')}" for dest, default
-               in vars(_GENERATION.parse_args([])).items() if getattr(args, dest) != default]
-    if args.input and ignored:
-        raise ValueError(f"--input reads the path from its CSV; drop {', '.join(ignored)}")
+    _refuse_unused(args)
     prefix = args.out
     with _output(prefix and prefix + ".csv") as csv_out, \
             _output(prefix and prefix + ".json") as json_out:

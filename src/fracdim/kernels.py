@@ -5,9 +5,11 @@ squared distance is accumulated axis by axis in axis order,
 ``d2 = (x_0 - y_0)**2 + (x_1 - y_1)**2 + ...``, and compared with
 ``radius * radius``.  Packing, thinning and neighbour counts treat a pair as
 close iff ``d2 < radius * radius`` (strict, so a pair at exactly the radius
-is separated); the sausage marks a cell iff ``d2 <= r * r``.  Candidate
-pairs come from an origin-anchored grid of side ``radius``: a point is only
-compared with the points of its ``3**m`` neighbour cells.
+is separated); the sausage marks a cell iff ``d2 <= r * r``.  A radius whose
+square is not a positive, normal, finite double is refused (``_square``).
+Candidate pairs come from an origin-anchored grid of side ``radius``: a
+point is only compared with the points of its neighbour cells on at most
+three axes (``_neighbourhoods``).
 
 Greedy packing and thinning are one scan (``_greedy_scan``): visit points in
 stored order and keep each eligible one that no earlier kept point is close
@@ -35,12 +37,17 @@ holds the carried ``u + 1``.  Keys are never unpacked into cell rows.
 Cells are int64 below ``2^62`` in magnitude and float floors beyond.  Box
 counting counts those, and grids whose key fields need more than 63 bits,
 from the cells of the points (``distinct_cell_count``); the scans compact
-them (see ``_packed_groups``), and the sausage refuses them.  A grid too
-large to pack into int64 keys is compacted, and cut into groups that cannot
-interact when even that is too large.
+them, and the sausage refuses them.  The scans bin the points on the
+``_BIN_AXES`` axes of widest span into one packed int64 grid: a grid too
+large to pack is compacted, and loses its narrowest binned axis while even
+that is too large, so the scans never cut and never refuse a grid.  The
+sausage packs every axis; its grid, when too large, is compacted, and cut
+into groups that cannot interact when even that is too large
+(``_packed_groups``).
 """
 
 import itertools
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -60,6 +67,9 @@ _SAUSAGE_MERGE = 1 << 20
 _CELL_LIMIT = 2.0 ** 62
 # packed cell keys stay below this
 _KEY_LIMIT = 1 << 62
+# the scans bin points on this many axes at most, the widest: 3^(k - 1)
+# ranges a point, whatever the dimension
+_BIN_AXES = 3
 
 
 def active_backend() -> str:
@@ -132,18 +142,12 @@ def pack_cells(cells: np.ndarray, margin: int = 0):
 
 
 def _packed_groups(cells: np.ndarray, near: int, margin: int = 0):
-    """Split the rows of ``cells`` into groups whose grids pack, and pack each.
-
-    Yields ``(index, cells, keys, mins, widths, strides)`` per group: its row
-    indices, its int64 cells, and ``pack_cells`` of those with ``margin``.
-    Cells of different groups are more than ``near`` apart on some axis.
-    Usually the whole array is one group with its own cells.  A grid too
-    large to pack is compacted (``_compact``), which keeps which cells are
-    ``near`` or fewer apart on every axis; a compacted grid still too large
-    is cut in two at a gap of more than ``near`` on some axis, as close to
-    the middle of the rows as the gaps allow, and each part is packed the
-    same way.  Raises ``DomainError("cell-grid-too-large")`` only for a part
-    with no such gap on any axis.
+    """Split the rows of ``cells`` into groups whose grids pack, and yield
+    ``(index, keys, strides)`` per group: its row indices and ``pack_cells``
+    of its cells with ``margin``.  Cells of different groups are more than
+    ``near`` apart on some axis.  A grid too large to pack is compacted
+    (``_compact``), and one still too large is cut in two at a gap of more
+    than ``near`` (``_halves``), each part packed the same way.
     """
     parts = [(np.arange(len(cells)), cells)]
     while parts:
@@ -157,7 +161,7 @@ def _packed_groups(cells: np.ndarray, near: int, margin: int = 0):
             except DomainError:
                 parts += _halves(index, part, near)
                 continue
-        yield (index, part) + packed
+        yield index, packed[0], packed[3]
 
 
 def _compact(cells: np.ndarray, near: int) -> np.ndarray:
@@ -195,44 +199,48 @@ def _halves(index: np.ndarray, cells: np.ndarray, near: int) -> list:
 
 
 def _neighbourhoods(pts: np.ndarray, radius: float):
-    """Points binned by cell of side ``radius``, with each point's neighbour
-    cells as ranges of the binned order.
+    """Points binned by cell of side ``radius`` on at most ``_BIN_AXES``
+    axes, those of widest span in cells, taken in axis order.
 
     Returns ``(order, ranges, sizes)``: ``order`` lists point indices sorted
-    by cell key, ``ranges`` holds one ``(lo, hi)`` pair of arrays per row of
-    neighbour cells, and point ``i`` has the candidates
-    ``order[lo[i]:hi[i]]`` over all rows; ``sizes[i]`` is their number, at
-    least 1 since it counts ``i`` itself.  Axis 0 has stride 1, so the three
-    neighbour cells of a row along axis 0 hold consecutive keys and need one
-    range; cells outside the occupied grid are never addressed.
-
-    A grid too large to pack is compacted or split into groups first
-    (``_packed_groups``), which keeps exactly which cells are neighbours;
-    each group takes its own stretch of ``order``.
+    by cell key, and point ``i`` has the candidates ``order[lo[i]:hi[i]]``
+    over the at most 9 ``(lo, hi)`` pairs of ``ranges``, one per row of
+    neighbour cells (the first binned axis has stride 1, so a row is one
+    range); ``sizes[i]`` is their number, at least 1 since it counts ``i``.
+    A grid too large to pack is compacted, and while even that is too large
+    the narrowest binned axis is dropped; one compacted axis is at most ``2
+    * n`` wide.  Either way the candidates include every point closer than
+    ``radius``, and ``_close`` tests every axis.
     """
-    n, m = pts.shape
-    offsets = list(itertools.product((-1, 0, 1), repeat=m - 1))
-    order = np.empty(n, dtype=np.int64)
-    lo = np.empty((len(offsets), n), dtype=np.int64)
-    hi = np.empty((len(offsets), n), dtype=np.int64)
-    done = 0
-    for index, cells, keys, mins, widths, strides in _packed_groups(cell_indices(pts, radius), 1):
-        cells = cells - mins
-        sub = np.argsort(keys, kind="stable")
-        order[done:done + len(index)] = index[sub]
-        sorted_keys = keys[sub]
-        first = np.maximum(cells[:, 0] - 1, 0)
-        last = np.minimum(cells[:, 0] + 1, widths[0] - 1)
-        for r, off in enumerate(offsets):
-            row = cells[:, 1:] + np.array(off, dtype=np.int64)
-            valid = np.all((row >= 0) & (row < widths[1:]), axis=1)
-            base = row @ strides[1:]
-            start = np.searchsorted(sorted_keys, base + first, side="left")
-            stop = np.where(valid, np.searchsorted(sorted_keys, base + last, side="right"), start)
-            lo[r, index] = start + done
-            hi[r, index] = stop + done
-        done += len(index)
-    return order, list(zip(lo, hi)), (hi - lo).sum(axis=0)
+    cells = cell_indices(pts, radius)
+    span = cells.max(axis=0) - cells.min(axis=0)
+    axes = np.sort(np.argsort(-span, kind="stable")[:_BIN_AXES])
+    cells = cells[:, axes]
+    try:
+        keys, mins, widths, strides = pack_cells(cells)
+    except DomainError:
+        cells = _compact(cells, 1)
+        while True:
+            try:
+                keys, mins, widths, strides = pack_cells(cells)
+                break
+            except DomainError:
+                drop = np.argmin(span[axes])
+                axes, cells = np.delete(axes, drop), np.delete(cells, drop, axis=1)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    cells = cells - mins
+    first = np.maximum(cells[:, 0] - 1, 0)
+    last = np.minimum(cells[:, 0] + 1, widths[0] - 1)
+    ranges = []
+    for off in itertools.product((-1, 0, 1), repeat=cells.shape[1] - 1):
+        row = cells[:, 1:] + np.array(off, dtype=np.int64)
+        valid = np.all((row >= 0) & (row < widths[1:]), axis=1)
+        base = row @ strides[1:]
+        lo = np.searchsorted(sorted_keys, base + first, side="left")
+        hi = np.where(valid, np.searchsorted(sorted_keys, base + last, side="right"), lo)
+        ranges.append((lo, hi))
+    return order, ranges, sum(hi - lo for lo, hi in ranges)
 
 
 def _close(pts: np.ndarray, i: int, order, ranges, rad2: float):
@@ -245,21 +253,38 @@ def _close(pts: np.ndarray, i: int, order, ranges, rad2: float):
     return js, d2 < rad2
 
 
+def _square(radius: float) -> float:
+    """``radius * radius``, which the distance tests compare ``d2`` with.
+
+    Raises ``DomainError("bad-scale")`` unless it is a positive, normal,
+    finite double: a square that underflows to a subnormal or zero, or
+    overflows, would mark the wrong pairs and cells.
+    """
+    square = float(radius) * float(radius)
+    if not sys.float_info.min <= square <= sys.float_info.max:
+        raise DomainError("bad-scale", f"radius {radius!r} squares to {square!r}, "
+                          "not a positive normal finite double")
+    return square
+
+
 def _greedy_scan(points: np.ndarray, radius: float, eligible: np.ndarray) -> np.ndarray:
     """Keep-mask of the greedy scan: in stored order, keep each eligible point
     that no earlier kept point is closer to than ``radius``."""
+    rad2 = _square(radius)
     pts = np.ascontiguousarray(points, dtype=np.float64)
     order, ranges, sizes = _neighbourhoods(pts, radius)
-    rad2 = radius * radius
     removed = ~np.asarray(eligible, dtype=bool)
     kept = np.zeros(len(pts), dtype=bool)
-    for i in range(len(pts)):
-        if removed[i]:
-            continue
-        kept[i] = True
-        if sizes[i] > 1:
-            js, close = _close(pts, i, order, ranges, rad2)
-            removed[js[close]] = True
+    # a candidate far off on an axis that is not binned may square to inf,
+    # which is not close
+    with np.errstate(over="ignore"):
+        for i in range(len(pts)):
+            if removed[i]:
+                continue
+            kept[i] = True
+            if sizes[i] > 1:
+                js, close = _close(pts, i, order, ranges, rad2)
+                removed[js[close]] = True
     return kept
 
 
@@ -284,14 +309,15 @@ def thin_select_mask(points: np.ndarray, radius: float, good: np.ndarray) -> np.
 
 def neighbor_counts(points: np.ndarray, radius: float) -> np.ndarray:
     """Per-point count of other points at strict Euclidean distance < radius."""
+    rad2 = _square(radius)
     pts = np.ascontiguousarray(points, dtype=np.float64)
     order, ranges, sizes = _neighbourhoods(pts, radius)
-    rad2 = radius * radius
     out = np.zeros(len(pts), dtype=np.int64)
-    for i in range(len(pts)):
-        if sizes[i] > 1:
-            js, close = _close(pts, i, order, ranges, rad2)
-            out[i] = np.count_nonzero(close & (js != i))
+    with np.errstate(over="ignore"):
+        for i in range(len(pts)):
+            if sizes[i] > 1:
+                js, close = _close(pts, i, order, ranges, rad2)
+                out[i] = np.count_nonzero(close & (js != i))
     return out
 
 
@@ -310,11 +336,14 @@ def sausage_occupied_count(points: np.ndarray, r: float, cell: float) -> int:
     large to pack is compacted or split into groups first
     (``_packed_groups``), whose counts add up.
 
-    Raises ``DomainError("sausage-too-fine")`` when a point would scan more
-    than ``MAX_SAUSAGE_ROWS`` rows (in 1-D, more cells in its one row), and
-    ``DomainError("cell-grid-too-large")`` for cells of ``2^62`` or more,
-    whose centres float arithmetic cannot tell apart.
+    Raises ``DomainError("bad-scale")`` when ``r * r`` is not a positive,
+    normal, finite double (``_square``), ``DomainError("sausage-too-fine")``
+    when a point would scan more than ``MAX_SAUSAGE_ROWS`` rows (in 1-D,
+    more cells in its one row), and ``DomainError("cell-grid-too-large")``
+    for cells of ``2^62`` or more, whose centres float arithmetic cannot
+    tell apart, or a grid that even compacted has no gap to cut at.
     """
+    r2 = _square(r)
     pts = np.ascontiguousarray(points, dtype=np.float64)
     n, m = pts.shape
     reach = int(np.ceil(r / cell)) + 1
@@ -331,8 +360,8 @@ def sausage_occupied_count(points: np.ndarray, r: float, cell: float) -> int:
     # keys of the (possibly compacted) cells, last axis first so that it has
     # stride 1; the distance tests use the true cells in ``base``.  The
     # windows of points in different groups share no cell.
-    for index, _, keys, _, _, strides in _packed_groups(base[:, ::-1], 2 * reach, reach):
-        count += _group_count(pts, base, index, keys, strides, steps, cell, r * r)
+    for index, keys, strides in _packed_groups(base[:, ::-1], 2 * reach, reach):
+        count += _group_count(pts, base, index, keys, strides, steps, cell, r2)
     return count
 
 

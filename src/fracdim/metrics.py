@@ -317,8 +317,7 @@ def good_point_thinning(values, epsilon: float, threshold: float | None = None) 
     collision-count envelope that motivates the procedure); override freely.
     """
     _check_scale(epsilon)
-    pts = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    _check_finite(pts)
+    pts = PointCloud.from_points(values).points
     if threshold is None:
         threshold = 2.0 * math.log(1.0 / epsilon) ** (pts.shape[1] + 1)
     if not threshold > 0:
@@ -333,8 +332,7 @@ def good_point_thinning(values, epsilon: float, threshold: float | None = None) 
 def neighbor_collision_counts(values, epsilon: float) -> np.ndarray:
     """N_i = #{j != i : |y_i - y_j| < 2*eps} for each point."""
     _check_scale(epsilon)
-    pts = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    _check_finite(pts)
+    pts = PointCloud.from_points(values).points
     return kernels.neighbor_counts(pts, 2.0 * float(epsilon))
 
 

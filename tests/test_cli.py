@@ -230,6 +230,31 @@ def test_dims_input_refuses_generation_flags_it_would_ignore(capsys, tmp_path, m
     assert err == f"error: --input reads the path from its CSV; drop {named}\n"
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["dims", "--scales", "2:4"]])
+@pytest.mark.parametrize("flags, named", [
+    (["--set", "power:2", "--points", "9999"], "--points, --set"),
+    (["--set", "power:2"], "--set"),
+    (["--points", "65"], "--points"),
+])
+def test_levy_depth_refuses_the_grid_flags_it_would_ignore(capsys, tmp_path, monkeypatch,
+                                                           command, flags, named):
+    for name in ("levy_construct", "generate_bm"):
+        monkeypatch.setattr(cli, name, lambda *a: pytest.fail("built a path"))
+    out_file = tmp_path / "p"
+    code, out, err = run_cli(capsys, *command, "--levy-depth", "4", *flags,
+                             "--out", str(out_file))
+    assert (code, out) == (2, "")
+    assert err == f"error: --levy-depth builds its own dyadic grid; drop {named}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_levy_depth_takes_the_grid_flags_at_their_defaults(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--levy-depth", "4", "--points", "1025",
+                             "--set", "uniform")
+    assert code == 0 and len(out.splitlines()) == 18
+    assert json.loads(err)["config"]["points"] == 17
+
+
 def test_dims_writes_files(capsys, tmp_path):
     prefix = tmp_path / "run"
     code, _, _ = run_cli(capsys, "dims", "--points", "1025", "--seed", "3",

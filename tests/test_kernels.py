@@ -287,7 +287,8 @@ def test_scans_on_clusters_split_into_groups_match_oracles(monkeypatch):
                               oracles.brute_neighbor_counts(pts, radius))
         assert np.array_equal(kernels.thin_select_mask(pts, radius, good),
                               oracles.brute_greedy_thinning(pts, radius, good))
-        assert len(cuts) - before >= 3
+        # the scans drop binned axes and never cut
+        assert len(cuts) == before
         monkeypatch.setattr(kernels, "_KEY_LIMIT", _SAUSAGE_LIMIT[m])
         before = len(cuts)
         assert kernels.sausage_occupied_count(pts, radius, radius / 2) == \
@@ -311,6 +312,98 @@ def test_scans_on_cells_beyond_int64_match_oracles():
         with pytest.raises(DomainError) as ei:
             kernels.sausage_occupied_count(pts, 0.125, 2.0**-5)
         assert ei.value.code == "cell-grid-too-large"
+
+
+def _scans_match_oracles(pts, radius, good):
+    assert np.array_equal(kernels.greedy_pack_mask(pts, radius / 2),
+                          oracles.brute_greedy_packing(pts, radius / 2))
+    assert np.array_equal(kernels.neighbor_counts(pts, radius),
+                          oracles.brute_neighbor_counts(pts, radius))
+    assert np.array_equal(kernels.thin_select_mask(pts, radius, good),
+                          oracles.brute_greedy_thinning(pts, radius, good))
+
+
+def test_scans_on_a_7d_diagonal_match_oracles():
+    # cells 0..511 on each of 7 axes: 2^63 keys, and even compacted no gap
+    # to cut at; every other point is moved off the diagonal to a neighbour
+    # of the one before
+    rng = np.random.default_rng(15)
+    diagonal = np.repeat(np.arange(512.0)[:, None], 7, axis=1)
+    moved = diagonal.copy()
+    moved[1::2] = moved[0::2] + rng.uniform(-0.4, 0.4, (256, 7))
+    for pts in (diagonal, moved):
+        _scans_match_oracles(pts, 1.0, rng.random(len(pts)) < 0.7)
+
+
+def test_scans_dropping_binned_axes_match_oracles(monkeypatch):
+    # 1-8-D clouds on key limits so low that even the compacted grid of the
+    # widest three axes often does not pack, and axes are dropped; a limit
+    # over 2 * n keeps one compacted axis packable
+    packed_axes = []
+    pack_cells = kernels.pack_cells
+
+    def recording(cells, margin=0):
+        packed = pack_cells(cells, margin)
+        packed_axes.append((cells.shape[1], min(pts.shape[1], 3)))
+        return packed
+
+    monkeypatch.setattr(kernels, "pack_cells", recording)
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 60))
+        pts = rng.uniform(-1, 1, (n, m)) * rng.uniform(0.2, 5.0)
+        if n > 2:
+            pts[1] = pts[0]
+        monkeypatch.setattr(kernels, "_KEY_LIMIT", int(rng.choice([128, 1024, 1 << 14])))
+        radius = float(rng.uniform(0.02, 1.0))
+        _scans_match_oracles(pts, radius, rng.random(n) < 0.7)
+    dropped = [k for k, binned in packed_axes if k < binned]
+    assert len(dropped) > 100 and dropped.count(1) > 20
+
+
+def test_scans_bin_the_widest_axes():
+    # (0, 0, 0, x): binning the leading three axes would put every point in
+    # one cell; binning the widest gives each point a few candidates
+    x = np.random.default_rng(17).uniform(0, 100, 400)
+    pts = np.zeros((400, 4))
+    pts[:, 3] = x
+    _, _, sizes = kernels._neighbourhoods(pts, 0.5)
+    assert sizes.max() < 20
+    _scans_match_oracles(pts, 0.5, np.arange(400) % 3 != 0)
+
+
+def test_scans_of_candidates_far_apart_on_an_axis_not_binned():
+    # axis 3 is not binned; the first two points share a cell of the other
+    # three and are 1e160 apart on it, so their d2 overflows to inf, which
+    # is not close (and warns nothing)
+    pts = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.05, 1e160], [1e170, 1e170, 1e170, 0.0],
+                    [1e170, 1e170, 1e170, 0.01], [-1e170, 1e18, 0.0, 0.0]])
+    _scans_match_oracles(pts, 0.125, np.arange(len(pts)) % 2 == 0)
+
+
+def test_scans_of_an_8d_walk_in_flat_memory():
+    # 3^7 ranges a point and the cuts of the whole grid took 17 s and 200 MiB
+    walk = np.random.default_rng(18).standard_normal((4096, 8)).cumsum(axis=0) / 64
+    eps = 2.0**-5
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        kept = kernels.greedy_pack_mask(walk, eps)
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 3.0 and peak < 16 << 20
+    # the greedy scan, checked against every kept point: a point is kept iff
+    # no earlier kept point is closer than 2 * eps, d2 summed in axis order
+    centres = np.flatnonzero(kept)
+    for s in range(0, len(walk), 512):
+        d2 = np.zeros((min(512, len(walk) - s), centres.size))
+        for a in range(walk.shape[1]):
+            diff = walk[s:s + 512, a, None] - walk[centres, a]
+            d2 += diff * diff
+        earlier = centres < np.arange(s, s + len(d2))[:, None]
+        assert np.array_equal(kept[s:s + 512], ~np.any((d2 < (2 * eps) ** 2) & earlier, axis=1))
 
 
 def test_sausage_past_the_compacted_grid():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import fracdim as fd
+from fracdim import kernels
 from fracdim.errors import DomainError
 from fracdim.metrics import (
     PointCloud,
@@ -286,6 +287,14 @@ def test_thinning_errors():
     assert ei.value.code == "bad-scale"
 
 
+def test_thinning_refuses_an_empty_cloud():
+    for empty in ([], [[]], np.zeros((0, 2))):
+        for call in (fd.good_point_thinning, neighbor_collision_counts):
+            with pytest.raises(DomainError) as ei:
+                call(empty, 0.1)
+            assert ei.value.code == "empty-cloud"
+
+
 def test_collision_counts_match_brute_force():
     rng = np.random.default_rng(13)
     for _ in range(300):
@@ -349,6 +358,39 @@ def test_scale_sweep_window_beyond_the_doubles_is_bad_scale(j_min, j_max):
     assert ei.value.code == "bad-scale"
     # the coarsest window that is still valid sweeps without a warning
     assert np.all(fd.scale_sweep(cloud([[0.3, 0.4]]), "box", -1023, -1020).values == 1)
+
+
+def _bad_scale(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as ei:
+            call()
+    return ei.value.code == "bad-scale"
+
+
+def test_distance_tests_refuse_a_radius_whose_square_is_not_a_normal_double():
+    # (2 * 2^-540)^2 underflows to 0: the duplicate pair would be 0 apart
+    # and not closer than 0, so the packing (3) broke the sandwich with
+    # box_count (1)
+    c = cloud([[0.0], [0.0], [1e-170]])
+    assert fd.box_count(c, 2.0**-540) == 1
+    assert _bad_scale(lambda: fd.packing_number(c, 2.0**-540))
+    # j = 538: the square of 2^-537 is subnormal
+    assert _bad_scale(lambda: fd.scale_sweep(c, "packing", 530, 545))
+    assert _bad_scale(lambda: fd.scale_sweep(c, "packing", 538, 540))
+    assert _bad_scale(lambda: neighbor_collision_counts([[0.0], [0.0], [1.0]], 2.0**-540))
+    assert _bad_scale(lambda: fd.good_point_thinning([[0.0], [0.0], [1.0]], 2.0**-540, 1.0))
+    # a point and r = 4 cells mark 8 cells, unless r * r underflows
+    one = np.zeros((1, 1))
+    assert _bad_scale(lambda: kernels.sausage_occupied_count(one, 4 * 2.0**-540, 2.0**-540))
+    # 2 * 2^1023 overflows, and so would the squared distance 1e400
+    assert _bad_scale(lambda: fd.packing_number(cloud([[0.0], [1e200]]), 2.0**1023))
+    # j = 500 keeps a normal square
+    assert fd.packing_number(c, 2.0**-500) == 1
+    assert np.array_equal(fd.scale_sweep(c, "packing", 498, 501).values, [1, 1, 1, 1])
+    assert neighbor_collision_counts([[0.0], [0.0], [1.0]], 2.0**-500).tolist() == [1, 1, 0]
+    for j in (20, 500):
+        assert kernels.sausage_occupied_count(one, 4 * 2.0**-j, 2.0**-j) == 8
 
 
 def test_scale_sweep_bm_graph_near_three_halves():
