@@ -11,9 +11,12 @@ Candidate pairs come from an origin-anchored grid of side ``radius``: a
 point is only compared with the points of its neighbour cells on at most
 three axes (``_neighbourhoods``).
 
-Greedy packing and thinning are one scan (``_greedy_scan``): visit points in
-stored order and keep each eligible one that no earlier kept point is close
-to.
+Greedy packing and thinning selection are one scan (``_greedy_scan``):
+visit points in stored order and keep each eligible one that no earlier kept
+point is close to.  They are the only kernels that scan in order.  Neighbour
+counts do not depend on any order and come from one bulk pass over the
+candidate pairs (``neighbor_counts``), chunked by a pair budget
+(``_PAIR_CHUNK``), with the self pair of each point subtracted.
 
 The sausage count is a scanline (``sausage_occupied_count``): for each point
 and each row of cells in the first ``m - 1`` axes, the marked cells along the
@@ -63,6 +66,9 @@ MAX_SAUSAGE_ROWS = 1 << 16
 # sausage's memory is bounded whatever the number of points
 _SAUSAGE_CHUNK = 1 << 18
 _SAUSAGE_MERGE = 1 << 20
+# candidate pairs a neighbour count tests at once: its memory is bounded by
+# this, or by the candidates of one point in one range
+_PAIR_CHUNK = 1 << 18
 # cell indices at least this large in magnitude stay float floors
 _CELL_LIMIT = 2.0 ** 62
 # packed cell keys stay below this
@@ -244,7 +250,8 @@ def _neighbourhoods(pts: np.ndarray, radius: float):
 
 
 def _close(pts: np.ndarray, i: int, order, ranges, rad2: float):
-    """Candidates of point ``i`` and the mask of those with ``d2 < rad2``."""
+    """Candidates of point ``i`` and the mask of those with ``d2 < rad2``,
+    for the greedy scan."""
     js = np.concatenate([order[lo[i]:hi[i]] for lo, hi in ranges])
     d2 = np.zeros(js.size)
     for a in range(pts.shape[1]):
@@ -308,17 +315,64 @@ def thin_select_mask(points: np.ndarray, radius: float, good: np.ndarray) -> np.
 
 
 def neighbor_counts(points: np.ndarray, radius: float) -> np.ndarray:
-    """Per-point count of other points at strict Euclidean distance < radius."""
+    """Per-point count of other points at strict Euclidean distance < radius.
+
+    One bulk pass over the candidate pairs of ``_neighbourhoods``, with no
+    scan: the counts do not depend on any order.  The columns are gathered
+    once in ``order``, so the candidates of a range are contiguous.  For
+    each range, runs of consecutive points in ``order`` whose candidates
+    total at most ``_PAIR_CHUNK`` (or one point alone, whose candidates
+    exceed it) are tested at once, ``d2`` summed axis by axis in axis order
+    and compared ``< rad2``, and the close pairs of each point are summed.
+    Every point is its own candidate in exactly one range, at ``d2 = 0 <
+    rad2``, so 1 is subtracted at the end; coincident points with different
+    indices count each other.
+    """
     rad2 = _square(radius)
     pts = np.ascontiguousarray(points, dtype=np.float64)
-    order, ranges, sizes = _neighbourhoods(pts, radius)
-    out = np.zeros(len(pts), dtype=np.int64)
+    order, ranges, _ = _neighbourhoods(pts, radius)
+    cols = [pts[order, a] for a in range(pts.shape[1])]
+    counts = np.zeros(len(pts), dtype=np.int64)
+    # a candidate far off on an axis that is not binned may square to inf,
+    # which is not close
     with np.errstate(over="ignore"):
-        for i in range(len(pts)):
-            if sizes[i] > 1:
-                js, close = _close(pts, i, order, ranges, rad2)
-                out[i] = np.count_nonzero(close & (js != i))
+        for lo, hi in ranges:
+            lo = lo[order]
+            sizes = hi[order] - lo
+            ends = np.cumsum(sizes)
+            s = 0
+            while s < len(pts):
+                base = int(ends[s - 1]) if s else 0
+                e = max(s + 1, int(np.searchsorted(ends, base + _PAIR_CHUNK, side="right")))
+                if ends[e - 1] > base:
+                    counts[s:e] += _close_counts(cols, s, lo[s:e], sizes[s:e], rad2)
+                s = e
+    out = np.empty_like(counts)
+    out[order] = counts - 1
     return out
+
+
+def _close_counts(cols: list, s: int, lo: np.ndarray, sizes: np.ndarray, rad2: float):
+    """For the points ``s, s + 1, ...`` of the gathered columns ``cols``,
+    the number of their candidates ``lo[k]:lo[k] + sizes[k]`` with ``d2 <
+    rad2``."""
+    starts = np.cumsum(sizes) - sizes
+    total = int(starts[-1] + sizes[-1])
+    pos = np.repeat(lo - starts, sizes)
+    pos += np.arange(total)
+    d2 = None
+    for col in cols:
+        diff = np.repeat(col[s:s + sizes.size], sizes)
+        diff -= col[pos]
+        diff *= diff
+        if d2 is None:
+            d2 = diff
+        else:
+            d2 += diff
+    hits = np.empty(total + 1, dtype=np.int64)
+    hits[0] = 0
+    np.cumsum(d2 < rad2, out=hits[1:])
+    return hits[starts + sizes] - hits[starts]
 
 
 def sausage_occupied_count(points: np.ndarray, r: float, cell: float) -> int:

@@ -47,8 +47,18 @@ class PointCloud:
 
     @staticmethod
     def from_points(points) -> "PointCloud":
+        """The points as a read-only ``(n, m)`` float64 cloud; one point may
+        be given as a flat ``(m,)`` array.
+
+        Raises ``DomainError("bad-shape")`` for an array of more than two
+        dimensions, ``DomainError("empty-cloud")`` for one with no rows or
+        no columns, and ``DomainError("non-finite-point")`` for a NaN or
+        infinite coordinate.
+        """
         pts = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=np.float64)))
-        if pts.ndim != 2 or pts.size == 0:
+        if pts.ndim > 2:
+            raise DomainError("bad-shape", f"points of shape {pts.shape}: need (n, m)")
+        if pts.size == 0:
             raise DomainError("empty-cloud", "point cloud must be non-empty")
         # column by column, an order of magnitude faster than axis-0
         # reductions of an (n, m) array; a NaN or infinity shows in a
@@ -315,10 +325,15 @@ def good_point_thinning(values, epsilon: float, threshold: float | None = None) 
 
     Default threshold is 2 * ln(1/eps)^(d+1) (a computable stand-in for the
     collision-count envelope that motivates the procedure); override freely.
+    The default is defined for eps < 1 only: without a threshold, eps >= 1
+    raises ``DomainError("bad-scale")``.
     """
     _check_scale(epsilon)
     pts = PointCloud.from_points(values).points
     if threshold is None:
+        if not epsilon < 1:
+            raise DomainError("bad-scale", f"eps = {epsilon!r}: the default threshold "
+                              "2 * ln(1/eps)^(d+1) needs eps < 1; pass a threshold")
         threshold = 2.0 * math.log(1.0 / epsilon) ** (pts.shape[1] + 1)
     if not threshold > 0:
         raise ValueError("threshold must be positive")

@@ -55,6 +55,106 @@ def test_neighbor_counts_match_oracle():
                               oracles.brute_neighbor_counts(pts, radius))
 
 
+def _recording_chunks(monkeypatch):
+    """``(points, pairs)`` of each chunk that ``neighbor_counts`` tests."""
+    chunks = []
+    close_counts = kernels._close_counts
+
+    def recording(cols, s, lo, sizes, rad2):
+        chunks.append((sizes.size, int(sizes.sum())))
+        return close_counts(cols, s, lo, sizes, rad2)
+
+    monkeypatch.setattr(kernels, "_close_counts", recording)
+    return chunks
+
+
+@pytest.mark.parametrize("budget", [1, 7, 40])
+def test_neighbor_counts_in_small_chunks_match_oracle(monkeypatch, budget):
+    # chunks end mid-range, and a point with more candidates than the budget
+    # is a chunk alone
+    chunks = _recording_chunks(monkeypatch)
+    monkeypatch.setattr(kernels, "_PAIR_CHUNK", budget)
+    rng = np.random.default_rng(2)
+    for _ in range(150):
+        pts = _random_points(rng)
+        radius = float(rng.uniform(0.02, 1.0))
+        assert np.array_equal(kernels.neighbor_counts(pts, radius),
+                              oracles.brute_neighbor_counts(pts, radius))
+    assert all(pairs <= budget or points == 1 for points, pairs in chunks)
+    assert any(points == 1 and pairs > budget for points, pairs in chunks)
+    if budget > 1:
+        assert any(points > 1 and pairs > 1 for points, pairs in chunks)
+
+
+def test_neighbor_counts_in_chunks_dropping_binned_axes_match_oracle(monkeypatch):
+    # 1-8-D clouds whose grids lose binned axes, so a point's candidates
+    # span several cells of the axes not binned, over small pair budgets
+    chunks = _recording_chunks(monkeypatch)
+    dropped = []
+    pack_cells = kernels.pack_cells
+
+    def recording(cells, margin=0):
+        packed = pack_cells(cells, margin)
+        dropped.append(cells.shape[1] < min(m, 3))
+        return packed
+
+    monkeypatch.setattr(kernels, "pack_cells", recording)
+    rng = np.random.default_rng(20)
+    for _ in range(150):
+        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 80))
+        pts = rng.uniform(-1, 1, (n, m)) * rng.uniform(0.2, 5.0)
+        if n > 2:
+            pts[1] = pts[0]
+        monkeypatch.setattr(kernels, "_KEY_LIMIT", int(rng.choice([128, 1024])))
+        monkeypatch.setattr(kernels, "_PAIR_CHUNK", int(rng.choice([1, 7, 40, 1 << 18])))
+        radius = float(rng.uniform(0.02, 1.0))
+        assert np.array_equal(kernels.neighbor_counts(pts, radius),
+                              oracles.brute_neighbor_counts(pts, radius))
+    assert sum(dropped) > 50 and len(chunks) > 1000
+
+
+def test_neighbor_counts_sum_d2_in_axis_order():
+    # pairs placed at distance radius in random directions: for about one in
+    # twenty, d2 summed in another axis order lands on the other side of
+    # radius * radius
+    rng = np.random.default_rng(19)
+    radius = 0.3
+    u = rng.standard_normal((1000, 3))
+    u /= np.sqrt((u * u).sum(axis=1))[:, None]
+    p = rng.uniform(-1, 1, (1000, 3))
+    pts = np.concatenate([p, p + radius * u])
+
+    def close(axes, rows):
+        d2 = np.zeros((len(rows), len(pts)))
+        for a in axes:
+            diff = rows[:, a, None] - pts[:, a]
+            d2 += diff * diff
+        return d2 < radius * radius
+
+    expected = np.concatenate([close(range(3), pts[s:s + 500]).sum(axis=1)
+                               for s in range(0, len(pts), 500)]) - 1
+    reversed_order = np.concatenate([close((2, 1, 0), pts[s:s + 500]).sum(axis=1)
+                                     for s in range(0, len(pts), 500)]) - 1
+    assert (expected != reversed_order).sum() > 50
+    assert np.array_equal(kernels.neighbor_counts(pts, radius), expected)
+
+
+def test_neighbor_counts_of_coincident_points_in_flat_memory():
+    # 3000 points in one cell: 9e6 candidate pairs in one range, tested a
+    # pair budget at a time
+    pts = np.full((3000, 2), 0.25)
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        counts = kernels.neighbor_counts(pts, 0.5)
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.tolist() == [2999] * 3000
+    assert elapsed < 3.0 and peak < 16 << 20
+
+
 def test_thin_select_matches_oracle():
     rng = np.random.default_rng(3)
     for _ in range(150):

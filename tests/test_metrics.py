@@ -3,6 +3,7 @@ randomized property suites (1000 instances each, fixed seeds)."""
 
 import io
 import json
+import math
 import time
 import tracemalloc
 import warnings
@@ -293,6 +294,39 @@ def test_thinning_refuses_an_empty_cloud():
             with pytest.raises(DomainError) as ei:
                 call(empty, 0.1)
             assert ei.value.code == "empty-cloud"
+
+
+def test_points_of_more_than_two_dimensions_are_a_bad_shape():
+    for call in (PointCloud.from_points,
+                 lambda pts: fd.good_point_thinning(pts, 0.1),
+                 lambda pts: neighbor_collision_counts(pts, 0.1)):
+        for pts in (np.zeros((2, 2, 2)), np.zeros((0, 2, 2)), [[[0.0]]]):
+            with pytest.raises(DomainError) as ei:
+                call(pts)
+            assert ei.value.code == "bad-shape"
+            assert str(np.shape(pts)) in str(ei.value)
+        # no rows or no columns is still an empty cloud
+        for pts in ([], np.zeros((0, 3)), np.zeros((3, 0))):
+            with pytest.raises(DomainError) as ei:
+                call(pts)
+            assert ei.value.code == "empty-cloud"
+
+
+def test_default_thinning_threshold_refuses_eps_of_one_or_more():
+    # 2 * ln(1/eps)^(d+1) is 0 at eps = 1 and meaningless beyond: at eps = 2
+    # it read 0.96 in 1-D and -0.67 in 2-D
+    for pts, eps in (([[0.0], [0.5]], 1.0), ([[0.0], [0.5]], 2.0),
+                     ([[0.0, 0.0], [0.5, 0.0]], 2.0), ([[0.0]], math.inf)):
+        with pytest.raises(DomainError) as ei:
+            fd.good_point_thinning(pts, eps)
+        assert ei.value.code == "bad-scale"
+        assert repr(eps) in str(ei.value) and "eps < 1" in str(ei.value)
+    # a threshold given works at any eps
+    assert fd.good_point_thinning([[0.0], [0.5]], 1.0, threshold=2).tolist() == [0]
+    assert fd.good_point_thinning([[0.0], [0.5]], 2.0, threshold=1).tolist() == []
+    assert fd.good_point_thinning([[0.0, 0.0], [5.0, 0.0]], 2.0, threshold=0.5).tolist() == [0, 1]
+    # below 1 the default holds: 2 * ln(10)^2 = 10.6
+    assert fd.good_point_thinning([[0.0], [0.5]], 0.1).tolist() == [0, 1]
 
 
 def test_collision_counts_match_brute_force():
