@@ -44,9 +44,9 @@ them, and the sausage refuses them.  The scans bin the points on the
 ``_BIN_AXES`` axes of widest span into one packed int64 grid: a grid too
 large to pack is compacted, and loses its narrowest binned axis while even
 that is too large, so the scans never cut and never refuse a grid.  The
-sausage packs every axis; its grid, when too large, is compacted, and cut
-into groups that cannot interact when even that is too large
-(``_packed_groups``).
+sausage packs every axis; its grid, when too large, is compacted once and
+cut anywhere into pieces that count their own cells
+(``sausage_occupied_count``).
 """
 
 import itertools
@@ -147,29 +147,6 @@ def pack_cells(cells: np.ndarray, margin: int = 0):
     return keys, mins, widths, strides
 
 
-def _packed_groups(cells: np.ndarray, near: int, margin: int = 0):
-    """Split the rows of ``cells`` into groups whose grids pack, and yield
-    ``(index, keys, strides)`` per group: its row indices and ``pack_cells``
-    of its cells with ``margin``.  Cells of different groups are more than
-    ``near`` apart on some axis.  A grid too large to pack is compacted
-    (``_compact``), and one still too large is cut in two at a gap of more
-    than ``near`` (``_halves``), each part packed the same way.
-    """
-    parts = [(np.arange(len(cells)), cells)]
-    while parts:
-        index, part = parts.pop()
-        try:
-            packed = pack_cells(part, margin)
-        except DomainError:
-            part = _compact(part, near)
-            try:
-                packed = pack_cells(part, margin)
-            except DomainError:
-                parts += _halves(index, part, near)
-                continue
-        yield index, packed[0], packed[3]
-
-
 def _compact(cells: np.ndarray, near: int) -> np.ndarray:
     """Each axis's distinct coordinates re-ranked with steps of ``min(gap,
     near + 1)``: differences up to ``near`` are kept and larger ones stay
@@ -183,25 +160,6 @@ def _compact(cells: np.ndarray, near: int) -> np.ndarray:
         ranks = np.concatenate([[0], np.cumsum(np.minimum(np.diff(coords), near + 1))])
         out[:, a] = ranks.astype(np.int64)[inverse]
     return out
-
-
-def _halves(index: np.ndarray, cells: np.ndarray, near: int) -> list:
-    """``(index, cells)`` of the two parts of a cut at a gap of more than
-    ``near`` on one axis, the cut with the most even parts over all axes."""
-    n = len(cells)
-    best = None
-    for a in range(cells.shape[1]):
-        col = np.sort(cells[:, a])
-        after = np.flatnonzero(np.diff(col) > near) + 1
-        if after.size:
-            k = after[np.argmin(np.abs(2 * after - n))]
-            if best is None or abs(2 * k - n) < best[0]:
-                best = (abs(2 * k - n), a, col[k - 1])
-    if best is None:
-        raise DomainError("cell-grid-too-large", f"{n} cells with no gap over {near} to cut at")
-    _, a, cut = best
-    low = cells[:, a] <= cut
-    return [(index[low], cells[low]), (index[~low], cells[~low])]
 
 
 def _neighbourhoods(pts: np.ndarray, radius: float):
@@ -387,15 +345,15 @@ def sausage_occupied_count(points: np.ndarray, r: float, cell: float) -> int:
     which the last axis has stride 1 and each row owns a key range wider than
     any run in it: sorting the keys sorts by (row, start), and the running
     max of run ends never carries from one row into the next.  A grid too
-    large to pack is compacted or split into groups first
-    (``_packed_groups``), whose counts add up.
+    large to pack is compacted once, then cut anywhere into pieces that each
+    count the marked cells in their ranges, and whose counts add up.
 
     Raises ``DomainError("bad-scale")`` when ``r * r`` is not a positive,
     normal, finite double (``_square``), ``DomainError("sausage-too-fine")``
     when a point would scan more than ``MAX_SAUSAGE_ROWS`` rows (in 1-D,
     more cells in its one row), and ``DomainError("cell-grid-too-large")``
     for cells of ``2^62`` or more, whose centres float arithmetic cannot
-    tell apart, or a grid that even compacted has no gap to cut at.
+    tell apart.
     """
     r2 = _square(r)
     pts = np.ascontiguousarray(points, dtype=np.float64)
@@ -411,28 +369,51 @@ def sausage_occupied_count(points: np.ndarray, r: float, cell: float) -> int:
         raise DomainError("cell-grid-too-large", "cell indices of 2^62 or more")
     steps = np.arange(-reach, reach + 1, dtype=np.int64)
     count = 0
-    # keys of the (possibly compacted) cells, last axis first so that it has
-    # stride 1; the distance tests use the true cells in ``base``.  The
-    # windows of points in different groups share no cell.
-    for index, keys, strides in _packed_groups(base[:, ::-1], 2 * reach, reach):
-        count += _group_count(pts, base, index, keys, strides, steps, cell, r2)
+    compacted = False
+    # a piece: point indices, their cells with the last axis first (stride 1
+    # in the keys) and the half-open ranges {axis: (lo, hi)} it was cut to
+    pieces = [(np.arange(n), base[:, ::-1], {})]
+    while pieces:
+        index, cells, clip = pieces.pop()
+        try:
+            keys, _, _, strides = pack_cells(cells, reach)
+        except DomainError:
+            if not compacted:
+                # points that mark a common cell are at most 2 * reach apart
+                compacted = True
+                pieces.append((index, _compact(cells, 2 * reach), clip))
+                continue
+            # Cut at c, the middle of the widest span: only points below c +
+            # reach mark cells below c, and only those from c - reach up the
+            # rest.  Cuts end: both sides are narrower while the span is over
+            # 2 * reach, and a piece no wider packs, as its key widths are at
+            # most 4 * reach + 1 and MAX_SAUSAGE_ROWS caps (2*reach+1)^(m-1).
+            a = int(np.argmax(cells.max(axis=0) - cells.min(axis=0)))
+            col = cells[:, a]
+            first, last = int(col.min()), int(col.max())
+            c = (first + last + 1) // 2
+            lo, hi = clip.get(a, (first - reach, last + reach + 1))
+            for side, cut in ((col < c + reach, (lo, c)), (col >= c - reach, (c, hi))):
+                pieces.append((index[side], cells[side], {**clip, a: cut}))
+            continue
+        count += _group_count(pts, base, index, cells, clip, keys, strides, steps, cell, r2)
     return count
 
 
-def _group_count(pts, base, index, keys, strides, steps, cell: float, r2: float) -> int:
-    """The sausage count of the points ``index`` of one group of
-    ``_packed_groups``, ``keys`` and ``strides`` packing their cells with the
-    last axis first.
-
-    Points go in key order, so the runs of every later point start at or
-    above ``key - reach * sum(strides)`` of the next one: at each merge, the
-    runs that end below that are counted and dropped, and only the runs near
-    the scan front are kept.
+def _group_count(pts, base, index, cells, clip, keys, strides, steps, cell: float, r2: float) -> int:
+    """The sausage count of one piece: the marked cells within ``clip`` of the
+    points ``index``, whose ``cells`` pack into ``keys`` and ``strides``.  On
+    the stride-1 axis (the last, first in ``cells``) run ends are clipped, and
+    on a row axis (point, row) pairs outside are dropped.  Points go in key
+    order, so the runs of every later point start at or above ``key - reach
+    * sum(strides)`` of the next one: each merge counts and drops the runs
+    that end below that, and keeps only those near the scan front.
     """
-    m = pts.shape[1]
+    m, width = pts.shape[1], steps.size
     sub = np.argsort(keys)
     keys, index = keys[sub], index[sub]
     pts, base = pts[index], base[index]
+    cuts = {a: (cells[sub, a], lo, hi) for a, (lo, hi) in clip.items()}
     row_keys = np.zeros(1, dtype=np.int64)
     for a in range(m - 1):
         row_keys = (row_keys[:, None] + steps * strides[m - 1 - a]).ravel()
@@ -442,9 +423,20 @@ def _group_count(pts, base, index, keys, strides, steps, cell: float, r2: float)
     pending = count = 0
     for s in range(0, len(pts), chunk):
         point, row, lo, hi = _row_runs(pts[s:s + chunk], base[s:s + chunk], steps, cell, r2)
-        start = keys[s + point] + row_keys[row] + (lo - base[s + point, -1])
-        starts.append(start)
-        ends.append(start + (hi - lo))
+        point += s
+        lo, hi = lo - base[point, -1], hi - base[point, -1]  # offsets from the point's cell
+        for a, (at, first, stop) in cuts.items():
+            at = at[point]
+            if a == 0:
+                lo, hi = np.maximum(lo, first - at), np.minimum(hi, stop - 1 - at)
+                keep = lo <= hi
+            else:
+                at += steps[row // width ** (a - 1) % width]  # the row's cell on axis a
+                keep = (first <= at) & (at < stop)
+            point, row, lo, hi = point[keep], row[keep], lo[keep], hi[keep]
+        start = keys[point] + row_keys[row]
+        starts.append(start + lo)
+        ends.append(start + hi)
         pending += start.size
         if pending > _SAUSAGE_MERGE:
             start, end = _union(np.concatenate(starts), np.concatenate(ends))

@@ -326,7 +326,8 @@ def good_point_thinning(values, epsilon: float, threshold: float | None = None) 
     Default threshold is 2 * ln(1/eps)^(d+1) (a computable stand-in for the
     collision-count envelope that motivates the procedure); override freely.
     The default is defined for eps < 1 only: without a threshold, eps >= 1
-    raises ``DomainError("bad-scale")``.
+    raises ``DomainError("bad-scale")``, as does a default that underflows
+    to 0; one past the largest double is ``inf``, so every point is good.
     """
     _check_scale(epsilon)
     pts = PointCloud.from_points(values).points
@@ -334,7 +335,13 @@ def good_point_thinning(values, epsilon: float, threshold: float | None = None) 
         if not epsilon < 1:
             raise DomainError("bad-scale", f"eps = {epsilon!r}: the default threshold "
                               "2 * ln(1/eps)^(d+1) needs eps < 1; pass a threshold")
-        threshold = 2.0 * math.log(1.0 / epsilon) ** (pts.shape[1] + 1)
+        try:
+            threshold = 2.0 * math.log(1.0 / epsilon) ** (pts.shape[1] + 1)
+        except OverflowError:
+            threshold = math.inf
+        if threshold == 0:
+            raise DomainError("bad-scale", f"eps = {epsilon!r}: the default threshold 2 * "
+                              f"ln(1/eps)^(d+1) underflows to 0 in {pts.shape[1]}-D; pass a threshold")
     if not threshold > 0:
         raise ValueError("threshold must be positive")
     radius = 2.0 * float(epsilon)

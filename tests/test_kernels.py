@@ -224,6 +224,41 @@ def test_sausage_in_small_chunks_with_merges_matches_oracle(monkeypatch):
             oracles.brute_sausage_count(pts, r, cell)
 
 
+def _record_sausage_cuts(monkeypatch, cuts):
+    """Append to ``cuts`` the range of each sausage piece counted that was
+    cut from a larger one."""
+    group_count = kernels._group_count
+
+    def recording(pts, base, index, cells, clip, *args):
+        if clip:
+            cuts.append(clip)
+        return group_count(pts, base, index, cells, clip, *args)
+
+    monkeypatch.setattr(kernels, "_group_count", recording)
+
+
+def test_sausage_cut_into_pieces_matches_oracle(monkeypatch):
+    # key limits so low that grids are cut into many pieces; a piece at most
+    # 2 * reach cells wide on every axis packs below (4 * reach + 3)^m, so
+    # the cuts end at every limit here.  A few points a chunk, and the runs
+    # merged every few dozen.
+    cuts = []
+    _record_sausage_cuts(monkeypatch, cuts)
+    monkeypatch.setattr(kernels, "_SAUSAGE_CHUNK", 40)
+    monkeypatch.setattr(kernels, "_SAUSAGE_MERGE", 30)
+    rng = np.random.default_rng(21)
+    cut_inputs = 0
+    for pts, r, cell in _sausage_inputs(rng):
+        expected = oracles.brute_sausage_count(pts, r, cell)
+        reach = int(np.ceil(r / cell)) + 1
+        for scale in (1, 4, 64):
+            monkeypatch.setattr(kernels, "_KEY_LIMIT", scale * (4 * reach + 3) ** pts.shape[1])
+            before = len(cuts)
+            assert kernels.sausage_occupied_count(pts, r, cell) == expected
+            cut_inputs += len(cuts) > before
+    assert cut_inputs > 20
+
+
 def test_oscillation_matches_oracle():
     rng = np.random.default_rng(5)
     for _ in range(150):
@@ -365,13 +400,7 @@ _SAUSAGE_LIMIT = {2: 1024, 3: 1 << 14}
 
 def test_scans_on_clusters_split_into_groups_match_oracles(monkeypatch):
     cuts = []
-    halves = kernels._halves
-
-    def recording(*args):
-        cuts.append(args)
-        return halves(*args)
-
-    monkeypatch.setattr(kernels, "_halves", recording)
+    _record_sausage_cuts(monkeypatch, cuts)
     rng = np.random.default_rng(13)
     for _ in range(30):
         radius = float(rng.uniform(0.02, 1.0))
@@ -509,7 +538,7 @@ def test_scans_of_an_8d_walk_in_flat_memory():
 def test_sausage_past_the_compacted_grid():
     # 240000 points, each alone in a window of 7 cells per axis, on a grid of
     # 2^41 cells per axis: even compacted, 7 * 240000 cells per axis cannot be
-    # packed, and the grid is cut into groups.  Every point sits on a cell
+    # packed, and the grid is cut into pieces.  Every point sits on a cell
     # centre, so each one marks as many cells as the first; the clusters are
     # counted by the oracle.
     rng = np.random.default_rng(14)
@@ -523,6 +552,18 @@ def test_sausage_past_the_compacted_grid():
     per_point = oracles.brute_sausage_count(lone[:1], r, cell)
     assert kernels.sausage_occupied_count(np.concatenate([lone] + clusters), r, cell) == \
         len(lone) * per_point + sum(oracles.brute_sausage_count(c, r, cell) for c in clusters)
+
+
+def test_sausage_of_a_chain_with_no_gap_to_cut_at():
+    # 170000 points 10 cells apart on the diagonal of a cube 1.7e6 cells
+    # wide: the grid cannot be packed, and compacting keeps every gap of 10
+    # = 2 * reach.  The balls of radius 4 are disjoint, so the count is
+    # 170000 times that of one.
+    pts = (10 * np.arange(170_000)[:, None] + 0.5) * np.ones(3)
+    started = time.perf_counter()
+    count = kernels.sausage_occupied_count(pts, 4.0, 1.0)
+    assert time.perf_counter() - started < 10.0
+    assert count == 170_000 * oracles.brute_sausage_count(pts[:1], 4.0, 1.0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -329,6 +329,21 @@ def test_default_thinning_threshold_refuses_eps_of_one_or_more():
     assert fd.good_point_thinning([[0.0], [0.5]], 0.1).tolist() == [0, 1]
 
 
+def test_default_thinning_threshold_past_the_largest_double_is_infinite():
+    # 2 * ln(1024)^401 overflows: every count is below it, so both
+    # coincident points are good and the first is selected
+    assert fd.good_point_thinning(np.zeros((2, 400)), 2.0**-10).tolist() == [0]
+
+
+def test_default_thinning_threshold_that_underflows_is_a_bad_scale():
+    # ln(1/eps) is 2.2e-16 here, and its 41st power underflows to 0
+    eps = 1 - 2.0**-52
+    with pytest.raises(DomainError) as ei:
+        fd.good_point_thinning(np.zeros((2, 40)), eps)
+    assert ei.value.code == "bad-scale"
+    assert repr(eps) in str(ei.value) and "40-D" in str(ei.value)
+
+
 def test_collision_counts_match_brute_force():
     rng = np.random.default_rng(13)
     for _ in range(300):
