@@ -11,12 +11,19 @@ Candidate pairs come from an origin-anchored grid of side ``radius``: a
 point is only compared with the points of its neighbour cells on at most
 three axes (``_neighbourhoods``).
 
-Greedy packing and thinning selection are one scan (``_greedy_scan``):
-visit points in stored order and keep each eligible one that no earlier kept
-point is close to.  They are the only kernels that scan in order.  Neighbour
-counts do not depend on any order and come from one bulk pass over the
-candidate pairs (``neighbor_counts``), chunked by a pair budget
-(``_PAIR_CHUNK``), with the self pair of each point subtracted.
+Greedy packing and thinning selection are one greedy scan
+(``_greedy_scan``): in stored order, keep each eligible point that no earlier
+kept point is close to.  Where the candidates total at most
+``_BULK_CANDIDATES`` a point, the scan is resolved in bulk rounds over the
+earlier close pairs (``_bulk_rounds``): an undecided point with a kept
+earlier neighbour is removed, and one whose earlier neighbours are all
+removed is kept.  The rounds needed are the longest chain of such
+neighbours, so after ``_MAX_ROUNDS`` the points still undecided go, in
+stored order, to the scan loop, which visits every point when the
+candidates are denser.  Both give the same mask.  Neighbour counts do not
+depend on any order.  They and the pairs of the rounds come from one pass
+over the candidate pairs (``_close_chunks``), chunked by a pair budget
+(``_PAIR_CHUNK``); a count subtracts the self pair of each point.
 
 The sausage count is a scanline (``sausage_occupied_count``): for each point
 and each row of cells in the first ``m - 1`` axes, the marked cells along the
@@ -66,9 +73,16 @@ MAX_SAUSAGE_ROWS = 1 << 16
 # sausage's memory is bounded whatever the number of points
 _SAUSAGE_CHUNK = 1 << 18
 _SAUSAGE_MERGE = 1 << 20
-# candidate pairs a neighbour count tests at once: its memory is bounded by
-# this, or by the candidates of one point in one range
+# candidate pairs a neighbour count or a bulk scan tests at once: its memory
+# is bounded by this, or by the candidates of one point in one range
 _PAIR_CHUNK = 1 << 18
+# a greedy scan resolves in bulk rounds when its candidates total at most
+# this many a point, which also bounds the memory of its pairs; bulk won at
+# 3-23 candidates a point and tied or lost from about 43 up
+_BULK_CANDIDATES = 32
+# bulk rounds before the scan finishes the points still undecided: a chain
+# of close points needs a round a point
+_MAX_ROUNDS = 32
 # cell indices at least this large in magnitude stay float floors
 _CELL_LIMIT = 2.0 ** 62
 # packed cell keys stay below this
@@ -234,16 +248,31 @@ def _square(radius: float) -> float:
 
 def _greedy_scan(points: np.ndarray, radius: float, eligible: np.ndarray) -> np.ndarray:
     """Keep-mask of the greedy scan: in stored order, keep each eligible point
-    that no earlier kept point is closer to than ``radius``."""
+    that no earlier kept point is closer to than ``radius``.
+
+    Where the candidates total at most ``_BULK_CANDIDATES`` a point, most
+    points are decided in bulk rounds (``_bulk_rounds``) and the scan visits
+    only those still undecided; otherwise it visits every point.  Raises
+    ``DomainError("bad-shape")`` unless ``eligible`` has shape ``(n,)``.
+    """
     rad2 = _square(radius)
     pts = np.ascontiguousarray(points, dtype=np.float64)
+    n = len(pts)
+    eligible = np.asarray(eligible, dtype=bool)
+    if eligible.shape != (n,):
+        raise DomainError("bad-shape", f"eligible mask of shape {eligible.shape} for {n} points")
+    kept = np.zeros(n, dtype=bool)
+    if n == 0:
+        return kept
     order, ranges, sizes = _neighbourhoods(pts, radius)
-    removed = ~np.asarray(eligible, dtype=bool)
-    kept = np.zeros(len(pts), dtype=bool)
+    removed = ~eligible
+    todo = range(n)
+    if sizes.sum() <= _BULK_CANDIDATES * n:
+        todo = _bulk_rounds(pts, order, ranges, rad2, kept, removed).tolist()
     # a candidate far off on an axis that is not binned may square to inf,
     # which is not close
     with np.errstate(over="ignore"):
-        for i in range(len(pts)):
+        for i in todo:
             if removed[i]:
                 continue
             kept[i] = True
@@ -251,6 +280,45 @@ def _greedy_scan(points: np.ndarray, radius: float, eligible: np.ndarray) -> np.
                 js, close = _close(pts, i, order, ranges, rad2)
                 removed[js[close]] = True
     return kept
+
+
+def _bulk_rounds(pts, order, ranges, rad2: float, kept: np.ndarray, removed: np.ndarray):
+    """Decide the greedy scan in rounds over its earlier close pairs, in place.
+
+    The pairs are ``(j, i)`` with ``j < i``, ``d2 < rad2`` and neither point
+    ``removed`` on entry (the ineligible ones).  In each round, an undecided
+    point with a kept earlier neighbour is removed, and one whose earlier
+    neighbours are all removed is kept: both are the scan's own choices.
+    Before each round, the pairs whose source is removed or whose target is
+    decided are dropped.  The rounds needed are the longest chain of
+    undecided earlier neighbours, short where the pairs are sparse but up to
+    ``n`` on a chain of close points; so after ``_MAX_ROUNDS`` the kept
+    points remove their neighbours, and the points still undecided are
+    returned, in index order, for the scan to finish.
+    """
+    src, dst = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for s, sizes, pos, close in _close_chunks(pts, order, ranges, rad2):
+        at = np.flatnonzero(close)
+        i = np.repeat(order[s:s + sizes.size], sizes)[at]
+        j = order[pos[at]]
+        pair = (j < i) & ~removed[i] & ~removed[j]
+        src.append(j[pair])
+        dst.append(i[pair])
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    undecided = ~removed
+    for _ in range(_MAX_ROUNDS):
+        if not undecided.any():
+            break
+        live = ~removed[src] & undecided[dst]
+        src, dst = src[live], dst[live]
+        hit = kept[src]
+        removed[dst[hit]] = True
+        waiting = np.zeros(len(pts), dtype=bool)
+        waiting[dst[~hit]] = True
+        kept |= undecided & ~removed & ~waiting
+        undecided &= waiting & ~removed
+    removed[dst[kept[src]]] = True
+    return np.flatnonzero(undecided)
 
 
 # ---------------------------------------------------------------------------
@@ -275,62 +343,76 @@ def thin_select_mask(points: np.ndarray, radius: float, good: np.ndarray) -> np.
 def neighbor_counts(points: np.ndarray, radius: float) -> np.ndarray:
     """Per-point count of other points at strict Euclidean distance < radius.
 
-    One bulk pass over the candidate pairs of ``_neighbourhoods``, with no
-    scan: the counts do not depend on any order.  The columns are gathered
-    once in ``order``, so the candidates of a range are contiguous.  For
-    each range, runs of consecutive points in ``order`` whose candidates
-    total at most ``_PAIR_CHUNK`` (or one point alone, whose candidates
-    exceed it) are tested at once, ``d2`` summed axis by axis in axis order
-    and compared ``< rad2``, and the close pairs of each point are summed.
-    Every point is its own candidate in exactly one range, at ``d2 = 0 <
-    rad2``, so 1 is subtracted at the end; coincident points with different
-    indices count each other.
+    One bulk pass over the candidate pairs (``_close_chunks``), with no
+    scan: the counts do not depend on any order.  The close pairs of each
+    point are summed; every point is its own candidate in exactly one range,
+    at ``d2 = 0 < rad2``, so 1 is subtracted at the end.  Coincident points
+    with different indices count each other.
     """
     rad2 = _square(radius)
     pts = np.ascontiguousarray(points, dtype=np.float64)
-    order, ranges, _ = _neighbourhoods(pts, radius)
-    cols = [pts[order, a] for a in range(pts.shape[1])]
     counts = np.zeros(len(pts), dtype=np.int64)
-    # a candidate far off on an axis that is not binned may square to inf,
-    # which is not close
-    with np.errstate(over="ignore"):
-        for lo, hi in ranges:
-            lo = lo[order]
-            sizes = hi[order] - lo
-            ends = np.cumsum(sizes)
-            s = 0
-            while s < len(pts):
-                base = int(ends[s - 1]) if s else 0
-                e = max(s + 1, int(np.searchsorted(ends, base + _PAIR_CHUNK, side="right")))
-                if ends[e - 1] > base:
-                    counts[s:e] += _close_counts(cols, s, lo[s:e], sizes[s:e], rad2)
-                s = e
+    if len(pts) == 0:
+        return counts
+    order, ranges, _ = _neighbourhoods(pts, radius)
+    for s, sizes, _, close in _close_chunks(pts, order, ranges, rad2):
+        hits = np.empty(close.size + 1, dtype=np.int64)
+        hits[0] = 0
+        np.cumsum(close, out=hits[1:])
+        ends = np.cumsum(sizes)
+        counts[s:s + sizes.size] += hits[ends] - hits[ends - sizes]
     out = np.empty_like(counts)
     out[order] = counts - 1
     return out
 
 
-def _close_counts(cols: list, s: int, lo: np.ndarray, sizes: np.ndarray, rad2: float):
-    """For the points ``s, s + 1, ...`` of the gathered columns ``cols``,
-    the number of their candidates ``lo[k]:lo[k] + sizes[k]`` with ``d2 <
-    rad2``."""
+def _close_chunks(pts: np.ndarray, order, ranges, rad2: float):
+    """The candidate pairs of ``_neighbourhoods``, tested a chunk at a time.
+
+    The columns are gathered once in ``order``, so the candidates of a range
+    are contiguous.  For each range, runs of consecutive points in ``order``
+    whose candidates total at most ``_PAIR_CHUNK`` (or one point alone, whose
+    candidates exceed it) are tested at once (``_close_mask``).  Yields
+    ``(s, sizes, pos, close)``: the points at ``s, s + 1, ...`` of ``order``
+    have ``sizes`` candidates each, at the positions ``pos`` of ``order``,
+    concatenated, and ``close`` marks those with ``d2 < rad2``.
+    """
+    cols = [pts[order, a] for a in range(pts.shape[1])]
+    for lo, hi in ranges:
+        lo = lo[order]
+        sizes = hi[order] - lo
+        ends = np.cumsum(sizes)
+        s = 0
+        while s < len(pts):
+            base = int(ends[s - 1]) if s else 0
+            e = max(s + 1, int(np.searchsorted(ends, base + _PAIR_CHUNK, side="right")))
+            if ends[e - 1] > base:
+                yield s, sizes[s:e], *_close_mask(cols, s, lo[s:e], sizes[s:e], rad2)
+            s = e
+
+
+def _close_mask(cols: list, s: int, lo: np.ndarray, sizes: np.ndarray, rad2: float):
+    """For the points ``s, s + 1, ...`` of the gathered columns ``cols``, the
+    positions ``pos`` of their candidates ``lo[k]:lo[k] + sizes[k]``,
+    concatenated, and the mask of those with ``d2 < rad2``, ``d2`` summed
+    axis by axis in axis order."""
     starts = np.cumsum(sizes) - sizes
     total = int(starts[-1] + sizes[-1])
     pos = np.repeat(lo - starts, sizes)
     pos += np.arange(total)
     d2 = None
-    for col in cols:
-        diff = np.repeat(col[s:s + sizes.size], sizes)
-        diff -= col[pos]
-        diff *= diff
-        if d2 is None:
-            d2 = diff
-        else:
-            d2 += diff
-    hits = np.empty(total + 1, dtype=np.int64)
-    hits[0] = 0
-    np.cumsum(d2 < rad2, out=hits[1:])
-    return hits[starts + sizes] - hits[starts]
+    # a candidate far off on an axis that is not binned may square to inf,
+    # which is not close
+    with np.errstate(over="ignore"):
+        for col in cols:
+            diff = np.repeat(col[s:s + sizes.size], sizes)
+            diff -= col[pos]
+            diff *= diff
+            if d2 is None:
+                d2 = diff
+            else:
+                d2 += diff
+    return pos, d2 < rad2
 
 
 def sausage_occupied_count(points: np.ndarray, r: float, cell: float) -> int:
@@ -358,12 +440,14 @@ def sausage_occupied_count(points: np.ndarray, r: float, cell: float) -> int:
     r2 = _square(r)
     pts = np.ascontiguousarray(points, dtype=np.float64)
     n, m = pts.shape
-    reach = int(np.ceil(r / cell)) + 1
+    ratio = r / cell
+    # a ratio past the cap, inf or NaN is refused below before ceil rounds it
+    reach = int(np.ceil(ratio)) + 1 if ratio < MAX_SAUSAGE_ROWS else MAX_SAUSAGE_ROWS
     width = 2 * reach + 1
     if width ** max(m - 1, 1) > MAX_SAUSAGE_ROWS:
         unit = "cells" if m == 1 else "rows of cells"
         raise DomainError("sausage-too-fine",
-                          f"r/cell = {r / cell:g} in {m}-D: over {MAX_SAUSAGE_ROWS} {unit} a point")
+                          f"r/cell = {ratio:g} in {m}-D: over {MAX_SAUSAGE_ROWS} {unit} a point")
     base = cell_indices(pts, cell)
     if base.dtype.kind == "f":
         raise DomainError("cell-grid-too-large", "cell indices of 2^62 or more")

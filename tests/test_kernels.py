@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fracdim as fd
 import oracles
 from fracdim import kernels
 from fracdim.errors import DomainError
@@ -58,13 +59,13 @@ def test_neighbor_counts_match_oracle():
 def _recording_chunks(monkeypatch):
     """``(points, pairs)`` of each chunk that ``neighbor_counts`` tests."""
     chunks = []
-    close_counts = kernels._close_counts
+    close_mask = kernels._close_mask
 
     def recording(cols, s, lo, sizes, rad2):
         chunks.append((sizes.size, int(sizes.sum())))
-        return close_counts(cols, s, lo, sizes, rad2)
+        return close_mask(cols, s, lo, sizes, rad2)
 
-    monkeypatch.setattr(kernels, "_close_counts", recording)
+    monkeypatch.setattr(kernels, "_close_mask", recording)
     return chunks
 
 
@@ -535,6 +536,96 @@ def test_scans_of_an_8d_walk_in_flat_memory():
         assert np.array_equal(kept[s:s + 512], ~np.any((d2 < (2 * eps) ** 2) & earlier, axis=1))
 
 
+def _record_scans(monkeypatch):
+    """``{"scans": n, "bulk": [undecided, ...]}``: the number of greedy scans
+    run, and for each that resolved in bulk rounds, the number of points it
+    left to the scan."""
+    seen = {"scans": 0, "bulk": []}
+    greedy_scan, bulk_rounds = kernels._greedy_scan, kernels._bulk_rounds
+
+    def scan(*args):
+        seen["scans"] += 1
+        return greedy_scan(*args)
+
+    def rounds(*args):
+        todo = bulk_rounds(*args)
+        seen["bulk"].append(todo.size)
+        return todo
+
+    monkeypatch.setattr(kernels, "_greedy_scan", scan)
+    monkeypatch.setattr(kernels, "_bulk_rounds", rounds)
+    return seen
+
+
+_SCAN_ORACLE_TESTS = (
+    test_greedy_pack_matches_oracle, test_thin_select_matches_oracle,
+    test_greedy_pack_is_thinning_with_every_point_eligible,
+    test_scans_on_a_grid_too_large_to_pack, test_scans_on_far_apart_clusters_match_oracles,
+    test_scans_on_clusters_split_into_groups_match_oracles,
+    test_scans_on_cells_beyond_int64_match_oracles, test_scans_on_a_7d_diagonal_match_oracles,
+    test_scans_dropping_binned_axes_match_oracles, test_scans_bin_the_widest_axes,
+    test_scans_of_candidates_far_apart_on_an_axis_not_binned,
+    test_scans_of_an_8d_walk_in_flat_memory)
+
+
+@pytest.mark.parametrize("bulk, rounds", [(32, 32), (0, 32), (math.inf, 32), (math.inf, 0),
+                                          (math.inf, 1)])
+def test_scans_match_oracles_on_every_branch(monkeypatch, bulk, rounds):
+    # the shipped crossover, every scan in stored order, every scan in bulk,
+    # and bulk scans that hand every point, or all but those of one round,
+    # on to the scan
+    monkeypatch.setattr(kernels, "_BULK_CANDIDATES", bulk)
+    monkeypatch.setattr(kernels, "_MAX_ROUNDS", rounds)
+    seen = _record_scans(monkeypatch)
+    for test in _SCAN_ORACLE_TESTS:
+        # a test's one argument, if any, is its own monkeypatch
+        with pytest.MonkeyPatch.context() as patch:
+            test(*[patch][:test.__code__.co_argcount])
+    scans, handed = seen["scans"], seen["bulk"]
+    if bulk == 0:
+        assert scans > 1000 and not handed
+    elif bulk == math.inf:
+        assert len(handed) == scans > 1000
+    else:
+        assert len(handed) > 50 and scans - len(handed) > 50
+    if bulk == math.inf:
+        assert (sum(n > 0 for n in handed) > 100) == (rounds < 32)
+
+
+def test_scan_of_a_chain_hands_off_after_the_round_cap(monkeypatch):
+    # points 0.9 * radius apart: about 3.4 candidates a point, so the scan
+    # resolves in bulk, but each round decides about one point; after
+    # _MAX_ROUNDS the scan finishes the rest instead of 16385 rounds
+    seen = _record_scans(monkeypatch)
+    chain = 0.9 * np.arange(16385.0)[:, None]
+    started = time.perf_counter()
+    kept = kernels.greedy_pack_mask(chain, 0.5)
+    elapsed = time.perf_counter() - started
+    assert np.array_equal(kept, np.arange(16385) % 2 == 0)
+    assert seen["bulk"] and seen["bulk"][0] > 16000
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("bulk", [0, math.inf])
+@pytest.mark.parametrize("shape", [(40,), (60,), (50, 1)])
+def test_thinning_refuses_a_good_mask_of_another_shape(monkeypatch, bulk, shape):
+    monkeypatch.setattr(kernels, "_BULK_CANDIDATES", bulk)
+    pts = np.random.default_rng(22).uniform(0, 1, (50, 2))
+    with pytest.raises(DomainError) as ei:
+        kernels.thin_select_mask(pts, 0.1, np.ones(shape, dtype=bool))
+    assert ei.value.code == "bad-shape"
+
+
+@pytest.mark.parametrize("bulk", [0, math.inf])
+def test_scans_of_no_points_are_empty(monkeypatch, bulk):
+    monkeypatch.setattr(kernels, "_BULK_CANDIDATES", bulk)
+    none = np.zeros((0, 2))
+    for got, dtype in ((kernels.greedy_pack_mask(none, 0.1), bool),
+                       (kernels.neighbor_counts(none, 0.1), np.int64),
+                       (kernels.thin_select_mask(none, 0.1, np.zeros(0, dtype=bool)), bool)):
+        assert got.shape == (0,) and got.dtype == dtype
+
+
 def test_sausage_past_the_compacted_grid():
     # 240000 points, each alone in a window of 7 cells per axis, on a grid of
     # 2^41 cells per axis: even compacted, 7 * 240000 cells per axis cannot be
@@ -635,3 +726,10 @@ def test_sausage_too_fine_raises_before_allocating():
         count = kernels.sausage_occupied_count(np.zeros((1, m)), 1.0, 1 / 64)
         ball = math.pi ** (m / 2) / math.gamma(m / 2 + 1)
         assert abs(count / 64**m - ball) < 0.03 * ball
+
+
+def test_sausage_of_a_cell_too_small_for_a_finite_ratio():
+    # r / cell overflows to inf: refused as too fine, not rounded to an int
+    with pytest.raises(DomainError) as ei:
+        fd.sausage_volume(fd.PointCloud.from_points(np.zeros((3, 2))), 1.0, cell=5e-324)
+    assert ei.value.code == "sausage-too-fine"
