@@ -30,7 +30,10 @@ and each row of cells in the first ``m - 1`` axes, the marked cells along the
 last axis form one run, estimated with ``sqrt`` and made exact by the
 ``d2 <= r * r`` test at both ends; the count is the size of the union of the
 runs.  Its work is ``(2 * reach + 1)^(m - 1)`` rows a point, not the
-``(2 * reach + 1)^m`` cells of the window around it.
+``(2 * reach + 1)^m`` cells of the window around it.  The runs of a chunk of
+points are built row by row on whole arrays (``_row_runs``): the partial
+``d2`` of every (row, point) pair is one array, the end tests run on all
+runs at once, and only the few ends that move are walked on by index.
 
 Box counts keep the occupied cells as sorted distinct packed keys
 (``box_keys``): axis ``a`` gets a bit field of ``bit_length(max_a - min_a)
@@ -430,16 +433,20 @@ def sausage_occupied_count(points: np.ndarray, r: float, cell: float) -> int:
     large to pack is compacted once, then cut anywhere into pieces that each
     count the marked cells in their ranges, and whose counts add up.
 
-    Raises ``DomainError("bad-scale")`` when ``r * r`` is not a positive,
-    normal, finite double (``_square``), ``DomainError("sausage-too-fine")``
-    when a point would scan more than ``MAX_SAUSAGE_ROWS`` rows (in 1-D,
-    more cells in its one row), and ``DomainError("cell-grid-too-large")``
-    for cells of ``2^62`` or more, whose centres float arithmetic cannot
-    tell apart.
+    No points count 0.  Raises ``DomainError("bad-scale")`` when ``r * r`` is
+    not a positive, normal, finite double (``_square``) or ``cell`` is not
+    positive and finite, ``DomainError("sausage-too-fine")`` when a point
+    would scan more than ``MAX_SAUSAGE_ROWS`` rows (in 1-D, more cells in its
+    one row), and ``DomainError("cell-grid-too-large")`` for cells of
+    ``2^62`` or more, whose centres float arithmetic cannot tell apart.
     """
     r2 = _square(r)
+    if not 0 < cell < np.inf:
+        raise DomainError("bad-scale", f"cell must be positive and finite, got {cell!r}")
     pts = np.ascontiguousarray(points, dtype=np.float64)
     n, m = pts.shape
+    if n == 0:
+        return 0
     ratio = r / cell
     # a ratio past the cap, inf or NaN is refused below before ceil rounds it
     reach = int(np.ceil(ratio)) + 1 if ratio < MAX_SAUSAGE_ROWS else MAX_SAUSAGE_ROWS
@@ -491,7 +498,9 @@ def _group_count(pts, base, index, cells, clip, keys, strides, steps, cell: floa
     on a row axis (point, row) pairs outside are dropped.  Points go in key
     order, so the runs of every later point start at or above ``key - reach
     * sum(strides)`` of the next one: each merge counts and drops the runs
-    that end below that, and keeps only those near the scan front.
+    that end below that, and keeps only those near the scan front.  This
+    needs key order only between chunks: within one, the runs come row by
+    row, and ``_union`` sorts them.
     """
     m, width = pts.shape[1], steps.size
     sub = np.argsort(keys)
@@ -508,7 +517,6 @@ def _group_count(pts, base, index, cells, clip, keys, strides, steps, cell: floa
     for s in range(0, len(pts), chunk):
         point, row, lo, hi = _row_runs(pts[s:s + chunk], base[s:s + chunk], steps, cell, r2)
         point += s
-        lo, hi = lo - base[point, -1], hi - base[point, -1]  # offsets from the point's cell
         for a, (at, first, stop) in cuts.items():
             at = at[point]
             if a == 0:
@@ -539,47 +547,59 @@ def _row_runs(pts: np.ndarray, base: np.ndarray, steps: np.ndarray, cell: float,
     each of the first ``m - 1`` axes, numbered in row-major offset order.
     The partial ``d2`` of a row sums the axis terms in axis order, as the full
     ``d2`` does, so adding the last axis term gives the full ``d2`` bit for
-    bit, and a row whose partial already exceeds ``r2`` is dropped.  Along
-    the last axis, ``d2 <= r2`` holds on one run of cells: every float
-    operation in it is monotone in the distance from the point.  The run is
-    estimated with ``sqrt(r2 - partial)``; each end is then widened while
-    the next cell out is marked and narrowed while it is not marked, which
-    is exact whenever the estimate is at most one cell off.  Cells stay
-    within ``steps`` of ``base`` on the last axis too.
+    bit, and a row whose partial exceeds ``r2`` (or overflows to inf) is
+    dropped.  The partials are kept rows by points, so the pairs come out row
+    by row, in one ``nonzero`` and one boolean compress.  Along the last
+    axis, ``d2 <= r2`` holds on one run of cells: every float operation in
+    it is monotone in the distance from the point.  The run is estimated
+    with ``sqrt(r2 - partial)``; each end is then widened while the next
+    cell out is marked and narrowed while it is not marked, which is exact
+    whenever the estimate is at most one cell off.  The first widen and
+    narrow tests of each end run on the whole arrays; only the few ends that
+    move are walked on, by index.  Ends stay within ``steps`` of ``base`` on
+    the last axis too.  They are kept as integer-valued float offsets from
+    the point's cell ``b``: the centre ``((b + offset) + 0.5) * cell`` is the
+    same double as from the int64 cell while cells are below ``2^53``, and a
+    walk ends at a fixed offset whatever the cell.
 
-    Returns ``(point, row, lo, hi)`` for the pairs with a non-empty run.
+    Returns ``(point, row, lo, hi)`` for the pairs with a non-empty run, row
+    by row, with ``lo`` and ``hi`` the int64 offsets of its ends from
+    ``base[point, -1]``.
     """
     k, m = pts.shape
-    partial = np.zeros((k, 1))
-    for a in range(m - 1):
-        diff = pts[:, a, None] - ((base[:, a, None] + steps) + 0.5) * cell
-        partial = (partial[:, :, None] + (diff * diff)[:, None, :]).reshape(k, -1)
-    point, row = np.nonzero(partial <= r2)
-    partial = partial[point, row]
-    x, b = pts[point, -1], base[point, -1]
-    first, last = b + steps[0], b + steps[-1]
-    half = np.sqrt(r2 - partial)
-    lo = np.clip(np.ceil((x - half) / cell - 0.5), first, last).astype(np.int64)
-    hi = np.clip(np.floor((x + half) / cell - 0.5), first, last).astype(np.int64)
+    # a far-off row or cell may square to inf, which is not marked
+    with np.errstate(over="ignore"):
+        partial = np.zeros((1, k))
+        for a in range(m - 1):
+            diff = pts[:, a] - ((base[:, a] + steps[:, None]) + 0.5) * cell
+            partial = (partial[:, None, :] + (diff * diff)[None, :, :]).reshape(-1, k)
+        close = partial <= r2
+        row, point = np.nonzero(close)
+        partial = partial[close]
+        x, b = pts[:, -1][point], base[:, -1].astype(np.float64)[point]
+        half = np.sqrt(r2 - partial)
+        lo = np.ceil((x - half) / cell - 0.5)
+        hi = np.floor((x + half) / cell - 0.5)
+        for end in (lo, hi):
+            end -= b
+            np.clip(end, steps[0], steps[-1], out=end)
 
-    def marked(c, i):
-        diff = x[i] - (c + 0.5) * cell
-        return partial[i] + diff * diff <= r2
+        def marked(off, i=...):
+            diff = x[i] - ((b[i] + off) + 0.5) * cell
+            return partial[i] + diff * diff <= r2
 
-    for end, step, edge in ((lo, -1, first), (hi, 1, last)):
-        _walk(end, step, lambda i: (end[i] != edge[i]) & marked(end[i] + step, i))
-    for end, step in ((lo, 1), (hi, -1)):
-        _walk(end, step, lambda i: (lo[i] <= hi[i]) & ~marked(end[i], i))
+        for end, step, edge in ((lo, -1, steps[0]), (hi, 1, steps[-1])):
+            i = np.flatnonzero((end != edge) & marked(end + step))
+            while i.size:
+                end[i] += step
+                i = i[(end[i] != edge) & marked(end[i] + step, i)]
+        for end, step in ((lo, 1), (hi, -1)):
+            i = np.flatnonzero((lo <= hi) & ~marked(end))
+            while i.size:
+                end[i] += step
+                i = i[(lo[i] <= hi[i]) & ~marked(end[i], i)]
     keep = lo <= hi
-    return point[keep], row[keep], lo[keep], hi[keep]
-
-
-def _walk(end: np.ndarray, step: int, move) -> None:
-    """Add ``step`` to ``end[i]`` while ``move(i)`` holds, for each ``i``."""
-    i = np.flatnonzero(move(np.arange(end.size)))
-    while i.size:
-        end[i] += step
-        i = i[move(i)]
+    return point[keep], row[keep], lo[keep].astype(np.int64), hi[keep].astype(np.int64)
 
 
 def _union(start: np.ndarray, end: np.ndarray):

@@ -254,10 +254,12 @@ def sausage_volume(cloud: PointCloud, r: float, refine: int = 4, cell: float | N
     radii) are marked when their center lies within distance r of some point;
     the volume is the marked count times the cell volume.  Converges to the
     true union-of-balls volume as refine grows.  Supported for ambient
-    dimension m <= 3; the cost explodes beyond that.  A cell that is not
-    positive and finite raises ``DomainError("bad-scale")``, and one so small
-    against r that a point would scan more than ``kernels.MAX_SAUSAGE_ROWS``
-    rows of cells raises ``DomainError("sausage-too-fine")``.
+    dimension m <= 3; the cost explodes beyond that.  No marked cell is a
+    volume of 0.0, whatever the cell.  A cell that is not positive and finite,
+    or a volume past the largest double, raises ``DomainError("bad-scale")``,
+    and a cell so small against r that a point would scan more than
+    ``kernels.MAX_SAUSAGE_ROWS`` rows of cells raises
+    ``DomainError("sausage-too-fine")``.
     """
     _check_scale(r)
     if refine < 2:
@@ -265,10 +267,17 @@ def sausage_volume(cloud: PointCloud, r: float, refine: int = 4, cell: float | N
     if cloud.dim > 3:
         raise DomainError("dimension-unsupported", "sausage volumes computed for m <= 3 only")
     h = float(r) / refine if cell is None else float(cell)
-    if not 0 < h < math.inf:
-        raise DomainError("bad-scale", f"cell must be positive and finite, got {h}")
     count = kernels.sausage_occupied_count(cloud.points, float(r), h)
-    return count * h**cloud.dim
+    if count == 0:
+        return 0.0
+    try:
+        volume = count * h**cloud.dim
+    except OverflowError:
+        volume = math.inf
+    if volume == math.inf:
+        raise DomainError("bad-scale", f"sausage volume at r = {r!r} with cells of side {h!r} "
+                          "is past the largest double")
+    return volume
 
 
 def step_graph_box_count(breaks, values, eps: float) -> int:

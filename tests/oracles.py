@@ -150,6 +150,22 @@ def brute_sausage_count(points: np.ndarray, r: float, cell: float) -> int:
     return int(marked.sum())
 
 
+def brute_row_cells(point, row, r: float, cell: float) -> np.ndarray:
+    """Cells ``k`` along the last axis whose cell ``(*row, k)`` has its center
+    within ``r`` of ``point`` (axis-ordered ``d2 <= r*r``), where ``row``
+    holds the cells on the other axes, testing every ``k`` of the point's
+    widened interval ``[x - r, x + r]``."""
+    x = float(point[-1])
+    ks = np.arange(math.floor((x - r) / cell) - 1, math.floor((x + r) / cell) + 2)
+    d2 = np.zeros(ks.size)
+    for p, c in zip(point[:-1], row):
+        diff = p - (c + 0.5) * cell
+        d2 += diff * diff
+    diff = x - (ks + 0.5) * cell
+    d2 += diff * diff
+    return ks[d2 <= r * r]
+
+
 def brute_oscillation_counts(values, n: int) -> list:
     """max(1, ceil(2^n * (max - min))) over each closed dyadic column of a
     uniformly sampled function, by a plain loop."""

@@ -215,6 +215,30 @@ def test_sausage_occupancy_matches_oracle():
     assert kernels.sausage_occupied_count(np.zeros((1, 2)), 0.5, 1.0) == 0
 
 
+def test_sausage_runs_match_the_row_oracle():
+    # each (point, row) run is exactly the marked cells of that row, and no
+    # row with a marked cell lacks a run: a run too long in one row could
+    # hide under another point's run in the whole count
+    rng = np.random.default_rng(4)
+    for pts, r, cell in _sausage_inputs(rng):
+        reach = int(np.ceil(r / cell)) + 1
+        steps = np.arange(-reach, reach + 1, dtype=np.int64)
+        base = kernels.cell_indices(pts, cell)
+        point, row, lo, hi = kernels._row_runs(pts, base, steps, cell, r * r)
+        cells = base[point, -1]
+        runs = dict(zip(zip(point.tolist(), row.tolist()),
+                        zip((cells + lo).tolist(), (cells + hi).tolist())))
+        assert len(runs) == point.size
+        offsets = np.array(list(itertools.product(steps, repeat=pts.shape[1] - 1)))
+        for p in range(len(pts)):
+            for w, off in enumerate(offsets):
+                marked = oracles.brute_row_cells(pts[p], base[p, :-1] + off, r, cell)
+                if marked.size:
+                    first, last = runs.pop((p, w))
+                    assert marked.tolist() == list(range(first, last + 1))
+        assert not runs
+
+
 def test_sausage_in_small_chunks_with_merges_matches_oracle(monkeypatch):
     # one or a few points a chunk, and the runs merged every few dozen
     monkeypatch.setattr(kernels, "_SAUSAGE_CHUNK", 40)
@@ -726,6 +750,17 @@ def test_sausage_too_fine_raises_before_allocating():
         count = kernels.sausage_occupied_count(np.zeros((1, m)), 1.0, 1 / 64)
         ball = math.pi ** (m / 2) / math.gamma(m / 2 + 1)
         assert abs(count / 64**m - ball) < 0.03 * ball
+
+
+def test_sausage_of_no_points_counts_zero():
+    assert kernels.sausage_occupied_count(np.zeros((0, 2)), 1.0, 0.25) == 0
+
+
+@pytest.mark.parametrize("cell", [-0.25, 0.0, float("nan"), float("inf")])
+def test_sausage_refuses_a_cell_that_is_not_positive_and_finite(cell):
+    with pytest.raises(DomainError) as ei:
+        kernels.sausage_occupied_count(np.zeros((2, 2)), 1.0, cell)
+    assert ei.value.code == "bad-scale"
 
 
 def test_sausage_of_a_cell_too_small_for_a_finite_ratio():

@@ -225,6 +225,19 @@ def test_sausage_rejects_a_cell_that_is_not_positive_and_finite():
         assert ei.value.code == "bad-scale"
 
 
+def test_sausage_with_no_marked_cell_is_zero_whatever_the_cell():
+    # the nearest cell centre is 5e199 away; the cell area would overflow
+    assert fd.sausage_volume(cloud([[0.1, 0.2]]), 1.0, cell=1e200) == 0.0
+
+
+def test_sausage_volume_past_the_largest_double_is_refused():
+    # r * r is a normal double, but the cell volume (r / 4)^3 is not
+    with pytest.raises(DomainError) as ei:
+        fd.sausage_volume(cloud(np.zeros((3, 3))), 1e120)
+    assert ei.value.code == "bad-scale"
+    assert "1e+120" in str(ei.value) and "2.5e+119" in str(ei.value)
+
+
 def test_sausage_matches_exact_union_length_1d():
     rng = np.random.default_rng(31337)
     for _ in range(100):
