@@ -69,7 +69,8 @@ _METHOD_KINDS = {
 
 def parse_drift_string(text: str, d: int = 1) -> DriftSpec:
     """Parse ``zero | linear:<mu> | psi_n:<n> | lacunary:<preset>:<K> |
-    table:<file>`` into a DriftSpec."""
+    table:<file>`` into a DriftSpec; a table's file is everything after
+    ``table:``, colons included."""
     parts = text.split(":")
     head = parts[0]
     try:
@@ -83,8 +84,8 @@ def parse_drift_string(text: str, d: int = 1) -> DriftSpec:
         if head == "lacunary" and len(parts) == 3:
             schedule = parse_schedule(parts[1])
             return schedule.drift(int(parts[2]))
-        if head == "table" and len(parts) == 2:
-            data = np.loadtxt(parts[1], delimiter=",", ndmin=2)
+        if head == "table" and len(parts) > 1:
+            data = np.loadtxt(text[len("table:"):], delimiter=",", ndmin=2)
             return DriftSpec.table(data[:, 0], data[:, 1:])
     except DomainError:
         raise

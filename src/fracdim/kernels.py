@@ -30,10 +30,12 @@ and each row of cells in the first ``m - 1`` axes, the marked cells along the
 last axis form one run, estimated with ``sqrt`` and made exact by the
 ``d2 <= r * r`` test at both ends; the count is the size of the union of the
 runs.  Its work is ``(2 * reach + 1)^(m - 1)`` rows a point, not the
-``(2 * reach + 1)^m`` cells of the window around it.  The runs of a chunk of
-points are built row by row on whole arrays (``_row_runs``): the partial
-``d2`` of every (row, point) pair is one array, the end tests run on all
-runs at once, and only the few ends that move are walked on by index.
+``(2 * reach + 1)^m`` cells of the window around it.  The points go in key
+order, in chunks of ``_PAIR_CHUNK`` (point, row) pairs, whose runs are built
+row by row on whole arrays (``_row_runs``): the partial ``d2`` of every
+(row, point) pair is one array, the end tests run on all runs at once, and
+only the few ends that move are walked on by index.  Each chunk is merged at
+once into the runs kept at the scan front (``_group_count``).
 
 Box counts keep the occupied cells as sorted distinct packed keys
 (``box_keys``): axis ``a`` gets a bit field of ``bit_length(max_a - min_a)
@@ -50,13 +52,13 @@ holds the carried ``u + 1``.  Keys are never unpacked into cell rows.
 Cells are int64 below ``2^62`` in magnitude and float floors beyond.  Box
 counting counts those, and grids whose key fields need more than 63 bits,
 from the cells of the points (``distinct_cell_count``); the scans compact
-them, and the sausage refuses them.  The scans bin the points on the
-``_BIN_AXES`` axes of widest span into one packed int64 grid: a grid too
-large to pack is compacted, and loses its narrowest binned axis while even
-that is too large, so the scans never cut and never refuse a grid.  The
-sausage packs every axis; its grid, when too large, is compacted once and
-cut anywhere into pieces that count their own cells
-(``sausage_occupied_count``).
+them, and the sausage refuses cells from ``2^52`` on, whose centres are not
+doubles.  The scans bin the points on the ``_BIN_AXES`` axes of widest span
+into one packed int64 grid: a grid too large to pack is compacted, and
+loses its narrowest binned axis while even that is too large, so the scans
+never cut and never refuse a grid.  The sausage packs every axis; its grid,
+when too large, is compacted once and cut anywhere into pieces that count
+their own cells (``sausage_occupied_count``).
 """
 
 import itertools
@@ -72,12 +74,9 @@ from .errors import DomainError
 # many (in 1-D, cells in its one row) is refused.  refine = 64 in 3-D needs
 # 131^2 = 17161.
 MAX_SAUSAGE_ROWS = 1 << 16
-# (point, row) pairs scanned at once, and runs collected before a merge: the
-# sausage's memory is bounded whatever the number of points
-_SAUSAGE_CHUNK = 1 << 18
-_SAUSAGE_MERGE = 1 << 20
-# candidate pairs a neighbour count or a bulk scan tests at once: its memory
-# is bounded by this, or by the candidates of one point in one range
+# the one work budget: candidate pairs a neighbour count or a bulk scan tests
+# at once, or (point, row) pairs the sausage scans and merges at once; memory
+# is bounded by this, or by one point's candidates in one range or its rows
 _PAIR_CHUNK = 1 << 18
 # a greedy scan resolves in bulk rounds when its candidates total at most
 # this many a point, which also bounds the memory of its pairs; bulk won at
@@ -426,19 +425,21 @@ def sausage_occupied_count(points: np.ndarray, r: float, cell: float) -> int:
     cell on every axis are tested.  The count is a scanline: for each point
     and each row of cells in the first ``m - 1`` axes, the marked cells along
     the last axis form one run (see ``_row_runs``), and the count is the size
-    of the union of all runs.  The runs are taken on packed cell keys, in
-    which the last axis has stride 1 and each row owns a key range wider than
-    any run in it: sorting the keys sorts by (row, start), and the running
-    max of run ends never carries from one row into the next.  A grid too
-    large to pack is compacted once, then cut anywhere into pieces that each
-    count the marked cells in their ranges, and whose counts add up.
+    of the union of all runs, merged after every chunk (``_group_count``).
+    The runs are taken on packed cell keys, in which the last axis has
+    stride 1 and each row owns a key range wider than any run in it: sorting
+    the keys sorts by (row, start), and the running max of run ends never
+    carries from one row into the next.  A grid too large to pack is
+    compacted once, then cut anywhere into pieces that each count the marked
+    cells in their ranges, and whose counts add up.
 
     No points count 0.  Raises ``DomainError("bad-scale")`` when ``r * r`` is
     not a positive, normal, finite double (``_square``) or ``cell`` is not
     positive and finite, ``DomainError("sausage-too-fine")`` when a point
     would scan more than ``MAX_SAUSAGE_ROWS`` rows (in 1-D, more cells in its
-    one row), and ``DomainError("cell-grid-too-large")`` for cells of
-    ``2^62`` or more, whose centres float arithmetic cannot tell apart.
+    one row), and ``DomainError("cell-grid-too-large")`` when a cell within
+    ``reach`` of a point is ``2^52`` or more in magnitude: its centre is not a
+    double.
     """
     r2 = _square(r)
     if not 0 < cell < np.inf:
@@ -456,8 +457,9 @@ def sausage_occupied_count(points: np.ndarray, r: float, cell: float) -> int:
         raise DomainError("sausage-too-fine",
                           f"r/cell = {ratio:g} in {m}-D: over {MAX_SAUSAGE_ROWS} {unit} a point")
     base = cell_indices(pts, cell)
-    if base.dtype.kind == "f":
-        raise DomainError("cell-grid-too-large", "cell indices of 2^62 or more")
+    # every cell scanned has a centre c + 0.5 that is a double; no float floor
+    if base.min() - reach < -2 ** 52 or base.max() + reach >= 2 ** 52:
+        raise DomainError("cell-grid-too-large", f"cells of side {cell!r} scanned reach 2^52")
     steps = np.arange(-reach, reach + 1, dtype=np.int64)
     count = 0
     compacted = False
@@ -496,11 +498,12 @@ def _group_count(pts, base, index, cells, clip, keys, strides, steps, cell: floa
     points ``index``, whose ``cells`` pack into ``keys`` and ``strides``.  On
     the stride-1 axis (the last, first in ``cells``) run ends are clipped, and
     on a row axis (point, row) pairs outside are dropped.  Points go in key
-    order, so the runs of every later point start at or above ``key - reach
-    * sum(strides)`` of the next one: each merge counts and drops the runs
-    that end below that, and keeps only those near the scan front.  This
-    needs key order only between chunks: within one, the runs come row by
-    row, and ``_union`` sorts them.
+    order, in chunks of ``_PAIR_CHUNK`` (point, row) pairs, and each chunk's
+    runs are merged at once with the disjoint runs kept from earlier ones.
+    The runs of every later point start at or above ``key - reach *
+    sum(strides)`` of the next one, so the merged runs that end below that
+    are counted and dropped.  This needs key order only between chunks:
+    within one, the runs come row by row, and ``_union`` sorts them.
     """
     m, width = pts.shape[1], steps.size
     sub = np.argsort(keys)
@@ -511,9 +514,9 @@ def _group_count(pts, base, index, cells, clip, keys, strides, steps, cell: floa
     for a in range(m - 1):
         row_keys = (row_keys[:, None] + steps * strides[m - 1 - a]).ravel()
     span = int(steps[-1]) * int(strides.sum())
-    chunk = max(1, _SAUSAGE_CHUNK // row_keys.size)
-    starts, ends = [], []
-    pending = count = 0
+    chunk = max(1, _PAIR_CHUNK // row_keys.size)
+    start = end = np.empty(0, dtype=np.int64)
+    count = 0
     for s in range(0, len(pts), chunk):
         point, row, lo, hi = _row_runs(pts[s:s + chunk], base[s:s + chunk], steps, cell, r2)
         point += s
@@ -526,17 +529,12 @@ def _group_count(pts, base, index, cells, clip, keys, strides, steps, cell: floa
                 at += steps[row // width ** (a - 1) % width]  # the row's cell on axis a
                 keep = (first <= at) & (at < stop)
             point, row, lo, hi = point[keep], row[keep], lo[keep], hi[keep]
-        start = keys[point] + row_keys[row]
-        starts.append(start + lo)
-        ends.append(start + hi)
-        pending += start.size
-        if pending > _SAUSAGE_MERGE:
-            start, end = _union(np.concatenate(starts), np.concatenate(ends))
-            done = end < keys[min(s + chunk, len(keys) - 1)] - span
-            count += int((end[done] - start[done]).sum()) + int(done.sum())
-            starts, ends = [start[~done]], [end[~done]]
-            pending = starts[0].size
-    start, end = _union(np.concatenate(starts), np.concatenate(ends))
+        row_start = keys[point] + row_keys[row]
+        start, end = _union(np.concatenate([start, row_start + lo]),
+                            np.concatenate([end, row_start + hi]))
+        done = end < keys[min(s + chunk, len(keys) - 1)] - span
+        count += int((end[done] - start[done]).sum()) + int(done.sum())
+        start, end = start[~done], end[~done]
     return count + int((end - start).sum()) + start.size
 
 
@@ -559,8 +557,9 @@ def _row_runs(pts: np.ndarray, base: np.ndarray, steps: np.ndarray, cell: float,
     move are walked on, by index.  Ends stay within ``steps`` of ``base`` on
     the last axis too.  They are kept as integer-valued float offsets from
     the point's cell ``b``: the centre ``((b + offset) + 0.5) * cell`` is the
-    same double as from the int64 cell while cells are below ``2^53``, and a
-    walk ends at a fixed offset whatever the cell.
+    same double as from the int64 cell for the cells below ``2^52`` that
+    ``sausage_occupied_count`` allows, and a walk ends at a fixed offset
+    whatever the cell.
 
     Returns ``(point, row, lo, hi)`` for the pairs with a non-empty run, row
     by row, with ``lo`` and ``hi`` the int64 offsets of its ends from

@@ -23,6 +23,7 @@ Conventions fixed here for reproducibility:
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -256,10 +257,12 @@ def sausage_volume(cloud: PointCloud, r: float, refine: int = 4, cell: float | N
     true union-of-balls volume as refine grows.  Supported for ambient
     dimension m <= 3; the cost explodes beyond that.  No marked cell is a
     volume of 0.0, whatever the cell.  A cell that is not positive and finite,
-    or a volume past the largest double, raises ``DomainError("bad-scale")``,
-    and a cell so small against r that a point would scan more than
-    ``kernels.MAX_SAUSAGE_ROWS`` rows of cells raises
-    ``DomainError("sausage-too-fine")``.
+    or marked cells whose volume is not a positive normal finite double (it
+    underflows to a subnormal or zero, or overflows), raises
+    ``DomainError("bad-scale")``; a cell so small against r that a point
+    would scan more than ``kernels.MAX_SAUSAGE_ROWS`` rows of cells raises
+    ``DomainError("sausage-too-fine")``, and cells scanned of ``2^52`` or
+    more in magnitude raise ``DomainError("cell-grid-too-large")``.
     """
     _check_scale(r)
     if refine < 2:
@@ -274,9 +277,9 @@ def sausage_volume(cloud: PointCloud, r: float, refine: int = 4, cell: float | N
         volume = count * h**cloud.dim
     except OverflowError:
         volume = math.inf
-    if volume == math.inf:
-        raise DomainError("bad-scale", f"sausage volume at r = {r!r} with cells of side {h!r} "
-                          "is past the largest double")
+    if not sys.float_info.min <= volume <= sys.float_info.max:
+        raise DomainError("bad-scale", f"sausage volume at r = {float(r)!r} with cells of side "
+                          f"{h!r} is {volume!r}, not a positive normal finite double")
     return volume
 
 

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, formats, exit codes."""
 
+import io
 import json
 import os
 
@@ -68,6 +69,53 @@ def test_simulate_bad_drift_names_token(capsys):
     code, _, err = run_cli(capsys, "simulate", "--drift", "wiggle:2")
     assert code == 2
     assert "wiggle" in err
+
+
+def _drift_table(path, rows):
+    """Write ``rows`` of ``t,v_1..v_d`` to ``path`` and return ``table:<path>``."""
+    path.write_text("".join(",".join(str(x) for x in row) + "\n" for row in rows))
+    return f"table:{path}"
+
+
+def _drift_columns(out, d):
+    """The ``f_1..f_d`` columns of a sample-path CSV, as lists."""
+    rows = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1, ndmin=2)
+    return [rows[:, 1 + d + a].tolist() for a in range(d)]
+
+
+def test_simulate_table_drift_holds_its_right_continuous_steps(capsys, tmp_path):
+    drift = _drift_table(tmp_path / "t.csv", [(0, 1.5), (0.25, -2), (0.5, 0.75)])
+    code, out, _ = run_cli(capsys, "simulate", "--points", "9", "--drift", drift)
+    assert code == 0
+    # at t = k/8; each jump time takes the step that starts there
+    assert _drift_columns(out, 1) == [[1.5, 1.5, -2, -2, 0.75, 0.75, 0.75, 0.75, 0.75]]
+
+
+def test_simulate_table_drift_in_two_dimensions(capsys, tmp_path):
+    drift = _drift_table(tmp_path / "t.csv", [(0, 1, -1), (0.5, 2, 3)])
+    code, out, _ = run_cli(capsys, "simulate", "--points", "5", "--d", "2", "--drift", drift)
+    assert code == 0
+    assert _drift_columns(out, 2) == [[1, 1, 2, 2, 2], [-1, -1, 3, 3, 3]]
+
+
+def test_simulate_table_drift_from_a_path_with_colons(capsys, tmp_path):
+    (tmp_path / "a:b").mkdir()
+    drift = _drift_table(tmp_path / "a:b" / "t:1.csv", [(0, 0.5), (0.5, 1)])
+    code, out, err = run_cli(capsys, "simulate", "--points", "3", "--drift", drift)
+    assert code == 0, err
+    assert _drift_columns(out, 1) == [[0.5, 1, 1]]
+
+
+@pytest.mark.parametrize("rows, word", [
+    (None, "t.csv"),  # no file
+    ([(0.25, 1), (0.5, 2)], "t=0"),
+])
+def test_simulate_refuses_a_table_drift_it_cannot_use(capsys, tmp_path, rows, word):
+    path = tmp_path / "t.csv"
+    drift = _drift_table(path, rows) if rows else f"table:{path}"
+    code, out, err = run_cli(capsys, "simulate", "--points", "9", "--drift", drift)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and word in err
 
 
 def test_simulate_determinism(capsys, tmp_path):
@@ -476,6 +524,9 @@ def test_experiment_invalid_config_field_exits_2_with_one_error_line(
     # oscillation measures graphs only, never the images the check compares
     ("thm13-image", {"points": 2**9 + 1, "seeds": [1], "drift": "psi_n:16"},
      "image_sum by oscillation"),
+    # the sausage measures nothing past 3-D, and the graph of a 3-D path is 4-D
+    ("thm15-graph", {"points": 2**9 + 1, "seeds": [1], "d": 3, "drift": "linear:1,2,3",
+                     "methods": ["sausage"]}, "graph_sum by sausage"),
 ])
 def test_experiment_check_without_its_estimates_exits_2(capsys, tmp_path, claim, entry, word):
     path = _tiny_config(tmp_path, [1.0, 5.0])

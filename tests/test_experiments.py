@@ -141,6 +141,17 @@ def test_oscillation_method_runs_on_uniform_graphs():
     assert set(report.aggregates["image_bm"]) == {"box"}
 
 
+@pytest.mark.parametrize("d, measured", [
+    (1, {"graph_bm": {"box", "sausage"}, "image_bm": {"box", "sausage"}}),
+    (2, {"graph_bm": {"box", "sausage"}, "image_bm": {"box", "sausage"}}),
+    # the graph of a 3-D path is 4-D, past the sausage's 3
+    (3, {"graph_bm": {"box"}, "image_bm": {"box", "sausage"}}),
+])
+def test_sausage_method_measures_objects_of_at_most_three_dimensions(d, measured):
+    report = run_experiment(small_config(d=d, methods=("box", "sausage")))
+    assert {obj: set(per) for obj, per in report.aggregates.items()} == measured
+
+
 # ---------------------------------------------------------------------------
 # checks on synthetic reports
 

@@ -240,9 +240,9 @@ def test_sausage_runs_match_the_row_oracle():
 
 
 def test_sausage_in_small_chunks_with_merges_matches_oracle(monkeypatch):
-    # one or a few points a chunk, and the runs merged every few dozen
-    monkeypatch.setattr(kernels, "_SAUSAGE_CHUNK", 40)
-    monkeypatch.setattr(kernels, "_SAUSAGE_MERGE", 30)
+    # one or a few points a chunk, each merged into the runs kept at the scan
+    # front as soon as it is built
+    monkeypatch.setattr(kernels, "_PAIR_CHUNK", 40)
     rng = np.random.default_rng(12)
     for pts, r, cell in itertools.islice(_sausage_inputs(rng), 0, None, 3):
         assert kernels.sausage_occupied_count(pts, r, cell) == \
@@ -265,12 +265,11 @@ def _record_sausage_cuts(monkeypatch, cuts):
 def test_sausage_cut_into_pieces_matches_oracle(monkeypatch):
     # key limits so low that grids are cut into many pieces; a piece at most
     # 2 * reach cells wide on every axis packs below (4 * reach + 3)^m, so
-    # the cuts end at every limit here.  A few points a chunk, and the runs
-    # merged every few dozen.
+    # the cuts end at every limit here.  A few points a chunk, each merged
+    # into the scan front.
     cuts = []
     _record_sausage_cuts(monkeypatch, cuts)
-    monkeypatch.setattr(kernels, "_SAUSAGE_CHUNK", 40)
-    monkeypatch.setattr(kernels, "_SAUSAGE_MERGE", 30)
+    monkeypatch.setattr(kernels, "_PAIR_CHUNK", 40)
     rng = np.random.default_rng(21)
     cut_inputs = 0
     for pts, r, cell in _sausage_inputs(rng):
@@ -452,7 +451,7 @@ def test_scans_on_clusters_split_into_groups_match_oracles(monkeypatch):
 
 def test_scans_on_cells_beyond_int64_match_oracles():
     # cells of 2^62 and more stay float floors, which the compaction turns
-    # into small int64 offsets; the sausage refuses them
+    # into small int64 offsets; the sausage refuses cells from 2^52 on
     for pts in ([[0.0], [1e300], [1e300], [-1e18], [1e18], [-1e300]],
                 [[0.0, 1e300], [0.01, 1e300], [-1e18, 0.0], [1e18, 0.05], [1e18, 0.0]]):
         pts = np.array(pts)
@@ -761,6 +760,28 @@ def test_sausage_refuses_a_cell_that_is_not_positive_and_finite(cell):
     with pytest.raises(DomainError) as ei:
         kernels.sausage_occupied_count(np.zeros((2, 2)), 1.0, cell)
     assert ei.value.code == "bad-scale"
+
+
+def test_sausage_near_2_52_by_hand():
+    # r = 1, cell = 1: a point at x marks the two cells whose centres are
+    # x - 0.5 and x + 0.5; with 0.25 on the other axis, those two in each of
+    # the lines of cells centred at -0.5 and 0.5.  The oracle shares the
+    # float centres, so the counts are given here.
+    x = 2.0**52 - 10
+    assert kernels.sausage_occupied_count(np.array([[x]]), 1.0, 1.0) == 2
+    assert kernels.sausage_occupied_count(np.array([[-x]]), 1.0, 1.0) == 2
+    assert kernels.sausage_occupied_count(np.array([[x, 0.25]]), 1.0, 1.0) == 4
+    assert kernels.sausage_occupied_count(np.array([[0.25, x]]), 1.0, 1.0) == 4
+
+
+@pytest.mark.parametrize("pts", [[[2.0**52 - 1]], [[2.0**52 + 3]], [[-2.0**52 - 3]],
+                                 [[2.0**52 + 3, 0.25]], [[0.25, 2.0**52 + 3]]])
+def test_sausage_refuses_cells_whose_centres_are_not_doubles(pts):
+    # from 2^52 on, a centre c + 0.5 is not a double: it rounds to an
+    # integer, and a point at 2^52 + 3 counted 4 cells in 1-D and 0 in 2-D
+    with pytest.raises(DomainError) as ei:
+        kernels.sausage_occupied_count(np.array(pts), 1.0, 1.0)
+    assert ei.value.code == "cell-grid-too-large"
 
 
 def test_sausage_of_a_cell_too_small_for_a_finite_ratio():

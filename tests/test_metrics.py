@@ -238,6 +238,24 @@ def test_sausage_volume_past_the_largest_double_is_refused():
     assert "1e+120" in str(ei.value) and "2.5e+119" in str(ei.value)
 
 
+def test_sausage_volume_that_underflows_to_zero_is_refused():
+    # 280 cells are marked (r * r is a normal double), but (r / 4)^3 is 0.0
+    assert kernels.sausage_occupied_count(np.zeros((1, 3)), 1e-150, 2.5e-151) == 280
+    with pytest.raises(DomainError) as ei:
+        fd.sausage_volume(cloud(np.zeros((1, 3))), 1e-150)
+    assert ei.value.code == "bad-scale"
+    assert "1e-150" in str(ei.value) and "2.5e-151" in str(ei.value)
+
+
+def test_sausage_sweep_to_a_subnormal_volume_is_refused():
+    # at j = 342 the volume is about 6e-309, below the smallest normal double;
+    # j = 339 still has a normal one
+    assert fd.scale_sweep(cloud(np.zeros((2, 3))), "sausage_volume", 336, 339).values.min() > 0
+    with pytest.raises(DomainError) as ei:
+        fd.scale_sweep(cloud(np.zeros((2, 3))), "sausage_volume", 340, 343)
+    assert ei.value.code == "bad-scale"
+
+
 def test_sausage_matches_exact_union_length_1d():
     rng = np.random.default_rng(31337)
     for _ in range(100):
