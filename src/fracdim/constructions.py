@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .paths import MAX_GRID_POINTS, DriftSpec, TimeGrid, _staircase
+from .paths import MAX_GRID_POINTS, DriftSpec, TimeGrid, _staircase, frozen
 
 # ---------------------------------------------------------------------------
 # frequency schedules
@@ -141,8 +141,7 @@ def inverse_power_grid(beta: float, n_max: int) -> TimeGrid:
     if n_max + 1 > MAX_GRID_POINTS:
         raise DomainError("grid-too-large", f"{n_max + 1} points exceed cap {MAX_GRID_POINTS}")
     pts = np.arange(1, n_max + 1, dtype=np.float64) ** (-float(beta))
-    times = np.concatenate([[0.0], pts[::-1]])
-    return TimeGrid(times)
+    return TimeGrid(frozen(np.concatenate([[0.0], pts[::-1]])))
 
 
 # ---------------------------------------------------------------------------

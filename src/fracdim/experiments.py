@@ -53,7 +53,8 @@ from .metrics import (
     image_cloud,
     scale_sweep,
 )
-from .paths import DriftSpec, SamplePath, TimeGrid, apply_drift, check_path_shape, generate_bm
+from .paths import (DriftSpec, SamplePath, TimeGrid, apply_drift, check_path_shape, frozen,
+                    generate_bm)
 
 _METHOD_KINDS = {
     "box": "box",
@@ -308,7 +309,7 @@ def seed_free_part(cfg: ExperimentConfig) -> SeedFreePart:
     """The part of an experiment that no seed changes; pure in ``cfg`` less
     its name and seeds."""
     grid = build_grid(cfg.set, cfg.points)
-    still = np.zeros((len(grid), cfg.d))
+    still = frozen(np.zeros((len(grid), cfg.d)))
     # the drift alone: the drift applied to a path whose noise is zero
     drift = apply_drift(SamplePath(grid, cfg.d, still, still, 0, "increments"), cfg.drift_spec)
     estimates = {} if cfg.drift_spec.is_zero else _estimates(cfg, {

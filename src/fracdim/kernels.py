@@ -37,28 +37,34 @@ row by row on whole arrays (``_row_runs``): the partial ``d2`` of every
 only the few ends that move are walked on by index.  Each chunk is merged at
 once into the runs kept at the scan front (``_group_count``).
 
-Box counts keep the occupied cells as sorted distinct packed keys
-(``box_keys``): axis ``a`` gets a bit field of ``bit_length(max_a - min_a)
-+ 1`` bits holding ``c_a - min_a``, and the fields are concatenated into one
-``uint32`` or ``uint64`` key.  A sweep over the scales ``eps, 2 * eps, 4 *
-eps, ...`` floors the points only at the finest scale: each coarser scale
-halves the keys of the one before in place (``coarser_keys``), then sorts
-them and drops adjacent duplicates.  This is exact: ``x / eps`` and ``x /
-(2 * eps)`` differ by an exact factor 2, so ``floor(x / (2 * eps)) ==
+Every grid is keyed one way (``pack_cells``): axis ``a`` gets a bit field
+of ``bit_length(max_a - min_a + 2 * margin + 1)`` bits holding ``c_a - min_a
++ margin``, axis 0 lowest, and the fields are concatenated into one
+``uint32`` or ``uint64`` key below ``_KEY_LIMIT``.  Keys sort like cell
+tuples with the last axis most significant, and within the margin a cell's
+neighbour is its key plus a constant ``sum(o_a << shift_a)``: the scans pack
+with a margin of 1, so each row of neighbour cells is the keys ``base - 1 ..
+base + 1``, and the sausage with a margin of ``reach``, so its rows have the
+strides ``1 << shift``.  Box counts keep the occupied cells as sorted
+distinct keys (``box_keys``, margin 0).  A sweep over the scales ``eps, 2 *
+eps, 4 * eps, ...`` floors the points only at the finest scale: each coarser
+scale halves the keys of the one before in place (``coarser_keys``), then
+sorts them and drops adjacent duplicates.  This is exact: ``x / eps`` and ``x
+/ (2 * eps)`` differ by an exact factor 2, so ``floor(x / (2 * eps)) ==
 floor(floor(x / eps) / 2)``, and with ``u = c - min``, ``floor((u + min) /
-2) == ((u + (min & 1)) >> 1) + (min >> 1)``; the spare bit of each field
-holds the carried ``u + 1``.  Keys are never unpacked into cell rows.
+2) == ((u + (min & 1)) >> 1) + (min >> 1)``; the field has room for the
+carried ``u + 1``.  Keys are never unpacked into cell rows.
 
-Cells are int64 below ``2^62`` in magnitude and float floors beyond.  Box
-counting counts those, and grids whose key fields need more than 63 bits,
-from the cells of the points (``distinct_cell_count``); the scans compact
-them, and the sausage refuses cells from ``2^52`` on, whose centres are not
-doubles.  The scans bin the points on the ``_BIN_AXES`` axes of widest span
-into one packed int64 grid: a grid too large to pack is compacted, and
-loses its narrowest binned axis while even that is too large, so the scans
-never cut and never refuse a grid.  The sausage packs every axis; its grid,
-when too large, is compacted once and cut anywhere into pieces that count
-their own cells (``sausage_occupied_count``).
+Cells are int64 below ``2^62`` in magnitude and float floors beyond, which
+``pack_cells`` refuses, as it refuses fields of more than 63 bits.  Box
+counting counts such grids from the cells of the points
+(``distinct_cell_count``); the scans compact them, and the sausage refuses
+cells from ``2^52`` on, whose centres are not doubles.  The scans bin the
+points on the ``_BIN_AXES`` axes of widest span: a grid too large to pack is
+compacted, and loses its narrowest binned axis while even that is too large,
+so the scans never cut and never refuse a grid.  The sausage packs every
+axis; its grid, when too large, is compacted once and cut anywhere into
+pieces that count their own cells (``sausage_occupied_count``).
 """
 
 import itertools
@@ -88,7 +94,7 @@ _MAX_ROUNDS = 32
 # cell indices at least this large in magnitude stay float floors
 _CELL_LIMIT = 2.0 ** 62
 # packed cell keys stay below this
-_KEY_LIMIT = 1 << 62
+_KEY_LIMIT = 1 << 63
 # the scans bin points on this many axes at most, the widest: 3^(k - 1)
 # ranges a point, whatever the dimension
 _BIN_AXES = 3
@@ -134,33 +140,56 @@ def _as_cells(floors: np.ndarray) -> np.ndarray:
     return floors
 
 
-def pack_cells(cells: np.ndarray, margin: int = 0):
-    """Map integer cell tuples to scalar int64 keys.
+class KeyLayout(NamedTuple):
+    """Where each axis sits in a packed cell key: the cell of axis ``a`` is
+    ``mins[a]`` plus the bits of the key from ``shifts[a]`` up to the next
+    field."""
 
-    Returns ``(keys, mins, widths, strides)`` where a cell ``c`` has key
-    ``sum((c - mins) * strides)``.  ``margin`` widens the addressable range on
-    each side so that neighbour probes stay collision-free.  Raises
-    ``DomainError("cell-grid-too-large")`` when the keys would reach 2^62, or
-    when the cells are float floors (``cell_indices`` beyond int64).
+    mins: tuple  # Python ints
+    shifts: tuple  # axis 0 at bit 0
+
+
+def pack_cells(cells, margin: int = 0):
+    """Cell tuples as scalar keys of bit fields: ``(keys, layout)``.
+
+    ``cells`` is an ``(n, m)`` array or a list of ``m`` columns, of int64
+    cells or float floors.  Axis ``a`` gets a field of ``bit_length(max_a -
+    min_a + 2 * margin + 1)`` bits holding ``c_a - min_a + margin``, axis 0
+    lowest, so ``layout.mins[a]`` is ``min_a - margin``, keys sort like cell
+    tuples with the last axis most significant, and the cell ``o_a`` cells
+    off on each axis, ``|o_a| <= margin``, has the key plus ``sum(o_a <<
+    shift_a)``.  Keys are ``uint32`` when the fields total at most 32 bits,
+    and ``uint64`` otherwise.  Raises ``DomainError("cell-grid-too-large")``
+    when a cell is ``2^62`` or more in magnitude or not finite, or when the
+    keys would pass ``_KEY_LIMIT``.
     """
-    if cells.dtype.kind == "f":
-        raise DomainError("cell-grid-too-large", "cell indices of 2^62 or more")
-    # column by column: axis-0 reductions and an int64 matmul over a
-    # C-ordered (n, m) array are several times slower
-    cols = [cells[:, a] for a in range(cells.shape[1])]
-    mins = np.array([c.min() for c in cols]) - margin
-    # Python ints: a width of 2^63 or more must not wrap
-    maxs = np.array([int(c.max()) for c in cols], dtype=object)
-    widths = maxs + (margin + 1) - mins.astype(object)
-    if np.prod(widths) >= _KEY_LIMIT:
-        raise DomainError("cell-grid-too-large", f"grid widths {widths.tolist()}")
-    widths = widths.astype(np.int64)
-    strides = np.ones_like(widths)
-    keys = cols[0] - mins[0]
-    for a in range(1, len(cols)):
-        strides[a] = strides[a - 1] * widths[a - 1]
-        keys += (cols[a] - mins[a]) * strides[a]
-    return keys, mins, widths, strides
+    if isinstance(cells, np.ndarray):
+        # column by column: axis-0 reductions over a C-ordered (n, m) array
+        # are several times slower
+        cells = [cells[:, a] for a in range(cells.shape[1])]
+    mins, bits = [], []
+    for col in cells:
+        lo, hi = col.min(), col.max()
+        # NaN fails both comparisons
+        if not (-_CELL_LIMIT < lo and hi < _CELL_LIMIT):
+            raise DomainError("cell-grid-too-large", "cell indices of 2^62 or more")
+        mins.append(int(lo) - margin)
+        bits.append((int(hi) + margin + 1 - mins[-1]).bit_length())
+    if 1 << sum(bits) > _KEY_LIMIT:
+        raise DomainError("cell-grid-too-large", f"key fields of {bits} bits")
+    shifts = tuple(itertools.accumulate(bits[:-1], initial=0))
+    dtype = np.uint32 if sum(bits) <= 32 else np.uint64
+    keys = None
+    for col, lo, shift in zip(cells, mins, shifts):
+        field = col.astype(np.int64)
+        field -= lo
+        field = field.astype(dtype, copy=False)
+        field <<= dtype(shift)
+        if keys is None:
+            keys = field
+        else:
+            keys |= field
+    return keys, KeyLayout(tuple(mins), shifts)
 
 
 def _compact(cells: np.ndarray, near: int) -> np.ndarray:
@@ -185,41 +214,41 @@ def _neighbourhoods(pts: np.ndarray, radius: float):
     Returns ``(order, ranges, sizes)``: ``order`` lists point indices sorted
     by cell key, and point ``i`` has the candidates ``order[lo[i]:hi[i]]``
     over the at most 9 ``(lo, hi)`` pairs of ``ranges``, one per row of
-    neighbour cells (the first binned axis has stride 1, so a row is one
-    range); ``sizes[i]`` is their number, at least 1 since it counts ``i``.
-    A grid too large to pack is compacted, and while even that is too large
-    the narrowest binned axis is dropped; one compacted axis is at most ``2
-    * n`` wide.  Either way the candidates include every point closer than
-    ``radius``, and ``_close`` tests every axis.
+    neighbour cells; ``sizes[i]`` is their number, at least 1 since it
+    counts ``i``.  The cells pack with a margin of 1 (``pack_cells``), so a
+    row is the keys ``base - 1 .. base + 1`` for ``base`` the point's key
+    plus a constant offset.  A grid too large to pack is compacted, and
+    while even that is too large the narrowest binned axis is dropped; one
+    compacted axis is at most ``2 * n`` wide.  Either way the candidates
+    include every point closer than ``radius``, and ``_close`` tests every
+    axis.
     """
     cells = cell_indices(pts, radius)
     span = cells.max(axis=0) - cells.min(axis=0)
     axes = np.sort(np.argsort(-span, kind="stable")[:_BIN_AXES])
     cells = cells[:, axes]
     try:
-        keys, mins, widths, strides = pack_cells(cells)
+        keys, layout = pack_cells(cells, 1)
     except DomainError:
         cells = _compact(cells, 1)
         while True:
             try:
-                keys, mins, widths, strides = pack_cells(cells)
+                keys, layout = pack_cells(cells, 1)
                 break
             except DomainError:
                 drop = np.argmin(span[axes])
                 axes, cells = np.delete(axes, drop), np.delete(cells, drop, axis=1)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    cells = cells - mins
-    first = np.maximum(cells[:, 0] - 1, 0)
-    last = np.minimum(cells[:, 0] + 1, widths[0] - 1)
+    # every field holds at least 1, so the row keys from the lowest corner
+    # of the neighbourhood up never wrap
+    corner = keys - sum(1 << shift for shift in layout.shifts)
     ranges = []
-    for off in itertools.product((-1, 0, 1), repeat=cells.shape[1] - 1):
-        row = cells[:, 1:] + np.array(off, dtype=np.int64)
-        valid = np.all((row >= 0) & (row < widths[1:]), axis=1)
-        base = row @ strides[1:]
-        lo = np.searchsorted(sorted_keys, base + first, side="left")
-        hi = np.where(valid, np.searchsorted(sorted_keys, base + last, side="right"), lo)
-        ranges.append((lo, hi))
+    for off in itertools.product((0, 1, 2), repeat=len(layout.shifts) - 1):
+        row = corner + sum(o << shift for o, shift in zip(off, layout.shifts[1:]))
+        lo = np.searchsorted(sorted_keys, row, side="left")
+        row += 2
+        ranges.append((lo, np.searchsorted(sorted_keys, row, side="right")))
     return order, ranges, sum(hi - lo for lo, hi in ranges)
 
 
@@ -469,7 +498,7 @@ def sausage_occupied_count(points: np.ndarray, r: float, cell: float) -> int:
     while pieces:
         index, cells, clip = pieces.pop()
         try:
-            keys, _, _, strides = pack_cells(cells, reach)
+            keys, layout = pack_cells(cells, reach)
         except DomainError:
             if not compacted:
                 # points that mark a common cell are at most 2 * reach apart
@@ -479,8 +508,9 @@ def sausage_occupied_count(points: np.ndarray, r: float, cell: float) -> int:
             # Cut at c, the middle of the widest span: only points below c +
             # reach mark cells below c, and only those from c - reach up the
             # rest.  Cuts end: both sides are narrower while the span is over
-            # 2 * reach, and a piece no wider packs, as its key widths are at
-            # most 4 * reach + 1 and MAX_SAUSAGE_ROWS caps (2*reach+1)^(m-1).
+            # 2 * reach, and a piece no wider packs, as its fields take at
+            # most bit_length(4 * reach + 1) bits each and MAX_SAUSAGE_ROWS
+            # caps (2*reach+1)^(m-1), so they total at most 34 bits.
             a = int(np.argmax(cells.max(axis=0) - cells.min(axis=0)))
             col = cells[:, a]
             first, last = int(col.min()), int(col.max())
@@ -489,13 +519,13 @@ def sausage_occupied_count(points: np.ndarray, r: float, cell: float) -> int:
             for side, cut in ((col < c + reach, (lo, c)), (col >= c - reach, (c, hi))):
                 pieces.append((index[side], cells[side], {**clip, a: cut}))
             continue
-        count += _group_count(pts, base, index, cells, clip, keys, strides, steps, cell, r2)
+        count += _group_count(pts, base, index, cells, clip, keys, layout, steps, cell, r2)
     return count
 
 
-def _group_count(pts, base, index, cells, clip, keys, strides, steps, cell: float, r2: float) -> int:
+def _group_count(pts, base, index, cells, clip, keys, layout, steps, cell: float, r2: float) -> int:
     """The sausage count of one piece: the marked cells within ``clip`` of the
-    points ``index``, whose ``cells`` pack into ``keys`` and ``strides``.  On
+    points ``index``, whose ``cells`` pack into ``keys`` and ``layout``.  On
     the stride-1 axis (the last, first in ``cells``) run ends are clipped, and
     on a row axis (point, row) pairs outside are dropped.  Points go in key
     order, in chunks of ``_PAIR_CHUNK`` (point, row) pairs, and each chunk's
@@ -507,13 +537,15 @@ def _group_count(pts, base, index, cells, clip, keys, strides, steps, cell: floa
     """
     m, width = pts.shape[1], steps.size
     sub = np.argsort(keys)
-    keys, index = keys[sub], index[sub]
+    # int64: the row offsets added below are signed
+    keys, index = keys[sub].astype(np.int64), index[sub]
+    strides = [1 << shift for shift in layout.shifts]
     pts, base = pts[index], base[index]
     cuts = {a: (cells[sub, a], lo, hi) for a, (lo, hi) in clip.items()}
     row_keys = np.zeros(1, dtype=np.int64)
     for a in range(m - 1):
         row_keys = (row_keys[:, None] + steps * strides[m - 1 - a]).ravel()
-    span = int(steps[-1]) * int(strides.sum())
+    span = int(steps[-1]) * sum(strides)
     chunk = max(1, _PAIR_CHUNK // row_keys.size)
     start = end = np.empty(0, dtype=np.int64)
     count = 0
@@ -631,54 +663,25 @@ def distinct_cell_count(cells: np.ndarray) -> int:
     return len(np.unique(np.asarray(cells), axis=0))
 
 
-class KeyLayout(NamedTuple):
-    """Where each axis sits in a packed box key: the cell of axis ``a`` is
-    ``mins[a]`` plus the bits of the key from ``shifts[a]`` up to the next
-    field."""
-
-    mins: tuple  # Python ints
-    shifts: tuple  # axis 0 at bit 0
-
-
 def box_keys(points: np.ndarray, eps: float):
     """The occupied cells ``floor(x / eps)`` of the points as sorted distinct
-    packed keys: ``(keys, layout)``.
+    packed keys: ``(keys, layout)`` of ``pack_cells``.
 
     The floors are those of ``cell_indices``, bit for bit, taken column by
-    column.  Axis ``a`` gets a field of ``bit_length(max_a - min_a) + 1``
-    bits holding ``c_a - min_a``; the spare bit is the room
-    ``coarser_keys`` needs.  Keys are ``uint32`` when the fields total at
-    most 32 bits and ``uint64`` up to 63 bits.  Returns ``None`` when a floor
-    is ``2^62`` or more in magnitude or not finite, or the fields need more
+    column.  A field of ``bit_length(max_a - min_a + 1)`` bits holds ``c_a -
+    min_a`` and has room for ``c_a - min_a + 1``, which ``coarser_keys``
+    needs.  Returns ``None`` when ``pack_cells`` refuses the floors: one is
+    ``2^62`` or more in magnitude or not finite, or the fields need more
     than 63 bits.
     """
-    floors, mins, bits = [], [], []
-    for a in range(points.shape[1]):
-        # an overflow gives an infinite floor, which is refused below
-        with np.errstate(over="ignore"):
-            col = np.floor(points[:, a] / eps)
-        lo, hi = col.min(), col.max()
-        # NaN fails both comparisons
-        if not (-_CELL_LIMIT < lo and hi < _CELL_LIMIT):
-            return None
-        floors.append(col)
-        mins.append(int(lo))
-        bits.append((int(hi) - int(lo)).bit_length() + 1)
-    if sum(bits) > 63:
+    # an overflow gives an infinite floor, which pack_cells refuses
+    with np.errstate(over="ignore"):
+        floors = [np.floor(points[:, a] / eps) for a in range(points.shape[1])]
+    try:
+        keys, layout = pack_cells(floors)
+    except DomainError:
         return None
-    dtype = np.uint32 if sum(bits) <= 32 else np.uint64
-    shifts = tuple(itertools.accumulate(bits[:-1], initial=0))
-    keys = None
-    for col, lo, shift in zip(floors, mins, shifts):
-        field = col.astype(np.int64)
-        field -= lo
-        field = field.astype(dtype, copy=False)
-        field <<= dtype(shift)
-        if keys is None:
-            keys = field
-        else:
-            keys |= field
-    return _sorted_distinct(keys), KeyLayout(tuple(mins), shifts)
+    return _sorted_distinct(keys), layout
 
 
 def coarser_keys(keys: np.ndarray, layout: KeyLayout):
@@ -689,8 +692,9 @@ def coarser_keys(keys: np.ndarray, layout: KeyLayout):
     1) + (min >> 1)``.  So adding the carry ``min & 1`` at each field's start
     and shifting the whole key right by one halves every field at once; the
     bit that each field shifts into the top of the one below is masked off,
-    and the minima are halved.  ``u + 1`` fits in the field's spare bit, and
-    the halved ``u`` leaves that bit free again.
+    and the minima are halved.  A field of ``b`` bits holds ``u + 1 < 2^b``
+    (``pack_cells``), so the carried ``u + 1`` fits, and the halved ``u``
+    has ``u + 1 <= 2^(b - 1)``, so it fits again at the next halving.
     """
     word = keys.dtype.type
     carry = sum((lo & 1) << shift for lo, shift in zip(layout.mins, layout.shifts))

@@ -25,12 +25,13 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from . import kernels
 from .errors import DomainError
-from .paths import SamplePath
+from .paths import SamplePath, frozen, read_only
 
 
 # ---------------------------------------------------------------------------
@@ -49,14 +50,15 @@ class PointCloud:
     @staticmethod
     def from_points(points) -> "PointCloud":
         """The points as a read-only ``(n, m)`` float64 cloud; one point may
-        be given as a flat ``(m,)`` array.
+        be given as a flat ``(m,)`` array.  An array the caller can still
+        write to is copied (``paths.read_only``).
 
         Raises ``DomainError("bad-shape")`` for an array of more than two
         dimensions, ``DomainError("empty-cloud")`` for one with no rows or
         no columns, and ``DomainError("non-finite-point")`` for a NaN or
         infinite coordinate.
         """
-        pts = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=np.float64)))
+        pts = np.atleast_2d(read_only(points))
         if pts.ndim > 2:
             raise DomainError("bad-shape", f"points of shape {pts.shape}: need (n, m)")
         if pts.size == 0:
@@ -65,7 +67,6 @@ class PointCloud:
         # reductions of an (n, m) array; a NaN or infinity shows in a
         # column's minimum or maximum
         _check_finite(np.array([(col.min(), col.max()) for col in pts.T]))
-        pts.flags.writeable = False
         return PointCloud(pts, pts.shape[1])
 
     def __len__(self) -> int:
@@ -77,9 +78,14 @@ def image_cloud(path: SamplePath) -> PointCloud:
     return PointCloud.from_points(path.combined)
 
 
+def _graph(path: SamplePath, values: np.ndarray) -> PointCloud:
+    """(t, values) pairs as a cloud in R^(1+d)."""
+    return PointCloud.from_points(frozen(np.hstack([path.grid.times[:, None], values])))
+
+
 def graph_cloud(path: SamplePath) -> PointCloud:
     """(t, bm+drift) pairs as a cloud in R^(1+d)."""
-    return PointCloud.from_points(np.hstack([path.grid.times[:, None], path.combined]))
+    return _graph(path, path.combined)
 
 
 def bm_image_cloud(path: SamplePath) -> PointCloud:
@@ -87,7 +93,7 @@ def bm_image_cloud(path: SamplePath) -> PointCloud:
 
 
 def bm_graph_cloud(path: SamplePath) -> PointCloud:
-    return PointCloud.from_points(np.hstack([path.grid.times[:, None], path.bm_values]))
+    return _graph(path, path.bm_values)
 
 
 def drift_image_cloud(path: SamplePath) -> PointCloud:
@@ -95,7 +101,7 @@ def drift_image_cloud(path: SamplePath) -> PointCloud:
 
 
 def drift_graph_cloud(path: SamplePath) -> PointCloud:
-    return PointCloud.from_points(np.hstack([path.grid.times[:, None], path.drift_values]))
+    return _graph(path, path.drift_values)
 
 
 @dataclass(frozen=True)
@@ -257,12 +263,14 @@ def sausage_volume(cloud: PointCloud, r: float, refine: int = 4, cell: float | N
     true union-of-balls volume as refine grows.  Supported for ambient
     dimension m <= 3; the cost explodes beyond that.  No marked cell is a
     volume of 0.0, whatever the cell.  A cell that is not positive and finite,
-    or marked cells whose volume is not a positive normal finite double (it
-    underflows to a subnormal or zero, or overflows), raises
-    ``DomainError("bad-scale")``; a cell so small against r that a point
-    would scan more than ``kernels.MAX_SAUSAGE_ROWS`` rows of cells raises
-    ``DomainError("sausage-too-fine")``, and cells scanned of ``2^52`` or
-    more in magnitude raise ``DomainError("cell-grid-too-large")``.
+    marked cells whose volume is not a positive normal finite double (it
+    underflows to a subnormal or zero, or overflows), or a cell volume
+    ``cell**m`` that is subnormal and not exact, whose lost bits a normal
+    volume would keep, raises ``DomainError("bad-scale")``; a cell so small
+    against r that a point would scan more than ``kernels.MAX_SAUSAGE_ROWS``
+    rows of cells raises ``DomainError("sausage-too-fine")``, and cells
+    scanned of ``2^52`` or more in magnitude raise
+    ``DomainError("cell-grid-too-large")``.
     """
     _check_scale(r)
     if refine < 2:
@@ -274,12 +282,17 @@ def sausage_volume(cloud: PointCloud, r: float, refine: int = 4, cell: float | N
     if count == 0:
         return 0.0
     try:
-        volume = count * h**cloud.dim
+        unit = h**cloud.dim
     except OverflowError:
-        volume = math.inf
-    if not sys.float_info.min <= volume <= sys.float_info.max:
+        unit = math.inf
+    volume = count * unit
+    # a subnormal cell volume carries fewer than 53 bits: unless exact, its
+    # rounding error is far above that of a normal double
+    lost = unit < sys.float_info.min and Fraction(unit) != Fraction(h) ** cloud.dim
+    if lost or not sys.float_info.min <= volume <= sys.float_info.max:
         raise DomainError("bad-scale", f"sausage volume at r = {float(r)!r} with cells of side "
-                          f"{h!r} is {volume!r}, not a positive normal finite double")
+                          f"{h!r} is {volume!r}, from cells of volume {unit!r}: not a positive "
+                          "normal finite double, or from a subnormal cell volume that lost bits")
     return volume
 
 

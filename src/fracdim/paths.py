@@ -26,6 +26,30 @@ MAX_STAIRCASE_N = 1 << 24
 
 
 # ---------------------------------------------------------------------------
+# read-only arrays
+
+
+def read_only(values) -> np.ndarray:
+    """``values`` as a read-only C-contiguous float64 array, for the fields
+    of the frozen types, leaving the flags of an array handed in as they
+    are.  A read-only array is kept and one converted afresh is frozen; a
+    writeable array handed in, or a writeable view of one, is copied, so
+    that later writes to it do not show."""
+    arr = np.ascontiguousarray(values, dtype=np.float64)
+    if arr.flags.writeable and (arr is values or arr.base is not None):
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, which the package built and no caller holds, made read-only
+    in place, so that ``read_only`` keeps it without a copy."""
+    arr.flags.writeable = False
+    return arr
+
+
+# ---------------------------------------------------------------------------
 # time grids
 
 
@@ -36,7 +60,7 @@ class TimeGrid:
     times: np.ndarray
 
     def __post_init__(self):
-        t = np.ascontiguousarray(self.times, dtype=np.float64)
+        t = read_only(self.times)
         if t.size == 0:
             raise DomainError("empty-grid", "a time grid needs at least one point")
         if t.ndim != 1:
@@ -45,7 +69,6 @@ class TimeGrid:
             raise ValueError("grid times must be strictly increasing")
         if t[0] < 0.0 or t[-1] > 1.0:
             raise ValueError("grid times must lie in [0, 1]")
-        t.flags.writeable = False
         object.__setattr__(self, "times", t)
 
     def __len__(self) -> int:
@@ -57,7 +80,7 @@ class TimeGrid:
             raise DomainError("empty-grid", "n_points must be >= 1")
         if n_points > MAX_GRID_POINTS:
             raise DomainError("grid-too-large", f"{n_points} points exceed cap {MAX_GRID_POINTS}")
-        return TimeGrid(np.linspace(0.0, 1.0, n_points))
+        return TimeGrid(frozen(np.linspace(0.0, 1.0, n_points)))
 
     @staticmethod
     def dyadic(level: int) -> "TimeGrid":
@@ -243,15 +266,14 @@ class SamplePath:
     def __post_init__(self):
         n = len(self.grid)
         for name in ("bm_values", "drift_values"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            arr = read_only(getattr(self, name))
             if arr.shape != (n, self.dim):
                 raise ValueError(f"{name} must have shape ({n}, {self.dim})")
-            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     @property
     def combined(self) -> np.ndarray:
-        return self.bm_values + self.drift_values
+        return frozen(self.bm_values + self.drift_values)
 
 
 def generate_bm(grid: TimeGrid, d: int, seed: int) -> SamplePath:
@@ -266,8 +288,8 @@ def generate_bm(grid: TimeGrid, d: int, seed: int) -> SamplePath:
     t = grid.times
     dt = np.diff(t, prepend=0.0)
     z = stream(seed, 0).standard_normal((t.size, d))
-    values = np.cumsum(np.sqrt(dt)[:, None] * z, axis=0)
-    return SamplePath(grid, d, values, np.zeros_like(values), int(seed), "increments")
+    values = frozen(np.cumsum(np.sqrt(dt)[:, None] * z, axis=0))
+    return SamplePath(grid, d, values, frozen(np.zeros_like(values)), int(seed), "increments")
 
 
 def levy_construct(depth: int, d: int, seed: int) -> SamplePath:
@@ -287,7 +309,7 @@ def levy_construct(depth: int, d: int, seed: int) -> SamplePath:
         mids = np.arange(step, n_intervals, 2 * step)
         z = stream(seed, k).standard_normal((mids.size, d))
         values[mids] = 0.5 * (values[mids - step] + values[mids + step]) + np.sqrt(2.0 ** -(k + 1)) * z
-    return SamplePath(grid, d, values, np.zeros_like(values), int(seed), "levy")
+    return SamplePath(grid, d, frozen(values), frozen(np.zeros_like(values)), int(seed), "levy")
 
 
 def apply_drift(path: SamplePath, spec: DriftSpec) -> SamplePath:
@@ -297,7 +319,7 @@ def apply_drift(path: SamplePath, spec: DriftSpec) -> SamplePath:
     drift = eval_drift(spec, path.grid.times)
     if spec.variant == "zero":
         drift = np.zeros((len(path.grid), path.dim))
-    return replace(path, drift_values=drift)
+    return replace(path, drift_values=frozen(drift))
 
 
 # ---------------------------------------------------------------------------

@@ -262,21 +262,33 @@ def _record_sausage_cuts(monkeypatch, cuts):
     monkeypatch.setattr(kernels, "_group_count", recording)
 
 
+def _wide_sausage_inputs(rng):
+    """(points, r, cell) triples of 20-60 points in 1-3-D spread over 8 to
+    24 radii a side, with cell r/2 or r/3: grids many pieces wide."""
+    for _ in range(12):
+        m, n = int(rng.integers(1, 4)), int(rng.integers(20, 60))
+        r = float(rng.uniform(0.05, 0.5))
+        pts = rng.uniform(0, float(rng.uniform(8, 24)) * r, (n, m))
+        pts[1] = pts[0]
+        yield pts, r, r / int(rng.integers(2, 4))
+
+
 def test_sausage_cut_into_pieces_matches_oracle(monkeypatch):
-    # key limits so low that grids are cut into many pieces; a piece at most
-    # 2 * reach cells wide on every axis packs below (4 * reach + 3)^m, so
-    # the cuts end at every limit here.  A few points a chunk, each merged
-    # into the scan front.
+    # key limits so low that grids are cut into many pieces; the fields of a
+    # piece at most 2 * reach cells wide on every axis take at most
+    # bit_length(4 * reach + 1) bits each, so the cuts end at every limit
+    # here.  A few points a chunk, each merged into the scan front.
     cuts = []
     _record_sausage_cuts(monkeypatch, cuts)
     monkeypatch.setattr(kernels, "_PAIR_CHUNK", 40)
     rng = np.random.default_rng(21)
     cut_inputs = 0
-    for pts, r, cell in _sausage_inputs(rng):
+    for pts, r, cell in itertools.chain(_sausage_inputs(rng), _wide_sausage_inputs(rng)):
         expected = oracles.brute_sausage_count(pts, r, cell)
         reach = int(np.ceil(r / cell)) + 1
+        piece_bits = pts.shape[1] * (4 * reach + 1).bit_length()
         for scale in (1, 4, 64):
-            monkeypatch.setattr(kernels, "_KEY_LIMIT", scale * (4 * reach + 3) ** pts.shape[1])
+            monkeypatch.setattr(kernels, "_KEY_LIMIT", scale << piece_bits)
             before = len(cuts)
             assert kernels.sausage_occupied_count(pts, r, cell) == expected
             cut_inputs += len(cuts) > before
@@ -311,11 +323,73 @@ def test_distinct_cell_count_beyond_packable_grid():
     assert kernels.distinct_cell_count(cells) == oracles.brute_distinct_rows(cells) == 3
 
 
+def _rows(cells) -> list:
+    return [tuple(c) for c in np.asarray(cells).tolist()]
+
+
+def test_pack_cells_keys_decode_to_the_cells_and_their_neighbours():
+    # int64 cells and float floors, as an array or as columns, with margins
+    # 0-3: the keys decode to the cells, sort like the cell tuples with the
+    # last axis most significant, and a key plus o << shift_a decodes to the
+    # cell o cells off on axis a for every |o| <= margin
+    rng = np.random.default_rng(27)
+    for _ in range(100):
+        m, n, margin = int(rng.integers(1, 5)), int(rng.integers(1, 40)), int(rng.integers(0, 4))
+        width = int(rng.choice([1, 2, 50, 5000]))
+        cells = rng.integers(-2**40, 2**40, m) + rng.integers(0, width, (n, m))
+        floors = cells.astype(np.float64)
+        for given in (cells, floors, [floors[:, a] for a in range(m)]):
+            keys, layout = kernels.pack_cells(given, margin)
+            assert oracles.decode_box_keys(keys, layout) == _rows(cells)
+            assert _rows(cells[np.argsort(keys, kind="stable")]) == \
+                sorted(_rows(cells), key=lambda c: c[::-1])
+            for a, shift in enumerate(layout.shifts):
+                for o in range(-margin, margin + 1):
+                    moved = cells.copy()
+                    moved[:, a] += o
+                    assert oracles.decode_box_keys(keys.astype(object) + (o << shift), layout) == \
+                        _rows(moved)
+
+
+def test_pack_cells_word_and_limits(monkeypatch):
+    # fields of 32 bits in all take a uint32 key, of 33 a uint64 one; a margin
+    # widens each field by 2 * margin
+    for cells, margin, dtype in (([[0, 0], [2**16 - 2, 2**16 - 2]], 0, np.uint32),
+                                 ([[0, 0], [2**16 - 1, 2**16 - 2]], 0, np.uint64),
+                                 ([[0], [2**32 - 4]], 1, np.uint32),
+                                 ([[0], [2**32 - 3]], 1, np.uint64)):
+        keys, layout = kernels.pack_cells(np.array(cells), margin)
+        assert keys.dtype == dtype
+        assert oracles.decode_box_keys(keys, layout) == _rows(cells)
+    # floors of 2^62 or more in magnitude, or not finite, are refused; those
+    # just below pack
+    below = 2.0**62 - 512
+    keys, layout = kernels.pack_cells([np.array([-below, below])])
+    assert oracles.decode_box_keys(keys, layout) == [(-int(below),), (int(below),)]
+    for col in ([0.0, 2.0**62], [-2.0**62, 0.0], [0.0, np.nan], [-np.inf, 0.0]):
+        with pytest.raises(DomainError) as ei:
+            kernels.pack_cells([np.array(col)])
+        assert ei.value.code == "cell-grid-too-large"
+    # fields of 63 bits in all pack, and one bit more is refused, at the
+    # shipped key limit and at a lowered one
+    for limit_bits in (63, 10):
+        monkeypatch.setattr(kernels, "_KEY_LIMIT", 1 << limit_bits)
+        # a span of 2^b - 2 takes b bits: the rest of the limit on axis 0
+        bits = [limit_bits - 2 * (limit_bits // 3)] + [limit_bits // 3] * 2
+        fits = np.array([[0, 0, 0], [(1 << b) - 2 for b in bits]])
+        keys, layout = kernels.pack_cells(fits)
+        assert oracles.decode_box_keys(keys, layout) == _rows(fits)
+        fits[1, 0] += 1
+        with pytest.raises(DomainError) as ei:
+            kernels.pack_cells(fits)
+        assert ei.value.code == "cell-grid-too-large"
+
+
 def _key_bits(cells) -> tuple:
-    """Key bits the cells need (a field of bit_length(span) + 1 per axis),
+    """Key bits the cells need (a field of bit_length(span + 1) per axis),
     their largest magnitude and their widest span."""
     spans = [max(c) - min(c) for c in zip(*cells)]
-    return (sum(s.bit_length() + 1 for s in spans), max(abs(x) for c in cells for x in c),
+    return (sum((s + 1).bit_length() for s in spans), max(abs(x) for c in cells for x in c),
             max(spans))
 
 
@@ -363,7 +437,7 @@ def test_scans_on_a_grid_too_large_to_pack():
 
 
 # Per ambient dimension, a cluster spacing that puts the grid of every radius
-# used below past the 2^62 packable keys.  In 1-D that needs cell indices
+# used below past the 63 bits of a packed key.  In 1-D that needs cell indices
 # near the int64 limit, so the random inputs are 2-D and 3-D.
 _FAR = {2: 1e10, 3: 1e7}
 
@@ -414,12 +488,14 @@ def _split_clusters(rng, radius):
 
 
 # Key limits, per ambient dimension, that one cluster of ``_split_clusters``
-# stays below and four clusters pass even compacted: with cells of side
-# ``radius`` for the scans (a cluster is at most 7 cells wide, four at least
-# 6 + 2 + 6 on two axes) and of side ``radius / 2`` for the sausage (at most
-# 13 + 2 * 3 margin, at least 12 + 7 + 12 + 6 on two axes)
-_SCAN_LIMIT = {2: 128, 3: 512}
-_SAUSAGE_LIMIT = {2: 1024, 3: 1 << 14}
+# stays below and four clusters pass even compacted.  A field takes
+# bit_length(span + 2 * margin + 1) bits: with cells of side ``radius`` for
+# the scans (margin 1; a cluster spans at most 6 cells, 4 bits an axis, and
+# four at least 6 + 2 + 6, 5 bits, on two axes) and of side ``radius / 2``
+# for the sausage (margin 3; at most 12 cells, 5 bits, and at least 12 + 7 +
+# 12, 6 bits, on two axes)
+_SCAN_LIMIT = {2: 1 << 8, 3: 1 << 12}
+_SAUSAGE_LIMIT = {2: 1 << 10, 3: 1 << 15}
 
 
 def test_scans_on_clusters_split_into_groups_match_oracles(monkeypatch):
@@ -650,15 +726,15 @@ def test_scans_of_no_points_are_empty(monkeypatch, bulk):
 
 
 def test_sausage_past_the_compacted_grid():
-    # 240000 points, each alone in a window of 7 cells per axis, on a grid of
-    # 2^41 cells per axis: even compacted, 7 * 240000 cells per axis cannot be
-    # packed, and the grid is cut into pieces.  Every point sits on a cell
+    # 320000 points, each alone in a window of 7 cells per axis, on a grid of
+    # 2^41 cells per axis: even compacted, 7 * 320000 cells per axis need 3 *
+    # 22 key bits, and the grid is cut into pieces.  Every point sits on a cell
     # centre, so each one marks as many cells as the first; the clusters are
     # counted by the oracle.
     rng = np.random.default_rng(14)
     cell = 2.0**-21
     r = 2 * cell
-    lone = (rng.integers(0, 1 << 41, (240_000, 3)) + 0.5) * cell
+    lone = (rng.integers(0, 1 << 41, (320_000, 3)) + 0.5) * cell
     with pytest.raises(DomainError):
         kernels.pack_cells(kernels._compact(kernels.cell_indices(lone, cell), 6), 3)
     clusters = [c + rng.uniform(-4, 4, (int(rng.integers(2, 8)), 3)) * cell
@@ -669,15 +745,15 @@ def test_sausage_past_the_compacted_grid():
 
 
 def test_sausage_of_a_chain_with_no_gap_to_cut_at():
-    # 170000 points 10 cells apart on the diagonal of a cube 1.7e6 cells
-    # wide: the grid cannot be packed, and compacting keeps every gap of 10
-    # = 2 * reach.  The balls of radius 4 are disjoint, so the count is
-    # 170000 times that of one.
-    pts = (10 * np.arange(170_000)[:, None] + 0.5) * np.ones(3)
+    # 220000 points 10 cells apart on the diagonal of a cube 2.2e6 cells
+    # wide: the grid needs 3 * 22 key bits, and compacting keeps every gap of
+    # 10 = 2 * reach.  The balls of radius 4 are disjoint, so the count is
+    # 220000 times that of one.
+    pts = (10 * np.arange(220_000)[:, None] + 0.5) * np.ones(3)
     started = time.perf_counter()
     count = kernels.sausage_occupied_count(pts, 4.0, 1.0)
     assert time.perf_counter() - started < 10.0
-    assert count == 170_000 * oracles.brute_sausage_count(pts[:1], 4.0, 1.0)
+    assert count == 220_000 * oracles.brute_sausage_count(pts[:1], 4.0, 1.0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -256,6 +256,19 @@ def test_sausage_sweep_to_a_subnormal_volume_is_refused():
     assert ei.value.code == "bad-scale"
 
 
+def test_sausage_volume_from_a_subnormal_cell_volume_is_refused():
+    # 1003402 cells are marked and their volume would be a normal double,
+    # but the cell volume 3.3e-105^3 is subnormal: count times it read
+    # 3.605925767348035e-308, 1.4e-11 off the exact 3.6059257674e-308
+    cell = 3.3e-105
+    pts = np.random.default_rng(0).uniform(0, 200 * cell, (4000, 3))
+    assert kernels.sausage_occupied_count(pts, 1.32e-104, cell) == 1003402
+    with pytest.raises(DomainError) as ei:
+        fd.sausage_volume(cloud(pts), 1.32e-104, cell=cell)
+    assert ei.value.code == "bad-scale"
+    assert "3.3e-105" in str(ei.value)
+
+
 def test_sausage_matches_exact_union_length_1d():
     rng = np.random.default_rng(31337)
     for _ in range(100):
@@ -298,6 +311,26 @@ def test_sausage_subadditive_over_splits():
 
 # ---------------------------------------------------------------------------
 # thinning
+
+
+@pytest.mark.parametrize("entry", [PointCloud.from_points,
+                                   lambda a: fd.good_point_thinning(a, 0.1),
+                                   lambda a: neighbor_collision_counts(a, 0.1)])
+def test_clouds_leave_the_callers_array_writeable(entry):
+    points = np.random.default_rng(0).random((50, 2))
+    entry(points)
+    points[0, 0] = 1.0
+    assert points[0, 0] == 1.0
+
+
+def test_a_cloud_keeps_its_points_apart_from_the_callers():
+    points = np.random.default_rng(0).random((50, 2))
+    c = PointCloud.from_points(points)
+    points[0, 0] = 2.0
+    assert c.points[0, 0] < 1.0 and not c.points.flags.writeable
+    # read-only values, such as a path's, are kept without a copy
+    path = fd.generate_bm(fd.TimeGrid.uniform(9), 2, 0)
+    assert np.shares_memory(PointCloud.from_points(path.bm_values).points, path.bm_values)
 
 
 def test_thinning_examples():

@@ -59,6 +59,27 @@ def test_grid_validation():
         fd.TimeGrid([0.0, 1.5])
 
 
+def test_a_time_grid_leaves_the_callers_times_writeable():
+    # the grid keeps a read-only copy, so a later write to the caller's
+    # array neither raises nor shows in the grid
+    times = np.linspace(0.0, 1.0, 9)
+    grid = fd.TimeGrid(times)
+    times[1] = 0.05
+    assert grid.times[1] == 0.125 and not grid.times.flags.writeable
+
+
+def test_a_sample_path_leaves_the_callers_values_writeable():
+    grid = fd.TimeGrid.uniform(5)
+    bm, drift = np.zeros((5, 2)), np.ones((5, 2))
+    path = fd.SamplePath(grid, 2, bm, drift, 0, "file")
+    bm[0, 0] = drift[0, 0] = 7.0
+    assert path.bm_values[0, 0] == 0.0 and path.drift_values[0, 0] == 1.0
+    assert not (path.bm_values.flags.writeable or path.drift_values.flags.writeable)
+    # read-only values, such as another path's, are kept without a copy
+    again = fd.SamplePath(grid, 2, path.bm_values, path.drift_values, 1, "file")
+    assert again.bm_values is path.bm_values and again.drift_values is path.drift_values
+
+
 def test_bm_mean_over_seeds():
     # 3-sigma/sqrt(N) CLT bound on the sample mean of B(1)
     grid = fd.TimeGrid([0.0, 1.0])
