@@ -7,28 +7,29 @@ interquartile range, and applies registered pass/fail checks.  Medians are
 used because slope estimates at coarse scales are heavy-tailed; every
 tolerance lives in the shipped config file, never in the check code.
 
-Only the noise is random.  The grid, the drift's values on it and the
-estimates of the drift's image and graph depend on the experiment's setup
-alone (its config without name and seeds), so ``seed_free_part`` computes
-them once and every seed reuses them: ``seed_estimates`` then generates the
-noise on the shared grid, adds the shared drift values, and sweeps only the
-noise and the sum.  This is exact, not approximate: drift values are a
-function of the grid times only, and a sweep of the same cloud gives the
-same bytes, so every per-seed block equals the one computed from scratch.
+Each object depends on part of the config only: the noise on the grid (set,
+points), d and seed, the drift on the grid, d and drift, the sum on both,
+and each estimate also on the sweep (scales, methods, refine).
+``seed_estimates`` keeps every object's estimates in one memo under exactly
+those inputs and measures only what the memo lacks, so the grid and the
+drift's values are built once per (set, points, d, drift).  This is exact:
+a sweep of the same cloud gives the same bytes, so every estimate equals
+the one computed from scratch.
 
 The claims registry ``CLAIMS`` is a table with one check per claim id:
 constancy, thm13-image, thm15-graph, thm16-equality, cor14-bound,
-example-53, example-74-directional.  ``run_claims`` shares seed-free parts
-and per-seed estimates between the claims of one call, so ``experiment
---name all`` computes each distinct setup's seed-free part once and runs
-each distinct (experiment, seed) once: example-53 and
-example-74-directional share one experiment, and thm15-graph reuses
-constancy's setup and seeds.
+example-53, example-74-directional.  ``run_claims`` shares one memo between
+the claims of one call, so ``experiment --name all`` measures each object
+once per distinct set of inputs: example-53 and example-74-directional
+share every object, thm15-graph reuses constancy's, and thm16-equality
+measures no noise of its own, since constancy's first eight seeds share its
+grid, d and sweep.
 """
 
 import importlib.resources
 import json
 import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
@@ -53,8 +54,7 @@ from .metrics import (
     image_cloud,
     scale_sweep,
 )
-from .paths import (DriftSpec, SamplePath, TimeGrid, apply_drift, check_path_shape, frozen,
-                    generate_bm)
+from .paths import DriftSpec, TimeGrid, apply_drift, check_path_shape, generate_bm
 
 _METHOD_KINDS = {
     "box": "box",
@@ -100,6 +100,12 @@ def _integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is an int or float (not a bool) within the finite doubles."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def drift_from_config(spec, d: int) -> DriftSpec:
@@ -190,6 +196,8 @@ class ExperimentConfig:
         for name, value in [("d", self.d), ("points", self.points), ("refine", self.refine),
                             *(("each seed", seed) for seed in self.seeds)]:
             _integer(name, value)
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"seeds must not repeat, got {list(self.seeds)!r}")
         if not (isinstance(self.scales, tuple) and len(self.scales) == 2
                 and all(isinstance(j, int) and not isinstance(j, bool) for j in self.scales)):
             raise ValueError(f"scales must be two integers [j_min, j_max], got {self.scales!r}")
@@ -210,8 +218,9 @@ class ExperimentConfig:
             raise ValueError(f"refine={self.refine}; need refine >= 2")
         if self.target is not None and not (
                 isinstance(self.target, tuple) and len(self.target) == 2
-                and all(isinstance(x, (int, float)) for x in self.target)):
-            raise ValueError(f"target must be two numbers [value, tolerance], got {self.target!r}")
+                and all(map(_finite, self.target))):
+            raise ValueError(f"target must be two numbers [value, tolerance], each finite, "
+                             f"got {self.target!r}")
         object.__setattr__(self, "drift_spec", drift_from_config(self.drift, self.d))
 
     def to_dict(self) -> dict:
@@ -294,43 +303,40 @@ def _estimates(cfg: ExperimentConfig, clouds: dict) -> dict:
     }
 
 
-@dataclass(frozen=True, eq=False)
-class SeedFreePart:
-    """What every seed of one experiment shares: the grid, the drift's values
-    on it, and the estimates of the drift's image and graph (none when the
-    drift is zero)."""
+def seed_estimates(cfg: ExperimentConfig, seed: int, memo: dict) -> dict:
+    """All requested estimates for one seed; pure in (cfg, seed).
 
-    grid: TimeGrid
-    drift_values: np.ndarray
-    estimates: dict
-
-
-def seed_free_part(cfg: ExperimentConfig) -> SeedFreePart:
-    """The part of an experiment that no seed changes; pure in ``cfg`` less
-    its name and seeds."""
-    grid = build_grid(cfg.set, cfg.points)
-    still = frozen(np.zeros((len(grid), cfg.d)))
-    # the drift alone: the drift applied to a path whose noise is zero
-    drift = apply_drift(SamplePath(grid, cfg.d, still, still, 0, "increments"), cfg.drift_spec)
-    estimates = {} if cfg.drift_spec.is_zero else _estimates(cfg, {
-        "image_drift": drift_image_cloud(drift), "graph_drift": drift_graph_cloud(drift)})
-    return SeedFreePart(grid, drift.drift_values, estimates)
-
-
-def seed_estimates(cfg: ExperimentConfig, seed: int, shared: SeedFreePart) -> dict:
-    """All requested estimates for one seed; pure in (cfg, seed, shared).
-
-    ``shared`` is ``seed_free_part(cfg)``.  The seed's noise is generated on
-    the shared grid and the shared drift values are attached to it, which
-    gives the path ``apply_drift`` would build; the drift's estimates are
-    copied from ``shared``.
+    ``memo`` keeps the estimates of each object under the inputs it depends
+    on, with the grid as (set, points) and the sweep as (scales, methods,
+    refine): the noise's under (grid, d, sweep, seed), the drift's under
+    (grid, d, drift, sweep) and the sum's under both.  Under (grid, d, drift)
+    it keeps the grid and the drift's values.  The objects it lacks are
+    measured on the seed's noise with those drift values attached, which is
+    the path ``apply_drift`` builds, and stored in it.
     """
-    path = replace(generate_bm(shared.grid, cfg.d, seed), drift_values=shared.drift_values)
-    out = _estimates(cfg, {"image_bm": bm_image_cloud(path), "graph_bm": bm_graph_cloud(path)})
-    out.update((obj, dict(per)) for obj, per in shared.estimates.items())
+    kind, params = parse_set_string(cfg.set)
+    grid_d = (kind, params.get("beta"), cfg.points, cfg.d)
+    sweep = (cfg.scales, cfg.methods, cfg.refine)
+    setup = (grid_d, cfg.drift_spec)
+    keys = {"bm": ("bm", grid_d, sweep, seed)}
     if not cfg.drift_spec.is_zero:
-        out.update(_estimates(cfg, {"image_sum": image_cloud(path), "graph_sum": graph_cloud(path)}))
-    return out
+        keys.update(drift=("drift", setup, sweep), sum=("sum", setup, sweep, seed))
+    missing = [obj for obj, key in keys.items() if key not in memo]
+    if missing:  # a drift is missing only with its sums, so every miss needs the noise
+        if setup in memo:
+            grid, drift_values = memo[setup]
+            path = replace(generate_bm(grid, cfg.d, seed), drift_values=drift_values)
+        else:
+            path = apply_drift(generate_bm(build_grid(cfg.set, cfg.points), cfg.d, seed),
+                               cfg.drift_spec)
+            memo[setup] = path.grid, path.drift_values
+        clouds = {"bm": (bm_image_cloud, bm_graph_cloud), "sum": (image_cloud, graph_cloud),
+                  "drift": (drift_image_cloud, drift_graph_cloud)}
+        for obj in missing:
+            image, graph = clouds[obj]
+            memo[keys[obj]] = _estimates(cfg, {f"image_{obj}": image(path),
+                                               f"graph_{obj}": graph(path)})
+    return {name: dict(per) for key in keys.values() for name, per in memo[key].items()}
 
 
 def _prefixed(exc: ValueError, prefix: str) -> ValueError:
@@ -346,22 +352,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _run_experiment(cfg: ExperimentConfig, memo: dict) -> ExperimentReport:
-    """``run_experiment`` sharing ``memo`` with the experiments that differ
-    from ``cfg`` at most in name and seeds: under the setup key it keeps their
-    seed-free part, computed when a seed first needs it, and under (setup
-    key, seed) the estimates of that seed."""
-    setup = {k: v for k, v in cfg.to_dict().items() if k not in ("name", "seeds")}
-    setup_key = json.dumps(setup, sort_keys=True)
+    """``run_experiment`` reading and filling the estimate memo of
+    ``seed_estimates``."""
     per_seed = []
     slopes: dict = {}
     for seed in cfg.seeds:
         try:
-            key = (setup_key, seed)
-            if key not in memo:
-                if setup_key not in memo:
-                    memo[setup_key] = seed_free_part(cfg)
-                memo[key] = seed_estimates(cfg, seed, memo[setup_key])
-            ests = memo[key]
+            ests = seed_estimates(cfg, seed, memo)
         except ValueError as exc:
             raise _prefixed(exc, f"seed {seed}: ") from exc
         block = {"seed": seed, "estimates": {}}
@@ -548,8 +545,9 @@ def run_claims(names, config: dict | None = None) -> dict:
     """Run registered claims and return ``{claim: report with its verdict}``.
 
     Every named claim's config, tolerances and premises (``_requires``) are
-    checked before any experiment runs.  The claims of one call share per-seed estimates, so
-    each distinct (experiment, seed) runs once.  A ``ValueError`` gains the
+    checked before any experiment runs.  The claims of one call share the
+    estimate memo of ``seed_estimates``, so each object is measured once per
+    distinct set of the inputs it depends on.  A ``ValueError`` gains the
     claim (and, when a seed failed, the seed) before its message; a
     ``DomainError`` keeps its code.
     """
@@ -584,7 +582,7 @@ def run_claims(names, config: dict | None = None) -> dict:
 def _tolerance(tol: dict, key: str) -> float:
     """The tolerance ``key``, which must be present and a finite number."""
     value = tol.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    if not _finite(value):
         raise ValueError(f"tolerance {key!r} must be a finite number, got {value!r}"
                          if key in tol else f"missing tolerance {key!r}")
     return float(value)

@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive (subset enumeration, exact rational
 arithmetic, O(n^2) scans) and shares no code with the kernels and metrics it
-checks.
+checks.  The greedy, neighbour and sausage brute forces remember their
+answers, since several tests ask them the same questions (``_memoised``).
 """
 
+import functools
 import math
 from fractions import Fraction
 from itertools import combinations, product
@@ -19,6 +21,25 @@ def _d2(p, q) -> float:
         diff = p[a] - q[a]
         total += diff * diff
     return total
+
+
+def _memoised(oracle):
+    """``oracle`` computing each answer once: answers are kept under the
+    dtype, shape and bytes of every argument, and an array answer is handed
+    out as a copy."""
+    answers = {}
+
+    @functools.wraps(oracle)
+    def memoised(*args):
+        arrays = [np.asarray(a) for a in args]
+        assert all(a.dtype != object for a in arrays), "no bytes to key an object array by"
+        key = tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrays)
+        if key not in answers:
+            answers[key] = oracle(*args)
+        answer = answers[key]
+        return answer.copy() if isinstance(answer, np.ndarray) else answer
+
+    return memoised
 
 
 def pairwise_separated(points: np.ndarray, eps: float) -> bool:
@@ -60,6 +81,7 @@ def all_maximal_separated_subsets(points: np.ndarray, eps: float) -> list:
     return sorted(tuple(sorted(s)) for s in maximal)
 
 
+@_memoised
 def brute_neighbor_counts(points: np.ndarray, radius: float) -> np.ndarray:
     """N_i = #{j != i : |y_i - y_j| < radius} by direct O(n^2) scan."""
     pts = np.atleast_2d(points).tolist()
@@ -111,6 +133,7 @@ def union_interval_length(centers, r: float) -> float:
     return total + (cur_hi - cur_lo)
 
 
+@_memoised
 def brute_greedy_thinning(points: np.ndarray, radius: float, good) -> np.ndarray:
     """Keep-mask of the greedy scan: in stored order, keep each good point
     whose squared distance to every earlier kept point is >= radius*radius."""
@@ -125,12 +148,14 @@ def brute_greedy_thinning(points: np.ndarray, radius: float, good) -> np.ndarray
     return mask
 
 
+@_memoised
 def brute_greedy_packing(points: np.ndarray, eps: float) -> np.ndarray:
     """Keep-mask of the greedy 2*eps-packing: the greedy scan with every point
     eligible."""
     return brute_greedy_thinning(points, 2.0 * eps, [True] * len(points))
 
 
+@_memoised
 def brute_sausage_count(points: np.ndarray, r: float, cell: float) -> int:
     """Cells ``k*cell + [0, cell)^m`` whose center lies within ``r`` of a point
     (axis-ordered ``d2 <= r*r``), testing every cell of the cloud's widened

@@ -504,6 +504,10 @@ def test_experiment_refine_below_two_exits_2(capsys, tmp_path):
     ({"drift": {"kind": "staircase_table", "n": 2**40}}, "grid-too-large"),
     ({"drift": {"kind": "staircase_table", "n": 0}}, "positive perfect-square"),
     ({"drift": {"kind": "staircase_table", "n": 16, "d": 2}}, "d=2 in a d=1 experiment"),
+    ({"target": [1.1, True]}, "target must be two numbers"),
+    ({"target": [float("nan"), 0.1]}, "target must be two numbers"),
+    ({"target": [1.1, float("inf")]}, "target must be two numbers"),
+    ({"seeds": [1] * 8}, "seeds must not repeat"),
 ])
 def test_experiment_invalid_config_field_exits_2_with_one_error_line(
         capsys, tmp_path, fields, word):
@@ -581,8 +585,8 @@ def test_experiment_all_names_the_failing_claim_and_seed(capsys, tmp_path):
 def test_experiment_all_refuses_a_claim_it_cannot_judge_before_any_seed_runs(
         capsys, tmp_path, monkeypatch, claim, fields, start):
     calls = []
-    monkeypatch.setattr(experiments, "seed_free_part", lambda *args: calls.append(args))
-    monkeypatch.setattr(experiments, "seed_estimates", lambda *args: calls.append(args))
+    for name in ("seed_estimates", "build_grid", "_estimates", "scale_sweep"):
+        monkeypatch.setattr(experiments, name, lambda *args, name=name: calls.append(name))
     path = _tiny_config(tmp_path, [1.0, 5.0])
     cfg = json.loads(path.read_text())
     small = {"points": 2**9 + 1, "scales": [3, 7], "seeds": [5, 6, 7, 8, 9, 10, 11, 12]}

@@ -1,6 +1,7 @@
 """Experiment orchestration: structure, determinism, checks, registry."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,20 +119,49 @@ def test_config_validation():
     assert small_config(scales=(-10, -5), points=3).scales == (-10, -5)
 
 
-def test_config_measures_the_drift_it_reports():
+def test_config_measures_the_drift_it_reports(monkeypatch):
     cfg = small_config(drift="psi_n:16")
     assert cfg.drift_spec == fd.DriftSpec.psi_n(16)
+    measured = []
+    real = experiments.drift_graph_cloud
+    monkeypatch.setattr(experiments, "drift_graph_cloud",
+                        lambda path: measured.append(path.drift_values) or real(path))
     report = run_experiment(cfg)
     assert report.config["drift"] == "psi_n:16"
     grid = experiments.build_grid(cfg.set, cfg.points)
-    measured = experiments.seed_free_part(cfg).drift_values
     reported = parse_drift_string(report.config["drift"], report.config["d"])
-    assert np.array_equal(measured, fd.eval_drift(reported, grid.times))
+    assert len(measured) == 1
+    assert np.array_equal(measured[0], fd.eval_drift(reported, grid.times))
     # the drift has one source: no second drift argument exists
     with pytest.raises(TypeError):
         small_config(drift="zero", drift_config="psi_n:16")
     with pytest.raises(TypeError):
         small_config(drift_spec=fd.DriftSpec.psi_n(16))
+
+
+def test_config_refuses_a_repeated_seed(monkeypatch):
+    with pytest.raises(ValueError, match=r"seeds must not repeat, got \[1, 2, 1\]"):
+        small_config(seeds=(1, 2, 1))
+    # eight copies of one seed are one seed: constancy would read an IQR of 0
+    config = golden_config()
+    config["experiments"]["constancy"]["seeds"] = [1] * 8
+    for err in refused_before_running(monkeypatch, "constancy", config):
+        assert not isinstance(err, DomainError)
+        assert str(err) == "claim 'constancy': seeds must not repeat, got [1, 1, 1, 1, 1, 1, 1, 1]"
+
+
+@pytest.mark.parametrize("target", [
+    [1.1, True], [True, 0.15], [float("nan"), 0.15], [1.1, float("nan")],
+    [1.1, float("inf")], [float("-inf"), 0.15], [1.1, 10**400],
+])
+def test_config_refuses_a_target_that_is_not_two_finite_numbers(monkeypatch, target):
+    with pytest.raises(ValueError, match="target must be two numbers"):
+        small_config(target=target)
+    # an infinite tolerance would pass example-53 on any measurement
+    config = golden_config()
+    config["experiments"]["example-53"]["target"] = target
+    for err in refused_before_running(monkeypatch, "example-53", config):
+        assert str(err).startswith("claim 'example-53': target must be two numbers")
 
 
 def test_oscillation_method_runs_on_uniform_graphs():
@@ -291,14 +321,19 @@ def test_example_report_echoes_a_drift_that_parses_back():
 
 def shared_run_config():
     """Both example claims on one experiment, and constancy with thm15-graph
-    on the first half of its seeds, all at toy size."""
+    and thm16-equality on the first half of its seeds, all at toy size;
+    thm16-equality has a drift of its own, and every claim has constancy's
+    grid, d and sweep, so its noise too."""
     noise = {"drift": "psi_n:16", "set": "uniform", "d": 1, "points": 2**9 + 1,
              "scales": [3, 7], "seeds": list(range(1, 9)), "methods": ["box"]}
     return example_config("custom(16,64)", 2, (3, 4), (3, 7), 2**9 + 1, (1.0, 5.0),
-                          constancy=noise, **{"thm15-graph": dict(noise, seeds=[1, 2, 3, 4])})
+                          constancy=noise, **{"thm15-graph": dict(noise, seeds=[1, 2, 3, 4]),
+                                              "thm16-equality": dict(noise, drift="linear:5.0",
+                                                                     seeds=[1, 2, 3, 4])})
 
 
-SHARED_CLAIMS = ("constancy", "thm15-graph", "example-53", "example-74-directional")
+SHARED_CLAIMS = ("constancy", "thm15-graph", "thm16-equality", "example-53",
+                 "example-74-directional")
 
 
 def test_run_claims_matches_per_claim_runs():
@@ -310,46 +345,109 @@ def test_run_claims_matches_per_claim_runs():
         assert [v["claim"] for v in together[claim].verdicts] == [claim]
 
 
-def test_run_claims_runs_each_distinct_experiment_seed_once(monkeypatch):
-    calls = []
-    real = experiments.seed_estimates
+def recorded(monkeypatch) -> dict:
+    """Lists that running experiments fill in: ``measured`` an (experiment,
+    seed, kind) triple for each object kind (bm, drift or sum) whose image
+    and graph ``_estimates`` measures, ``swept`` the cloud digest and the
+    arguments of each scale sweep, ``grids`` the arguments of each
+    ``build_grid``, ``noises`` the seed of each ``generate_bm`` and ``seeds``
+    the (experiment, seed) of each ``seed_estimates`` call."""
+    seen = {"measured": [], "swept": [], "grids": [], "noises": [], "seeds": []}
+    real = {name: getattr(experiments, name) for name in
+            ("seed_estimates", "_estimates", "scale_sweep", "build_grid", "generate_bm")}
 
-    def counting(cfg, seed, shared):
-        calls.append((cfg.name, seed))
-        return real(cfg, seed, shared)
+    def seed_estimates(cfg, seed, memo):
+        seen["seeds"].append((cfg.name, seed))
+        return real["seed_estimates"](cfg, seed, memo)
 
-    monkeypatch.setattr(experiments, "seed_estimates", counting)
-    # thm15-graph reuses 4 of constancy's 8 seeds; the examples share 2 seeds
-    once = [("constancy", s) for s in range(1, 9)] + [("example", 3), ("example", 4)]
-    run_claims(SHARED_CLAIMS, shared_run_config())
-    assert calls == once
-    calls.clear()
-    run_claims(SHARED_CLAIMS, shared_run_config())
-    assert calls == once  # nothing is cached across calls
+    def estimates(cfg, clouds):
+        kinds = {obj.split("_")[1] for obj in clouds}
+        assert len(kinds) == 1 and len(clouds) == 2
+        seen["measured"].append((*seen["seeds"][-1], *kinds))
+        return real["_estimates"](cfg, clouds)
+
+    def sweep(cloud, *args, **kwargs):
+        digest = hashlib.sha256(cloud.points.tobytes()).hexdigest()
+        seen["swept"].append((digest, args, tuple(sorted(kwargs.items()))))
+        return real["scale_sweep"](cloud, *args, **kwargs)
+
+    def build_grid(*args):
+        seen["grids"].append(args)
+        return real["build_grid"](*args)
+
+    def generate_bm(grid, d, seed):
+        seen["noises"].append(seed)
+        return real["generate_bm"](grid, d, seed)
+
+    for name, wrapper in (("seed_estimates", seed_estimates), ("_estimates", estimates),
+                          ("scale_sweep", sweep), ("build_grid", build_grid),
+                          ("generate_bm", generate_bm)):
+        monkeypatch.setattr(experiments, name, wrapper)
+    return seen
 
 
-def test_seed_free_part_is_computed_once_per_distinct_setup(monkeypatch):
-    names = []
-    real = experiments.seed_free_part
+def test_run_claims_measures_each_object_once_per_distinct_inputs(monkeypatch):
+    seen = recorded(monkeypatch)
+    # constancy measures all it needs; thm15-graph reuses 4 of its seeds,
+    # thm16-equality and the examples its noise, and the examples share a drift
+    once = [("constancy", 1, "bm"), ("constancy", 1, "drift"), ("constancy", 1, "sum"),
+            *(("constancy", s, kind) for s in range(2, 9) for kind in ("bm", "sum")),
+            ("thm16-equality", 1, "drift"), *(("thm16-equality", s, "sum") for s in range(1, 5)),
+            ("example", 3, "drift"), ("example", 3, "sum"), ("example", 4, "sum")]
+    for _ in range(2):  # nothing is cached across calls
+        for values in seen.values():
+            values.clear()
+        run_claims(SHARED_CLAIMS, shared_run_config())
+        assert seen["measured"] == once
+        assert not [m for m in seen["measured"] if m[0] == "thm16-equality" and m[2] == "bm"]
+        # one box sweep of the image and one of the graph per object, each of
+        # a cloud no other sweep sees
+        assert len(seen["swept"]) == 2 * len(once) == len(set(seen["swept"]))
+        # one grid per (set, points, d, drift): psi_n:16, linear:5.0, the examples' drift
+        assert seen["grids"] == [("uniform", 2**9 + 1)] * 3
+        # a noise for each seed with an object to measure: none for thm15-graph
+        assert seen["noises"] == [*range(1, 9), 1, 2, 3, 4, 3, 4]
+        # still one seed_estimates call per (claim, seed)
+        assert len(seen["seeds"]) == 8 + 4 + 4 + 2 + 2
 
-    def counting(cfg):
-        names.append(cfg.name)
-        return real(cfg)
 
-    monkeypatch.setattr(experiments, "seed_free_part", counting)
-    drifted = small_config(drift="psi_n:16", seeds=(1, 2, 3))
+def test_grid_and_drift_values_are_built_once_per_distinct_setup(monkeypatch):
+    seen = recorded(monkeypatch)
     apart = shared_run_config()
     apart["experiments"]["thm15-graph"]["seeds"] = [9, 10]
+    narrower = shared_run_config()
+    narrower["experiments"]["thm15-graph"]["scales"] = [3, 6]
+    targets = shared_run_config()
+    targets["experiments"]["example-74-directional"]["target"] = [2.0, 1.0]
+    drifted = small_config(drift="psi_n:16", seeds=(1, 2, 3))
+    constancy = [("constancy", 1, "bm"), ("constancy", 1, "drift"), ("constancy", 1, "sum"),
+                 *(("constancy", s, kind) for s in range(2, 9) for kind in ("bm", "sum"))]
     for _ in range(2):  # nothing is cached across calls
-        names.clear()
-        run_claims(["constancy", "thm15-graph"], apart)
-        assert names == ["constancy"]  # thm15-graph's new seeds reuse constancy's setup
-        names.clear()
-        run_claims(SHARED_CLAIMS, shared_run_config())
-        assert names == ["constancy", "example"]
-        names.clear()
-        run_experiment(drifted)
-        assert names == ["t"]
+        for runs, measured in [
+            # thm15-graph's new seeds reuse constancy's grid, drift values and drift
+            (lambda: run_claims(["constancy", "thm15-graph"], apart),
+             constancy + [("thm15-graph", s, kind) for s in (9, 10) for kind in ("bm", "sum")]),
+            # another sweep of the same grid and drift measures every object again
+            (lambda: run_claims(["constancy", "thm15-graph"], narrower),
+             constancy + [("thm15-graph", 1, "bm"), ("thm15-graph", 1, "drift"),
+                          ("thm15-graph", 1, "sum"),
+                          *(("thm15-graph", s, kind) for s in (2, 3, 4) for kind in ("bm", "sum"))]),
+            # the target is no input of any object
+            (lambda: run_claims(["example-53", "example-74-directional"], targets),
+             [("example", 3, "bm"), ("example", 3, "drift"), ("example", 3, "sum"),
+              ("example", 4, "bm"), ("example", 4, "sum")]),
+            (lambda: run_experiment(drifted),
+             [("t", 1, "bm"), ("t", 1, "drift"), ("t", 1, "sum"),
+              ("t", 2, "bm"), ("t", 2, "sum"), ("t", 3, "bm"), ("t", 3, "sum")]),
+        ]:
+            for values in seen.values():
+                values.clear()
+            runs()
+            assert seen["measured"] == measured
+            assert seen["grids"] == [("uniform", 2**9 + 1)]
+            started = dict.fromkeys((name, seed) for name, seed, _ in measured)
+            assert seen["noises"] == [seed for _, seed in started]
+            assert len(seen["swept"]) == 2 * len(measured) == len(set(seen["swept"]))
 
 
 @pytest.mark.parametrize("tolerance, word", [
@@ -357,10 +455,10 @@ def test_seed_free_part_is_computed_once_per_distinct_setup(monkeypatch):
     ("0.03", "tolerance 'example74_min_gap' must be a finite number"),
     (True, "tolerance 'example74_min_gap' must be a finite number"),
     (float("nan"), "tolerance 'example74_min_gap' must be a finite number"),
+    (10**400, "tolerance 'example74_min_gap' must be a finite number"),
 ])
 def test_run_claims_reads_tolerances_before_running(monkeypatch, tolerance, word):
-    calls = []
-    monkeypatch.setattr(experiments, "seed_free_part", lambda cfg: calls.append(cfg.name))
+    seen = recorded(monkeypatch)
     config = shared_run_config()
     del config["tolerances"]["example74_min_gap"]
     if tolerance is not None:
@@ -368,27 +466,20 @@ def test_run_claims_reads_tolerances_before_running(monkeypatch, tolerance, word
     with pytest.raises(ValueError) as ei:
         run_claims(SHARED_CLAIMS, config)
     assert str(ei.value).startswith(f"claim 'example-74-directional': {word}")
-    assert calls == []
+    assert not any(seen.values())
 
 
 def refused_before_running(monkeypatch, claim, config) -> list:
     """The errors of ``run_claims`` on ``claim`` alone and on every claim id
     with ``claim`` last, as ``--name all`` would run it after all the others;
-    counting stubs check that neither run computed a seed-free part or a
-    seed's estimates."""
-    calls = []
-    for name in ("seed_free_part", "seed_estimates"):
-        def counting(cfg, *args, real=getattr(experiments, name)):
-            calls.append(cfg.name)
-            return real(cfg, *args)
-
-        monkeypatch.setattr(experiments, name, counting)
+    neither run may build a grid, measure an object or start a seed."""
+    seen = recorded(monkeypatch)
     errors = []
     for names in ([claim], [c for c in fd.CLAIM_IDS if c != claim] + [claim]):
         with pytest.raises(ValueError) as ei:
             run_claims(names, config)
         errors.append(ei.value)
-    assert calls == []
+    assert not any(seen.values())
     return errors
 
 
@@ -481,11 +572,19 @@ def scratch_estimates(cfg, seed) -> dict:
     small_config(seeds=(5, 6)),
 ])
 def test_seed_estimates_with_the_shared_part_equal_those_from_scratch(cfg):
-    shared = experiments.seed_free_part(cfg)
-    for seed in cfg.seeds:
-        ests = experiments.seed_estimates(cfg, seed, shared)
-        as_dicts = {obj: {m: e.to_dict() for m, e in per.items()} for obj, per in ests.items()}
-        assert as_dicts == scratch_estimates(cfg, seed)
+    # one memo for the seeds of cfg, of the same setup without its drift and
+    # of two sweeps that differ in refine alone, in both orders: whatever the
+    # memo already holds, the bytes are the same
+    variants = [cfg, replace(cfg, drift="zero"),
+                *(replace(cfg, methods=("sausage",), refine=refine) for refine in (2, 3))]
+    for order in (variants, variants[::-1]):
+        memo: dict = {}
+        for each in order:
+            for seed in each.seeds:
+                ests = experiments.seed_estimates(each, seed, memo)
+                as_dicts = {obj: {m: e.to_dict() for m, e in per.items()}
+                            for obj, per in ests.items()}
+                assert as_dicts == scratch_estimates(each, seed)
 
 
 def golden_config() -> dict:
