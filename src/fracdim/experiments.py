@@ -312,7 +312,8 @@ def seed_estimates(cfg: ExperimentConfig, seed: int, memo: dict) -> dict:
     (grid, d, drift, sweep) and the sum's under both.  Under (grid, d, drift)
     it keeps the grid and the drift's values.  The objects it lacks are
     measured on the seed's noise with those drift values attached, which is
-    the path ``apply_drift`` builds, and stored in it.
+    the path ``apply_drift`` builds, and stored in it; only the first seed of
+    a setup draws its noise with a zero drift.
     """
     kind, params = parse_set_string(cfg.set)
     grid_d = (kind, params.get("beta"), cfg.points, cfg.d)
@@ -325,7 +326,7 @@ def seed_estimates(cfg: ExperimentConfig, seed: int, memo: dict) -> dict:
     if missing:  # a drift is missing only with its sums, so every miss needs the noise
         if setup in memo:
             grid, drift_values = memo[setup]
-            path = replace(generate_bm(grid, cfg.d, seed), drift_values=drift_values)
+            path = generate_bm(grid, cfg.d, seed, drift_values)
         else:
             path = apply_drift(generate_bm(build_grid(cfg.set, cfg.points), cfg.d, seed),
                                cfg.drift_spec)

@@ -45,8 +45,13 @@ tuples with the last axis most significant, and within the margin a cell's
 neighbour is its key plus a constant ``sum(o_a << shift_a)``: the scans pack
 with a margin of 1, so each row of neighbour cells is the keys ``base - 1 ..
 base + 1``, and the sausage with a margin of ``reach``, so its rows have the
-strides ``1 << shift``.  Box counts keep the occupied cells as sorted
-distinct keys (``box_keys``, margin 0).  A sweep over the scales ``eps, 2 *
+strides ``1 << shift``.  Keys are filled into one array a chunk of points at
+a time, column by column, through one reused float buffer; given coordinate
+columns and a width, the chunk floors the points itself, and the least and
+greatest cells are the floors of each column's bounds, as ``floor(x / w)``
+is monotone.  Box counts keep the occupied cells as sorted distinct keys
+(``box_keys``, margin 0), packed from a cloud's columns with no temporary
+the size of the cloud.  A sweep over the scales ``eps, 2 *
 eps, 4 * eps, ...`` floors the points only at the finest scale: each coarser
 scale halves the keys of the one before in place (``coarser_keys``), then
 sorts them and drops adjacent duplicates.  This is exact: ``x / eps`` and ``x
@@ -149,27 +154,42 @@ class KeyLayout(NamedTuple):
     shifts: tuple  # axis 0 at bit 0
 
 
-def pack_cells(cells, margin: int = 0):
+def pack_cells(cells, margin: int = 0, width: float | None = None, bounds=None):
     """Cell tuples as scalar keys of bit fields: ``(keys, layout)``.
 
     ``cells`` is an ``(n, m)`` array or a list of ``m`` columns, of int64
-    cells or float floors.  Axis ``a`` gets a field of ``bit_length(max_a -
-    min_a + 2 * margin + 1)`` bits holding ``c_a - min_a + margin``, axis 0
-    lowest, so ``layout.mins[a]`` is ``min_a - margin``, keys sort like cell
-    tuples with the last axis most significant, and the cell ``o_a`` cells
-    off on each axis, ``|o_a| <= margin``, has the key plus ``sum(o_a <<
+    cells or float floors, or, given a ``width``, of coordinates whose cells
+    are ``floor(x / width)`` as in ``cell_indices``.  ``bounds``, if known,
+    is each column's (min, max); with a width, their floors are the least
+    and greatest cells, as ``floor(x / width)`` is monotone in ``x``.
+
+    Axis ``a`` gets a field of ``bit_length(max_a - min_a + 2 * margin + 1)``
+    bits holding ``c_a - min_a + margin``, axis 0 lowest, so
+    ``layout.mins[a]`` is ``min_a - margin``, keys sort like cell tuples
+    with the last axis most significant, and the cell ``o_a`` cells off on
+    each axis, ``|o_a| <= margin``, has the key plus ``sum(o_a <<
     shift_a)``.  Keys are ``uint32`` when the fields total at most 32 bits,
     and ``uint64`` otherwise.  Raises ``DomainError("cell-grid-too-large")``
     when a cell is ``2^62`` or more in magnitude or not finite, or when the
     keys would pass ``_KEY_LIMIT``.
+
+    Keys are filled column by column in chunks of ``_PAIR_CHUNK // 8``
+    points, whose float buffer takes ``_PAIR_CHUNK`` bytes: a chunk is
+    divided, floored and offset in it and cast into the key word, except
+    int64 cells and fields of 53 bits or more, which are offset in int64.
     """
     if isinstance(cells, np.ndarray):
         # column by column: axis-0 reductions over a C-ordered (n, m) array
         # are several times slower
         cells = [cells[:, a] for a in range(cells.shape[1])]
+    if bounds is None:
+        bounds = [(col.min(), col.max()) for col in cells]
     mins, bits = [], []
-    for col in cells:
-        lo, hi = col.min(), col.max()
+    for lo, hi in bounds:
+        if width is not None:
+            # an overflow gives an infinite floor, which is refused below
+            with np.errstate(over="ignore"):
+                lo, hi = np.floor(np.float64(lo) / width), np.floor(np.float64(hi) / width)
         # NaN fails both comparisons
         if not (-_CELL_LIMIT < lo and hi < _CELL_LIMIT):
             raise DomainError("cell-grid-too-large", "cell indices of 2^62 or more")
@@ -179,16 +199,29 @@ def pack_cells(cells, margin: int = 0):
         raise DomainError("cell-grid-too-large", f"key fields of {bits} bits")
     shifts = tuple(itertools.accumulate(bits[:-1], initial=0))
     dtype = np.uint32 if sum(bits) <= 32 else np.uint64
-    keys = None
-    for col, lo, shift in zip(cells, mins, shifts):
-        field = col.astype(np.int64)
-        field -= lo
-        field = field.astype(dtype, copy=False)
-        field <<= dtype(shift)
-        if keys is None:
-            keys = field
-        else:
-            keys |= field
+    n = len(cells[0])
+    size = min(n, max(1, _PAIR_CHUNK // 8))
+    keys, word = np.empty(n, dtype=dtype), np.empty(size, dtype=dtype)
+    floats, wide = np.empty(size), np.empty(size, dtype=np.int64)
+    for s in range(0, n, size):
+        out = keys[s:s + size]
+        f, w, i = floats[:out.size], word[:out.size], wide[:out.size]
+        for col, lo, shift, b in zip(cells, mins, shifts, bits):
+            field = col[s:s + size]
+            if width is not None:
+                field = np.floor(np.divide(field, width, out=f), out=f)
+            # a float offset below 2^53 from a minimum below 2^53 is exact
+            if field.dtype.kind == "f" and b < 53 and float(lo) == lo:
+                field = np.subtract(field, lo, out=f)
+            else:
+                i[...] = field
+                field = np.subtract(i, lo, out=i)
+            if shift == 0:
+                out[...] = field
+            else:
+                w[...] = field
+                w <<= dtype(shift)
+                out |= w
     return keys, KeyLayout(tuple(mins), shifts)
 
 
@@ -241,14 +274,17 @@ def _neighbourhoods(pts: np.ndarray, radius: float):
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     # every field holds at least 1, so the row keys from the lowest corner
-    # of the neighbourhood up never wrap
-    corner = keys - sum(1 << shift for shift in layout.shifts)
+    # of the neighbourhood up never wrap; sorted needles search faster, and
+    # their ends go back to the points through ``order``
+    corner = sorted_keys - sum(1 << shift for shift in layout.shifts)
     ranges = []
     for off in itertools.product((0, 1, 2), repeat=len(layout.shifts) - 1):
         row = corner + sum(o << shift for o, shift in zip(off, layout.shifts[1:]))
-        lo = np.searchsorted(sorted_keys, row, side="left")
+        lo, hi = np.empty_like(order), np.empty_like(order)
+        lo[order] = np.searchsorted(sorted_keys, row, side="left")
         row += 2
-        ranges.append((lo, np.searchsorted(sorted_keys, row, side="right")))
+        hi[order] = np.searchsorted(sorted_keys, row, side="right")
+        ranges.append((lo, hi))
     return order, ranges, sum(hi - lo for lo, hi in ranges)
 
 
@@ -663,22 +699,21 @@ def distinct_cell_count(cells: np.ndarray) -> int:
     return len(np.unique(np.asarray(cells), axis=0))
 
 
-def box_keys(points: np.ndarray, eps: float):
+def box_keys(points, eps: float, bounds=None):
     """The occupied cells ``floor(x / eps)`` of the points as sorted distinct
     packed keys: ``(keys, layout)`` of ``pack_cells``.
 
-    The floors are those of ``cell_indices``, bit for bit, taken column by
-    column.  A field of ``bit_length(max_a - min_a + 1)`` bits holds ``c_a -
-    min_a`` and has room for ``c_a - min_a + 1``, which ``coarser_keys``
-    needs.  Returns ``None`` when ``pack_cells`` refuses the floors: one is
-    ``2^62`` or more in magnitude or not finite, or the fields need more
-    than 63 bits.
+    ``points`` is an ``(n, m)`` array or a list of ``m`` coordinate columns,
+    and ``bounds``, if known, each column's (min, max).  The floors are
+    those of ``cell_indices``, bit for bit, taken a chunk at a time by
+    ``pack_cells``.  A field of ``bit_length(max_a - min_a + 1)`` bits holds
+    ``c_a - min_a`` and has room for ``c_a - min_a + 1``, which
+    ``coarser_keys`` needs.  Returns ``None`` when ``pack_cells`` refuses the
+    floors: one is ``2^62`` or more in magnitude or not finite, or the fields
+    need more than 63 bits.
     """
-    # an overflow gives an infinite floor, which pack_cells refuses
-    with np.errstate(over="ignore"):
-        floors = [np.floor(points[:, a] / eps) for a in range(points.shape[1])]
     try:
-        keys, layout = pack_cells(floors)
+        keys, layout = pack_cells(points, 0, eps, bounds)
     except DomainError:
         return None
     return _sorted_distinct(keys), layout

@@ -7,6 +7,9 @@ union of r-balls), and per-column oscillation counts for graphs of sampled
 1-D functions.  ``estimate_dimension`` turns any of these scale series into
 lower/upper/least-squares slope estimates in log2 space.
 
+A ``PointCloud`` holds its coordinate columns, a graph's shared with its
+path, and box counts floor and pack them a chunk at a time.
+
 Conventions fixed here for reproducibility:
 
 * boxes are half-open ``[k*eps, (k+1)*eps)`` anchored at the origin; values
@@ -25,6 +28,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -40,10 +44,14 @@ from .paths import SamplePath, frozen, read_only
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Finite set of points in R^m with finite coordinates."""
+    """Finite set of points in R^m with finite coordinates, held as its m
+    coordinate columns and the (min, max) of each.  ``points``, the ``(n,
+    m)`` array, is the one ``from_points`` was given, or stacked on first use
+    from a graph's columns: the grid's times and the path's values.
+    """
 
-    points: np.ndarray  # (n, m) float64
-    dim: int
+    columns: tuple  # m read-only float64 arrays of n coordinates
+    bounds: tuple  # (min, max) of each column
     # (eps, keys, layout) of the last box count, see ``box_count``
     _boxes: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -63,14 +71,29 @@ class PointCloud:
             raise DomainError("bad-shape", f"points of shape {pts.shape}: need (n, m)")
         if pts.size == 0:
             raise DomainError("empty-cloud", "point cloud must be non-empty")
-        # column by column, an order of magnitude faster than axis-0
-        # reductions of an (n, m) array; a NaN or infinity shows in a
-        # column's minimum or maximum
-        _check_finite(np.array([(col.min(), col.max()) for col in pts.T]))
-        return PointCloud(pts, pts.shape[1])
+        cloud = PointCloud._of_columns(list(pts.T))
+        cloud.__dict__["points"] = pts  # the cached ``points``
+        return cloud
+
+    @staticmethod
+    def _of_columns(columns: list) -> "PointCloud":
+        """The cloud of read-only float64 columns of one length; a NaN or
+        infinity shows in a column's minimum or maximum."""
+        bounds = tuple((col.min(), col.max()) for col in columns)
+        _check_finite(np.array(bounds))
+        return PointCloud(tuple(columns), bounds)
+
+    @property
+    def dim(self) -> int:
+        return len(self.columns)
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """The read-only ``(n, m)`` array of the points."""
+        return frozen(np.column_stack(self.columns))
 
     def __len__(self) -> int:
-        return int(self.points.shape[0])
+        return int(self.columns[0].size)
 
 
 def image_cloud(path: SamplePath) -> PointCloud:
@@ -79,8 +102,8 @@ def image_cloud(path: SamplePath) -> PointCloud:
 
 
 def _graph(path: SamplePath, values: np.ndarray) -> PointCloud:
-    """(t, values) pairs as a cloud in R^(1+d)."""
-    return PointCloud.from_points(frozen(np.hstack([path.grid.times[:, None], values])))
+    """(t, values) pairs as a cloud in R^(1+d), sharing the path's arrays."""
+    return PointCloud._of_columns([path.grid.times, *values.T])
 
 
 def graph_cloud(path: SamplePath) -> PointCloud:
@@ -224,7 +247,7 @@ def box_count(cloud: PointCloud, eps: float) -> int:
     if finer is not None and eps == 2.0 * finer[0] and eps <= 1.0:
         boxes = kernels.coarser_keys(finer[1], finer[2])
     else:
-        boxes = kernels.box_keys(cloud.points, eps)
+        boxes = kernels.box_keys(cloud.columns, eps, cloud.bounds)
     if boxes is None:
         object.__setattr__(cloud, "_boxes", None)
         return kernels.distinct_cell_count(kernels.cell_indices(cloud.points, eps))
@@ -434,9 +457,10 @@ def _uniform_graph_values(cloud: PointCloud) -> np.ndarray:
     if cloud.dim != 2:
         raise DomainError("not-dyadic-grid", "oscillation needs a 1-D graph cloud")
     # the 2^J + 1 sample count is checked by graph_box_count_oscillation
-    if not np.array_equal(cloud.points[:, 0], np.linspace(0.0, 1.0, len(cloud))):
+    times, values = cloud.columns
+    if not np.array_equal(times, np.linspace(0.0, 1.0, len(cloud))):
         raise DomainError("not-dyadic-grid", "oscillation needs the full uniform dyadic grid")
-    return cloud.points[:, 1]
+    return values
 
 
 def estimate_dimension(series: ScaleSeries, window: tuple | None = None) -> DimensionEstimate:

@@ -11,6 +11,7 @@ well-defined right-continuous function.
 
 import warnings
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -200,7 +201,7 @@ class DriftSpec:
 
 def _staircase(n: int, x: np.ndarray) -> np.ndarray:
     """Sawtooth staircase n^(-3/4) * floor(sqrt(n) * tent(n x)) with the
-    right-limit value at every jump.
+    right-limit value at every jump, evaluated in place in two buffers.
 
     ``tent`` has period 1 and equals max(x, 1-x) on [0, 1].  Where the
     pre-floor ramp sits exactly on an integer and is decreasing to the right,
@@ -209,14 +210,18 @@ def _staircase(n: int, x: np.ndarray) -> np.ndarray:
     n is a perfect square and x is dyadic, which covers every preset used
     here.
     """
-    y = n * x
-    fr = y - np.floor(y)
-    phi = np.maximum(fr, 1.0 - fr)
-    u = np.sqrt(float(n)) * phi
-    v = np.floor(u)
-    descending = fr < 0.5
-    v = np.where(descending & (u == v), v - 1.0, v)
-    return float(n) ** -0.75 * v
+    fr = x * n
+    u = np.floor(fr)
+    fr -= u
+    np.subtract(1.0, fr, out=u)
+    np.maximum(fr, u, out=u)
+    u *= np.sqrt(float(n))
+    lower = fr < 0.5  # descending
+    v = np.floor(u, out=fr)
+    lower &= u == v
+    v -= lower
+    v *= float(n) ** -0.75
+    return v
 
 
 def eval_drift(spec: DriftSpec, t) -> np.ndarray:
@@ -271,25 +276,31 @@ class SamplePath:
                 raise ValueError(f"{name} must have shape ({n}, {self.dim})")
             object.__setattr__(self, name, arr)
 
-    @property
+    @cached_property
     def combined(self) -> np.ndarray:
+        """Noise plus drift, summed once, for the image and graph of the sum."""
         return frozen(self.bm_values + self.drift_values)
 
 
-def generate_bm(grid: TimeGrid, d: int, seed: int) -> SamplePath:
+def generate_bm(grid: TimeGrid, d: int, seed: int, drift_values=None) -> SamplePath:
     """Brownian path on the grid from independent Gaussian increments.
 
     Per coordinate, increments over consecutive grid times have variance
     equal to the time difference; the first value is drawn with variance
     equal to the first grid time (exactly zero when the grid starts at 0).
-    Deterministic given (grid, d, seed).
+    Deterministic given (grid, d, seed); the draws are scaled and summed in
+    place.  ``drift_values`` are the path's drift, zeros when omitted.
     """
     check_path_shape(len(grid), d)
-    t = grid.times
-    dt = np.diff(t, prepend=0.0)
-    z = stream(seed, 0).standard_normal((t.size, d))
-    values = frozen(np.cumsum(np.sqrt(dt)[:, None] * z, axis=0))
-    return SamplePath(grid, d, values, frozen(np.zeros_like(values)), int(seed), "increments")
+    scale = np.diff(grid.times, prepend=0.0)
+    np.sqrt(scale, out=scale)
+    values = np.empty((scale.size, d))
+    stream(seed, 0).standard_normal(out=values)
+    values *= scale[:, None]
+    np.cumsum(values, axis=0, out=values)
+    if drift_values is None:
+        drift_values = frozen(np.zeros_like(values))
+    return SamplePath(grid, d, frozen(values), drift_values, int(seed), "increments")
 
 
 def levy_construct(depth: int, d: int, seed: int) -> SamplePath:

@@ -104,9 +104,9 @@ def test_each_scale_halves_the_distinct_cells_of_the_one_before(monkeypatch):
     sizes, found = [], []
     box_keys, coarser_keys = kernels.box_keys, kernels.coarser_keys
 
-    def finest(points, eps):
-        sizes.append(len(points))
-        found.append(box_keys(points, eps))
+    def finest(columns, eps, bounds):
+        sizes.append(len(columns[0]))
+        found.append(box_keys(columns, eps, bounds))
         return found[-1]
 
     def halving(keys, layout):
@@ -124,3 +124,87 @@ def test_each_scale_halves_the_distinct_cells_of_the_one_before(monkeypatch):
         assert keys.tolist() == sorted(set(keys.tolist()))
         cells = decode_box_keys(keys, layout)
         assert len(cells) == len(keys) and set(cells) == brute_box_cells(pts, 2.0**-j)
+
+
+# points a chunk of pack_cells floors and packs at once: its float buffer
+# takes the pair budget in bytes
+CHUNK = kernels._PAIR_CHUNK // 8
+
+
+def _check_chunked_keys(columns, eps):
+    """The keys that ``pack_cells`` floors and packs from coordinate columns
+    a chunk at a time equal, key for key and in the same layout, those of
+    the old route, packed from the ``(n, m)`` int64 cells of
+    ``cell_indices``; the sorted distinct keys of ``box_keys`` decode to the
+    oracle's cells."""
+    pts = np.column_stack(columns)
+    keys, layout = kernels.pack_cells(columns, 0, eps)
+    old_keys, old_layout = kernels.pack_cells(kernels.cell_indices(pts, eps))
+    assert layout == old_layout and keys.dtype == old_keys.dtype
+    assert np.array_equal(keys, old_keys)
+    bounds = [(col.min(), col.max()) for col in columns]
+    boxes, box_layout = kernels.box_keys(columns, eps, bounds)
+    assert box_layout == layout and np.array_equal(boxes, np.unique(keys))
+    assert set(decode_box_keys(boxes, layout)) == brute_box_cells(pts, eps)
+
+
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 262145])
+def test_chunked_keys_match_the_cells_and_the_oracle(n):
+    # negative and positive coordinates, with a ragged last chunk; the
+    # columns are strided views of an (n, 2) array, as a cloud holds them
+    pts = np.random.default_rng(n).uniform(-3, 1, (n, 2))
+    for eps in (2.0**-9, 0.75):
+        _check_chunked_keys(list(pts.T), eps)
+
+
+def test_chunked_keys_over_small_budgets(monkeypatch):
+    # chunks of 1-6 points cross every boundary of clouds of 1-40 points
+    rng = np.random.default_rng(31)
+    for budget in (8, 16, 24, 48):
+        monkeypatch.setattr(kernels, "_PAIR_CHUNK", budget)
+        for _ in range(30):
+            pts = _random_cloud(rng)[: int(rng.integers(1, 41))]
+            _check_chunked_keys(list(pts.T), 2.0 ** -int(rng.integers(-2, 8)))
+            _check_sweep(pts, 0, 5)
+
+
+def test_fields_of_53_bits_or_more_are_offset_in_int64(monkeypatch):
+    # a floor of 2^53 + 2 less an odd minimum is not a double, so a float
+    # offset would round it; fields of 52-55 bits, in one and several chunks
+    for top, low in ((2.0**51 + 2, -1.0), (2.0**52 + 2, -1.0), (2.0**53 + 2, 1.0),
+                     (2.0**54 + 4, 1.0)):
+        column = np.array([low, top, top - 2, low + 2, 3.0])
+        keys, layout = kernels.pack_cells([column], 0, 1.0)
+        assert decode_box_keys(keys, layout) == [(int(x),) for x in column]
+        for budget in (8, kernels._PAIR_CHUNK):
+            monkeypatch.setattr(kernels, "_PAIR_CHUNK", budget)
+            _check_chunked_keys([np.arange(5.0), column], 1.0)
+
+
+def test_floors_of_2_to_the_62_fall_back_to_the_cells_of_the_points(monkeypatch):
+    counted = []
+    distinct = kernels.distinct_cell_count
+
+    def recording(cells):
+        counted.append(len(cells))
+        return distinct(cells)
+
+    monkeypatch.setattr(kernels, "distinct_cell_count", recording)
+    rng = np.random.default_rng(32)
+    for far in (2.0**62, -2.0**62, 1e300):
+        pts = np.concatenate([rng.uniform(-1, 1, (CHUNK + 5, 2)), [[far, 0.5]]])
+        assert kernels.box_keys(list(pts.T), 1.0) is None
+        cloud = PointCloud.from_points(pts)
+        assert fd.box_count(cloud, 1.0) == brute_box_count(pts, 1.0)
+        assert counted[-1] == len(pts)
+
+
+def test_four_dimensional_graph_keys_and_sweep():
+    grid = fd.TimeGrid.uniform(CHUNK + 3)
+    path = fd.apply_drift(fd.generate_bm(grid, 3, 6), fd.DriftSpec.linear([1.0, -2.0, 0.5]))
+    cloud = fd.graph_cloud(path)
+    assert cloud.dim == 4 and cloud.columns[0] is grid.times
+    for eps in (2.0**-12, 2.0**-4):
+        _check_chunked_keys(list(cloud.columns), eps)
+    swept = fd.scale_sweep(cloud, "box", 2, 8).values.astype(int).tolist()
+    assert swept == [brute_box_count(cloud.points, 2.0**-j) for j in range(2, 9)]

@@ -350,9 +350,10 @@ def recorded(monkeypatch) -> dict:
     seed, kind) triple for each object kind (bm, drift or sum) whose image
     and graph ``_estimates`` measures, ``swept`` the cloud digest and the
     arguments of each scale sweep, ``grids`` the arguments of each
-    ``build_grid``, ``noises`` the seed of each ``generate_bm`` and ``seeds``
-    the (experiment, seed) of each ``seed_estimates`` call."""
-    seen = {"measured": [], "swept": [], "grids": [], "noises": [], "seeds": []}
+    ``build_grid``, ``noises`` the seed of each ``generate_bm``, ``drifted``
+    whether it was given drift values, and ``seeds`` the (experiment, seed)
+    of each ``seed_estimates`` call."""
+    seen = {"measured": [], "swept": [], "grids": [], "noises": [], "drifted": [], "seeds": []}
     real = {name: getattr(experiments, name) for name in
             ("seed_estimates", "_estimates", "scale_sweep", "build_grid", "generate_bm")}
 
@@ -375,9 +376,10 @@ def recorded(monkeypatch) -> dict:
         seen["grids"].append(args)
         return real["build_grid"](*args)
 
-    def generate_bm(grid, d, seed):
+    def generate_bm(grid, d, seed, *drift_values):
         seen["noises"].append(seed)
-        return real["generate_bm"](grid, d, seed)
+        seen["drifted"].append(bool(drift_values))
+        return real["generate_bm"](grid, d, seed, *drift_values)
 
     for name, wrapper in (("seed_estimates", seed_estimates), ("_estimates", estimates),
                           ("scale_sweep", sweep), ("build_grid", build_grid),
@@ -447,6 +449,9 @@ def test_grid_and_drift_values_are_built_once_per_distinct_setup(monkeypatch):
             assert seen["grids"] == [("uniform", 2**9 + 1)]
             started = dict.fromkeys((name, seed) for name, seed, _ in measured)
             assert seen["noises"] == [seed for _, seed in started]
+            # only the setup's first noise comes with a zero drift; every
+            # later one gets the memo's drift values
+            assert seen["drifted"] == [False] + [True] * (len(started) - 1)
             assert len(seen["swept"]) == 2 * len(measured) == len(set(seen["swept"]))
 
 

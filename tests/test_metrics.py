@@ -16,7 +16,11 @@ from fracdim import kernels
 from fracdim.errors import DomainError
 from fracdim.metrics import (
     PointCloud,
+    bm_graph_cloud,
+    bm_image_cloud,
     boxes_per_center,
+    drift_graph_cloud,
+    drift_image_cloud,
     neighbor_collision_counts,
     packing_indices,
     packing_per_box,
@@ -331,6 +335,38 @@ def test_a_cloud_keeps_its_points_apart_from_the_callers():
     # read-only values, such as a path's, are kept without a copy
     path = fd.generate_bm(fd.TimeGrid.uniform(9), 2, 0)
     assert np.shares_memory(PointCloud.from_points(path.bm_values).points, path.bm_values)
+
+
+def test_a_graph_cloud_shares_the_grid_times_and_the_value_columns():
+    grid = fd.TimeGrid.uniform(257)
+    path = fd.apply_drift(fd.generate_bm(grid, 2, 4), fd.DriftSpec.linear([1.0, -1.0]))
+    for build, values in ((bm_graph_cloud, path.bm_values),
+                          (drift_graph_cloud, path.drift_values),
+                          (fd.graph_cloud, path.combined)):
+        cloud = build(path)
+        assert cloud.columns[0] is grid.times
+        assert all(np.shares_memory(col, values) for col in cloud.columns[1:])
+        assert cloud.bounds == tuple((col.min(), col.max()) for col in cloud.columns)
+        assert np.array_equal(cloud.points, np.hstack([grid.times[:, None], values]))
+        assert not cloud.points.flags.writeable and cloud.points is cloud.points
+    # the image and the graph of the sum share one array of noise plus drift
+    image, graph = fd.image_cloud(path), fd.graph_cloud(path)
+    assert image.points is path.combined
+    assert all(np.shares_memory(col, image.points) for col in graph.columns[1:])
+
+
+def test_clouds_of_a_callers_path_freeze_none_of_its_arrays():
+    rng = np.random.default_rng(1)
+    times, noise, drift = np.linspace(0.0, 1.0, 65), rng.random((65, 2)), rng.random((65, 2))
+    path = fd.SamplePath(fd.TimeGrid(times), 2, noise, drift, 0, "file")
+    builders = (fd.image_cloud, fd.graph_cloud, bm_image_cloud, bm_graph_cloud,
+                drift_image_cloud, drift_graph_cloud)
+    counts = [fd.scale_sweep(build(path), "box", 1, 4).values.tolist() for build in builders]
+    for arr in (times, noise, drift):
+        assert arr.flags.writeable
+        arr[:] = 0.5
+    assert counts == [fd.scale_sweep(build(path), "box", 1, 4).values.tolist()
+                      for build in builders]
 
 
 def test_thinning_examples():

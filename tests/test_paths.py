@@ -46,6 +46,31 @@ def test_generate_bm_nonzero_start_has_spread():
     assert abs(vals.var(ddof=1) - 0.25) < 0.07
 
 
+@pytest.mark.parametrize("grid", [fd.TimeGrid.uniform(4097), fd.TimeGrid.uniform(3),
+                                  fd.inverse_power_grid(2.0, 1000), fd.TimeGrid([0.25, 0.75])],
+                         ids=["uniform", "uniform-3", "power", "late-start"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_generate_bm_is_the_cumulative_sum_of_scaled_draws(grid, d):
+    # the draws, scaled and summed in place, give the formula's bits
+    t = grid.times
+    z = stream(11, 0).standard_normal((t.size, d))
+    want = np.cumsum(np.sqrt(np.diff(t, prepend=0.0))[:, None] * z, axis=0)
+    path = fd.generate_bm(grid, d, 11)
+    assert path.bm_values.tobytes() == want.tobytes()
+    assert not path.drift_values.any()
+
+
+def test_generate_bm_attaches_given_drift_values():
+    grid = fd.TimeGrid.uniform(33)
+    drift = fd.eval_drift(fd.DriftSpec.psi_n(16), grid.times)
+    drift.flags.writeable = False
+    path = fd.generate_bm(grid, 1, 5, drift)
+    assert path.drift_values is drift
+    assert path.bm_values.tobytes() == fd.generate_bm(grid, 1, 5).bm_values.tobytes()
+    assert path.combined is path.combined
+    assert path.combined.tobytes() == (path.bm_values + drift).tobytes()
+
+
 def test_empty_grid_error():
     with pytest.raises(DomainError) as ei:
         fd.TimeGrid([])
@@ -288,6 +313,22 @@ def test_psi_n_is_the_one_term_staircase_sum():
         vals = fd.eval_drift(spec, ts)
         # the same bits as the bare staircase: no value is -0.0
         assert vals.tobytes() == fd.paths._staircase(n, ts)[:, None].tobytes()
+
+
+def test_staircase_in_place_gives_the_bits_of_the_whole_array_formula():
+    def formula(n, x):
+        y = n * x
+        fr = y - np.floor(y)
+        phi = np.maximum(fr, 1.0 - fr)
+        u = np.sqrt(float(n)) * phi
+        v = np.floor(u)
+        v = np.where((fr < 0.5) & (u == v), v - 1.0, v)
+        return float(n) ** -0.75 * v
+
+    xs = np.concatenate([np.linspace(0.0, 1.0, 4097),
+                         np.random.default_rng(3).random(4096)])
+    for n in (1, 4, 16, 64, 1024, 3, 1000):
+        assert fd.paths._staircase(n, xs).tobytes() == formula(n, xs).tobytes()
 
 
 def test_staircase_frequency_bounds():
