@@ -46,12 +46,12 @@ neighbour is its key plus a constant ``sum(o_a << shift_a)``: the scans pack
 with a margin of 1, so each row of neighbour cells is the keys ``base - 1 ..
 base + 1``, and the sausage with a margin of ``reach``, so its rows have the
 strides ``1 << shift``.  Keys are filled into one array a chunk of points at
-a time, column by column, through one reused float buffer; given coordinate
-columns and a width, the chunk floors the points itself, and the least and
-greatest cells are the floors of each column's bounds, as ``floor(x / w)``
-is monotone.  Box counts keep the occupied cells as sorted distinct keys
-(``box_keys``, margin 0), packed from a cloud's columns with no temporary
-the size of the cloud.  A sweep over the scales ``eps, 2 *
+a time, column by column, through reused float and int64 buffers; given
+coordinate columns and a width, the chunk floors the points itself, and the
+least and greatest cells are the floors of each column's bounds, as
+``floor(x / w)`` is monotone.  Box counts keep the occupied cells as sorted
+distinct keys (``box_keys``, margin 0), packed from a cloud's columns with
+no temporary the size of the cloud.  A sweep over the scales ``eps, 2 *
 eps, 4 * eps, ...`` floors the points only at the finest scale: each coarser
 scale halves the keys of the one before in place (``coarser_keys``), then
 sorts them and drops adjacent duplicates.  This is exact: ``x / eps`` and ``x
@@ -87,7 +87,9 @@ from .errors import DomainError
 MAX_SAUSAGE_ROWS = 1 << 16
 # the one work budget: candidate pairs a neighbour count or a bulk scan tests
 # at once, or (point, row) pairs the sausage scans and merges at once; memory
-# is bounded by this, or by one point's candidates in one range or its rows
+# is bounded by this, or by one point's candidates in one range or its rows.
+# pack_cells also takes _PAIR_CHUNK // 8 points a chunk, so its float buffer
+# is _PAIR_CHUNK bytes: changing the budget changes the box-sweep chunk too
 _PAIR_CHUNK = 1 << 18
 # a greedy scan resolves in bulk rounds when its candidates total at most
 # this many a point, which also bounds the memory of its pairs; bulk won at
@@ -175,8 +177,9 @@ def pack_cells(cells, margin: int = 0, width: float | None = None, bounds=None):
 
     Keys are filled column by column in chunks of ``_PAIR_CHUNK // 8``
     points, whose float buffer takes ``_PAIR_CHUNK`` bytes: a chunk is
-    divided, floored and offset in it and cast into the key word, except
-    int64 cells and fields of 53 bits or more, which are offset in int64.
+    divided and floored in it, cast to int64, offset there (exact for every
+    field, where a float offset of 53 bits or more would round) and cast
+    into the key word.
     """
     if isinstance(cells, np.ndarray):
         # column by column: axis-0 reductions over a C-ordered (n, m) array
@@ -206,20 +209,16 @@ def pack_cells(cells, margin: int = 0, width: float | None = None, bounds=None):
     for s in range(0, n, size):
         out = keys[s:s + size]
         f, w, i = floats[:out.size], word[:out.size], wide[:out.size]
-        for col, lo, shift, b in zip(cells, mins, shifts, bits):
+        for col, lo, shift in zip(cells, mins, shifts):
             field = col[s:s + size]
             if width is not None:
                 field = np.floor(np.divide(field, width, out=f), out=f)
-            # a float offset below 2^53 from a minimum below 2^53 is exact
-            if field.dtype.kind == "f" and b < 53 and float(lo) == lo:
-                field = np.subtract(field, lo, out=f)
-            else:
-                i[...] = field
-                field = np.subtract(i, lo, out=i)
+            i[...] = field
+            np.subtract(i, lo, out=i)
             if shift == 0:
-                out[...] = field
+                out[...] = i
             else:
-                w[...] = field
+                w[...] = i
                 w <<= dtype(shift)
                 out |= w
     return keys, KeyLayout(tuple(mins), shifts)

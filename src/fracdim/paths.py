@@ -201,7 +201,7 @@ class DriftSpec:
 
 def _staircase(n: int, x: np.ndarray) -> np.ndarray:
     """Sawtooth staircase n^(-3/4) * floor(sqrt(n) * tent(n x)) with the
-    right-limit value at every jump, evaluated in place in two buffers.
+    right-limit value at every jump.
 
     ``tent`` has period 1 and equals max(x, 1-x) on [0, 1].  Where the
     pre-floor ramp sits exactly on an integer and is decreasing to the right,
@@ -210,15 +210,17 @@ def _staircase(n: int, x: np.ndarray) -> np.ndarray:
     n is a perfect square and x is dyadic, which covers every preset used
     here.
     """
+    # the formula above, operation for operation, in two n-sized buffers
+    # rather than a temporary an operation, which would be faulted in
+    # afresh each time a drift is evaluated
     fr = x * n
     u = np.floor(fr)
-    fr -= u
-    np.subtract(1.0, fr, out=u)
-    np.maximum(fr, u, out=u)
+    fr -= u  # frac(n x)
+    np.maximum(fr, np.subtract(1.0, fr, out=u), out=u)  # tent(n x)
     u *= np.sqrt(float(n))
-    lower = fr < 0.5  # descending
-    v = np.floor(u, out=fr)
-    lower &= u == v
+    lower = fr < 0.5  # on a descending ramp
+    v = np.floor(u, out=fr)  # frac(n x) is not read again
+    lower &= u == v  # ... at an integer: take the right limit, one below
     v -= lower
     v *= float(n) ** -0.75
     return v

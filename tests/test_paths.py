@@ -315,22 +315,6 @@ def test_psi_n_is_the_one_term_staircase_sum():
         assert vals.tobytes() == fd.paths._staircase(n, ts)[:, None].tobytes()
 
 
-def test_staircase_in_place_gives_the_bits_of_the_whole_array_formula():
-    def formula(n, x):
-        y = n * x
-        fr = y - np.floor(y)
-        phi = np.maximum(fr, 1.0 - fr)
-        u = np.sqrt(float(n)) * phi
-        v = np.floor(u)
-        v = np.where((fr < 0.5) & (u == v), v - 1.0, v)
-        return float(n) ** -0.75 * v
-
-    xs = np.concatenate([np.linspace(0.0, 1.0, 4097),
-                         np.random.default_rng(3).random(4096)])
-    for n in (1, 4, 16, 64, 1024, 3, 1000):
-        assert fd.paths._staircase(n, xs).tobytes() == formula(n, xs).tobytes()
-
-
 def test_staircase_frequency_bounds():
     with pytest.raises(ValueError):
         fd.DriftSpec.psi_n(0)
