@@ -60,9 +60,11 @@ floor(floor(x / eps) / 2)``, and with ``u = c - min``, ``floor((u + min) /
 2) == ((u + (min & 1)) >> 1) + (min >> 1)``; the field has room for the
 carried ``u + 1``.  Keys are never unpacked into cell rows.
 
-Cells are int64 below ``2^62`` in magnitude and float floors beyond, which
-``pack_cells`` refuses, as it refuses fields of more than 63 bits.  Box
-counting counts such grids from the cells of the points
+A cell is a float floor ``floor(x / w)`` (``cell_indices``), an exact
+integer at every magnitude; cells become integers only in ``pack_cells``,
+in ``_compact`` and in the sausage.  ``pack_cells`` refuses cells of
+``2^62`` or more in magnitude, as it refuses fields of more than 63 bits.
+Box counting counts such grids from the float floors of the points
 (``distinct_cell_count``); the scans compact them, and the sausage refuses
 cells from ``2^52`` on, whose centres are not doubles.  The scans bin the
 points on the ``_BIN_AXES`` axes of widest span: a grid too large to pack is
@@ -98,7 +100,7 @@ _BULK_CANDIDATES = 32
 # bulk rounds before the scan finishes the points still undecided: a chain
 # of close points needs a round a point
 _MAX_ROUNDS = 32
-# cell indices at least this large in magnitude stay float floors
+# pack_cells refuses cells at least this large in magnitude
 _CELL_LIMIT = 2.0 ** 62
 # packed cell keys stay below this
 _KEY_LIMIT = 1 << 63
@@ -117,32 +119,18 @@ def active_backend() -> str:
 
 
 def cell_indices(points: np.ndarray, width: float) -> np.ndarray:
-    """Grid cell per point: floor(x / width), origin-anchored.
+    """Grid cell per point: the float floors ``floor(x / width)``,
+    origin-anchored.
 
-    The cells are int64 when every floor is below ``2^62`` in magnitude, and
-    otherwise the float floors themselves (see ``_as_cells``).
+    A float floor is an exact integer at every magnitude, so it names its
+    cell exactly.  Raises ``DomainError("non-finite-cell")`` for a NaN or
+    infinite floor: a coordinate that is not finite, or an ``x / width``
+    that overflows.
     """
-    # an overflow gives an infinite floor, which _as_cells refuses
+    # an overflow gives an infinite floor, which is refused below
     with np.errstate(over="ignore"):
-        return _as_cells(np.floor(points / width))
-
-
-def _as_cells(floors: np.ndarray) -> np.ndarray:
-    """Float floors as int64 cells, or kept as floats when one of them is
-    ``2^62`` or more in magnitude.
-
-    Float floors are exact integers, so kept floats still name the cells
-    exactly; box counting de-duplicates them row-wise, and the compaction in
-    ``_compact`` turns them into small int64 offsets.  Below ``2^62``,
-    cell differences, widths and margins stay within int64.  Raises
-    ``DomainError("non-finite-cell")`` for a NaN or infinite floor: a
-    coordinate that is not finite, or an ``x / width`` that overflows.
-    """
-    lo, hi = floors.min(initial=0.0), floors.max(initial=0.0)
-    if -_CELL_LIMIT < lo and hi < _CELL_LIMIT:
-        return floors.astype(np.int64)
-    # NaN fails both comparisons above and is caught here
-    if not (np.isfinite(lo) and np.isfinite(hi)):
+        floors = np.floor(points / width)
+    if not np.isfinite(floors).all():
         raise DomainError("non-finite-cell", "floor(x / width) is not finite")
     return floors
 
@@ -159,11 +147,12 @@ class KeyLayout(NamedTuple):
 def pack_cells(cells, margin: int = 0, width: float | None = None, bounds=None):
     """Cell tuples as scalar keys of bit fields: ``(keys, layout)``.
 
-    ``cells`` is an ``(n, m)`` array or a list of ``m`` columns, of int64
-    cells or float floors, or, given a ``width``, of coordinates whose cells
-    are ``floor(x / width)`` as in ``cell_indices``.  ``bounds``, if known,
-    is each column's (min, max); with a width, their floors are the least
-    and greatest cells, as ``floor(x / width)`` is monotone in ``x``.
+    ``cells`` is an ``(n, m)`` array or a list of ``m`` columns of cells
+    (float floors, or int64 in the sausage), or, given a ``width``, of
+    coordinates whose cells are ``floor(x / width)`` as in
+    ``cell_indices``.  ``bounds``, if known, is each column's (min, max);
+    with a width, their floors are the least and greatest cells, as
+    ``floor(x / width)`` is monotone in ``x``.
 
     Axis ``a`` gets a field of ``bit_length(max_a - min_a + 2 * margin + 1)``
     bits holding ``c_a - min_a + margin``, axis 0 lowest, so
@@ -177,9 +166,9 @@ def pack_cells(cells, margin: int = 0, width: float | None = None, bounds=None):
 
     Keys are filled column by column in chunks of ``_PAIR_CHUNK // 8``
     points, whose float buffer takes ``_PAIR_CHUNK`` bytes: a chunk is
-    divided and floored in it, cast to int64, offset there (exact for every
-    field, where a float offset of 53 bits or more would round) and cast
-    into the key word.
+    divided and floored in it, cast to int64 (exact below ``2^62``), offset
+    there (exact for every field, where a float offset of 53 bits or more
+    would round) and cast into the key word.
     """
     if isinstance(cells, np.ndarray):
         # column by column: axis-0 reductions over a C-ordered (n, m) array
@@ -228,8 +217,9 @@ def _compact(cells: np.ndarray, near: int) -> np.ndarray:
     """Each axis's distinct coordinates re-ranked with steps of ``min(gap,
     near + 1)``: differences up to ``near`` are kept and larger ones stay
     larger than ``near``, and each width is at most ``(near + 1) * n``.
-    Float floors become int64 here: a difference up to ``near + 1`` of two
-    of them is computed exactly, and a larger one rounds to at least that.
+    Cells, float floors at any magnitude, become int64 ranks here: a
+    difference up to ``near + 1`` of two floors is computed exactly, and a
+    larger one rounds to at least that.
     """
     out = np.empty(cells.shape, dtype=np.int64)
     for a in range(cells.shape[1]):
@@ -521,9 +511,11 @@ def sausage_occupied_count(points: np.ndarray, r: float, cell: float) -> int:
         raise DomainError("sausage-too-fine",
                           f"r/cell = {ratio:g} in {m}-D: over {MAX_SAUSAGE_ROWS} {unit} a point")
     base = cell_indices(pts, cell)
-    # every cell scanned has a centre c + 0.5 that is a double; no float floor
+    # every cell scanned has a centre c + 0.5 that is a double; below 2^52
+    # the cast is exact, and the runs, cuts and keys stay integers from here
     if base.min() - reach < -2 ** 52 or base.max() + reach >= 2 ** 52:
         raise DomainError("cell-grid-too-large", f"cells of side {cell!r} scanned reach 2^52")
+    base = base.astype(np.int64)
     steps = np.arange(-reach, reach + 1, dtype=np.int64)
     count = 0
     compacted = False
@@ -694,7 +686,8 @@ def oscillation_counts(values: np.ndarray, n: int) -> np.ndarray:
 
 
 def distinct_cell_count(cells: np.ndarray) -> int:
-    """Number of distinct cell tuples (rows), int64 cells or float floors."""
+    """Number of distinct cell tuples (rows) of float floors, at any
+    magnitude; ``-0.0`` and ``0.0`` are one cell."""
     return len(np.unique(np.asarray(cells), axis=0))
 
 

@@ -157,7 +157,7 @@ class ScaleSeries:
     def write_csv(self, fh) -> None:
         fh.write("j,epsilon,value,kind\n")
         for e, v in zip(self.epsilons, self.values):
-            j = -math.log2(e)
+            j = 0.0 - math.log2(e)  # 0, not -0, at eps = 1
             fh.write(f"{j:.17g},{e:.17g},{v:.17g},{self.kind}\n")
 
 
@@ -237,9 +237,10 @@ def box_count(cloud: PointCloud, eps: float) -> int:
     floating point, ``floor(floor(y) / 2) == floor(y / 2)``, and the key
     layout halves each cell exactly (see ``kernels.coarser_keys``).  Above 1,
     ``x / eps`` of a tiny ``x`` could round to zero, so such scales start
-    from the points.  Cells too large for the keys (float floors, or fields
-    over 63 bits) are counted from the cells of the points, and nothing is
-    kept for the next scale.
+    from the points.  Cells too large for the keys (of 2^62 or more, or
+    fields over 63 bits) are counted as distinct rows of the float floors of
+    the points (``kernels.distinct_cell_count``), and nothing is kept for
+    the next scale.
     """
     _check_scale(eps)
     eps = float(eps)

@@ -65,7 +65,7 @@ class TimeGrid:
         if t.size == 0:
             raise DomainError("empty-grid", "a time grid needs at least one point")
         if t.ndim != 1:
-            raise DomainError("empty-grid", "times must be one-dimensional")
+            raise DomainError("bad-shape", f"times of shape {t.shape}, not one-dimensional")
         if t.size > 1 and not np.all(np.diff(t) > 0):
             raise ValueError("grid times must be strictly increasing")
         if t[0] < 0.0 or t[-1] > 1.0:

@@ -72,7 +72,9 @@ def mutations(draw):
 @given(mutations())
 def test_a_mutated_config_keeps_the_exit_contract(tmp_path_factory, mutation):
     claim, config = mutation
-    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    # a fresh file per example: truncating one in place can wait for a
+    # flush of the old contents, tens of ms a write on some file systems
+    path = tmp_path_factory.mktemp("mutation") / "mutated.json"
     path.write_text(json.dumps(config))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

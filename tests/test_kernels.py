@@ -223,7 +223,8 @@ def test_sausage_runs_match_the_row_oracle():
     for pts, r, cell in _sausage_inputs(rng):
         reach = int(np.ceil(r / cell)) + 1
         steps = np.arange(-reach, reach + 1, dtype=np.int64)
-        base = kernels.cell_indices(pts, cell)
+        # int64 cells, as the sausage casts them after its 2^52 check
+        base = kernels.cell_indices(pts, cell).astype(np.int64)
         point, row, lo, hi = kernels._row_runs(pts, base, steps, cell, r * r)
         cells = base[point, -1]
         runs = dict(zip(zip(point.tolist(), row.tolist()),
@@ -307,6 +308,33 @@ def test_oscillation_matches_oracle():
         for v in (vals, walk):
             assert kernels.oscillation_counts(v, n).tolist() == \
                 oracles.brute_oscillation_counts(v, n)
+
+
+def test_cell_indices_are_float_floors_at_every_magnitude():
+    # small, negative, signed-zero and huge coordinates all give float64
+    # floors, exact integers that name their cells
+    pts = np.array([[0.3, -0.3], [-0.0, 0.0], [-2.5, 7.0], [2.0**62, -2.0**62],
+                    [1e300, -1e300], [2.0**70 + 2.0**18, 5.0]])
+    cells = kernels.cell_indices(pts, 0.25)
+    assert cells.dtype == np.float64 and cells.shape == pts.shape
+    # so does each point alone, whatever the magnitude of the others
+    for row, point in zip(cells, pts):
+        alone = kernels.cell_indices(point[None, :], 0.25)
+        assert alone.dtype == np.float64 and alone.tobytes() == row.tobytes()
+    assert cells.tolist() == [[1.0, -2.0], [0.0, 0.0], [-10.0, 28.0], [2.0**64, -2.0**64],
+                              [4e300, -4e300], [2.0**72 + 2.0**20, 20.0]]
+    # -0.0 and 0.0 floor to one cell
+    signed = kernels.cell_indices(np.array([[-0.0], [0.0], [2.0**63]]), 1.0)
+    assert kernels.distinct_cell_count(signed) == 2
+
+
+def test_cell_indices_refuse_non_finite_floors():
+    # a NaN or infinite coordinate, or an x / width that overflows
+    for pts, width in (([[0.0], [np.nan]], 1.0), ([[np.inf, 0.0]], 1.0),
+                       ([[-np.inf, 0.0]], 0.5), ([[1e300, 0.0]], 1e-300)):
+        with pytest.raises(DomainError) as ei:
+            kernels.cell_indices(np.array(pts), width)
+        assert ei.value.code == "non-finite-cell"
 
 
 def test_distinct_cell_count_matches_oracle():
@@ -526,8 +554,9 @@ def test_scans_on_clusters_split_into_groups_match_oracles(monkeypatch):
 
 
 def test_scans_on_cells_beyond_int64_match_oracles():
-    # cells of 2^62 and more stay float floors, which the compaction turns
-    # into small int64 offsets; the sausage refuses cells from 2^52 on
+    # cells of 2^62 and more do not pack, and the compaction turns their
+    # float floors into small int64 offsets; the sausage refuses cells from
+    # 2^52 on
     for pts in ([[0.0], [1e300], [1e300], [-1e18], [1e18], [-1e300]],
                 [[0.0, 1e300], [0.01, 1e300], [-1e18, 0.0], [1e18, 0.05], [1e18, 0.0]]):
         pts = np.array(pts)

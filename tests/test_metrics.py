@@ -606,6 +606,10 @@ def test_scale_series_validation_and_csv():
     lines = buf.getvalue().splitlines()
     assert lines[0] == "j,epsilon,value,kind"
     assert lines[1] == "2,0.25,4,box"
+    # eps = 1 is j = 0, written without the sign of -log2(1) = -0.0
+    buf = io.StringIO()
+    fd.ScaleSeries("box", np.array([1.0, 0.5]), np.array([3.0, 7.0])).write_csv(buf)
+    assert buf.getvalue().splitlines()[1:] == ["0,1,3,box", "1,0.5,7,box"]
 
 
 def test_dimension_estimate_json_fields():

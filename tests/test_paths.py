@@ -77,6 +77,15 @@ def test_empty_grid_error():
     assert ei.value.code == "empty-grid"
 
 
+def test_times_of_another_shape_are_a_bad_shape():
+    # a wrong array shape is its own fault, as for point clouds; [] stays an
+    # empty grid (test_empty_grid_error)
+    for times in ([[0.0, 0.5], [0.75, 1.0]], [[0.5]], np.zeros((3, 1, 1))):
+        with pytest.raises(DomainError) as ei:
+            fd.TimeGrid(times)
+        assert ei.value.code == "bad-shape"
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         fd.TimeGrid([0.0, 0.5, 0.5])
