@@ -12,9 +12,16 @@ points), d and seed, the drift on the grid, d and drift, the sum on both,
 and each estimate also on the sweep (scales, methods, refine).
 ``seed_estimates`` keeps every object's estimates in one memo under exactly
 those inputs and measures only what the memo lacks, so the grid and the
-drift's values are built once per (set, points, d, drift).  This is exact:
-a sweep of the same cloud gives the same bytes, so every estimate equals
-the one computed from scratch.
+drift's values are built once per (set, points, d, drift), from the grid
+alone.  This is exact: a sweep of the same cloud gives the same bytes, so
+every estimate equals the one computed from scratch.
+
+The seeds share nothing but the grid and the drift, so an experiment fills
+the memo on two threads before it reads it in seed order: the calling
+thread and one worker take jobs from one list, the drift's and one per
+seed for its noise and sum (``_prefill``).  numpy releases the GIL in the
+draws, sums, sorts and packing that take most of the time, and the bytes
+are those of a serial run, as is the error of a failing seed.
 
 The claims registry ``CLAIMS`` is a table with one check per claim id:
 constancy, thm13-image, thm15-graph, thm16-equality, cor14-bound,
@@ -30,6 +37,8 @@ import importlib.resources
 import json
 import math
 import sys
+import threading
+from collections import namedtuple
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
@@ -54,7 +63,16 @@ from .metrics import (
     image_cloud,
     scale_sweep,
 )
-from .paths import DriftSpec, TimeGrid, apply_drift, check_path_shape, generate_bm
+# ``apply_drift`` is not called here, but the perfbench tracer wraps it
+# where ``experiments`` and ``cli`` look it up
+from .paths import (
+    DriftSpec,
+    TimeGrid,
+    apply_drift,
+    check_path_shape,
+    drift_on_grid,
+    generate_bm,
+)
 
 _METHOD_KINDS = {
     "box": "box",
@@ -303,41 +321,134 @@ def _estimates(cfg: ExperimentConfig, clouds: dict) -> dict:
     }
 
 
+def _setup_key(cfg: ExperimentConfig) -> tuple:
+    """The memo key of the grid and the drift's values: (grid, d, drift),
+    with the grid as (set, points)."""
+    kind, params = parse_set_string(cfg.set)
+    return (kind, params.get("beta"), cfg.points, cfg.d), cfg.drift_spec
+
+
+def _memo_keys(cfg: ExperimentConfig, seed) -> dict:
+    """The memo key of each object's estimates for ``seed``, under the
+    inputs it depends on, with the sweep as (scales, methods, refine): the
+    noise's under (grid, d, sweep, seed), the drift's under (grid, d,
+    drift, sweep) and the sum's under both.  A zero drift has no drift or
+    sum."""
+    setup = _setup_key(cfg)
+    sweep = (cfg.scales, cfg.methods, cfg.refine)
+    keys = {"bm": ("bm", setup[0], sweep, seed)}
+    if not cfg.drift_spec.is_zero:
+        keys.update(drift=("drift", setup, sweep), sum=("sum", setup, sweep, seed))
+    return keys
+
+
+# The grid and the drift's values on it: all of a path that the drift's
+# clouds read, so the drift is measured on it with no noise drawn.
+_Setup = namedtuple("_Setup", "grid drift_values")
+
+
+def _setup(cfg: ExperimentConfig, memo: dict) -> _Setup:
+    """The grid of ``cfg`` and its drift's values, built from the grid alone
+    once per (grid, d, drift) and kept in ``memo``."""
+    key = _setup_key(cfg)
+    if key not in memo:
+        grid = build_grid(cfg.set, cfg.points)
+        memo[key] = _Setup(grid, drift_on_grid(cfg.drift_spec, grid, cfg.d))
+    return memo[key]
+
+
+def _measure(cfg: ExperimentConfig, seed: int, memo: dict, objs: list) -> None:
+    """Measure the objects ``objs`` (of bm, drift and sum, in that order) of
+    ``seed`` and store each one's estimates in ``memo``.
+
+    The drift is measured on the setup alone.  The noise is drawn only for
+    bm or sum, with the setup's drift values attached, and the path is
+    dropped once the sum's clouds are built: they hold only the path's
+    noise plus drift and the grid's times, so the sum's sweeps hold one
+    array of the path's size, not two.
+    """
+    keys = _memo_keys(cfg, seed)
+    setup = _setup(cfg, memo)
+    path = (generate_bm(setup.grid, cfg.d, seed, setup.drift_values)
+            if {"bm", "sum"} & set(objs) else None)
+    builders = {"bm": (bm_image_cloud, bm_graph_cloud), "sum": (image_cloud, graph_cloud),
+                "drift": (drift_image_cloud, drift_graph_cloud)}
+    for obj in objs:
+        image, graph = builders[obj]
+        source = setup if obj == "drift" else path
+        clouds = {f"image_{obj}": image(source), f"graph_{obj}": graph(source)}
+        if obj == "sum":
+            path = source = None  # the noise is no longer needed
+        memo[keys[obj]] = _estimates(cfg, clouds)
+
+
 def seed_estimates(cfg: ExperimentConfig, seed: int, memo: dict) -> dict:
     """All requested estimates for one seed; pure in (cfg, seed).
 
     ``memo`` keeps the estimates of each object under the inputs it depends
-    on, with the grid as (set, points) and the sweep as (scales, methods,
-    refine): the noise's under (grid, d, sweep, seed), the drift's under
-    (grid, d, drift, sweep) and the sum's under both.  Under (grid, d, drift)
-    it keeps the grid and the drift's values.  The objects it lacks are
-    measured on the seed's noise with those drift values attached, which is
-    the path ``apply_drift`` builds, and stored in it; only the first seed of
-    a setup draws its noise with a zero drift.
+    on (``_memo_keys``), and the grid and the drift's values under (grid,
+    d, drift) (``_setup_key``).  The objects it lacks are measured
+    (``_measure``) and stored in it.  ``run_experiment`` fills the memo for
+    all its seeds on two threads (``_prefill``) before it calls this once
+    per seed, in seed order, so there every call finds them, unless a
+    seed's job failed: then this call measures that seed again and raises
+    its error.
     """
-    kind, params = parse_set_string(cfg.set)
-    grid_d = (kind, params.get("beta"), cfg.points, cfg.d)
-    sweep = (cfg.scales, cfg.methods, cfg.refine)
-    setup = (grid_d, cfg.drift_spec)
-    keys = {"bm": ("bm", grid_d, sweep, seed)}
-    if not cfg.drift_spec.is_zero:
-        keys.update(drift=("drift", setup, sweep), sum=("sum", setup, sweep, seed))
+    keys = _memo_keys(cfg, seed)
     missing = [obj for obj, key in keys.items() if key not in memo]
-    if missing:  # a drift is missing only with its sums, so every miss needs the noise
-        if setup in memo:
-            grid, drift_values = memo[setup]
-            path = generate_bm(grid, cfg.d, seed, drift_values)
-        else:
-            path = apply_drift(generate_bm(build_grid(cfg.set, cfg.points), cfg.d, seed),
-                               cfg.drift_spec)
-            memo[setup] = path.grid, path.drift_values
-        clouds = {"bm": (bm_image_cloud, bm_graph_cloud), "sum": (image_cloud, graph_cloud),
-                  "drift": (drift_image_cloud, drift_graph_cloud)}
-        for obj in missing:
-            image, graph = clouds[obj]
-            memo[keys[obj]] = _estimates(cfg, {f"image_{obj}": image(path),
-                                               f"graph_{obj}": graph(path)})
+    if missing:
+        _measure(cfg, seed, memo, missing)
     return {name: dict(per) for key in keys.values() for name, per in memo[key].items()}
+
+
+def _prefill(cfg: ExperimentConfig, memo: dict) -> None:
+    """Fill ``memo`` with the estimates that the seeds of ``cfg`` lack, on
+    the calling thread and one worker thread.
+
+    The setup is built first, on the calling thread.  Then both threads take
+    jobs from one iterator: the drift's, and one per seed for its noise and
+    sum, so no two threads write one memo key.  numpy releases the GIL in
+    the draws, sums and sorts that take most of the time.  A job that raises
+    a ``ValueError`` leaves its objects out of the memo; the caller's
+    in-order loop measures them again and raises the error there, for the
+    first failing seed in seed order, as a serial run would.  Any other
+    exception stops both threads and is raised here once the worker has
+    ended; the worker never outlives the call.
+    """
+    try:
+        _setup(cfg, memo)
+    except ValueError:
+        return  # raised again at the first seed
+    first = _memo_keys(cfg, cfg.seeds[0])
+    jobs = [(cfg.seeds[0], ["drift"])] if "drift" in first and first["drift"] not in memo else []
+    for seed in cfg.seeds:
+        keys = _memo_keys(cfg, seed)
+        objs = [obj for obj in ("bm", "sum") if obj in keys and keys[obj] not in memo]
+        if objs:
+            jobs.append((seed, objs))
+    pending = iter(jobs)  # a list iterator hands each job to one thread
+    failed = []
+
+    def work():
+        try:
+            for seed, objs in pending:
+                try:
+                    _measure(cfg, seed, memo, objs)
+                except ValueError:
+                    pass  # measured again, and raised, by the in-order loop
+        except BaseException as exc:  # raised again below, on the calling thread
+            failed.append(exc)
+            for _ in pending:  # the other thread starts no further job
+                pass
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    try:
+        work()
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
 
 
 def _prefixed(exc: ValueError, prefix: str) -> ValueError:
@@ -355,6 +466,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 def _run_experiment(cfg: ExperimentConfig, memo: dict) -> ExperimentReport:
     """``run_experiment`` reading and filling the estimate memo of
     ``seed_estimates``."""
+    _prefill(cfg, memo)
     per_seed = []
     slopes: dict = {}
     for seed in cfg.seeds:

@@ -53,8 +53,9 @@ least and greatest cells are the floors of each column's bounds, as
 distinct keys (``box_keys``, margin 0), packed from a cloud's columns with
 no temporary the size of the cloud.  A sweep over the scales ``eps, 2 *
 eps, 4 * eps, ...`` floors the points only at the finest scale: each coarser
-scale halves the keys of the one before in place (``coarser_keys``), then
-sorts them and drops adjacent duplicates.  This is exact: ``x / eps`` and ``x
+scale halves the keys of the one before into one new array (``coarser_keys``
+adds the carries into it, then shifts and masks it in place), then sorts it
+and drops adjacent duplicates.  This is exact: ``x / eps`` and ``x
 / (2 * eps)`` differ by an exact factor 2, so ``floor(x / (2 * eps)) ==
 floor(floor(x / eps) / 2)``, and with ``u = c - min``, ``floor((u + min) /
 2) == ((u + (min & 1)) >> 1) + (min >> 1)``; the field has room for the

@@ -228,7 +228,7 @@ def box_count(cloud: PointCloud, eps: float) -> int:
 
     The cloud keeps the cells of its last box count as sorted distinct packed
     keys (``kernels.box_keys``).  When that count was at ``eps / 2`` and
-    ``eps <= 1``, the cells are those keys halved in place
+    ``eps <= 1``, the cells are those keys halved into one new array
     (``kernels.coarser_keys``), not the cells of every point, so a sweep from
     the finest scale to the coarsest floors and sorts all points once and
     then ever fewer keys, never unpacking them into cell rows (after

@@ -294,7 +294,10 @@ def generate_bm(grid: TimeGrid, d: int, seed: int, drift_values=None) -> SampleP
     place.  ``drift_values`` are the path's drift, zeros when omitted.
     """
     check_path_shape(len(grid), d)
-    scale = np.diff(grid.times, prepend=0.0)
+    t = grid.times
+    scale = np.empty_like(t)  # the time steps from 0, then their roots
+    scale[0] = t[0]
+    np.subtract(t[1:], t[:-1], out=scale[1:])
     np.sqrt(scale, out=scale)
     values = np.empty((scale.size, d))
     stream(seed, 0).standard_normal(out=values)
@@ -325,14 +328,20 @@ def levy_construct(depth: int, d: int, seed: int) -> SamplePath:
     return SamplePath(grid, d, frozen(values), frozen(np.zeros_like(values)), int(seed), "levy")
 
 
+def drift_on_grid(spec: DriftSpec, grid: TimeGrid, d: int) -> np.ndarray:
+    """The read-only ``(len(grid), d)`` values of the drift at the grid's
+    times; a drift of another dimension than ``d`` but zero is a
+    ``dim-mismatch``."""
+    if spec.variant != "zero" and spec.dim != d:
+        raise DomainError("dim-mismatch", f"drift dim {spec.dim} vs path dim {d}")
+    if spec.variant == "zero":
+        return frozen(np.zeros((len(grid), d)))
+    return frozen(eval_drift(spec, grid.times))
+
+
 def apply_drift(path: SamplePath, spec: DriftSpec) -> SamplePath:
     """Fill a path's drift values by evaluating the drift on its grid."""
-    if spec.variant != "zero" and spec.dim != path.dim:
-        raise DomainError("dim-mismatch", f"drift dim {spec.dim} vs path dim {path.dim}")
-    drift = eval_drift(spec, path.grid.times)
-    if spec.variant == "zero":
-        drift = np.zeros((len(path.grid), path.dim))
-    return replace(path, drift_values=frozen(drift))
+    return replace(path, drift_values=drift_on_grid(spec, path.grid, path.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """Experiment orchestration: structure, determinism, checks, registry."""
 
 import hashlib
+import json
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import fracdim as fd
-from fracdim import experiments
+from fracdim import cli, experiments
 from fracdim.constructions import parse_schedule
 from fracdim.errors import DomainError
 from fracdim.experiments import (
@@ -348,23 +352,35 @@ def test_run_claims_matches_per_claim_runs():
 def recorded(monkeypatch) -> dict:
     """Lists that running experiments fill in: ``measured`` an (experiment,
     seed, kind) triple for each object kind (bm, drift or sum) whose image
-    and graph ``_estimates`` measures, ``swept`` the cloud digest and the
-    arguments of each scale sweep, ``grids`` the arguments of each
-    ``build_grid``, ``noises`` the seed of each ``generate_bm``, ``drifted``
-    whether it was given drift values, and ``seeds`` the (experiment, seed)
-    of each ``seed_estimates`` call."""
+    and graph ``_estimates`` measures, the seed being that of the
+    ``_measure`` call it runs in on its thread, ``swept`` the cloud digest
+    and the arguments of each scale sweep, ``grids`` the arguments of each
+    ``build_grid``, ``noises`` the seed of each ``generate_bm``,
+    ``drifted`` whether it was given drift values, and ``seeds`` the
+    (experiment, seed) of each ``seed_estimates`` call.  Seeds are measured
+    on two threads, so the order of ``measured``, ``swept`` and ``noises``
+    within one experiment is that of thread timing."""
     seen = {"measured": [], "swept": [], "grids": [], "noises": [], "drifted": [], "seeds": []}
     real = {name: getattr(experiments, name) for name in
-            ("seed_estimates", "_estimates", "scale_sweep", "build_grid", "generate_bm")}
+            ("seed_estimates", "_measure", "_estimates", "scale_sweep", "build_grid",
+             "generate_bm")}
+    job = threading.local()
 
     def seed_estimates(cfg, seed, memo):
         seen["seeds"].append((cfg.name, seed))
         return real["seed_estimates"](cfg, seed, memo)
 
+    def measure(cfg, seed, memo, objs):
+        job.seed = (cfg.name, seed)
+        try:
+            return real["_measure"](cfg, seed, memo, objs)
+        finally:
+            del job.seed
+
     def estimates(cfg, clouds):
         kinds = {obj.split("_")[1] for obj in clouds}
         assert len(kinds) == 1 and len(clouds) == 2
-        seen["measured"].append((*seen["seeds"][-1], *kinds))
+        seen["measured"].append((*job.seed, *kinds))
         return real["_estimates"](cfg, clouds)
 
     def sweep(cloud, *args, **kwargs):
@@ -381,11 +397,18 @@ def recorded(monkeypatch) -> dict:
         seen["drifted"].append(bool(drift_values))
         return real["generate_bm"](grid, d, seed, *drift_values)
 
-    for name, wrapper in (("seed_estimates", seed_estimates), ("_estimates", estimates),
-                          ("scale_sweep", sweep), ("build_grid", build_grid),
-                          ("generate_bm", generate_bm)):
+    for name, wrapper in (("seed_estimates", seed_estimates), ("_measure", measure),
+                          ("_estimates", estimates), ("scale_sweep", sweep),
+                          ("build_grid", build_grid), ("generate_bm", generate_bm)):
         monkeypatch.setattr(experiments, name, wrapper)
     return seen
+
+
+def in_claim_order(measured) -> list:
+    """``measured`` sorted within each experiment, whose order is that of
+    thread timing, with the experiments kept in the order they ran."""
+    runs = list(dict.fromkeys(m[0] for m in measured))
+    return sorted(measured, key=lambda m: (runs.index(m[0]), m[1:]))
 
 
 def test_run_claims_measures_each_object_once_per_distinct_inputs(monkeypatch):
@@ -400,7 +423,9 @@ def test_run_claims_measures_each_object_once_per_distinct_inputs(monkeypatch):
         for values in seen.values():
             values.clear()
         run_claims(SHARED_CLAIMS, shared_run_config())
-        assert seen["measured"] == once
+        # each experiment's seeds end before the next experiment starts
+        assert [m[0] for m in seen["measured"]] == [m[0] for m in once]
+        assert in_claim_order(seen["measured"]) == once
         assert not [m for m in seen["measured"] if m[0] == "thm16-equality" and m[2] == "bm"]
         # one box sweep of the image and one of the graph per object, each of
         # a cloud no other sweep sees
@@ -408,9 +433,12 @@ def test_run_claims_measures_each_object_once_per_distinct_inputs(monkeypatch):
         # one grid per (set, points, d, drift): psi_n:16, linear:5.0, the examples' drift
         assert seen["grids"] == [("uniform", 2**9 + 1)] * 3
         # a noise for each seed with an object to measure: none for thm15-graph
-        assert seen["noises"] == [*range(1, 9), 1, 2, 3, 4, 3, 4]
-        # still one seed_estimates call per (claim, seed)
-        assert len(seen["seeds"]) == 8 + 4 + 4 + 2 + 2
+        assert sorted(seen["noises"]) == sorted([*range(1, 9), 1, 2, 3, 4, 3, 4])
+        # still one seed_estimates call per (claim, seed), in seed order
+        assert seen["seeds"] == [*(("constancy", s) for s in range(1, 9)),
+                                 *(("thm15-graph", s) for s in range(1, 5)),
+                                 *(("thm16-equality", s) for s in range(1, 5)),
+                                 ("example", 3), ("example", 4), ("example", 3), ("example", 4)]
 
 
 def test_grid_and_drift_values_are_built_once_per_distinct_setup(monkeypatch):
@@ -445,13 +473,13 @@ def test_grid_and_drift_values_are_built_once_per_distinct_setup(monkeypatch):
             for values in seen.values():
                 values.clear()
             runs()
-            assert seen["measured"] == measured
+            assert in_claim_order(seen["measured"]) == measured
             assert seen["grids"] == [("uniform", 2**9 + 1)]
             started = dict.fromkeys((name, seed) for name, seed, _ in measured)
-            assert seen["noises"] == [seed for _, seed in started]
-            # only the setup's first noise comes with a zero drift; every
-            # later one gets the memo's drift values
-            assert seen["drifted"] == [False] + [True] * (len(started) - 1)
+            assert sorted(seen["noises"]) == sorted(seed for _, seed in started)
+            # the drift's values are built from the grid alone, so no noise
+            # comes with a zero drift: every one gets the memo's drift values
+            assert seen["drifted"] == [True] * len(started)
             assert len(seen["swept"]) == 2 * len(measured) == len(set(seen["swept"]))
 
 
@@ -626,11 +654,83 @@ GOLDEN_DIGESTS = {
 }
 
 
-def test_claim_reports_keep_their_bytes():
+def golden_digests() -> dict:
     reports = run_claims(fd.CLAIM_IDS, golden_config())
-    digests = {claim: hashlib.sha256(report.to_json().encode()).hexdigest()
-               for claim, report in reports.items()}
+    return {claim: hashlib.sha256(report.to_json().encode()).hexdigest()
+            for claim, report in reports.items()}
+
+
+def test_claim_reports_keep_their_bytes():
+    assert golden_digests() == GOLDEN_DIGESTS
+
+
+def test_claim_reports_keep_their_bytes_when_threads_switch_often():
+    # seeds are measured on two threads; switching between them every
+    # microsecond tries other interleavings than the default 5 ms does
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        digests = golden_digests()
+    finally:
+        sys.setswitchinterval(interval)
     assert digests == GOLDEN_DIGESTS
+
+
+def noise_failing_on(monkeypatch, fail):
+    """Make ``generate_bm`` call ``fail(seed)`` first, which may raise."""
+    real = experiments.generate_bm
+
+    def generate_bm(grid, d, seed, *drift_values):
+        fail(seed)
+        return real(grid, d, seed, *drift_values)
+
+    monkeypatch.setattr(experiments, "generate_bm", generate_bm)
+
+
+def test_the_first_failing_seed_in_seed_order_is_reported(monkeypatch, capsys, tmp_path):
+    def fail(seed):
+        if seed == 7:
+            time.sleep(0.05)  # so that seed 8 most likely fails first
+        if seed in (7, 8):
+            raise DomainError("bad-noise", f"no noise for seed {seed}")
+
+    noise_failing_on(monkeypatch, fail)
+    small = {"drift": "psi_n:16", "points": 2**9 + 1, "scales": [3, 7],
+             "seeds": list(range(5, 13))}
+    config = {"tolerances": dict(TOLERANCES), "experiments": {"constancy": small}}
+    before = threading.active_count()
+    for _ in range(3):
+        with pytest.raises(DomainError) as ei:
+            run_claims(["constancy"], config)
+        assert ei.value.code == "bad-noise"
+        assert ei.value.detail == "claim 'constancy': seed 7: no noise for seed 7"
+        assert threading.active_count() == before
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["experiment", "--name", "constancy", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad-noise: claim 'constancy': seed 7: no noise for seed 7\n")
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_an_error_that_is_no_value_error_reaches_the_caller(monkeypatch, failing):
+    # each thread waits in its first seed until the other one has started
+    # one, so that both have a job whichever starts first
+    started = [threading.Event(), threading.Event()]
+
+    def fail(seed):
+        caller = threading.current_thread() is threading.main_thread()
+        started[caller].set()
+        assert started[not caller].wait(10)
+        if (failing == "caller") == caller:
+            raise RuntimeError(f"{failing} failed at seed {seed}")
+
+    noise_failing_on(monkeypatch, fail)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"^{failing} failed at seed "):
+        run_experiment(small_config(seeds=tuple(range(1, 9))))
+    assert threading.active_count() == before
 
 
 def test_run_claims_keeps_different_custom_schedules_apart():
