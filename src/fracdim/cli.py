@@ -212,7 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_dims.add_argument("--input", default=None, help="sample-path CSV to analyse")
     p_dims.add_argument("--object", choices=["image", "graph"], default="graph")
     p_dims.add_argument("--method", choices=list(_METHOD_KINDS), default="box")
-    p_dims.add_argument("--scales", default="4:10", help="jmin:jmax for eps = 2^-j")
+    p_dims.add_argument("--scales", default="4:10",
+                        help="jmin:jmax for eps = 2^-j, each j in [-1023, 1074]; write a "
+                             "negative jmin as --scales=-2:3, since a separate -2:3 reads "
+                             "as a flag")
     p_dims.add_argument("--refine", type=int, default=4, help="sausage grid refinement")
     p_dims.add_argument("--out", default=None, help="prefix for .csv/.json outputs")
     p_dims.set_defaults(func=cmd_dims)

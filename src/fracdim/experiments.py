@@ -23,6 +23,11 @@ seed for its noise and sum (``_prefill``).  numpy releases the GIL in the
 draws, sums, sorts and packing that take most of the time, and the bytes
 are those of a serial run, as is the error of a failing seed.
 
+An object's image is its graph with the time axis dropped, so the image's
+box sweep counts the graph's box pyramid projected onto it
+(``_estimates``): a seed floors, packs and sorts the points of its graphs
+only.
+
 The claims registry ``CLAIMS`` is a table with one check per claim id:
 constancy, thm13-image, thm15-graph, thm16-equality, cor14-bound,
 example-53, example-74-directional.  ``run_claims`` shares one memo between
@@ -43,6 +48,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
+from . import kernels
 from .constructions import (
     inverse_power_grid,
     lacunary_tail_bound,
@@ -309,16 +315,38 @@ def _method_applies(method: str, obj: str, cloud: PointCloud, cfg: ExperimentCon
 
 
 def _estimates(cfg: ExperimentConfig, clouds: dict) -> dict:
-    """``{object: {method: estimate}}`` for every method that applies."""
+    """``{object: {method: estimate}}`` for every method that applies, for
+    the image and the graph of one kind (``image_<kind>``, ``graph_<kind>``).
+
+    The graph is swept first.  Its box sweep counts its pyramid
+    (``kernels.box_pyramid``), and each scale's keys are projected onto the
+    image as they go by (``kernels.drop_first_axis``): the image is the
+    graph with its time axis dropped, so its occupied boxes are the
+    projections of the graph's.  The image's box sweep counts those, and its
+    own cells at a scale where the graph's were refused.  Only the
+    projections outlive the graph's sweep.
+    """
     j_min, j_max = cfg.scales
-    return {
-        obj: {
-            method: estimate_dimension(
-                scale_sweep(cloud, _METHOD_KINDS[method], j_min, j_max, refine=cfg.refine))
-            for method in cfg.methods if _method_applies(method, obj, cloud, cfg)
-        }
-        for obj, cloud in clouds.items()
-    }
+    projected = []
+
+    def box_cells(obj: str, cloud: PointCloud):
+        if obj.startswith("image"):
+            yield from projected
+            return
+        projected.clear()
+        for boxes in kernels.box_pyramid(cloud.columns, j_min, j_max, cloud.bounds):
+            projected.append(boxes and kernels.drop_first_axis(*boxes))
+            yield boxes
+
+    ests = {}
+    for obj in sorted(clouds):  # graph_<kind> before image_<kind>
+        cloud, ests[obj] = clouds[obj], {}
+        for method in cfg.methods:
+            if _method_applies(method, obj, cloud, cfg):
+                known = {"cells": box_cells(obj, cloud)} if method == "box" else {}
+                ests[obj][method] = estimate_dimension(scale_sweep(
+                    cloud, _METHOD_KINDS[method], j_min, j_max, refine=cfg.refine, **known))
+    return {obj: ests[obj] for obj in clouds}
 
 
 def _setup_key(cfg: ExperimentConfig) -> tuple:

@@ -52,14 +52,18 @@ least and greatest cells are the floors of each column's bounds, as
 ``floor(x / w)`` is monotone.  Box counts keep the occupied cells as sorted
 distinct keys (``box_keys``, margin 0), packed from a cloud's columns with
 no temporary the size of the cloud.  A sweep over the scales ``eps, 2 *
-eps, 4 * eps, ...`` floors the points only at the finest scale: each coarser
-scale halves the keys of the one before into one new array (``coarser_keys``
-adds the carries into it, then shifts and masks it in place), then sorts it
-and drops adjacent duplicates.  This is exact: ``x / eps`` and ``x
-/ (2 * eps)`` differ by an exact factor 2, so ``floor(x / (2 * eps)) ==
-floor(floor(x / eps) / 2)``, and with ``u = c - min``, ``floor((u + min) /
-2) == ((u + (min & 1)) >> 1) + (min >> 1)``; the field has room for the
-carried ``u + 1``.  Keys are never unpacked into cell rows.
+eps, 4 * eps, ...`` is one pure pyramid (``box_pyramid``), which floors the
+points only at the finest scale: each coarser scale halves the keys of the
+one before into one new array (``coarser_keys`` adds the carries into it,
+then shifts and masks it in place), then sorts it and drops adjacent
+duplicates.  This is exact: ``x / eps`` and ``x / (2 * eps)`` differ by an
+exact factor 2, so ``floor(x / (2 * eps)) == floor(floor(x / eps) / 2)``,
+and with ``u = c - min``, ``floor((u + min) / 2) == ((u + (min & 1)) >> 1)
++ (min >> 1)``; the field has room for the carried ``u + 1``.  Keys are
+never unpacked into cell rows.  The cells of an image are those of its
+graph with the time axis, the lowest field, dropped: the graph's sorted
+keys shifted right past that field stay sorted, so dropping the adjacent
+repeats gives the image's keys with no sort (``drop_first_axis``).
 
 A cell is a float floor ``floor(x / w)`` (``cell_indices``), an exact
 integer at every magnitude; cells become integers only in ``pack_cells``,
@@ -76,6 +80,7 @@ pieces that count their own cells (``sausage_occupied_count``).
 """
 
 import itertools
+import math
 import sys
 from typing import NamedTuple
 
@@ -139,10 +144,11 @@ def cell_indices(points: np.ndarray, width: float) -> np.ndarray:
 class KeyLayout(NamedTuple):
     """Where each axis sits in a packed cell key: the cell of axis ``a`` is
     ``mins[a]`` plus the bits of the key from ``shifts[a]`` up to the next
-    field."""
+    field, and the fields take ``bits`` bits in all."""
 
     mins: tuple  # Python ints
     shifts: tuple  # axis 0 at bit 0
+    bits: int  # the keys are uint32 up to 32 bits and uint64 above
 
 
 def pack_cells(cells, margin: int = 0, width: float | None = None, bounds=None):
@@ -211,7 +217,7 @@ def pack_cells(cells, margin: int = 0, width: float | None = None, bounds=None):
                 w[...] = i
                 w <<= dtype(shift)
                 out |= w
-    return keys, KeyLayout(tuple(mins), shifts)
+    return keys, KeyLayout(tuple(mins), shifts, sum(bits))
 
 
 def _compact(cells: np.ndarray, near: int) -> np.ndarray:
@@ -709,7 +715,8 @@ def box_keys(points, eps: float, bounds=None):
         keys, layout = pack_cells(points, 0, eps, bounds)
     except DomainError:
         return None
-    return _sorted_distinct(keys), layout
+    keys.sort()
+    return _distinct(keys), layout
 
 
 def coarser_keys(keys: np.ndarray, layout: KeyLayout):
@@ -730,17 +737,63 @@ def coarser_keys(keys: np.ndarray, layout: KeyLayout):
     halved = keys + word(carry)
     halved >>= word(1)
     halved &= ~word(below)
-    return (_sorted_distinct(halved),
-            KeyLayout(tuple(lo >> 1 for lo in layout.mins), layout.shifts))
+    halved.sort()
+    return _distinct(halved), layout._replace(mins=tuple(lo >> 1 for lo in layout.mins))
 
 
-def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of ``keys``, sorted; ``keys`` is sorted in place.
+def box_pyramid(points, j_min: int, j_max: int, bounds=None):
+    """The occupied cells of the points at the scales ``eps = 2^-j`` for ``j
+    = j_max, j_max - 1, ..., j_min``, finest first: for each scale the
+    ``(keys, layout)`` of ``box_keys``, or ``None`` where it refuses them.
 
-    Sort and mask: several times faster than ``np.unique``, and
-    ``np.compress`` is several times faster than boolean indexing.
+    ``points`` and ``bounds`` are as in ``box_keys``.  The finest scale, any
+    scale above 1 and any scale after a refused one are packed from the
+    points (``box_keys``); every other scale halves the keys of the one
+    before (``coarser_keys``), with the same cells: ``x / eps`` is ``x / (eps
+    / 2)`` halved exactly in binary floating point, and ``floor(floor(y) /
+    2) == floor(y / 2)``.  Above 1, ``x / eps`` of a tiny ``x`` could round
+    to zero, so such scales start from the points.  A sweep thus floors and
+    sorts all the points once and then ever fewer keys, never unpacking them
+    into cell rows (after Liebovitch & Toth, Phys. Lett. A 141, 1989).
+    Between yields it holds one scale's keys.
     """
-    keys.sort()
+    boxes = None
+    for j in range(j_max, j_min - 1, -1):
+        if boxes is None or j < 0:
+            boxes = box_keys(points, math.ldexp(1.0, -j), bounds)
+        else:
+            boxes = coarser_keys(*boxes)
+        yield boxes
+
+
+def drop_first_axis(keys: np.ndarray, layout: KeyLayout):
+    """The cells of sorted distinct keys of two or more axes with axis 0
+    dropped: ``(keys, layout)``, sorted and distinct, with no sort.
+
+    Axis 0 is the lowest field, so shifting every key right by
+    ``shifts[1]`` drops it and keeps the keys sorted: equal cells are
+    adjacent, and one compare and one ``np.compress`` drop the repeats.  The
+    layout is ``mins[1:]`` with the shifts moved down by ``shifts[1]``, and
+    the keys are narrowed to ``uint32`` when the fields left take at most
+    32 bits, as ``pack_cells`` would pack them.  So the keys of ``box_keys``
+    of the points without their axis 0 come out bit for bit, as do those of
+    the same halvings of both (``coarser_keys``): each halving acts on each
+    field alone.
+    """
+    shift = layout.shifts[1]
+    projected = _distinct(keys >> keys.dtype.type(shift))
+    bits = layout.bits - shift
+    if bits <= 32:
+        projected = projected.astype(np.uint32, copy=False)
+    return projected, KeyLayout(layout.mins[1:], tuple(s - shift for s in layout.shifts[1:]),
+                                bits)
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of sorted ``keys``: one compare of adjacent keys
+    and one ``np.compress``.  Sorting and this are several times faster than
+    ``np.unique``, and ``np.compress`` is several times faster than boolean
+    indexing."""
     first = np.empty(keys.size, dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])

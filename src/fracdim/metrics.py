@@ -8,15 +8,17 @@ union of r-balls), and per-column oscillation counts for graphs of sampled
 lower/upper/least-squares slope estimates in log2 space.
 
 A ``PointCloud`` holds its coordinate columns, a graph's shared with its
-path, and box counts floor and pack them a chunk at a time.
+path, and box counts floor and pack them a chunk at a time.  A box sweep
+counts one pure pyramid of packed keys (``kernels.box_pyramid``), or cells
+it is given: an image's, projected from its graph's pyramid.
 
 Conventions fixed here for reproducibility:
 
 * boxes are half-open ``[k*eps, (k+1)*eps)`` anchored at the origin; values
   exactly on a boundary go to the higher-index cell.  A box sweep counts from
   the finest scale to the coarsest, and each scale halves the packed keys of
-  the distinct cells of the one before (see ``box_count``), with the same
-  counts as from the points;
+  the distinct cells of the one before (see ``kernels.box_pyramid``), with
+  the same counts as from the points;
 * packing is greedy maximal (scan order), which preserves dimension exponents
   although it can undercount the true maximum by a constant factor;
 * sausage grids are anchored at the origin with cells of side r/q, so volume
@@ -52,8 +54,6 @@ class PointCloud:
 
     columns: tuple  # m read-only float64 arrays of n coordinates
     bounds: tuple  # (min, max) of each column
-    # (eps, keys, layout) of the last box count, see ``box_count``
-    _boxes: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def from_points(points) -> "PointCloud":
@@ -223,37 +223,27 @@ def packing_number(cloud: PointCloud, eps: float) -> int:
     return int(packing_indices(cloud, eps).size)
 
 
-def box_count(cloud: PointCloud, eps: float) -> int:
+def box_count(cloud: PointCloud, eps: float, cells=None) -> int:
     """Occupied half-open cells [k*eps,(k+1)*eps)^m, anchored at the origin.
 
-    The cloud keeps the cells of its last box count as sorted distinct packed
-    keys (``kernels.box_keys``).  When that count was at ``eps / 2`` and
-    ``eps <= 1``, the cells are those keys halved into one new array
-    (``kernels.coarser_keys``), not the cells of every point, so a sweep from
-    the finest scale to the coarsest floors and sorts all points once and
-    then ever fewer keys, never unpacking them into cell rows (after
-    Liebovitch & Toth, Phys. Lett. A 141, 1989).  The count is the same bit
-    for bit: ``x / eps`` is ``x / (eps / 2)`` halved exactly in binary
-    floating point, ``floor(floor(y) / 2) == floor(y / 2)``, and the key
-    layout halves each cell exactly (see ``kernels.coarser_keys``).  Above 1,
-    ``x / eps`` of a tiny ``x`` could round to zero, so such scales start
-    from the points.  Cells too large for the keys (of 2^62 or more, or
-    fields over 63 bits) are counted as distinct rows of the float floors of
-    the points (``kernels.distinct_cell_count``), and nothing is kept for
-    the next scale.
+    ``cells``, when known, are the cloud's occupied cells at ``eps`` as the
+    sorted distinct packed keys and layout of ``kernels.box_pyramid`` (a
+    scale of the cloud's own pyramid, or of its graph's projected onto it
+    by ``kernels.drop_first_axis``), and the count is their number.
+    Otherwise the cells are packed from the cloud's columns
+    (``kernels.box_keys``).  Cells too large for the keys (of 2^62 or more,
+    or fields over 63 bits) are counted as distinct rows of the float floors
+    of the points (``kernels.distinct_cell_count``), floored from a stack of
+    the columns that the cloud does not keep.
     """
     _check_scale(eps)
     eps = float(eps)
-    finer = cloud._boxes
-    if finer is not None and eps == 2.0 * finer[0] and eps <= 1.0:
-        boxes = kernels.coarser_keys(finer[1], finer[2])
-    else:
-        boxes = kernels.box_keys(cloud.columns, eps, cloud.bounds)
-    if boxes is None:
-        object.__setattr__(cloud, "_boxes", None)
-        return kernels.distinct_cell_count(kernels.cell_indices(cloud.points, eps))
-    object.__setattr__(cloud, "_boxes", (eps,) + boxes)
-    return len(boxes[0])
+    if cells is None:
+        cells = kernels.box_keys(cloud.columns, eps, cloud.bounds)
+    if cells is None:
+        floors = kernels.cell_indices(np.column_stack(cloud.columns), eps)
+        return kernels.distinct_cell_count(floors)
+    return len(cells[0])
 
 
 def graph_box_count_oscillation(values, n: int | None = None) -> int:
@@ -428,19 +418,23 @@ def check_sweep_window(j_min: int, j_max: int) -> None:
 
 
 def scale_sweep(cloud: PointCloud, kind: str, j_min: int, j_max: int,
-                refine: int = 4) -> ScaleSeries:
+                refine: int = 4, *, cells=None) -> ScaleSeries:
     """Evaluate one counting method at the dyadic scales eps = 2^-j.
 
     For ``oscillation`` the cloud must be the graph of a 1-D function sampled
     on the full uniform dyadic grid; its second column is used as the sampled
-    values.  The window must pass ``check_sweep_window``.
+    values.  The window must pass ``check_sweep_window``.  A box sweep
+    counts each scale's ``cells`` (see ``box_count``), finest first, one per
+    scale and ``None`` where unknown; by default, the cloud's own
+    ``kernels.box_pyramid``.
     """
     check_sweep_window(j_min, j_max)
     js = np.arange(j_min, j_max + 1)
     eps = 2.0 ** -js.astype(np.float64)
     if kind == "box":
-        # finest first, so that each scale halves the cells of the one before
-        vals = [box_count(cloud, e) for e in eps[::-1]][::-1]
+        if cells is None:
+            cells = kernels.box_pyramid(cloud.columns, j_min, j_max, cloud.bounds)
+        vals = [box_count(cloud, e, cells=c) for e, c in zip(eps[::-1], cells, strict=True)][::-1]
     elif kind == "packing":
         vals = [packing_number(cloud, e) for e in eps]
     elif kind == "sausage_volume":

@@ -1,13 +1,17 @@
 """Box sweeps (``scale_sweep(..., "box", ...)``, which halve the packed keys
 of the distinct cells of each scale for the next coarser one) against the
 brute-force box oracle and against ``box_count`` of a fresh cloud at every
-scale, exactly."""
+scale, exactly; and graph keys projected onto the image
+(``kernels.drop_first_axis``), alone and in the paired sweeps of an
+experiment, against the image's own keys and the oracle."""
+
+import types
 
 import numpy as np
 import pytest
 
 import fracdim as fd
-from fracdim import kernels
+from fracdim import experiments, kernels
 from fracdim.metrics import PointCloud
 
 from oracles import brute_box_cells, brute_box_count, decode_box_keys
@@ -208,3 +212,163 @@ def test_four_dimensional_graph_keys_and_sweep():
         _check_chunked_keys(list(cloud.columns), eps)
     swept = fd.scale_sweep(cloud, "box", 2, 8).values.astype(int).tolist()
     assert swept == [brute_box_count(cloud.points, 2.0**-j) for j in range(2, 9)]
+
+
+# ---------------------------------------------------------------------------
+# images counted from their graphs' keys
+
+
+def _packed_at(levels, j_max):
+    """For each scale of a pyramid, finest first, the scale whose points its
+    keys were packed from: the finest, any above 1 and any after a refused
+    one start again from the points."""
+    start, before, out = None, None, []
+    for j, boxes in zip(range(j_max, -2000, -1), levels):
+        if before is None or j < 0:
+            start = j
+        out.append(start)
+        before = boxes
+    return out
+
+
+def _check_projection(times, values, j_min, j_max):
+    """Each scale of the graph's pyramid, its axis 0 dropped, gives the
+    image's cells: the oracle's, sorted and distinct; bit for bit the keys
+    and layout of ``box_keys`` of the image where the graph's pyramid
+    packed that scale from the points, and those of the image's own pyramid
+    where both were packed at the same scale.  Returns the number of scales
+    the graph refused and of those matched bit for bit."""
+    values = np.asarray(values, dtype=np.float64).reshape(len(times), -1)
+    graph = PointCloud.from_points(np.column_stack([times, values]))
+    image = PointCloud.from_points(values)
+    levels = [list(kernels.box_pyramid(cloud.columns, j_min, j_max, cloud.bounds))
+              for cloud in (graph, image)]
+    starts = [_packed_at(each, j_max) for each in levels]
+    refused = same = 0
+    for j, g, g_start, own, own_start in zip(range(j_max, j_min - 1, -1), levels[0],
+                                             starts[0], levels[1], starts[1]):
+        if g is None:
+            refused += 1
+            continue
+        keys, layout = kernels.drop_first_axis(*g)
+        cells = brute_box_cells(values, 2.0**-j)
+        assert np.all(keys[1:] > keys[:-1]) and len(keys) == len(cells)
+        assert set(decode_box_keys(keys, layout)) == cells
+        if g_start == j:
+            fresh, fresh_layout = kernels.box_keys(values, 2.0**-j)
+            assert keys.dtype == fresh.dtype and layout == fresh_layout
+            assert np.array_equal(keys, fresh)
+        if g_start == own_start:
+            assert keys.dtype == own[0].dtype and layout == own[1]
+            assert np.array_equal(keys, own[0])
+            same += 1
+    return refused, same
+
+
+def _grid_times(kind: str, n: int) -> np.ndarray:
+    if kind == "uniform":
+        return fd.TimeGrid.uniform(n).times
+    if kind == "power":
+        return fd.inverse_power_grid(1.0, n - 1).times
+    return np.linspace(0.6, 1.0, n)  # late start: the time field's minimum is not 0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("grid", ["uniform", "power", "late"])
+def test_graph_keys_projected_onto_the_image(d, grid):
+    # a walk of both signs, shifted off the lattice, so that field minima
+    # are negative and odd at some scales
+    rng = np.random.default_rng(40 + d)
+    times = _grid_times(grid, 300)
+    values = np.cumsum(rng.normal(0, 0.2, (300, d)), axis=0) - 0.37
+    assert values.min() < 0
+    for j_min, j_max in ((-3, 2), (2, 9), (-1, 6)):
+        assert _check_projection(times, values, j_min, j_max) == (0, j_max - j_min + 1)
+
+
+def test_projection_of_a_single_point():
+    for values in ([-0.3], [0.7, -1.9], [-5.0, 0.1, 3.3]):
+        for times in ([0.0], [0.45], [1.0]):
+            _check_projection(times, [values], -2, 5)
+
+
+def test_a_uint64_graph_projects_to_uint32_image_keys():
+    # the time field alone takes 29-32 bits, the image fields a few
+    times = fd.TimeGrid.uniform(65).times
+    values = np.linspace(-1.0, 1.0, 65) ** 3 * 2.0**-28
+    levels = list(kernels.box_pyramid([times, values], 28, 31))
+    assert all(keys.dtype == np.uint64 for keys, _ in levels)
+    assert kernels.drop_first_axis(*levels[0])[0].dtype == np.uint32
+    assert _check_projection(times, values, 28, 31) == (0, 4)
+
+
+def test_a_graph_refused_where_its_image_packs():
+    # at j = 19-20 the graph's fields total over 63 bits, the image's not;
+    # from j = 18 the graph packs again, from its own points, so the image's
+    # own pyramid, started at j = 20, has other fields there
+    rng = np.random.default_rng(44)
+    times = fd.TimeGrid.uniform(200).times
+    values = rng.uniform(-2.5, 2.5, (200, 2))
+    assert kernels.box_keys(np.column_stack([times, values]), 2.0**-19) is None
+    assert kernels.box_keys(np.column_stack([times, values]), 2.0**-18) is not None
+    assert kernels.box_keys(values, 2.0**-20) is not None
+    assert _check_projection(times, values, 14, 20) == (2, 0)
+
+
+def _paired_counts(monkeypatch, image, graph, j_min, j_max):
+    """The box counts of ``experiments._estimates`` for an image and its
+    graph, with the cloud and the points of each ``box_count`` call."""
+    sweeps, calls = {}, []
+    real_sweep, real_count = experiments.scale_sweep, fd.metrics.box_count
+
+    def sweep(cloud, *args, **kwargs):
+        series = real_sweep(cloud, *args, **kwargs)
+        sweeps.setdefault(id(cloud), []).append(series.values.astype(int).tolist())
+        return series
+
+    def count(cloud, eps, **kwargs):
+        calls.append((id(cloud), len(cloud), eps))
+        return real_count(cloud, eps, **kwargs)
+
+    monkeypatch.setattr(experiments, "scale_sweep", sweep)
+    monkeypatch.setattr(fd.metrics, "box_count", count)
+    cfg = types.SimpleNamespace(scales=(j_min, j_max), methods=("box",), refine=4)
+    experiments._estimates(cfg, {"image_x": image, "graph_x": graph})
+    return sweeps, calls
+
+
+@pytest.mark.parametrize("scale, j_min, j_max", [
+    (1.0, -2, 6),  # every scale packs
+    (2.5, 14, 20),  # the graph is refused at j = 20, the image packs
+    (1e6, 14, 20),  # both are refused at every scale
+])
+def test_paired_sweeps_count_the_oracle(monkeypatch, scale, j_min, j_max):
+    # each cloud is swept once and counted once a scale; the image's counts,
+    # from the graph's keys or, where the graph is refused, its own, are the
+    # oracle's and those of its own sweep
+    rng = np.random.default_rng(45)
+    times = _grid_times("late", 150)
+    values = rng.uniform(-1.0, 1.0, (150, 2)) * scale
+    graph = PointCloud.from_points(np.column_stack([times, values]))
+    image = PointCloud.from_points(values)
+    sweeps, calls = _paired_counts(monkeypatch, image, graph, j_min, j_max)
+    scales = [2.0**-j for j in range(j_max, j_min - 1, -1)]
+    assert calls == [(id(cloud), 150, eps) for cloud in (graph, image) for eps in scales]
+    for cloud, pts in ((graph, graph.points), (image, values)):
+        expected = [brute_box_count(pts, 2.0**-j) for j in range(j_min, j_max + 1)]
+        assert sweeps[id(cloud)] == [expected]
+        assert fd.scale_sweep(cloud, "box", j_min, j_max).values.astype(int).tolist() == expected
+
+
+def test_a_refused_scale_leaves_no_stacked_points_on_a_graph():
+    # a 4-D graph whose keys are refused at j = 15 is counted there from the
+    # floors of its columns, stacked for that count alone
+    grid = fd.TimeGrid.uniform(131073)
+    path = fd.apply_drift(fd.generate_bm(grid, 3, 1), fd.DriftSpec.linear([1.0, 2.0, 3.0]))
+    cloud = fd.graph_cloud(path)
+    assert kernels.box_keys(cloud.columns, 2.0**-15, cloud.bounds) is None
+    swept = fd.scale_sweep(cloud, "box", 9, 15).values.astype(int).tolist()
+    assert "points" not in cloud.__dict__
+    stacked = np.column_stack(cloud.columns)
+    assert swept == [kernels.distinct_cell_count(kernels.cell_indices(stacked, 2.0**-j))
+                     for j in range(9, 16)]

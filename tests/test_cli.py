@@ -357,6 +357,15 @@ def test_dims_refuses_malformed_scales(capsys, scales):
     assert err == f"error: --scales must be jmin:jmax with two integers, got {scales!r}\n"
 
 
+def test_dims_takes_a_negative_jmin_after_an_equals_sign(capsys):
+    # a separate "-2:3" would read as a flag; "--scales=-2:3" is one argument
+    code, out, _ = run_cli(capsys, "dims", "--points", "65", "--scales=-2:3")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "j,epsilon,value,kind"
+    assert lines[1].split(",")[:2] == ["-2", "4"]
+
+
 @pytest.mark.parametrize("eps", ["abc", "", "0.1x"])
 def test_bounds_psi_count_refuses_malformed_eps(capsys, eps):
     code, out, err = run_cli(capsys, "bounds", "psi-count", "--n", "16", "--eps", eps)
