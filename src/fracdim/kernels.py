@@ -11,6 +11,13 @@ Candidate pairs come from an origin-anchored grid of side ``radius``: a
 point is only compared with the points of its neighbour cells on at most
 three axes (``_neighbourhoods``).
 
+Points come as an ``(n, m)`` array or as a sequence of their ``m``
+coordinate columns, the layout of a ``PointCloud``; one helper
+(``_columns``) turns either into the list of columns.  The scans and key
+packing work on that list, column by column: each column is floored into
+its cells and gathered in grid order, and no ``(n, m)`` copy is made.  Only
+the sausage takes an ``(n, m)`` array.
+
 Greedy packing and thinning selection are one greedy scan
 (``_greedy_scan``): in stored order, keep each eligible point that no earlier
 kept point is close to.  Where the candidates total at most
@@ -124,6 +131,15 @@ def active_backend() -> str:
 # grids
 
 
+def _columns(points) -> list:
+    """The columns of an ``(n, m)`` array, or the ``m`` columns of a sequence
+    of them, as a list.  The kernels work column by column: axis-0
+    reductions over a C-ordered ``(n, m)`` array are several times slower."""
+    if isinstance(points, np.ndarray):
+        return [points[:, a] for a in range(points.shape[1])]
+    return list(points)
+
+
 def cell_indices(points: np.ndarray, width: float) -> np.ndarray:
     """Grid cell per point: the float floors ``floor(x / width)``,
     origin-anchored.
@@ -177,10 +193,7 @@ def pack_cells(cells, margin: int = 0, width: float | None = None, bounds=None):
     there (exact for every field, where a float offset of 53 bits or more
     would round) and cast into the key word.
     """
-    if isinstance(cells, np.ndarray):
-        # column by column: axis-0 reductions over a C-ordered (n, m) array
-        # are several times slower
-        cells = [cells[:, a] for a in range(cells.shape[1])]
+    cells = _columns(cells)
     if bounds is None:
         bounds = [(col.min(), col.max()) for col in cells]
     mins, bits = [], []
@@ -236,9 +249,10 @@ def _compact(cells: np.ndarray, near: int) -> np.ndarray:
     return out
 
 
-def _neighbourhoods(pts: np.ndarray, radius: float):
-    """Points binned by cell of side ``radius`` on at most ``_BIN_AXES``
-    axes, those of widest span in cells, taken in axis order.
+def _neighbourhoods(cols: list, radius: float):
+    """Points, given as their coordinate columns, binned by cell of side
+    ``radius`` on at most ``_BIN_AXES`` axes, those of widest span in cells,
+    taken in axis order.
 
     Returns ``(order, ranges, sizes)``: ``order`` lists point indices sorted
     by cell key, and point ``i`` has the candidates ``order[lo[i]:hi[i]]``
@@ -252,14 +266,14 @@ def _neighbourhoods(pts: np.ndarray, radius: float):
     include every point closer than ``radius``, and ``_close`` tests every
     axis.
     """
-    cells = cell_indices(pts, radius)
-    span = cells.max(axis=0) - cells.min(axis=0)
+    cells = [cell_indices(col, radius) for col in cols]
+    span = np.array([c.max() - c.min() for c in cells])
     axes = np.sort(np.argsort(-span, kind="stable")[:_BIN_AXES])
-    cells = cells[:, axes]
+    cells = [cells[a] for a in axes]
     try:
         keys, layout = pack_cells(cells, 1)
     except DomainError:
-        cells = _compact(cells, 1)
+        cells = _compact(np.column_stack(cells), 1)
         while True:
             try:
                 keys, layout = pack_cells(cells, 1)
@@ -284,13 +298,13 @@ def _neighbourhoods(pts: np.ndarray, radius: float):
     return order, ranges, sum(hi - lo for lo, hi in ranges)
 
 
-def _close(pts: np.ndarray, i: int, order, ranges, rad2: float):
+def _close(cols: list, i: int, order, ranges, rad2: float):
     """Candidates of point ``i`` and the mask of those with ``d2 < rad2``,
     for the greedy scan."""
     js = np.concatenate([order[lo[i]:hi[i]] for lo, hi in ranges])
     d2 = np.zeros(js.size)
-    for a in range(pts.shape[1]):
-        diff = pts[i, a] - pts[js, a]
+    for col in cols:
+        diff = col[i] - col[js]
         d2 += diff * diff
     return js, d2 < rad2
 
@@ -309,7 +323,7 @@ def _square(radius: float) -> float:
     return square
 
 
-def _greedy_scan(points: np.ndarray, radius: float, eligible: np.ndarray) -> np.ndarray:
+def _greedy_scan(points, radius: float, eligible: np.ndarray) -> np.ndarray:
     """Keep-mask of the greedy scan: in stored order, keep each eligible point
     that no earlier kept point is closer to than ``radius``.
 
@@ -319,19 +333,19 @@ def _greedy_scan(points: np.ndarray, radius: float, eligible: np.ndarray) -> np.
     ``DomainError("bad-shape")`` unless ``eligible`` has shape ``(n,)``.
     """
     rad2 = _square(radius)
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    n = len(pts)
+    cols = _columns(points)
+    n = len(cols[0])
     eligible = np.asarray(eligible, dtype=bool)
     if eligible.shape != (n,):
         raise DomainError("bad-shape", f"eligible mask of shape {eligible.shape} for {n} points")
     kept = np.zeros(n, dtype=bool)
     if n == 0:
         return kept
-    order, ranges, sizes = _neighbourhoods(pts, radius)
+    order, ranges, sizes = _neighbourhoods(cols, radius)
     removed = ~eligible
     todo = range(n)
     if sizes.sum() <= _BULK_CANDIDATES * n:
-        todo = _bulk_rounds(pts, order, ranges, rad2, kept, removed).tolist()
+        todo = _bulk_rounds(cols, order, ranges, rad2, kept, removed).tolist()
     # a candidate far off on an axis that is not binned may square to inf,
     # which is not close
     with np.errstate(over="ignore"):
@@ -340,12 +354,12 @@ def _greedy_scan(points: np.ndarray, radius: float, eligible: np.ndarray) -> np.
                 continue
             kept[i] = True
             if sizes[i] > 1:
-                js, close = _close(pts, i, order, ranges, rad2)
+                js, close = _close(cols, i, order, ranges, rad2)
                 removed[js[close]] = True
     return kept
 
 
-def _bulk_rounds(pts, order, ranges, rad2: float, kept: np.ndarray, removed: np.ndarray):
+def _bulk_rounds(cols: list, order, ranges, rad2: float, kept: np.ndarray, removed: np.ndarray):
     """Decide the greedy scan in rounds over its earlier close pairs, in place.
 
     The pairs are ``(j, i)`` with ``j < i``, ``d2 < rad2`` and neither point
@@ -360,7 +374,7 @@ def _bulk_rounds(pts, order, ranges, rad2: float, kept: np.ndarray, removed: np.
     returned, in index order, for the scan to finish.
     """
     src, dst = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for s, sizes, pos, close in _close_chunks(pts, order, ranges, rad2):
+    for s, sizes, pos, close in _close_chunks(cols, order, ranges, rad2):
         at = np.flatnonzero(close)
         i = np.repeat(order[s:s + sizes.size], sizes)[at]
         j = order[pos[at]]
@@ -376,7 +390,7 @@ def _bulk_rounds(pts, order, ranges, rad2: float, kept: np.ndarray, removed: np.
         src, dst = src[live], dst[live]
         hit = kept[src]
         removed[dst[hit]] = True
-        waiting = np.zeros(len(pts), dtype=bool)
+        waiting = np.zeros(order.size, dtype=bool)
         waiting[dst[~hit]] = True
         kept |= undecided & ~removed & ~waiting
         undecided &= waiting & ~removed
@@ -388,22 +402,25 @@ def _bulk_rounds(pts, order, ranges, rad2: float, kept: np.ndarray, removed: np.
 # public kernels
 
 
-def greedy_pack_mask(points: np.ndarray, eps: float) -> np.ndarray:
+def greedy_pack_mask(points, eps: float) -> np.ndarray:
     """Greedy maximal 2*eps-separated subset, scanning points in stored order.
 
-    Returns a boolean keep-mask.  A point is kept iff its Euclidean distance
-    to every previously kept point is >= 2*eps.
+    ``points`` is an ``(n, m)`` array or a sequence of ``m`` float64
+    coordinate columns, as for every scan.  Returns a boolean keep-mask.  A
+    point is kept iff its Euclidean distance to every previously kept point
+    is >= 2*eps.
     """
-    return _greedy_scan(points, 2.0 * eps, np.ones(len(points), dtype=bool))
+    cols = _columns(points)
+    return _greedy_scan(cols, 2.0 * eps, np.ones(len(cols[0]), dtype=bool))
 
 
-def thin_select_mask(points: np.ndarray, radius: float, good: np.ndarray) -> np.ndarray:
+def thin_select_mask(points, radius: float, good: np.ndarray) -> np.ndarray:
     """Scan good indices in order; select survivors, removing strict-<radius
     neighbours (good or not) of each selection."""
     return _greedy_scan(points, radius, good)
 
 
-def neighbor_counts(points: np.ndarray, radius: float) -> np.ndarray:
+def neighbor_counts(points, radius: float) -> np.ndarray:
     """Per-point count of other points at strict Euclidean distance < radius.
 
     One bulk pass over the candidate pairs (``_close_chunks``), with no
@@ -413,12 +430,12 @@ def neighbor_counts(points: np.ndarray, radius: float) -> np.ndarray:
     with different indices count each other.
     """
     rad2 = _square(radius)
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    counts = np.zeros(len(pts), dtype=np.int64)
-    if len(pts) == 0:
+    cols = _columns(points)
+    counts = np.zeros(len(cols[0]), dtype=np.int64)
+    if counts.size == 0:
         return counts
-    order, ranges, _ = _neighbourhoods(pts, radius)
-    for s, sizes, _, close in _close_chunks(pts, order, ranges, rad2):
+    order, ranges, _ = _neighbourhoods(cols, radius)
+    for s, sizes, _, close in _close_chunks(cols, order, ranges, rad2):
         hits = np.empty(close.size + 1, dtype=np.int64)
         hits[0] = 0
         np.cumsum(close, out=hits[1:])
@@ -429,7 +446,7 @@ def neighbor_counts(points: np.ndarray, radius: float) -> np.ndarray:
     return out
 
 
-def _close_chunks(pts: np.ndarray, order, ranges, rad2: float):
+def _close_chunks(cols: list, order, ranges, rad2: float):
     """The candidate pairs of ``_neighbourhoods``, tested a chunk at a time.
 
     The columns are gathered once in ``order``, so the candidates of a range
@@ -440,13 +457,13 @@ def _close_chunks(pts: np.ndarray, order, ranges, rad2: float):
     have ``sizes`` candidates each, at the positions ``pos`` of ``order``,
     concatenated, and ``close`` marks those with ``d2 < rad2``.
     """
-    cols = [pts[order, a] for a in range(pts.shape[1])]
+    cols = [col[order] for col in cols]
     for lo, hi in ranges:
         lo = lo[order]
         sizes = hi[order] - lo
         ends = np.cumsum(sizes)
         s = 0
-        while s < len(pts):
+        while s < order.size:
             base = int(ends[s - 1]) if s else 0
             e = max(s + 1, int(np.searchsorted(ends, base + _PAIR_CHUNK, side="right")))
             if ends[e - 1] > base:

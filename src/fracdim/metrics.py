@@ -7,10 +7,12 @@ union of r-balls), and per-column oscillation counts for graphs of sampled
 1-D functions.  ``estimate_dimension`` turns any of these scale series into
 lower/upper/least-squares slope estimates in log2 space.
 
-A ``PointCloud`` holds its coordinate columns, a graph's shared with its
-path, and box counts floor and pack them a chunk at a time.  A box sweep
-counts one pure pyramid of packed keys (``kernels.box_pyramid``), or cells
-it is given: an image's, projected from its graph's pyramid.
+A ``PointCloud`` holds only its coordinate columns, a graph's shared with
+its path and an image's views of its array, and every count reads them: box
+counts floor and pack them a chunk at a time, packing and thinning scan
+them as they are, and the sausage takes a stack of them made for each call.
+A box sweep counts one pure pyramid of packed keys (``kernels.box_pyramid``),
+or cells it is given: an image's, projected from its graph's pyramid.
 
 Conventions fixed here for reproducibility:
 
@@ -30,7 +32,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -47,9 +48,10 @@ from .paths import SamplePath, frozen, read_only
 @dataclass(frozen=True)
 class PointCloud:
     """Finite set of points in R^m with finite coordinates, held as its m
-    coordinate columns and the (min, max) of each.  ``points``, the ``(n,
-    m)`` array, is the one ``from_points`` was given, or stacked on first use
-    from a graph's columns: the grid's times and the path's values.
+    coordinate columns and the (min, max) of each, and nothing else: a
+    graph's columns are the grid's times and the path's values, and an
+    image's are views of the columns of its ``(n, m)`` array.  Every kernel
+    reads the columns.
     """
 
     columns: tuple  # m read-only float64 arrays of n coordinates
@@ -57,9 +59,10 @@ class PointCloud:
 
     @staticmethod
     def from_points(points) -> "PointCloud":
-        """The points as a read-only ``(n, m)`` float64 cloud; one point may
-        be given as a flat ``(m,)`` array.  An array the caller can still
-        write to is copied (``paths.read_only``).
+        """The points of an ``(n, m)`` array as a cloud whose columns are
+        views of the array's, made read-only float64; one point may be given
+        as a flat ``(m,)`` array.  An array the caller can still write to is
+        copied first (``paths.read_only``).
 
         Raises ``DomainError("bad-shape")`` for an array of more than two
         dimensions, ``DomainError("empty-cloud")`` for one with no rows or
@@ -71,9 +74,7 @@ class PointCloud:
             raise DomainError("bad-shape", f"points of shape {pts.shape}: need (n, m)")
         if pts.size == 0:
             raise DomainError("empty-cloud", "point cloud must be non-empty")
-        cloud = PointCloud._of_columns(list(pts.T))
-        cloud.__dict__["points"] = pts  # the cached ``points``
-        return cloud
+        return PointCloud._of_columns(list(pts.T))
 
     @staticmethod
     def _of_columns(columns: list) -> "PointCloud":
@@ -87,9 +88,10 @@ class PointCloud:
     def dim(self) -> int:
         return len(self.columns)
 
-    @cached_property
+    @property
     def points(self) -> np.ndarray:
-        """The read-only ``(n, m)`` array of the points."""
+        """A read-only ``(n, m)`` stack of the columns, built afresh on each
+        read and not kept; the package itself never reads it."""
         return frozen(np.column_stack(self.columns))
 
     def __len__(self) -> int:
@@ -209,7 +211,7 @@ def _check_finite(pts: np.ndarray) -> None:
 def packing_indices(cloud: PointCloud, eps: float) -> np.ndarray:
     """Indices of the greedy maximal 2*eps-separated subset (scan order)."""
     _check_scale(eps)
-    mask = kernels.greedy_pack_mask(cloud.points, float(eps))
+    mask = kernels.greedy_pack_mask(cloud.columns, float(eps))
     return np.nonzero(mask)[0]
 
 
@@ -292,7 +294,8 @@ def sausage_volume(cloud: PointCloud, r: float, refine: int = 4, cell: float | N
     if cloud.dim > 3:
         raise DomainError("dimension-unsupported", "sausage volumes computed for m <= 3 only")
     h = float(r) / refine if cell is None else float(cell)
-    count = kernels.sausage_occupied_count(cloud.points, float(r), h)
+    # the sausage takes an (n, m) array: a stack that the cloud does not keep
+    count = kernels.sausage_occupied_count(np.column_stack(cloud.columns), float(r), h)
     if count == 0:
         return 0.0
     try:
@@ -367,34 +370,30 @@ def good_point_thinning(values, epsilon: float, threshold: float | None = None) 
     The default is defined for eps < 1 only: without a threshold, eps >= 1
     raises ``DomainError("bad-scale")``, as does a default that underflows
     to 0; one past the largest double is ``inf``, so every point is good.
+
+    ``values`` is an ``(n, d)`` array, taken as ``PointCloud.from_points``
+    takes it; the counts and the scan read the cloud's columns.
     """
     _check_scale(epsilon)
-    pts = PointCloud.from_points(values).points
+    cloud = PointCloud.from_points(values)
     if threshold is None:
         if not epsilon < 1:
             raise DomainError("bad-scale", f"eps = {epsilon!r}: the default threshold "
                               "2 * ln(1/eps)^(d+1) needs eps < 1; pass a threshold")
         try:
-            threshold = 2.0 * math.log(1.0 / epsilon) ** (pts.shape[1] + 1)
+            threshold = 2.0 * math.log(1.0 / epsilon) ** (cloud.dim + 1)
         except OverflowError:
             threshold = math.inf
         if threshold == 0:
             raise DomainError("bad-scale", f"eps = {epsilon!r}: the default threshold 2 * "
-                              f"ln(1/eps)^(d+1) underflows to 0 in {pts.shape[1]}-D; pass a threshold")
+                              f"ln(1/eps)^(d+1) underflows to 0 in {cloud.dim}-D; pass a threshold")
     if not threshold > 0:
         raise ValueError("threshold must be positive")
     radius = 2.0 * float(epsilon)
-    counts = kernels.neighbor_counts(pts, radius)
+    counts = kernels.neighbor_counts(cloud.columns, radius)
     good = counts < threshold
-    mask = kernels.thin_select_mask(pts, radius, good)
+    mask = kernels.thin_select_mask(cloud.columns, radius, good)
     return np.nonzero(mask)[0]
-
-
-def neighbor_collision_counts(values, epsilon: float) -> np.ndarray:
-    """N_i = #{j != i : |y_i - y_j| < 2*eps} for each point."""
-    _check_scale(epsilon)
-    pts = PointCloud.from_points(values).points
-    return kernels.neighbor_counts(pts, 2.0 * float(epsilon))
 
 
 # ---------------------------------------------------------------------------

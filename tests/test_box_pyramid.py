@@ -362,13 +362,19 @@ def test_paired_sweeps_count_the_oracle(monkeypatch, scale, j_min, j_max):
 
 def test_a_refused_scale_leaves_no_stacked_points_on_a_graph():
     # a 4-D graph whose keys are refused at j = 15 is counted there from the
-    # floors of its columns, stacked for that count alone
+    # floors of its columns, stacked for that count alone; packing and
+    # sausage sweeps keep no stack either, and a cloud holds only its
+    # columns and their bounds
     grid = fd.TimeGrid.uniform(131073)
     path = fd.apply_drift(fd.generate_bm(grid, 3, 1), fd.DriftSpec.linear([1.0, 2.0, 3.0]))
     cloud = fd.graph_cloud(path)
     assert kernels.box_keys(cloud.columns, 2.0**-15, cloud.bounds) is None
     swept = fd.scale_sweep(cloud, "box", 9, 15).values.astype(int).tolist()
-    assert "points" not in cloud.__dict__
+    assert set(vars(cloud)) == {"columns", "bounds"}
     stacked = np.column_stack(cloud.columns)
     assert swept == [kernels.distinct_cell_count(kernels.cell_indices(stacked, 2.0**-j))
                      for j in range(9, 16)]
+    small = fd.graph_cloud(fd.generate_bm(fd.TimeGrid.uniform(257), 1, 1))
+    fd.scale_sweep(small, "packing", 2, 6)
+    fd.scale_sweep(small, "sausage_volume", 2, 5)
+    assert set(vars(small)) == {"columns", "bounds"}

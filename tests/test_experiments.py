@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fracdim as fd
-from fracdim import cli, experiments
+from fracdim import cli, experiments, kernels
 from fracdim.constructions import parse_schedule
 from fracdim.errors import DomainError
 from fracdim.experiments import (
@@ -38,7 +38,6 @@ from fracdim.metrics import (
     drift_image_cloud,
     graph_cloud,
     image_cloud,
-    neighbor_collision_counts,
     packing_indices,
     packing_number,
 )
@@ -766,7 +765,7 @@ def test_thinning_packing_transfer_in_experiment_flow():
         centers = packing_indices(drift_graph_cloud(path), eps)
         noisy = graph_cloud(path).points[centers]
         threshold = 2.0 * np.log(1 / eps) ** (noisy.shape[1] + 1)
-        counts = neighbor_collision_counts(noisy, eps)
+        counts = kernels.neighbor_counts(noisy, 2 * eps)
         selected = fd.good_point_thinning(noisy, eps)
         n_good = int((counts < threshold).sum())
         assert selected.size >= n_good / (threshold + 1)

@@ -96,7 +96,8 @@ def test_neighbor_counts_in_chunks_dropping_binned_axes_match_oracle(monkeypatch
 
     def recording(cells, margin=0):
         packed = pack_cells(cells, margin)
-        dropped.append(cells.shape[1] < min(m, 3))
+        # the scans pack a list of cell columns, or a compacted (n, k) array
+        dropped.append(len(kernels._columns(cells)) < min(m, 3))
         return packed
 
     monkeypatch.setattr(kernels, "pack_cells", recording)
@@ -602,7 +603,7 @@ def test_scans_dropping_binned_axes_match_oracles(monkeypatch):
 
     def recording(cells, margin=0):
         packed = pack_cells(cells, margin)
-        packed_axes.append((cells.shape[1], min(pts.shape[1], 3)))
+        packed_axes.append((len(kernels._columns(cells)), min(pts.shape[1], 3)))
         return packed
 
     monkeypatch.setattr(kernels, "pack_cells", recording)
@@ -625,7 +626,7 @@ def test_scans_bin_the_widest_axes():
     x = np.random.default_rng(17).uniform(0, 100, 400)
     pts = np.zeros((400, 4))
     pts[:, 3] = x
-    _, _, sizes = kernels._neighbourhoods(pts, 0.5)
+    _, _, sizes = kernels._neighbourhoods(kernels._columns(pts), 0.5)
     assert sizes.max() < 20
     _scans_match_oracles(pts, 0.5, np.arange(400) % 3 != 0)
 
@@ -696,14 +697,37 @@ _SCAN_ORACLE_TESTS = (
     test_scans_of_an_8d_walk_in_flat_memory)
 
 
-@pytest.mark.parametrize("bulk, rounds", [(32, 32), (0, 32), (math.inf, 32), (math.inf, 0),
-                                          (math.inf, 1)])
-def test_scans_match_oracles_on_every_branch(monkeypatch, bulk, rounds):
+def _in_form(points, form):
+    """The points of an ``(n, m)`` array as the scans may take them: the
+    array, a list of contiguous columns, or the strided views of the array's
+    columns that an image cloud holds."""
+    if form == "array":
+        return points
+    pts = np.ascontiguousarray(points)
+    return [col.copy() for col in pts.T] if form == "columns" else list(pts.T)
+
+
+def _given_in_form(monkeypatch, form):
+    """Every public scan fed its points in ``form``."""
+    for name in ("greedy_pack_mask", "thin_select_mask", "neighbor_counts"):
+        scan = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name, lambda points, *args, scan=scan:
+                            scan(_in_form(points, form), *args))
+
+
+@pytest.mark.parametrize("bulk, rounds, form", [
+    pytest.param(bulk, rounds, form,
+                 id=f"{bulk}-{rounds}" + ("" if form == "array" else f"-{form}"))
+    for form in ("array", "columns", "strided")
+    for bulk, rounds in ((32, 32), (0, 32), (math.inf, 32), (math.inf, 0), (math.inf, 1))])
+def test_scans_match_oracles_on_every_branch(monkeypatch, bulk, rounds, form):
     # the shipped crossover, every scan in stored order, every scan in bulk,
     # and bulk scans that hand every point, or all but those of one round,
-    # on to the scan
+    # on to the scan; each given the points in every form, whose masks and
+    # counts all equal the one oracle's
     monkeypatch.setattr(kernels, "_BULK_CANDIDATES", bulk)
     monkeypatch.setattr(kernels, "_MAX_ROUNDS", rounds)
+    _given_in_form(monkeypatch, form)
     seen = _record_scans(monkeypatch)
     for test in _SCAN_ORACLE_TESTS:
         # a test's one argument, if any, is its own monkeypatch

@@ -21,7 +21,6 @@ from fracdim.metrics import (
     boxes_per_center,
     drift_graph_cloud,
     drift_image_cloud,
-    neighbor_collision_counts,
     packing_indices,
     packing_per_box,
 )
@@ -132,8 +131,7 @@ def test_box_count_of_cells_beyond_int64():
 def test_non_finite_points_are_rejected(bad):
     pts = [[0.0, 0.0], [0.5, bad]]
     for call in (lambda: PointCloud.from_points(pts),
-                 lambda: fd.good_point_thinning(pts, 0.1),
-                 lambda: neighbor_collision_counts(pts, 0.1)):
+                 lambda: fd.good_point_thinning(pts, 0.1)):
         with pytest.raises(DomainError) as ei:
             call()
         assert ei.value.code == "non-finite-point"
@@ -318,8 +316,7 @@ def test_sausage_subadditive_over_splits():
 
 
 @pytest.mark.parametrize("entry", [PointCloud.from_points,
-                                   lambda a: fd.good_point_thinning(a, 0.1),
-                                   lambda a: neighbor_collision_counts(a, 0.1)])
+                                   lambda a: fd.good_point_thinning(a, 0.1)])
 def test_clouds_leave_the_callers_array_writeable(entry):
     points = np.random.default_rng(0).random((50, 2))
     entry(points)
@@ -331,10 +328,14 @@ def test_a_cloud_keeps_its_points_apart_from_the_callers():
     points = np.random.default_rng(0).random((50, 2))
     c = PointCloud.from_points(points)
     points[0, 0] = 2.0
+    assert not any(np.shares_memory(col, points) for col in c.columns)
     assert c.points[0, 0] < 1.0 and not c.points.flags.writeable
-    # read-only values, such as a path's, are kept without a copy
+    assert c.columns[0][0] < 1.0 and not any(col.flags.writeable for col in c.columns)
+    # read-only values, such as a path's, are kept without a copy, as views
+    # of their columns
     path = fd.generate_bm(fd.TimeGrid.uniform(9), 2, 0)
-    assert np.shares_memory(PointCloud.from_points(path.bm_values).points, path.bm_values)
+    kept = PointCloud.from_points(path.bm_values)
+    assert all(np.shares_memory(col, path.bm_values) for col in kept.columns)
 
 
 def test_a_graph_cloud_shares_the_grid_times_and_the_value_columns():
@@ -347,12 +348,18 @@ def test_a_graph_cloud_shares_the_grid_times_and_the_value_columns():
         assert cloud.columns[0] is grid.times
         assert all(np.shares_memory(col, values) for col in cloud.columns[1:])
         assert cloud.bounds == tuple((col.min(), col.max()) for col in cloud.columns)
+        # ``points`` is a fresh read-only stack of the columns on each read,
+        # which the cloud does not keep
         assert np.array_equal(cloud.points, np.hstack([grid.times[:, None], values]))
-        assert not cloud.points.flags.writeable and cloud.points is cloud.points
+        assert not cloud.points.flags.writeable and cloud.points is not cloud.points
+        assert not np.shares_memory(cloud.points, values)
+        assert set(vars(cloud)) == {"columns", "bounds"}
     # the image and the graph of the sum share one array of noise plus drift
     image, graph = fd.image_cloud(path), fd.graph_cloud(path)
-    assert image.points is path.combined
-    assert all(np.shares_memory(col, image.points) for col in graph.columns[1:])
+    assert all(np.shares_memory(col, path.combined) for col in image.columns)
+    assert all(np.shares_memory(col, path.combined) for col in graph.columns[1:])
+    assert np.array_equal(image.points, path.combined) and image.points is not path.combined
+    assert set(vars(image)) == {"columns", "bounds"}
 
 
 def test_clouds_of_a_callers_path_freeze_none_of_its_arrays():
@@ -375,7 +382,7 @@ def test_thinning_examples():
     same = np.zeros((5, 1))
     assert np.array_equal(fd.good_point_thinning(same, 0.1, threshold=10), [0])
     y = np.array([[0.0], [0.1], [0.5], [0.6], [2.0]])
-    assert np.array_equal(neighbor_collision_counts(y, 0.1), [1, 1, 1, 1, 0])
+    assert np.array_equal(kernels.neighbor_counts(y, 2 * 0.1), [1, 1, 1, 1, 0])
     sel = fd.good_point_thinning(y, 0.1, threshold=2)
     assert np.array_equal(sel, [0, 2, 4])
     # the selection is one of the maximal separated subsets
@@ -390,16 +397,14 @@ def test_thinning_errors():
 
 def test_thinning_refuses_an_empty_cloud():
     for empty in ([], [[]], np.zeros((0, 2))):
-        for call in (fd.good_point_thinning, neighbor_collision_counts):
-            with pytest.raises(DomainError) as ei:
-                call(empty, 0.1)
-            assert ei.value.code == "empty-cloud"
+        with pytest.raises(DomainError) as ei:
+            fd.good_point_thinning(empty, 0.1)
+        assert ei.value.code == "empty-cloud"
 
 
 def test_points_of_more_than_two_dimensions_are_a_bad_shape():
     for call in (PointCloud.from_points,
-                 lambda pts: fd.good_point_thinning(pts, 0.1),
-                 lambda pts: neighbor_collision_counts(pts, 0.1)):
+                 lambda pts: fd.good_point_thinning(pts, 0.1)):
         for pts in (np.zeros((2, 2, 2)), np.zeros((0, 2, 2)), [[[0.0]]]):
             with pytest.raises(DomainError) as ei:
                 call(pts)
@@ -451,7 +456,7 @@ def test_collision_counts_match_brute_force():
         n = int(rng.integers(1, 40))
         pts = rng.uniform(-1, 1, (n, m))
         eps = float(rng.uniform(0.02, 0.5))
-        got = neighbor_collision_counts(pts, eps)
+        got = kernels.neighbor_counts(pts, 2 * eps)
         assert np.array_equal(got, brute_neighbor_counts(pts, 2 * eps))
 
 
@@ -465,7 +470,7 @@ def test_thinning_separation_and_size_guarantee():
         thr = float(rng.uniform(0.5, 20))
         sel = fd.good_point_thinning(pts, eps, threshold=thr)
         assert pairwise_separated(pts[sel], eps)
-        n_good = int((neighbor_collision_counts(pts, eps) < thr).sum())
+        n_good = int((kernels.neighbor_counts(pts, 2 * eps) < thr).sum())
         assert sel.size >= n_good / (thr + 1)
 
 
@@ -476,7 +481,7 @@ def test_thinning_equals_greedy_when_all_points_good():
     for _ in range(N_INSTANCES):
         c = random_cloud(rng)
         eps = float(rng.uniform(0.02, 0.4))
-        thr = float(neighbor_collision_counts(c.points, eps).max()) + 1.0
+        thr = float(kernels.neighbor_counts(c.points, 2 * eps).max()) + 1.0
         sel = fd.good_point_thinning(c.points, eps, threshold=thr)
         assert sel.size == fd.packing_number(c, eps)
         assert np.array_equal(sel, packing_indices(c, eps))
@@ -527,7 +532,6 @@ def test_distance_tests_refuse_a_radius_whose_square_is_not_a_normal_double():
     # j = 538: the square of 2^-537 is subnormal
     assert _bad_scale(lambda: fd.scale_sweep(c, "packing", 530, 545))
     assert _bad_scale(lambda: fd.scale_sweep(c, "packing", 538, 540))
-    assert _bad_scale(lambda: neighbor_collision_counts([[0.0], [0.0], [1.0]], 2.0**-540))
     assert _bad_scale(lambda: fd.good_point_thinning([[0.0], [0.0], [1.0]], 2.0**-540, 1.0))
     # a point and r = 4 cells mark 8 cells, unless r * r underflows
     one = np.zeros((1, 1))
@@ -537,7 +541,8 @@ def test_distance_tests_refuse_a_radius_whose_square_is_not_a_normal_double():
     # j = 500 keeps a normal square
     assert fd.packing_number(c, 2.0**-500) == 1
     assert np.array_equal(fd.scale_sweep(c, "packing", 498, 501).values, [1, 1, 1, 1])
-    assert neighbor_collision_counts([[0.0], [0.0], [1.0]], 2.0**-500).tolist() == [1, 1, 0]
+    assert kernels.neighbor_counts(np.asarray([[0.0], [0.0], [1.0]]),
+                                   2 * 2.0**-500).tolist() == [1, 1, 0]
     for j in (20, 500):
         assert kernels.sausage_occupied_count(one, 4 * 2.0**-j, 2.0**-j) == 8
 
