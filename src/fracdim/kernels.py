@@ -29,8 +29,8 @@ neighbours, so after ``_MAX_ROUNDS`` the points still undecided go, in
 stored order, to the scan loop, which visits every point when the
 candidates are denser.  Both give the same mask.  Neighbour counts do not
 depend on any order.  They and the pairs of the rounds come from one pass
-over the candidate pairs (``_close_chunks``), chunked by a pair budget
-(``_PAIR_CHUNK``); a count subtracts the self pair of each point.
+over the candidate pairs (``_close_chunks``), chunked by the work budget
+(``_PAIR_CHUNK`` pairs); a count subtracts the self pair of each point.
 
 The sausage count is a scanline (``sausage_occupied_count``): for each point
 and each row of cells in the first ``m - 1`` axes, the marked cells along the
@@ -38,11 +38,12 @@ last axis form one run, estimated with ``sqrt`` and made exact by the
 ``d2 <= r * r`` test at both ends; the count is the size of the union of the
 runs.  Its work is ``(2 * reach + 1)^(m - 1)`` rows a point, not the
 ``(2 * reach + 1)^m`` cells of the window around it.  The points go in key
-order, in chunks of ``_PAIR_CHUNK`` (point, row) pairs, whose runs are built
-row by row on whole arrays (``_row_runs``): the partial ``d2`` of every
-(row, point) pair is one array, the end tests run on all runs at once, and
-only the few ends that move are walked on by index.  Each chunk is merged at
-once into the runs kept at the scan front (``_group_count``).
+order, in chunks of ``_PAIR_CHUNK`` (point, row) pairs, or of as many pairs
+as the runs carried at the scan front when those are more, whose runs are
+built row by row on whole arrays (``_row_runs``): the partial ``d2`` of
+every (row, point) pair is one array, the end tests run on all runs at once,
+and only the few ends that move are walked on by index.  Each chunk is
+merged at once into the runs kept at the scan front (``_group_count``).
 
 Every grid is keyed one way (``pack_cells``): axis ``a`` gets a bit field
 of ``bit_length(max_a - min_a + 2 * margin + 1)`` bits holding ``c_a - min_a
@@ -52,25 +53,26 @@ tuples with the last axis most significant, and within the margin a cell's
 neighbour is its key plus a constant ``sum(o_a << shift_a)``: the scans pack
 with a margin of 1, so each row of neighbour cells is the keys ``base - 1 ..
 base + 1``, and the sausage with a margin of ``reach``, so its rows have the
-strides ``1 << shift``.  Keys are filled into one array a chunk of points at
-a time, column by column, through reused float and int64 buffers; given
-coordinate columns and a width, the chunk floors the points itself, and the
-least and greatest cells are the floors of each column's bounds, as
-``floor(x / w)`` is monotone.  Box counts keep the occupied cells as sorted
-distinct keys (``box_keys``, margin 0), packed from a cloud's columns with
-no temporary the size of the cloud.  A sweep over the scales ``eps, 2 *
-eps, 4 * eps, ...`` is one pure pyramid (``box_pyramid``), which floors the
-points only at the finest scale: each coarser scale halves the keys of the
-one before into one new array (``coarser_keys`` adds the carries into it,
-then shifts and masks it in place), then sorts it and drops adjacent
-duplicates.  This is exact: ``x / eps`` and ``x / (2 * eps)`` differ by an
-exact factor 2, so ``floor(x / (2 * eps)) == floor(floor(x / eps) / 2)``,
-and with ``u = c - min``, ``floor((u + min) / 2) == ((u + (min & 1)) >> 1)
-+ (min >> 1)``; the field has room for the carried ``u + 1``.  Keys are
-never unpacked into cell rows.  The cells of an image are those of its
-graph with the time axis, the lowest field, dropped: the graph's sorted
-keys shifted right past that field stay sorted, so dropping the adjacent
-repeats gives the image's keys with no sort (``drop_first_axis``).
+strides ``1 << shift``.  Keys are filled into one array ``_PAIR_CHUNK``
+points at a time, column by column, through reused float and int64
+buffers; given coordinate columns and a width, the chunk floors the points
+itself, and the least and greatest cells are the floors of each column's
+bounds, as ``floor(x / w)`` is monotone.  Box counts keep the occupied
+cells as sorted distinct keys (``box_keys``, margin 0), packed from a
+cloud's columns with no temporary the size of the cloud.  A sweep over the
+scales ``eps, 2 * eps, 4 * eps, ...`` is one pure pyramid (``box_pyramid``),
+which floors the points only at the finest scale: each coarser scale halves
+the keys of the one before into one new array (``coarser_keys`` adds the
+carries into it, then shifts and masks it in place), then sorts it and
+drops adjacent duplicates.  This is exact: ``x / eps`` and ``x / (2 *
+eps)`` differ by an exact factor 2, so ``floor(x / (2 * eps)) ==
+floor(floor(x / eps) / 2)``, and with ``u = c - min``, ``floor((u + min)
+/ 2) == ((u + (min & 1)) >> 1) + (min >> 1)``; the field has room for the
+carried ``u + 1``.  Keys are never unpacked into cell rows.  The cells of
+an image are those of its graph with the time axis, the lowest field,
+dropped: the graph's sorted keys shifted right past that field stay
+sorted, so dropping the adjacent repeats gives the image's keys with no
+sort (``drop_first_axis``).
 
 A cell is a float floor ``floor(x / w)`` (``cell_indices``), an exact
 integer at every magnitude; cells become integers only in ``pack_cells``,
@@ -100,12 +102,14 @@ from .errors import DomainError
 # many (in 1-D, cells in its one row) is refused.  refine = 64 in 3-D needs
 # 131^2 = 17161.
 MAX_SAUSAGE_ROWS = 1 << 16
-# the one work budget: candidate pairs a neighbour count or a bulk scan tests
-# at once, or (point, row) pairs the sausage scans and merges at once; memory
-# is bounded by this, or by one point's candidates in one range or its rows.
-# pack_cells also takes _PAIR_CHUNK // 8 points a chunk, so its float buffer
-# is _PAIR_CHUNK bytes: changing the budget changes the box-sweep chunk too
-_PAIR_CHUNK = 1 << 18
+# the one work budget, in elements: candidate pairs a neighbour count or a
+# bulk scan tests at once, (point, row) pairs the sausage scans and merges at
+# once, or points pack_cells floors and packs at once.  Memory is bounded by
+# this, or by one point's candidates in one range or its rows, or by the runs
+# a sausage chunk carries.  At 2^18, a sausage call held about 16 MiB of
+# chunk arrays, which the allocator gave back to the system on return, so
+# each scale faulted them in again; at 2^15 it holds about 5 MiB.
+_PAIR_CHUNK = 1 << 15
 # a greedy scan resolves in bulk rounds when its candidates total at most
 # this many a point, which also bounds the memory of its pairs; bulk won at
 # 3-23 candidates a point and tied or lost from about 43 up
@@ -187,11 +191,11 @@ def pack_cells(cells, margin: int = 0, width: float | None = None, bounds=None):
     when a cell is ``2^62`` or more in magnitude or not finite, or when the
     keys would pass ``_KEY_LIMIT``.
 
-    Keys are filled column by column in chunks of ``_PAIR_CHUNK // 8``
-    points, whose float buffer takes ``_PAIR_CHUNK`` bytes: a chunk is
-    divided and floored in it, cast to int64 (exact below ``2^62``), offset
-    there (exact for every field, where a float offset of 53 bits or more
-    would round) and cast into the key word.
+    Keys are filled column by column in chunks of ``_PAIR_CHUNK`` points,
+    through reused float, int64 and key-word buffers of that size: a chunk
+    is divided and floored in the float buffer, cast to int64 (exact below
+    ``2^62``), offset there (exact for every field, where a float offset of
+    53 bits or more would round) and cast into the key word.
     """
     cells = _columns(cells)
     if bounds is None:
@@ -212,7 +216,7 @@ def pack_cells(cells, margin: int = 0, width: float | None = None, bounds=None):
     shifts = tuple(itertools.accumulate(bits[:-1], initial=0))
     dtype = np.uint32 if sum(bits) <= 32 else np.uint64
     n = len(cells[0])
-    size = min(n, max(1, _PAIR_CHUNK // 8))
+    size = min(n, _PAIR_CHUNK)
     keys, word = np.empty(n, dtype=dtype), np.empty(size, dtype=dtype)
     floats, wide = np.empty(size), np.empty(size, dtype=np.int64)
     for s in range(0, n, size):
@@ -579,8 +583,12 @@ def _group_count(pts, base, index, cells, clip, keys, layout, steps, cell: float
     points ``index``, whose ``cells`` pack into ``keys`` and ``layout``.  On
     the stride-1 axis (the last, first in ``cells``) run ends are clipped, and
     on a row axis (point, row) pairs outside are dropped.  Points go in key
-    order, in chunks of ``_PAIR_CHUNK`` (point, row) pairs, and each chunk's
-    runs are merged at once with the disjoint runs kept from earlier ones.
+    order, and each chunk's runs are merged at once with the disjoint runs
+    kept from earlier ones.  A chunk takes ``_PAIR_CHUNK`` (point, row)
+    pairs, or, while more runs are carried, as many pairs as those runs:
+    each merge sorts the carried runs again, so a chunk much smaller than
+    them would re-sort them for little new work.  ``_union`` sorts stably,
+    and the carried runs come first, already sorted.
     The runs of every later point start at or above ``key - reach *
     sum(strides)`` of the next one, so the merged runs that end below that
     are counted and dropped.  This needs key order only between chunks:
@@ -597,11 +605,13 @@ def _group_count(pts, base, index, cells, clip, keys, layout, steps, cell: float
     for a in range(m - 1):
         row_keys = (row_keys[:, None] + steps * strides[m - 1 - a]).ravel()
     span = int(steps[-1]) * sum(strides)
-    chunk = max(1, _PAIR_CHUNK // row_keys.size)
     start = end = np.empty(0, dtype=np.int64)
     count = 0
-    for s in range(0, len(pts), chunk):
-        point, row, lo, hi = _row_runs(pts[s:s + chunk], base[s:s + chunk], steps, cell, r2)
+    s = 0
+    while s < len(pts):
+        # a chunk scans at least as many pairs as the runs it carries
+        e = s + max(1, _PAIR_CHUNK // row_keys.size, -(-start.size // row_keys.size))
+        point, row, lo, hi = _row_runs(pts[s:e], base[s:e], steps, cell, r2)
         point += s
         for a, (at, first, stop) in cuts.items():
             at = at[point]
@@ -615,9 +625,10 @@ def _group_count(pts, base, index, cells, clip, keys, layout, steps, cell: float
         row_start = keys[point] + row_keys[row]
         start, end = _union(np.concatenate([start, row_start + lo]),
                             np.concatenate([end, row_start + hi]))
-        done = end < keys[min(s + chunk, len(keys) - 1)] - span
+        done = end < keys[min(e, len(keys) - 1)] - span
         count += int((end[done] - start[done]).sum()) + int(done.sum())
         start, end = start[~done], end[~done]
+        s = e
     return count + int((end - start).sum()) + start.size
 
 
@@ -686,7 +697,7 @@ def _row_runs(pts: np.ndarray, base: np.ndarray, steps: np.ndarray, cell: float,
 
 def _union(start: np.ndarray, end: np.ndarray):
     """Disjoint runs ``[start, end]`` whose union is that of the given runs."""
-    order = np.argsort(start)
+    order = np.argsort(start, kind="stable")
     start, end = start[order], end[order]
     reached = np.maximum.accumulate(end)
     new_run = np.ones(start.size, dtype=bool)

@@ -130,9 +130,8 @@ def test_each_scale_halves_the_distinct_cells_of_the_one_before(monkeypatch):
         assert len(cells) == len(keys) and set(cells) == brute_box_cells(pts, 2.0**-j)
 
 
-# points a chunk of pack_cells floors and packs at once: its float buffer
-# takes the pair budget in bytes
-CHUNK = kernels._PAIR_CHUNK // 8
+# points a chunk of pack_cells floors and packs at once: the work budget
+CHUNK = kernels._PAIR_CHUNK
 
 
 def _check_chunked_keys(columns, eps):
@@ -164,7 +163,7 @@ def test_chunked_keys_match_the_cells_and_the_oracle(n):
 def test_chunked_keys_over_small_budgets(monkeypatch):
     # chunks of 1-6 points cross every boundary of clouds of 1-40 points
     rng = np.random.default_rng(31)
-    for budget in (8, 16, 24, 48):
+    for budget in (1, 2, 3, 6):
         monkeypatch.setattr(kernels, "_PAIR_CHUNK", budget)
         for _ in range(30):
             pts = _random_cloud(rng)[: int(rng.integers(1, 41))]
@@ -180,7 +179,7 @@ def test_fields_of_53_bits_or_more_are_offset_in_int64(monkeypatch):
         column = np.array([low, top, top - 2, low + 2, 3.0])
         keys, layout = kernels.pack_cells([column], 0, 1.0)
         assert decode_box_keys(keys, layout) == [(int(x),) for x in column]
-        for budget in (8, kernels._PAIR_CHUNK):
+        for budget in (1, kernels._PAIR_CHUNK):
             monkeypatch.setattr(kernels, "_PAIR_CHUNK", budget)
             _check_chunked_keys([np.arange(5.0), column], 1.0)
 

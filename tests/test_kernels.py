@@ -108,7 +108,7 @@ def test_neighbor_counts_in_chunks_dropping_binned_axes_match_oracle(monkeypatch
         if n > 2:
             pts[1] = pts[0]
         monkeypatch.setattr(kernels, "_KEY_LIMIT", int(rng.choice([128, 1024])))
-        monkeypatch.setattr(kernels, "_PAIR_CHUNK", int(rng.choice([1, 7, 40, 1 << 18])))
+        monkeypatch.setattr(kernels, "_PAIR_CHUNK", int(rng.choice([1, 7, 40, 1 << 15, 1 << 18])))
         radius = float(rng.uniform(0.02, 1.0))
         assert np.array_equal(kernels.neighbor_counts(pts, radius),
                               oracles.brute_neighbor_counts(pts, radius))
@@ -241,14 +241,88 @@ def test_sausage_runs_match_the_row_oracle():
         assert not runs
 
 
+def _record_sausage_chunks(monkeypatch):
+    """``(points, chunks)`` of each uncut sausage piece counted, with one
+    ``[points, rows, carried]`` entry a chunk: ``_row_runs`` gets the
+    chunk's points and rows, and ``_union`` the runs carried from earlier
+    chunks ahead of the chunk's own."""
+    pieces = []
+    group_count, row_runs, union = kernels._group_count, kernels._row_runs, kernels._union
+
+    def counting(pts, base, index, cells, clip, *args):
+        assert not clip
+        pieces.append((index.size, []))
+        return group_count(pts, base, index, cells, clip, *args)
+
+    def runs(pts, base, steps, cell, r2):
+        found = row_runs(pts, base, steps, cell, r2)
+        pieces[-1][1].append([len(pts), steps.size ** (pts.shape[1] - 1), found[0].size])
+        return found
+
+    def merging(start, end):
+        chunk = pieces[-1][1][-1]
+        chunk[2] = start.size - chunk[2]
+        return union(start, end)
+
+    monkeypatch.setattr(kernels, "_group_count", counting)
+    monkeypatch.setattr(kernels, "_row_runs", runs)
+    monkeypatch.setattr(kernels, "_union", merging)
+    return pieces
+
+
 def test_sausage_in_small_chunks_with_merges_matches_oracle(monkeypatch):
     # one or a few points a chunk, each merged into the runs kept at the scan
     # front as soon as it is built
+    pieces = _record_sausage_chunks(monkeypatch)
     monkeypatch.setattr(kernels, "_PAIR_CHUNK", 40)
     rng = np.random.default_rng(12)
     for pts, r, cell in itertools.islice(_sausage_inputs(rng), 0, None, 3):
         assert kernels.sausage_occupied_count(pts, r, cell) == \
             oracles.brute_sausage_count(pts, r, cell)
+    chunks = [chunk for _, piece in pieces for chunk in piece]
+    assert sum(points == 1 for points, _, _ in chunks) > 50
+    assert any(points > 1 for points, _, _ in chunks)
+
+
+@pytest.mark.parametrize("budget", [1, 40])
+def test_sausage_chunks_grow_to_the_runs_they_carry(monkeypatch, budget):
+    # a chunk takes the budget's points, or more while the runs carried from
+    # earlier chunks outnumber the budget: it scans at least as many (point,
+    # row) pairs as the runs it carries, or all the pairs left
+    pieces = _record_sausage_chunks(monkeypatch)
+    monkeypatch.setattr(kernels, "_PAIR_CHUNK", budget)
+    rng = np.random.default_rng(33)
+    for pts, r, cell in itertools.islice(_sausage_inputs(rng), 1, None, 2):
+        assert kernels.sausage_occupied_count(pts, r, cell) == \
+            oracles.brute_sausage_count(pts, r, cell)
+    grown = 0
+    for left, chunks in pieces:
+        for points, rows, carried in chunks:
+            assert points * rows >= min(carried, left * rows)
+            assert points == min(left, max(1, budget // rows, -(-carried // rows)))
+            grown += points > max(1, budget // rows)
+            left -= points
+        assert left == 0
+    assert grown > 10
+
+
+def test_sausage_of_a_graph_in_bounded_memory(monkeypatch):
+    # 2^14 + 1 points, 11 rows a point: chunks of 2^18 (point, row) pairs
+    # held about 16 MiB, which the allocator handed back after each call
+    path = fd.apply_drift(fd.generate_bm(fd.TimeGrid.uniform((1 << 14) + 1), 1, 1),
+                          fd.DriftSpec.psi_n(64))
+    pts = np.column_stack(fd.graph_cloud(path).columns)
+    r = 2.0**-8
+    tracemalloc.start()
+    try:
+        count = kernels.sausage_occupied_count(pts, r, r / 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    # chunking does not change the count
+    monkeypatch.setattr(kernels, "_PAIR_CHUNK", 1 << 18)
+    assert count == kernels.sausage_occupied_count(pts, r, r / 4)
 
 
 def _record_sausage_cuts(monkeypatch, cuts):
