@@ -26,7 +26,15 @@ are those of a serial run, as is the error of a failing seed.
 An object's image is its graph with the time axis dropped, so the image's
 box sweep counts the graph's box pyramid projected onto it
 (``_estimates``): a seed floors, packs and sorts the points of its graphs
-only.
+only.  A sweep that fails raises its error prefixed with ``"<object> by
+<method>: "``, and with ``"seed <seed>: "`` before that, keeping its code.
+
+A method runs on the objects it can measure (``_method_applies``): the
+sausage on those of at most three dimensions, and the column oscillation
+on the graphs of a 1-D path over the uniform dyadic grid, but on the
+drift's and the sum's graphs only when the drift is continuous.  In a
+column where the path jumps, the oscillation counts every row between the
+two plateaus, which the cadlag graph does not meet.
 
 The claims registry ``CLAIMS`` is a table with one check per claim id:
 constancy, thm13-image, thm15-graph, thm16-equality, cor14-bound,
@@ -307,10 +315,11 @@ def _method_applies(method: str, obj: str, cloud: PointCloud, cfg: ExperimentCon
     if method == "sausage":
         return cloud.dim <= 3
     if method == "oscillation":
-        uniform_dyadic = (
-            cfg.set == "uniform" and (cfg.points - 1) & (cfg.points - 2) == 0
-        )
-        return obj.startswith("graph") and cloud.dim == 2 and uniform_dyadic
+        uniform_dyadic = cfg.set == "uniform" and (cfg.points - 1) & (cfg.points - 2) == 0
+        # a column where the path jumps counts the rows between its plateaus,
+        # which the cadlag graph does not meet
+        continuous = obj == "graph_bm" or cfg.drift_spec.is_continuous
+        return obj.startswith("graph") and cloud.dim == 2 and uniform_dyadic and continuous
     return True
 
 
@@ -344,8 +353,11 @@ def _estimates(cfg: ExperimentConfig, clouds: dict) -> dict:
         for method in cfg.methods:
             if _method_applies(method, obj, cloud, cfg):
                 known = {"cells": box_cells(obj, cloud)} if method == "box" else {}
-                ests[obj][method] = estimate_dimension(scale_sweep(
-                    cloud, _METHOD_KINDS[method], j_min, j_max, refine=cfg.refine, **known))
+                try:
+                    ests[obj][method] = estimate_dimension(scale_sweep(
+                        cloud, _METHOD_KINDS[method], j_min, j_max, refine=cfg.refine, **known))
+                except ValueError as exc:
+                    raise _prefixed(exc, f"{obj} by {method}: ") from exc
     return {obj: ests[obj] for obj in clouds}
 
 

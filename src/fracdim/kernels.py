@@ -71,8 +71,9 @@ floor(floor(x / eps) / 2)``, and with ``u = c - min``, ``floor((u + min)
 carried ``u + 1``.  Keys are never unpacked into cell rows.  The cells of
 an image are those of its graph with the time axis, the lowest field,
 dropped: the graph's sorted keys shifted right past that field stay
-sorted, so dropping the adjacent repeats gives the image's keys with no
-sort (``drop_first_axis``).
+sorted, so dropping the adjacent repeats gives the image's cells with no
+sort: the same cells, in the graph's key word (``drop_first_axis``).  Only
+``pack_cells`` picks the key word; halved and projected keys keep it.
 
 A cell is a float floor ``floor(x / w)`` (``cell_indices``), an exact
 integer at every magnitude; cells become integers only in ``pack_cells``,
@@ -164,11 +165,10 @@ def cell_indices(points: np.ndarray, width: float) -> np.ndarray:
 class KeyLayout(NamedTuple):
     """Where each axis sits in a packed cell key: the cell of axis ``a`` is
     ``mins[a]`` plus the bits of the key from ``shifts[a]`` up to the next
-    field, and the fields take ``bits`` bits in all."""
+    field, or up to the top of the key for the last axis."""
 
     mins: tuple  # Python ints
     shifts: tuple  # axis 0 at bit 0
-    bits: int  # the keys are uint32 up to 32 bits and uint64 above
 
 
 def pack_cells(cells, margin: int = 0, width: float | None = None, bounds=None):
@@ -234,7 +234,7 @@ def pack_cells(cells, margin: int = 0, width: float | None = None, bounds=None):
                 w[...] = i
                 w <<= dtype(shift)
                 out |= w
-    return keys, KeyLayout(tuple(mins), shifts, sum(bits))
+    return keys, KeyLayout(tuple(mins), shifts)
 
 
 def _compact(cells: np.ndarray, near: int) -> np.ndarray:
@@ -802,19 +802,14 @@ def drop_first_axis(keys: np.ndarray, layout: KeyLayout):
     ``shifts[1]`` drops it and keeps the keys sorted: equal cells are
     adjacent, and one compare and one ``np.compress`` drop the repeats.  The
     layout is ``mins[1:]`` with the shifts moved down by ``shifts[1]``, and
-    the keys are narrowed to ``uint32`` when the fields left take at most
-    32 bits, as ``pack_cells`` would pack them.  So the keys of ``box_keys``
-    of the points without their axis 0 come out bit for bit, as do those of
-    the same halvings of both (``coarser_keys``): each halving acts on each
-    field alone.
+    the keys stay in the word of their graph's keys.  So the keys of
+    ``box_keys`` of the points without their axis 0 come out in value, with
+    the same layout, as do those of the same halvings of both
+    (``coarser_keys``): each halving acts on each field alone.
     """
     shift = layout.shifts[1]
     projected = _distinct(keys >> keys.dtype.type(shift))
-    bits = layout.bits - shift
-    if bits <= 32:
-        projected = projected.astype(np.uint32, copy=False)
-    return projected, KeyLayout(layout.mins[1:], tuple(s - shift for s in layout.shifts[1:]),
-                                bits)
+    return projected, KeyLayout(layout.mins[1:], tuple(s - shift for s in layout.shifts[1:]))
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:

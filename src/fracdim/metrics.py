@@ -443,8 +443,7 @@ def scale_sweep(cloud: PointCloud, kind: str, j_min: int, j_max: int,
         vals = [graph_box_count_oscillation(values, int(j)) for j in js]
     else:
         raise ValueError(f"unknown series kind {kind!r}")
-    return ScaleSeries(kind, eps, np.asarray(vals, dtype=np.float64),
-                       {"ambient_dim": cloud.dim, "n_points": len(cloud)})
+    return ScaleSeries(kind, eps, np.asarray(vals, dtype=np.float64), {"ambient_dim": cloud.dim})
 
 
 def _uniform_graph_values(cloud: PointCloud) -> np.ndarray:

@@ -174,6 +174,36 @@ def test_oscillation_method_runs_on_uniform_graphs():
     assert set(report.aggregates["image_bm"]) == {"box"}
 
 
+@pytest.mark.parametrize("drift, oscillated", [
+    ("psi_n:16", {"graph_bm"}),  # a drift with jumps
+    ("linear:1.0", {"graph_bm", "graph_drift", "graph_sum"}),
+])
+def test_oscillation_runs_only_on_graphs_without_jumps(drift, oscillated):
+    report = run_experiment(small_config(drift=drift, methods=("box", "oscillation")))
+    assert {obj for obj, per in report.aggregates.items() if "oscillation" in per} == oscillated
+    assert all("box" in per for per in report.aggregates.values())
+
+
+def test_a_failing_sweep_names_its_object_and_method(tmp_path, capsys):
+    # a 2-D path's graph is 3-D, where r/cell = 1000 asks for over
+    # MAX_SAUSAGE_ROWS rows of cells a point
+    cfg = small_config(d=2, methods=("sausage",), refine=1000)
+    with pytest.raises(DomainError) as ei:
+        run_experiment(cfg)
+    assert ei.value.code == "sausage-too-fine"
+    assert ei.value.detail.startswith("seed 1: graph_bm by sausage: r/cell = 1000 in 3-D: ")
+    entry = {key: value for key, value in cfg.to_dict().items() if key != "name"}
+    entry.update(set="uniform", seeds=list(range(1, 9)))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"tolerances": dict(TOLERANCES),
+                                "experiments": {"constancy": entry}}))
+    assert cli.main(["experiment", "--name", "constancy", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sausage-too-fine: claim 'constancy': seed 1: graph_bm by "
+                          "sausage: r/cell = 1000 in 3-D: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 @pytest.mark.parametrize("d, measured", [
     (1, {"graph_bm": {"box", "sausage"}, "image_bm": {"box", "sausage"}}),
     (2, {"graph_bm": {"box", "sausage"}, "image_bm": {"box", "sausage"}}),
