@@ -1,4 +1,5 @@
-"""Shared error type for contract violations."""
+"""Shared error type for contract violations, and the prefix that says
+where one arose."""
 
 
 class DomainError(ValueError):
@@ -13,3 +14,10 @@ class DomainError(ValueError):
         self.code = code
         self.detail = detail
         super().__init__(f"{code}: {detail}" if detail else code)
+
+
+def prefixed(exc: ValueError, prefix: str) -> ValueError:
+    """``exc`` with ``prefix`` before its message; a ``DomainError`` keeps its code."""
+    if isinstance(exc, DomainError):
+        return DomainError(exc.code, prefix + exc.detail)
+    return ValueError(prefix + str(exc))

@@ -11,17 +11,19 @@ Each object depends on part of the config only: the noise on the grid (set,
 points), d and seed, the drift on the grid, d and drift, the sum on both,
 and each estimate also on the sweep (scales, methods, refine).
 ``seed_estimates`` keeps every object's estimates in one memo under exactly
-those inputs and measures only what the memo lacks, so the grid and the
-drift's values are built once per (set, points, d, drift), from the grid
+those inputs, and ``_measure`` alone decides what a seed lacks: it skips
+each object whose key the memo holds, or that has none.  So the grid and
+the drift's values are built once per (set, points, d, drift), from the grid
 alone.  This is exact: a sweep of the same cloud gives the same bytes, so
 every estimate equals the one computed from scratch.
 
 The seeds share nothing but the grid and the drift, so an experiment fills
 the memo on two threads before it reads it in seed order: the calling
-thread and one worker take jobs from one list, the drift's and one per
-seed for its noise and sum (``_prefill``).  numpy releases the GIL in the
-draws, sums, sorts and packing that take most of the time, and the bytes
-are those of a serial run, as is the error of a failing seed.
+thread and the worker of a one-thread pool take jobs from one list, the
+drift's and one per seed for its noise and sum (``_prefill``).  numpy
+releases the GIL in the draws, sums, sorts and packing that take most of
+the time, and the bytes are those of a serial run, as is the error of a
+failing seed.
 
 An object's image is its graph with the time axis dropped, so the image's
 box sweep counts the graph's box pyramid projected onto it
@@ -50,8 +52,8 @@ import importlib.resources
 import json
 import math
 import sys
-import threading
 from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
@@ -64,7 +66,7 @@ from .constructions import (
     staircase_steps,
     theoretical_image_bound,
 )
-from .errors import DomainError
+from .errors import DomainError, prefixed
 from .metrics import (
     PointCloud,
     bm_graph_cloud,
@@ -357,7 +359,7 @@ def _estimates(cfg: ExperimentConfig, clouds: dict) -> dict:
                     ests[obj][method] = estimate_dimension(scale_sweep(
                         cloud, _METHOD_KINDS[method], j_min, j_max, refine=cfg.refine, **known))
                 except ValueError as exc:
-                    raise _prefixed(exc, f"{obj} by {method}: ") from exc
+                    raise prefixed(exc, f"{obj} by {method}: ") from exc
     return {obj: ests[obj] for obj in clouds}
 
 
@@ -397,17 +399,20 @@ def _setup(cfg: ExperimentConfig, memo: dict) -> _Setup:
     return memo[key]
 
 
-def _measure(cfg: ExperimentConfig, seed: int, memo: dict, objs: list) -> None:
-    """Measure the objects ``objs`` (of bm, drift and sum, in that order) of
-    ``seed`` and store each one's estimates in ``memo``.
+def _measure(cfg: ExperimentConfig, seed: int, memo: dict, objs: tuple) -> None:
+    """Measure those of the objects ``objs`` (of bm, drift and sum, in that
+    order) of ``seed`` that ``memo`` lacks, and store each one's estimates
+    in it.  An object whose memo key is held is skipped, as is one with no
+    key: a zero drift's drift and sum (``_memo_keys``).
 
-    The drift is measured on the setup alone.  The noise is drawn only for
-    bm or sum, with the setup's drift values attached, and the path is
-    dropped once the sum's clouds are built: they hold only the path's
+    The drift is measured on the setup alone.  The noise is drawn only if
+    bm or sum is left, with the setup's drift values attached, and the path
+    is dropped once the sum's clouds are built: they hold only the path's
     noise plus drift and the grid's times, so the sum's sweeps hold one
     array of the path's size, not two.
     """
     keys = _memo_keys(cfg, seed)
+    objs = [obj for obj in objs if obj in keys and keys[obj] not in memo]
     setup = _setup(cfg, memo)
     path = (generate_bm(setup.grid, cfg.d, seed, setup.drift_values)
             if {"bm", "sum"} & set(objs) else None)
@@ -427,18 +432,16 @@ def seed_estimates(cfg: ExperimentConfig, seed: int, memo: dict) -> dict:
 
     ``memo`` keeps the estimates of each object under the inputs it depends
     on (``_memo_keys``), and the grid and the drift's values under (grid,
-    d, drift) (``_setup_key``).  The objects it lacks are measured
-    (``_measure``) and stored in it.  ``run_experiment`` fills the memo for
-    all its seeds on two threads (``_prefill``) before it calls this once
-    per seed, in seed order, so there every call finds them, unless a
-    seed's job failed: then this call measures that seed again and raises
-    its error.
+    d, drift) (``_setup_key``).  This hands every object to ``_measure``,
+    which measures those the memo lacks and stores them in it.
+    ``run_experiment`` fills the memo for all its seeds on two threads
+    (``_prefill``) before it calls this once per seed, in seed order, so
+    there every call finds them, unless a seed's job failed: then this call
+    measures that seed again and raises its error.
     """
-    keys = _memo_keys(cfg, seed)
-    missing = [obj for obj, key in keys.items() if key not in memo]
-    if missing:
-        _measure(cfg, seed, memo, missing)
-    return {name: dict(per) for key in keys.values() for name, per in memo[key].items()}
+    _measure(cfg, seed, memo, ("bm", "drift", "sum"))
+    return {name: dict(per) for key in _memo_keys(cfg, seed).values()
+            for name, per in memo[key].items()}
 
 
 def _prefill(cfg: ExperimentConfig, memo: dict) -> None:
@@ -446,28 +449,22 @@ def _prefill(cfg: ExperimentConfig, memo: dict) -> None:
     the calling thread and one worker thread.
 
     The setup is built first, on the calling thread.  Then both threads take
-    jobs from one iterator: the drift's, and one per seed for its noise and
-    sum, so no two threads write one memo key.  numpy releases the GIL in
-    the draws, sums and sorts that take most of the time.  A job that raises
-    a ``ValueError`` leaves its objects out of the memo; the caller's
-    in-order loop measures them again and raises the error there, for the
-    first failing seed in seed order, as a serial run would.  Any other
-    exception stops both threads and is raised here once the worker has
-    ended; the worker never outlives the call.
+    jobs from one list iterator: the drift's, and ``("bm", "sum")`` for each
+    seed, so no two threads write one memo key; ``_measure`` skips what the
+    memo holds.  numpy releases the GIL in the draws, sums and sorts that
+    take most of the time.  A job that raises a ``ValueError`` leaves its
+    objects out of the memo; the caller's in-order loop measures them again
+    and raises the error there, for the first failing seed in seed order, as
+    a serial run would.  Any other exception ends the thread it arose on,
+    which first drains the iterator, so the other thread starts no further
+    job; it is raised here once the worker has ended (the worker's by its
+    future), and the worker never outlives the call.
     """
     try:
         _setup(cfg, memo)
     except ValueError:
         return  # raised again at the first seed
-    first = _memo_keys(cfg, cfg.seeds[0])
-    jobs = [(cfg.seeds[0], ["drift"])] if "drift" in first and first["drift"] not in memo else []
-    for seed in cfg.seeds:
-        keys = _memo_keys(cfg, seed)
-        objs = [obj for obj in ("bm", "sum") if obj in keys and keys[obj] not in memo]
-        if objs:
-            jobs.append((seed, objs))
-    pending = iter(jobs)  # a list iterator hands each job to one thread
-    failed = []
+    pending = iter([(cfg.seeds[0], ("drift",)), *((seed, ("bm", "sum")) for seed in cfg.seeds)])
 
     def work():
         try:
@@ -476,26 +473,14 @@ def _prefill(cfg: ExperimentConfig, memo: dict) -> None:
                     _measure(cfg, seed, memo, objs)
                 except ValueError:
                     pass  # measured again, and raised, by the in-order loop
-        except BaseException as exc:  # raised again below, on the calling thread
-            failed.append(exc)
+        finally:
             for _ in pending:  # the other thread starts no further job
                 pass
 
-    worker = threading.Thread(target=work)
-    worker.start()
-    try:
+    with ThreadPoolExecutor(1) as pool:
+        worker = pool.submit(work)
         work()
-    finally:
-        worker.join()
-    if failed:
-        raise failed[0]
-
-
-def _prefixed(exc: ValueError, prefix: str) -> ValueError:
-    """``exc`` with ``prefix`` before its message; a ``DomainError`` keeps its code."""
-    if isinstance(exc, DomainError):
-        return DomainError(exc.code, prefix + exc.detail)
-    return ValueError(prefix + str(exc))
+    worker.result()
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -513,7 +498,7 @@ def _run_experiment(cfg: ExperimentConfig, memo: dict) -> ExperimentReport:
         try:
             ests = seed_estimates(cfg, seed, memo)
         except ValueError as exc:
-            raise _prefixed(exc, f"seed {seed}: ") from exc
+            raise prefixed(exc, f"seed {seed}: ") from exc
         block = {"seed": seed, "estimates": {}}
         for obj, per in ests.items():
             block["estimates"][obj] = {m: e.to_dict() for m, e in per.items()}
@@ -728,7 +713,7 @@ def run_claims(names, config: dict | None = None) -> dict:
                     parse_schedule(exp_cfg["schedule"]), exp_cfg["truncation"])
             reports[claim] = replace(report, verdicts=(check(exp, report, *values),))
     except ValueError as exc:  # ``claim`` is the claim that raised
-        raise _prefixed(exc, f"claim {claim!r}: ") from exc
+        raise prefixed(exc, f"claim {claim!r}: ") from exc
     return reports
 
 

@@ -37,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .errors import DomainError
+from .errors import DomainError, prefixed
 from .paths import SamplePath, frozen, read_only
 
 
@@ -248,7 +248,7 @@ def box_count(cloud: PointCloud, eps: float, cells=None) -> int:
     return len(cells[0])
 
 
-def graph_box_count_oscillation(values, n: int | None = None) -> int:
+def graph_box_count_oscillation(values, n: int) -> int:
     """Column-wise oscillation proxy for the box count of a sampled graph.
 
     ``values`` must sample a function on the full uniform dyadic grid over
@@ -263,8 +263,6 @@ def graph_box_count_oscillation(values, n: int | None = None) -> int:
     if n_steps < 1 or (n_steps & (n_steps - 1)) != 0:
         raise DomainError("not-dyadic-grid", f"need 2^J+1 samples, got {vals.size}")
     big_j = n_steps.bit_length() - 1
-    if n is None:
-        n = big_j
     if not 0 <= n <= big_j:
         raise DomainError("not-dyadic-grid", f"column level {n} exceeds sample level {big_j}")
     return int(kernels.oscillation_counts(vals, int(n)).sum())
@@ -425,25 +423,38 @@ def scale_sweep(cloud: PointCloud, kind: str, j_min: int, j_max: int,
     values.  The window must pass ``check_sweep_window``.  A box sweep
     counts each scale's ``cells`` (see ``box_count``), finest first, one per
     scale and ``None`` where unknown; by default, the cloud's own
-    ``kernels.box_pyramid``.
+    ``kernels.box_pyramid``.  A ``ValueError`` raised while it counts the
+    scale j gains ``"j = <j>: "`` before its message, and a ``DomainError``
+    keeps its code; those raised before any scale (the window, an unknown
+    kind, the oscillation's grid) keep their text.
     """
     check_sweep_window(j_min, j_max)
     js = np.arange(j_min, j_max + 1)
     eps = 2.0 ** -js.astype(np.float64)
+    order = js
     if kind == "box":
         if cells is None:
             cells = kernels.box_pyramid(cloud.columns, j_min, j_max, cloud.bounds)
-        vals = [box_count(cloud, e, cells=c) for e, c in zip(eps[::-1], cells, strict=True)][::-1]
+        order = js[::-1]  # finest first, as the cells come
+        counts = (box_count(cloud, e, cells=c) for e, c in zip(eps[::-1], cells, strict=True))
     elif kind == "packing":
-        vals = [packing_number(cloud, e) for e in eps]
+        counts = (packing_number(cloud, e) for e in eps)
     elif kind == "sausage_volume":
-        vals = [sausage_volume(cloud, e, refine=refine) for e in eps]
+        counts = (sausage_volume(cloud, e, refine=refine) for e in eps)
     elif kind == "oscillation":
         values = _uniform_graph_values(cloud)
-        vals = [graph_box_count_oscillation(values, int(j)) for j in js]
+        counts = (graph_box_count_oscillation(values, int(j)) for j in js)
     else:
         raise ValueError(f"unknown series kind {kind!r}")
-    return ScaleSeries(kind, eps, np.asarray(vals, dtype=np.float64), {"ambient_dim": cloud.dim})
+    by_scale = {}
+    for j in order:
+        try:
+            by_scale[j] = next(counts)
+        except ValueError as exc:
+            raise prefixed(exc, f"j = {j}: ") from exc
+    next(counts, None)  # none is left, but zip's strict check refuses more cells than scales
+    vals = np.asarray([by_scale[j] for j in js], dtype=np.float64)
+    return ScaleSeries(kind, eps, vals, {"ambient_dim": cloud.dim})
 
 
 def _uniform_graph_values(cloud: PointCloud) -> np.ndarray:

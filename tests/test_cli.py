@@ -223,6 +223,16 @@ def test_a_bad_out_or_scales_exits_2_before_any_work(capsys, tmp_path, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
+def test_an_out_path_that_is_a_directory_is_refused(capsys, tmp_path):
+    with pytest.raises(OSError, match="Is a directory$"):
+        with cli._output(str(tmp_path)):
+            pass
+    code, out, err = run_cli(capsys, "simulate", "--points", "9", "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {str(tmp_path)!r}: Is a directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--drift", "wiggle:2", "--out", "kept"],
     ["dims", "--input", "missing.csv", "--out", "kept"],
@@ -342,6 +352,12 @@ def test_bounds_out_of_domain(capsys):
         argv = [x for key, v in {**holder, flag: value}.items() for x in (key, v)]
         code, out, err = run_cli(capsys, "bounds", "holder", *argv)
         assert (code, out) == (2, "") and err.startswith("error: ") and named in err
+
+
+def test_bounds_psi_count_below_the_jump_size(capsys):
+    # eps = 0.001 < 256^-3/4: the count is sqrt(n) / eps
+    code, out, _ = run_cli(capsys, "bounds", "psi-count", "--n", "256", "--eps", "0.001")
+    assert code == 0 and json.loads(out)["value"] == 16000.0
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])

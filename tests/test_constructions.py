@@ -110,6 +110,12 @@ def test_psi_graph_count_formula_examples():
     assert math.isclose(math.sqrt(n) / eps_star, float(n) ** -0.25 / eps_star**2)
 
 
+def test_psi_graph_count_formula_below_the_jump_size_counts_the_jumps():
+    # eps < n^-3/4: sqrt(n) / eps boxes
+    assert fd.psi_graph_count_formula(2**8, 0.001) == 16 / 0.001 == 16000.0
+    assert fd.psi_graph_count_formula(2**8, 2.0**-7) == 2.0**11
+
+
 def test_psi_graph_count_formula_regime_guard():
     with pytest.raises(DomainError) as ei:
         fd.psi_graph_count_formula(2**8, 2.0**-13)
@@ -196,3 +202,25 @@ def test_lacunary_steps_sum():
     assert np.array_equal(values, want)
     b0, v0 = fd.lacunary_steps(())
     assert np.array_equal(b0, [0.0, 1.0]) and np.array_equal(v0, [0.0])
+
+
+@pytest.mark.parametrize("refused, error, code", [
+    pytest.param(lambda: fd.LacunarySchedule.custom([16, 16]), ValueError, None,
+                 id="custom-schedule-not-increasing"),
+    pytest.param(lambda: fd.LacunarySchedule.desk().log2_frequency(0), ValueError, None,
+                 id="schedule-index-0"),
+    pytest.param(lambda: fd.LacunarySchedule.custom([16, 64]).log2_frequency(3), IndexError, None,
+                 id="past-the-end-of-a-custom-schedule"),
+    pytest.param(lambda: fd.inverse_power_grid(0.0, 4), ValueError, None, id="power-beta-0"),
+    pytest.param(lambda: fd.inverse_power_grid(1.0, 0), ValueError, None, id="power-n-max-0"),
+    pytest.param(lambda: fd.holder_cover_bound(1.0, 0.0, 1.0, 0.01), ValueError, None,
+                 id="holder-gamma-0"),
+    pytest.param(lambda: fd.holder_cover_bound(1.0, 1.5, 1.0, 0.01), ValueError, None,
+                 id="holder-gamma-above-1"),
+    pytest.param(lambda: fd.theoretical_image_bound(0.5, 0), ValueError, None,
+                 id="image-bound-d-0"),
+])
+def test_malformed_schedules_grids_and_bounds_are_refused(refused, error, code):
+    with pytest.raises(error) as ei:
+        refused()
+    assert type(ei.value) is error and getattr(ei.value, "code", None) == code

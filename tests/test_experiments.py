@@ -184,6 +184,14 @@ def test_oscillation_runs_only_on_graphs_without_jumps(drift, oscillated):
     assert all("box" in per for per in report.aggregates.values())
 
 
+def test_an_experiment_entry_that_is_no_object_is_refused():
+    config = {"tolerances": dict(TOLERANCES), "experiments": {"constancy": [1, 2]}}
+    with pytest.raises(ValueError) as ei:
+        run_claims(["constancy"], config)
+    assert type(ei.value) is ValueError
+    assert str(ei.value) == "claim 'constancy': an experiment entry must be an object, got [1, 2]"
+
+
 def test_a_failing_sweep_names_its_object_and_method(tmp_path, capsys):
     # a 2-D path's graph is 3-D, where r/cell = 1000 asks for over
     # MAX_SAUSAGE_ROWS rows of cells a point
@@ -191,7 +199,7 @@ def test_a_failing_sweep_names_its_object_and_method(tmp_path, capsys):
     with pytest.raises(DomainError) as ei:
         run_experiment(cfg)
     assert ei.value.code == "sausage-too-fine"
-    assert ei.value.detail.startswith("seed 1: graph_bm by sausage: r/cell = 1000 in 3-D: ")
+    assert ei.value.detail.startswith("seed 1: graph_bm by sausage: j = 3: r/cell = 1000 in 3-D: ")
     entry = {key: value for key, value in cfg.to_dict().items() if key != "name"}
     entry.update(set="uniform", seeds=list(range(1, 9)))
     path = tmp_path / "cfg.json"
@@ -200,7 +208,7 @@ def test_a_failing_sweep_names_its_object_and_method(tmp_path, capsys):
     assert cli.main(["experiment", "--name", "constancy", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: sausage-too-fine: claim 'constancy': seed 1: graph_bm by "
-                          "sausage: r/cell = 1000 in 3-D: ")
+                          "sausage: j = 3: r/cell = 1000 in 3-D: ")
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
@@ -714,6 +722,22 @@ def noise_failing_on(monkeypatch, fail):
         return real(grid, d, seed, *drift_values)
 
     monkeypatch.setattr(experiments, "generate_bm", generate_bm)
+
+
+def test_measure_skips_the_objects_the_memo_holds_or_that_have_no_key(monkeypatch):
+    drifted, zero = small_config(drift="psi_n:16"), small_config()
+    memo = {}
+    experiments._measure(drifted, 1, memo, ("bm", "drift", "sum"))
+    experiments._measure(zero, 1, memo, ("bm",))
+    held = dict(memo)
+    spied = []
+    monkeypatch.setattr(experiments, "generate_bm", lambda *args: spied.append("noise"))
+    monkeypatch.setattr(experiments, "_estimates", lambda *args: spied.append("estimates"))
+    experiments._measure(drifted, 1, memo, ("bm", "drift", "sum"))
+    # a zero drift's drift and sum have no memo key
+    experiments._measure(zero, 1, memo, ("bm", "drift", "sum"))
+    assert spied == []
+    assert len(memo) == len(held) and all(memo[key] is value for key, value in held.items())
 
 
 def test_the_first_failing_seed_in_seed_order_is_reported(monkeypatch, capsys, tmp_path):

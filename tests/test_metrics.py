@@ -514,6 +514,34 @@ def test_scale_sweep_window_beyond_the_doubles_is_bad_scale(j_min, j_max):
     assert np.all(fd.scale_sweep(cloud([[0.3, 0.4]]), "box", -1023, -1020).values == 1)
 
 
+def test_a_box_sweep_refuses_cells_for_more_or_fewer_scales():
+    c = cloud([[0.3], [0.6]])
+    assert np.array_equal(fd.scale_sweep(c, "box", 2, 4, cells=[None] * 3).values, [2, 2, 2])
+    for cells in ([None] * 2, [None] * 4):
+        with pytest.raises(ValueError, match="zip"):
+            fd.scale_sweep(c, "box", 2, 4, cells=cells)
+
+
+def test_a_sweep_error_names_its_scale():
+    # in 3-D, r/cell = 1000 asks for over MAX_SAUSAGE_ROWS rows of cells a point
+    solid = cloud([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+    with pytest.raises(DomainError) as ei:
+        fd.scale_sweep(solid, "sausage_volume", 3, 6, refine=1000)
+    assert ei.value.code == "sausage-too-fine"
+    assert ei.value.detail.startswith("j = 3: r/cell = 1000 in 3-D: ")
+    with pytest.raises(ValueError) as ei:
+        fd.scale_sweep(solid, "sausage_volume", 3, 6, refine=1)
+    assert type(ei.value) is ValueError and str(ei.value) == "j = 3: refine must be >= 2"
+    # errors raised before any scale keep their text: the window, and the
+    # oscillation's premise
+    with pytest.raises(ValueError) as ei:
+        fd.scale_sweep(solid, "box", 6, 3)
+    assert str(ei.value) == "scales [6, 3] need j_min < j_max"
+    with pytest.raises(DomainError) as ei:
+        fd.scale_sweep(solid, "oscillation", 3, 6)
+    assert ei.value.detail == "oscillation needs a 1-D graph cloud"
+
+
 def _bad_scale(call):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -617,6 +645,29 @@ def test_scale_series_validation_and_csv():
     assert buf.getvalue().splitlines()[1:] == ["0,1,3,box", "1,0.5,7,box"]
 
 
+@pytest.mark.parametrize("refused, error, code", [
+    pytest.param(lambda: fd.ScaleSeries("box", np.array([0.5, 0.25]), np.array([4.0])),
+                 ValueError, None, id="series-lengths-differ"),
+    pytest.param(lambda: fd.ScaleSeries("box", np.array([0.5, 0.25]), np.array([0.0, 4.0])),
+                 ValueError, None, id="series-value-not-positive"),
+    pytest.param(lambda: fd.sausage_volume(cloud([[0.5]]), 0.25, refine=1), ValueError, None,
+                 id="sausage-refine-below-2"),
+    pytest.param(lambda: fd.good_point_thinning([[0.0], [1.0]], 0.25, threshold=0), ValueError,
+                 None, id="thinning-threshold-not-positive"),
+    pytest.param(lambda: fd.scale_sweep(cloud([[0.5]]), "volume", 2, 6), ValueError, None,
+                 id="sweep-of-an-unknown-kind"),
+    pytest.param(lambda: fd.scale_sweep(cloud([[0.5]]), "oscillation", 2, 6), DomainError,
+                 "not-dyadic-grid", id="oscillation-of-a-cloud-not-2-d"),
+    pytest.param(lambda: fd.estimate_dimension(fd.ScaleSeries(
+        "sausage_volume", 2.0 ** -np.arange(4, 7), np.array([0.5, 0.25, 0.125]))), ValueError,
+        None, id="sausage-series-without-ambient-dim"),
+])
+def test_malformed_series_and_counts_are_refused(refused, error, code):
+    with pytest.raises(error) as ei:
+        refused()
+    assert type(ei.value) is error and getattr(ei.value, "code", None) == code
+
+
 def test_dimension_estimate_json_fields():
     s = fd.ScaleSeries("box", 2.0 ** -np.arange(4, 8), np.array([16.0, 32.0, 64.0, 128.0]))
     d = json.loads(fd.estimate_dimension(s).to_json())
@@ -631,6 +682,10 @@ def test_dimension_estimate_json_fields():
 def test_step_graph_box_count_plain():
     # one segment strictly inside a box row: spans columns 0..2
     assert fd.step_graph_box_count([0.01, 0.55], [0.13], 0.2) == 3
+
+
+def test_step_graph_box_count_of_no_steps_is_zero():
+    assert fd.step_graph_box_count([0.5], [], 0.2) == 0
 
 
 def test_step_graph_box_count_lattice_contacts():

@@ -452,3 +452,34 @@ def test_drift_spec_hash_agrees_with_equality():
     specs = {fd.DriftSpec.linear([1.0]), fd.DriftSpec.linear([1.0]), table,
              fd.DriftSpec.table(br[:-1].copy(), vv.copy()), fd.DriftSpec.psi_n(16)}
     assert len(specs) == 3
+
+
+def test_drift_spec_hash_copies_no_table():
+    # a staircase of 2^21 steps: hashing its knots as a tuple took 144 MB
+    breaks, values = fd.staircase_steps(4**7)
+    table = fd.DriftSpec.table(breaks[:-1], values)
+    assert values.size == 2**21
+    tracemalloc.start()
+    try:
+        hash(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("refused, error, code", [
+    pytest.param(lambda: fd.TimeGrid.uniform(0), DomainError, "empty-grid",
+                 id="empty-uniform-grid"),
+    pytest.param(lambda: fd.DriftSpec.table([0.0, 0.5], [1.0]), ValueError, None,
+                 id="table-lengths-differ"),
+    pytest.param(lambda: fd.DriftSpec.table([0.0, 0.5, 0.5], [1.0, 2.0, 3.0]), ValueError, None,
+                 id="table-times-not-increasing"),
+    pytest.param(lambda: fd.SamplePath(fd.TimeGrid.uniform(3), 1, np.zeros((2, 1)),
+                                       np.zeros((3, 1)), 0, "file"), ValueError, None,
+                 id="path-values-of-the-wrong-shape"),
+])
+def test_malformed_grids_drifts_and_paths_are_refused(refused, error, code):
+    with pytest.raises(error) as ei:
+        refused()
+    assert type(ei.value) is error and getattr(ei.value, "code", None) == code
