@@ -14,8 +14,11 @@ and each estimate also on the sweep (scales, methods, refine).
 those inputs, and ``_measure`` alone decides what a seed lacks: it skips
 each object whose key the memo holds, or that has none.  So the grid and
 the drift's values are built once per (set, points, d, drift), from the grid
-alone.  This is exact: a sweep of the same cloud gives the same bytes, so
-every estimate equals the one computed from scratch.
+alone.  The memo keys each input as its entry writes it (``_setup_key``),
+so a lookup reads no drift's knots, and two spellings of one input, such
+as ``power:1`` and ``power:1.0``, are measured apart, to the same bytes.
+This is exact: a sweep of the same cloud gives the same bytes, so every
+estimate equals the one computed from scratch.
 
 The seeds share nothing but the grid and the drift, so an experiment fills
 the memo on two threads before it reads it in seed order: the calling
@@ -364,10 +367,11 @@ def _estimates(cfg: ExperimentConfig, clouds: dict) -> dict:
 
 
 def _setup_key(cfg: ExperimentConfig) -> tuple:
-    """The memo key of the grid and the drift's values: (grid, d, drift),
-    with the grid as (set, points)."""
-    kind, params = parse_set_string(cfg.set)
-    return (kind, params.get("beta"), cfg.points, cfg.d), cfg.drift_spec
+    """The memo key of the grid and the drift's values: ((set, points, d),
+    drift), each as the entry writes it, with a ``staircase_table`` drift
+    as its JSON text with sorted keys."""
+    drift = cfg.drift if isinstance(cfg.drift, str) else json.dumps(cfg.drift, sort_keys=True)
+    return (cfg.set, cfg.points, cfg.d), drift
 
 
 def _memo_keys(cfg: ExperimentConfig, seed) -> dict:
@@ -477,6 +481,11 @@ def _prefill(cfg: ExperimentConfig, memo: dict) -> None:
             for _ in pending:  # the other thread starts no further job
                 pass
 
+    # The caller stays one of the two workers.  ``Executor.map`` over a
+    # two-thread pool, the caller idle, keeps the bytes and the error order,
+    # but on ``perfbench/run.py --workload claims`` (3 pairs, seeds
+    # 3001-3003) it raised ``peak_rss_mb`` from 62.5-63.7 to 71.4-71.5 MB,
+    # past that metric's 10% bound, and ``wall_s`` was no better.
     with ThreadPoolExecutor(1) as pool:
         worker = pool.submit(work)
         work()

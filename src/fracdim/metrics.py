@@ -208,6 +208,20 @@ def _check_finite(pts: np.ndarray) -> None:
         raise DomainError("non-finite-point", "point coordinates must be finite")
 
 
+def _dyadic_level(samples: int) -> int:
+    """J of the 2^J + 1 samples of a full uniform dyadic grid; any other
+    count is refused."""
+    n_steps = samples - 1
+    if n_steps < 1 or (n_steps & (n_steps - 1)) != 0:
+        raise DomainError("not-dyadic-grid", f"need 2^J+1 samples, got {samples}")
+    return n_steps.bit_length() - 1
+
+
+def _check_sausage_dim(m: int) -> None:
+    if m > 3:
+        raise DomainError("dimension-unsupported", "sausage volumes computed for m <= 3 only")
+
+
 def packing_indices(cloud: PointCloud, eps: float) -> np.ndarray:
     """Indices of the greedy maximal 2*eps-separated subset (scan order)."""
     _check_scale(eps)
@@ -259,10 +273,7 @@ def graph_box_count_oscillation(values, n: int) -> int:
     counted, since a column always meets the graph.
     """
     vals = np.asarray(values, dtype=np.float64).ravel()
-    n_steps = vals.size - 1
-    if n_steps < 1 or (n_steps & (n_steps - 1)) != 0:
-        raise DomainError("not-dyadic-grid", f"need 2^J+1 samples, got {vals.size}")
-    big_j = n_steps.bit_length() - 1
+    big_j = _dyadic_level(vals.size)
     if not 0 <= n <= big_j:
         raise DomainError("not-dyadic-grid", f"column level {n} exceeds sample level {big_j}")
     return int(kernels.oscillation_counts(vals, int(n)).sum())
@@ -289,8 +300,7 @@ def sausage_volume(cloud: PointCloud, r: float, refine: int = 4, cell: float | N
     _check_scale(r)
     if refine < 2:
         raise ValueError("refine must be >= 2")
-    if cloud.dim > 3:
-        raise DomainError("dimension-unsupported", "sausage volumes computed for m <= 3 only")
+    _check_sausage_dim(cloud.dim)
     h = float(r) / refine if cell is None else float(cell)
     # the sausage takes an (n, m) array: a stack that the cloud does not keep
     count = kernels.sausage_occupied_count(np.column_stack(cloud.columns), float(r), h)
@@ -425,8 +435,9 @@ def scale_sweep(cloud: PointCloud, kind: str, j_min: int, j_max: int,
     scale and ``None`` where unknown; by default, the cloud's own
     ``kernels.box_pyramid``.  A ``ValueError`` raised while it counts the
     scale j gains ``"j = <j>: "`` before its message, and a ``DomainError``
-    keeps its code; those raised before any scale (the window, an unknown
-    kind, the oscillation's grid) keep their text.
+    keeps its code.  Those raised before any scale keep their text: the
+    window, an unknown kind, and the premises that no scale breaks, the
+    sausage's ambient dimension and the oscillation's grid.
     """
     check_sweep_window(j_min, j_max)
     js = np.arange(j_min, j_max + 1)
@@ -440,6 +451,7 @@ def scale_sweep(cloud: PointCloud, kind: str, j_min: int, j_max: int,
     elif kind == "packing":
         counts = (packing_number(cloud, e) for e in eps)
     elif kind == "sausage_volume":
+        _check_sausage_dim(cloud.dim)
         counts = (sausage_volume(cloud, e, refine=refine) for e in eps)
     elif kind == "oscillation":
         values = _uniform_graph_values(cloud)
@@ -460,7 +472,7 @@ def scale_sweep(cloud: PointCloud, kind: str, j_min: int, j_max: int,
 def _uniform_graph_values(cloud: PointCloud) -> np.ndarray:
     if cloud.dim != 2:
         raise DomainError("not-dyadic-grid", "oscillation needs a 1-D graph cloud")
-    # the 2^J + 1 sample count is checked by graph_box_count_oscillation
+    _dyadic_level(len(cloud))
     times, values = cloud.columns
     if not np.array_equal(times, np.linspace(0.0, 1.0, len(cloud))):
         raise DomainError("not-dyadic-grid", "oscillation needs the full uniform dyadic grid")

@@ -10,7 +10,7 @@ well-defined right-continuous function.
 """
 
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -106,7 +106,7 @@ def check_path_shape(n_points: int, d: int) -> None:
 # drifts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DriftSpec:
     """Declarative description of a cadlag drift f: [0,1] -> R^d.
 
@@ -114,6 +114,10 @@ class DriftSpec:
     sum of the staircases of a strictly increasing frequency ``schedule``;
     ``psi_n(n)`` is its one-term case), ``table`` (right-continuous step
     function through finite knots).
+
+    A spec compares and hashes by identity: nothing keys or compares specs
+    by value (the experiment memo keys a drift by its config entry), so no
+    comparison walks a table's knots.
     """
 
     variant: str
@@ -165,24 +169,6 @@ class DriftSpec:
         if t[0] != 0.0:
             raise ValueError("table must start at t=0 to cover [0, 1]")
         return DriftSpec("table", dim=v.shape[1], table_times=t, table_values=v)
-
-    def __eq__(self, other) -> bool:
-        """Value equality: array fields compare by shape and elements."""
-        if not isinstance(other, DriftSpec):
-            return NotImplemented
-        for f in fields(self):
-            a, b = getattr(self, f.name), getattr(other, f.name)
-            arrays = isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
-            if not (np.array_equal(a, b) if arrays else a == b):
-                return False
-        return True
-
-    def __hash__(self) -> int:
-        """Hash of the variant, dimension and schedule, which equal specs
-        share.  The array fields are left out, so hashing a table drift
-        copies none of its knots; specs that differ only there collide, and
-        ``__eq__`` tells them apart."""
-        return hash((self.variant, self.dim, self.schedule))
 
     @property
     def is_zero(self) -> bool:

@@ -170,6 +170,24 @@ def test_dims_incompatible_method(capsys, tmp_path):
     assert "dimension-unsupported" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    # premises that no scale breaks are refused before the first scale
+    (["dims", "--object", "graph", "--d", "3", "--points", "65", "--method", "sausage",
+      "--scales", "2:4"], "dimension-unsupported: sausage volumes computed for m <= 3 only"),
+    (["dims", "--points", "64", "--scales", "2:4", "--method", "oscillation"],
+     "not-dyadic-grid: need 2^J+1 samples, got 64"),
+    # a scale past the samples' level is that scale's fault
+    (["dims", "--points", "65", "--scales", "2:9", "--method", "oscillation"],
+     "not-dyadic-grid: j = 7: column level 7 exceeds sample level 6"),
+    (["experiment", "--name", "nope"],
+     "unknown claim 'nope'; valid ids: constancy, thm13-image, thm15-graph, thm16-equality, "
+     "cor14-bound, example-53, example-74-directional"),
+])
+def test_a_refusal_prints_its_message_alone(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("text, word", [
     ("t,x,y\n0,1,2\n", "header 't,x,y'"),

@@ -124,7 +124,8 @@ def test_config_validation():
 
 def test_config_measures_the_drift_it_reports(monkeypatch):
     cfg = small_config(drift="psi_n:16")
-    assert cfg.drift_spec == fd.DriftSpec.psi_n(16)
+    spec = cfg.drift_spec
+    assert (spec.variant, spec.dim, spec.schedule) == ("lacunary_sum", 1, (16,))
     measured = []
     real = experiments.drift_graph_cloud
     monkeypatch.setattr(experiments, "drift_graph_cloud",
@@ -355,7 +356,10 @@ def test_example_report_echoes_a_drift_that_parses_back():
     config = example_config("custom(16,64)", 2, (1,), (3, 7), 2**9 + 1, (1.0, 5.0))
     report = run_claim("example-53", config)
     assert report.config["drift"] == "lacunary:custom(16,64):2"
-    assert parse_drift_string(report.config["drift"]) == parse_schedule("custom(16,64)").drift(2)
+    echoed = parse_drift_string(report.config["drift"])
+    built = parse_schedule("custom(16,64)").drift(2)
+    assert [(s.variant, s.dim, s.schedule) for s in (echoed, built)] == [
+        ("lacunary_sum", 1, (16, 64))] * 2
     desk = run_claim("example-53", example_config("desk", 3, (1,), (3, 7), 2**9 + 1, (1.0, 5.0)))
     assert desk.config["drift"] == "lacunary:desk:3"
 
@@ -486,6 +490,10 @@ def test_grid_and_drift_values_are_built_once_per_distinct_setup(monkeypatch):
     narrower["experiments"]["thm15-graph"]["scales"] = [3, 6]
     targets = shared_run_config()
     targets["experiments"]["example-74-directional"]["target"] = [2.0, 1.0]
+    tabled = shared_run_config()
+    tabled["experiments"]["constancy"]["drift"] = {"kind": "staircase_table", "n": 16}
+    tabled["experiments"]["thm15-graph"].update(drift={"n": 16, "kind": "staircase_table"},
+                                                seeds=[9, 10])
     drifted = small_config(drift="psi_n:16", seeds=(1, 2, 3))
     constancy = [("constancy", 1, "bm"), ("constancy", 1, "drift"), ("constancy", 1, "sum"),
                  *(("constancy", s, kind) for s in range(2, 9) for kind in ("bm", "sum"))]
@@ -493,6 +501,10 @@ def test_grid_and_drift_values_are_built_once_per_distinct_setup(monkeypatch):
         for runs, measured in [
             # thm15-graph's new seeds reuse constancy's grid, drift values and drift
             (lambda: run_claims(["constancy", "thm15-graph"], apart),
+             constancy + [("thm15-graph", s, kind) for s in (9, 10) for kind in ("bm", "sum")]),
+            # so do they when each entry writes one staircase_table drift,
+            # its keys in another order
+            (lambda: run_claims(["constancy", "thm15-graph"], tabled),
              constancy + [("thm15-graph", s, kind) for s in (9, 10) for kind in ("bm", "sum")]),
             # another sweep of the same grid and drift measures every object again
             (lambda: run_claims(["constancy", "thm15-graph"], narrower),
@@ -841,7 +853,8 @@ def test_run_claim_unknown_id():
 def test_parse_drift_string_round_trip():
     assert parse_drift_string("zero", 2).dim == 2
     assert np.array_equal(parse_drift_string("linear:1.5,-2", 2).mu, [1.5, -2.0])
-    assert parse_drift_string("psi_n:64", 1) == fd.DriftSpec.lacunary([64])
+    spec = parse_drift_string("psi_n:64", 1)
+    assert (spec.variant, spec.dim, spec.schedule) == ("lacunary_sum", 1, (64,))
     spec = parse_drift_string("lacunary:desk:2", 1)
     assert spec.schedule == (64, 256)
     with pytest.raises(ValueError):
