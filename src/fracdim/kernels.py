@@ -9,7 +9,9 @@ is separated); the sausage marks a cell iff ``d2 <= r * r``.  A radius whose
 square is not a positive, normal, finite double is refused (``_square``).
 Candidate pairs come from an origin-anchored grid of side ``radius``: a
 point is only compared with the points of its neighbour cells on at most
-three axes (``_neighbourhoods``).
+three axes (``_neighbourhoods``).  The rows of neighbour cells are searched
+once per occupied cell, among the distinct sorted keys, and each point
+takes the ranges of its cell.
 
 Points come as an ``(n, m)`` array or as a sequence of their ``m``
 coordinate columns, the layout of a ``PointCloud``; one helper
@@ -43,7 +45,9 @@ as the runs carried at the scan front when those are more, whose runs are
 built row by row on whole arrays (``_row_runs``): the partial ``d2`` of
 every (row, point) pair is one array, the end tests run on all runs at once,
 and only the few ends that move are walked on by index.  Each chunk is
-merged at once into the runs kept at the scan front (``_group_count``).
+merged at once into the runs kept at the scan front (``_group_count``); the
+merge sorts the starts and the ends apart, with no ``argsort`` and no gather
+(``_union``).
 
 Every grid is keyed one way (``pack_cells``): axis ``a`` gets a bit field
 of ``bit_length(max_a - min_a + 2 * margin + 1)`` bits holding ``c_a - min_a
@@ -264,11 +268,14 @@ def _neighbourhoods(cols: list, radius: float):
     neighbour cells; ``sizes[i]`` is their number, at least 1 since it
     counts ``i``.  The cells pack with a margin of 1 (``pack_cells``), so a
     row is the keys ``base - 1 .. base + 1`` for ``base`` the point's key
-    plus a constant offset.  A grid too large to pack is compacted, and
-    while even that is too large the narrowest binned axis is dropped; one
-    compacted axis is at most ``2 * n`` wide.  Either way the candidates
-    include every point closer than ``radius``, and ``_close`` tests every
-    axis.
+    plus a constant offset.  The points of one cell share their ranges, so
+    the rows are searched once per occupied cell, among the distinct sorted
+    keys: ``bounds`` maps a cell's rank to its first position in ``order``,
+    and each point takes the ranges of its cell's rank.  A grid too large to
+    pack is compacted, and while even that is too large the narrowest binned
+    axis is dropped; one compacted axis is at most ``2 * n`` wide.  Either
+    way the candidates include every point closer than ``radius``, and
+    ``_close`` tests every axis.
     """
     cells = [cell_indices(col, radius) for col in cols]
     span = np.array([c.max() - c.min() for c in cells])
@@ -287,18 +294,24 @@ def _neighbourhoods(cols: list, radius: float):
                 axes, cells = np.delete(axes, drop), np.delete(cells, drop, axis=1)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
+    # the occupied cells, each searched once: cell c holds the points
+    # order[bounds[c]:bounds[c + 1]]
+    new_cell = _firsts(sorted_keys)
+    bounds = np.append(np.flatnonzero(new_cell), sorted_keys.size)
+    cell_keys = sorted_keys[bounds[:-1]]
+    # the rank of each point's cell, by point index
+    rank = np.empty_like(order)
+    rank[order] = np.cumsum(new_cell) - 1
     # every field holds at least 1, so the row keys from the lowest corner
-    # of the neighbourhood up never wrap; sorted needles search faster, and
-    # their ends go back to the points through ``order``
-    corner = sorted_keys - sum(1 << shift for shift in layout.shifts)
+    # of the neighbourhood up never wrap
+    corner = cell_keys - sum(1 << shift for shift in layout.shifts)
     ranges = []
     for off in itertools.product((0, 1, 2), repeat=len(layout.shifts) - 1):
         row = corner + sum(o << shift for o, shift in zip(off, layout.shifts[1:]))
-        lo, hi = np.empty_like(order), np.empty_like(order)
-        lo[order] = np.searchsorted(sorted_keys, row, side="left")
+        lo = bounds[np.searchsorted(cell_keys, row, side="left")]
         row += 2
-        hi[order] = np.searchsorted(sorted_keys, row, side="right")
-        ranges.append((lo, hi))
+        hi = bounds[np.searchsorted(cell_keys, row, side="right")]
+        ranges.append((lo[rank], hi[rank]))
     return order, ranges, sum(hi - lo for lo, hi in ranges)
 
 
@@ -509,11 +522,10 @@ def sausage_occupied_count(points: np.ndarray, r: float, cell: float) -> int:
     the last axis form one run (see ``_row_runs``), and the count is the size
     of the union of all runs, merged after every chunk (``_group_count``).
     The runs are taken on packed cell keys, in which the last axis has
-    stride 1 and each row owns a key range wider than any run in it: sorting
-    the keys sorts by (row, start), and the running max of run ends never
-    carries from one row into the next.  A grid too large to pack is
-    compacted once, then cut anywhere into pieces that each count the marked
-    cells in their ranges, and whose counts add up.
+    stride 1, so each run is a range of keys, each cell has its own key, and
+    the count is the number of keys in the union of the ranges.  A grid too
+    large to pack is compacted once, then cut anywhere into pieces that each
+    count the marked cells in their ranges, and whose counts add up.
 
     No points count 0.  Raises ``DomainError("bad-scale")`` when ``r * r`` is
     not a positive, normal, finite double (``_square``) or ``cell`` is not
@@ -586,13 +598,13 @@ def _group_count(pts, base, index, cells, clip, keys, layout, steps, cell: float
     order, and each chunk's runs are merged at once with the disjoint runs
     kept from earlier ones.  A chunk takes ``_PAIR_CHUNK`` (point, row)
     pairs, or, while more runs are carried, as many pairs as those runs:
-    each merge sorts the carried runs again, so a chunk much smaller than
-    them would re-sort them for little new work.  ``_union`` sorts stably,
-    and the carried runs come first, already sorted.
-    The runs of every later point start at or above ``key - reach *
-    sum(strides)`` of the next one, so the merged runs that end below that
-    are counted and dropped.  This needs key order only between chunks:
-    within one, the runs come row by row, and ``_union`` sorts them.
+    each merge sorts the starts and the ends of the carried runs again with
+    the new ones, so a chunk much smaller than them would re-sort them for
+    little new work.  The runs of every later point start at or above ``key
+    - reach * sum(strides)`` of the next one, so the merged runs that end
+    below that are counted and dropped.  This needs key order only between
+    chunks: within one, the runs come row by row, and ``_union`` sorts them.
+    Every run passed to ``_union`` has ``lo <= hi``, as it requires.
     """
     m, width = pts.shape[1], steps.size
     sub = np.argsort(keys)
@@ -696,14 +708,21 @@ def _row_runs(pts: np.ndarray, base: np.ndarray, steps: np.ndarray, cell: float,
 
 
 def _union(start: np.ndarray, end: np.ndarray):
-    """Disjoint runs ``[start, end]`` whose union is that of the given runs."""
-    order = np.argsort(start, kind="stable")
-    start, end = start[order], end[order]
-    reached = np.maximum.accumulate(end)
-    new_run = np.ones(start.size, dtype=bool)
-    new_run[1:] = start[1:] > reached[:-1] + 1
-    first = np.flatnonzero(new_run)
-    return start[first], np.maximum.reduceat(end, first)
+    """Disjoint runs ``[start, end]`` whose union is that of the given runs,
+    each of which must have ``start <= end + 1``.
+
+    The starts and the ends are sorted apart.  Under that premise the
+    ``k``-th start is at most the ``k``-th end plus 1, and a cell ``x`` is
+    covered iff ``#{start <= x} > #{end < x}``; so a run begins at each
+    ``start[k] > end[k - 1] + 1`` and ends at the end just before the next
+    one begins.  Given runs with ``start <= end``, the runs returned are
+    the maximal ones: sorted, non-empty, and no two touch.
+    """
+    start, end = np.sort(start), np.sort(end)
+    # cut[k] is true where a run begins at k and so one ends at k - 1
+    cut = np.ones(start.size + 1, dtype=bool)
+    np.greater(start[1:], end[:-1] + 1, out=cut[1:-1])
+    return np.compress(cut[:-1], start), np.compress(cut[1:], end)
 
 
 def oscillation_counts(values: np.ndarray, n: int) -> np.ndarray:
@@ -812,12 +831,18 @@ def drop_first_axis(keys: np.ndarray, layout: KeyLayout):
     return projected, KeyLayout(layout.mins[1:], tuple(s - shift for s in layout.shifts[1:]))
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of sorted ``keys``: one compare of adjacent keys
-    and one ``np.compress``.  Sorting and this are several times faster than
-    ``np.unique``, and ``np.compress`` is several times faster than boolean
-    indexing."""
+def _firsts(keys: np.ndarray) -> np.ndarray:
+    """The mask of the first of each run of equal sorted ``keys``: one
+    compare of adjacent keys."""
     first = np.empty(keys.size, dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return np.compress(first, keys)
+    return first
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of sorted ``keys``: one compare of adjacent keys
+    (``_firsts``) and one ``np.compress``.  Sorting and this are several
+    times faster than ``np.unique``, and ``np.compress`` is several times
+    faster than boolean indexing."""
+    return np.compress(_firsts(keys), keys)

@@ -206,6 +206,7 @@ def _sausage_inputs(rng):
             yield centres, q / side, 1 / side
 
 
+@pytest.mark.usefixtures("checked_union")
 def test_sausage_occupancy_matches_oracle():
     rng = np.random.default_rng(4)
     for pts, r, cell in _sausage_inputs(rng):
@@ -241,6 +242,47 @@ def test_sausage_runs_match_the_row_oracle():
         assert not runs
 
 
+def _union_inputs(rng):
+    """(start, end) int64 runs with ``start <= end``: none, single cells,
+    already disjoint, touching (one ends at ``start - 1`` of the next),
+    nested, duplicated and random ones, in shuffled order."""
+    yield np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    yield np.array([7]), np.array([7])
+    yield np.array([-5, 0, 9]), np.array([-2, 4, 9])
+    yield np.array([0, 3, 4, 8]), np.array([2, 3, 7, 8])
+    yield np.array([0, 2, 3, 2]), np.array([10, 8, 3, 8])
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        start = rng.integers(-30, 30, n)
+        end = start + rng.choice([0, 0, 1, 3, 12], n)
+        if n > 3:
+            start[1], end[1] = start[0], end[0]  # a duplicate
+            start[2], end[2] = end[0] + 1, end[0] + int(rng.integers(0, 4))  # touching
+            start[3], end[3] = start[0] + 1, max(start[0] + 1, end[0] - 1)  # nested
+        perm = rng.permutation(n)
+        yield start[perm], end[perm]
+
+
+def test_union_matches_the_cell_set_of_its_runs():
+    rng = np.random.default_rng(41)
+    for start, end in _union_inputs(rng):
+        cells = {c for s, e in zip(start.tolist(), end.tolist()) for c in range(s, e + 1)}
+        got_start, got_end = kernels._union(start, end)
+        assert got_start.dtype == got_end.dtype == np.int64
+        # sorted, non-empty, and no two touch: the canonical runs of the set
+        assert (got_start <= got_end).all()
+        assert (got_start[1:] > got_end[:-1] + 1).all()
+        assert {c for s, e in zip(got_start.tolist(), got_end.tolist())
+                for c in range(s, e + 1)} == cells
+    # empty runs (start == end + 1) are within the premise: the cells and
+    # their number stay those of the non-empty runs
+    start, end = np.array([0, 5, 7, 3, 20]), np.array([4, 4, 9, 2, 19])
+    got_start, got_end = kernels._union(start, end)
+    assert {c for s, e in zip(got_start.tolist(), got_end.tolist())
+            for c in range(s, e + 1)} == set(range(0, 5)) | set(range(7, 10))
+    assert int((got_end - got_start).sum()) + got_start.size == 8
+
+
 def _record_sausage_chunks(monkeypatch):
     """``(points, chunks)`` of each uncut sausage piece counted, with one
     ``[points, rows, carried]`` entry a chunk: ``_row_runs`` gets the
@@ -270,6 +312,7 @@ def _record_sausage_chunks(monkeypatch):
     return pieces
 
 
+@pytest.mark.usefixtures("checked_union")
 def test_sausage_in_small_chunks_with_merges_matches_oracle(monkeypatch):
     # one or a few points a chunk, each merged into the runs kept at the scan
     # front as soon as it is built
@@ -284,6 +327,7 @@ def test_sausage_in_small_chunks_with_merges_matches_oracle(monkeypatch):
     assert any(points > 1 for points, _, _ in chunks)
 
 
+@pytest.mark.usefixtures("checked_union")
 @pytest.mark.parametrize("budget", [1, 40])
 def test_sausage_chunks_grow_to_the_runs_they_carry(monkeypatch, budget):
     # a chunk takes the budget's points, or more while the runs carried from
@@ -349,6 +393,7 @@ def _wide_sausage_inputs(rng):
         yield pts, r, r / int(rng.integers(2, 4))
 
 
+@pytest.mark.usefixtures("checked_union")
 def test_sausage_cut_into_pieces_matches_oracle(monkeypatch):
     # key limits so low that grids are cut into many pieces; the fields of a
     # piece at most 2 * reach cells wide on every axis take at most
@@ -601,6 +646,7 @@ _SCAN_LIMIT = {2: 1 << 8, 3: 1 << 12}
 _SAUSAGE_LIMIT = {2: 1 << 10, 3: 1 << 15}
 
 
+@pytest.mark.usefixtures("checked_union")
 def test_scans_on_clusters_split_into_groups_match_oracles(monkeypatch):
     cuts = []
     _record_sausage_cuts(monkeypatch, cuts)
@@ -703,6 +749,83 @@ def test_scans_bin_the_widest_axes():
     _, _, sizes = kernels._neighbourhoods(kernels._columns(pts), 0.5)
     assert sizes.max() < 20
     _scans_match_oracles(pts, 0.5, np.arange(400) % 3 != 0)
+
+
+def _binned_axes(cells, limit):
+    """The axes the scans bin points on, by their rule: the ``_BIN_AXES``
+    widest spans of float floor cells (the lower axis first on a tie), then,
+    while even the compacted cells of those axes need keys past ``limit``,
+    less the narrowest (the lower axis on a tie).  A compacted axis is
+    ``sum(min(gap, 2))`` over its distinct cells wide, and packs with a
+    margin of 1 into ``bit_length(width + 3)`` bits."""
+    span = [c.max() - c.min() for c in cells]
+    axes = sorted(sorted(range(len(cells)), key=lambda a: -span[a])[:kernels._BIN_AXES])
+
+    def bits(a):
+        coords = sorted({int(c) for c in cells[a]})
+        return (sum(min(y - x, 2) for x, y in zip(coords, coords[1:])) + 3).bit_length()
+
+    while 1 << sum(bits(a) for a in axes) > limit:
+        axes.remove(min(axes, key=lambda a: (span[a], a)))
+    return axes
+
+
+def _neighbourhood_inputs(rng):
+    """(points, radius) with many points a cell, all points in one cell,
+    every point in a cell of its own, and cells of 2^62 or more."""
+    for _ in range(20):
+        m, radius = int(rng.integers(1, 5)), float(rng.uniform(0.05, 1.0))
+        yield rng.uniform(0, 4 * radius, (int(rng.integers(20, 150)), m)), radius
+        yield rng.uniform(0, radius, (int(rng.integers(1, 40)), m)), radius
+        side = int(rng.integers(2, 6))
+        lattice = np.array(list(itertools.product(range(side), repeat=min(m, 3))), dtype=float)
+        pts = (lattice[rng.permutation(len(lattice))] + rng.uniform(0, 1, lattice.shape)) * radius
+        yield pts, radius
+    huge = np.array([[0.0, 1e300], [0.01, 1e300], [-1e300, 0.0], [1e18, 0.05], [1e18, 0.0],
+                     [1e300, 0.0], [1e300, 0.1], [-1e18, 0.2]])
+    for radius in (2.0**-4, 0.125):
+        yield huge, radius
+        yield huge[:, :1], radius
+
+
+def _neighbourhoods_match_their_cells(pts, radius, seen):
+    cols = kernels._columns(pts)
+    order, ranges, sizes = kernels._neighbourhoods(cols, radius)
+    n = len(pts)
+    assert sorted(order.tolist()) == list(range(n))
+    cells = [kernels.cell_indices(col, radius) for col in cols]
+    axes = _binned_axes(cells, kernels._KEY_LIMIT)
+    assert len(ranges) == 3 ** (len(axes) - 1)
+    # exact integer cells, as a floor of 2^62 or more has no int64
+    exact = [np.array([int(c) for c in cells[a]], dtype=object) for a in axes]
+    near = np.ones((n, n), dtype=bool)
+    for c in exact:
+        near &= np.abs(c[:, None] - c[None, :]) <= 1
+    for i in range(n):
+        found = np.concatenate([order[lo[i]:hi[i]] for lo, hi in ranges])
+        assert sizes[i] == found.size
+        assert sorted(found.tolist()) == np.flatnonzero(near[i]).tolist()
+    distinct = len({tuple(int(c[i]) for c in exact) for i in range(n)})
+    seen.add("one cell" if distinct == 1 else "distinct" if distinct == n else "crowded")
+    seen |= {"huge"} if max(abs(int(c)) for col in exact for c in col) >= 2**62 else set()
+    seen.add("binned" if len(axes) == min(pts.shape[1], kernels._BIN_AXES) else "dropped")
+
+
+def test_neighbourhoods_are_the_points_of_the_neighbour_cells(monkeypatch):
+    # each point's candidates are exactly the points whose cells are within
+    # one of its own on every binned axis: none missing, none extra, none
+    # twice.  The scans' oracles would not see extra candidates.
+    rng = np.random.default_rng(42)
+    seen = set()
+    for pts, radius in _neighbourhood_inputs(rng):
+        _neighbourhoods_match_their_cells(pts, radius, seen)
+    # key limits so low that binned axes are dropped
+    for _ in range(120):
+        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 60))
+        pts = rng.uniform(-1, 1, (n, m)) * rng.uniform(0.2, 5.0)
+        monkeypatch.setattr(kernels, "_KEY_LIMIT", int(rng.choice([128, 1024, 1 << 14])))
+        _neighbourhoods_match_their_cells(pts, float(rng.uniform(0.02, 1.0)), seen)
+    assert seen == {"crowded", "one cell", "distinct", "huge", "binned", "dropped"}
 
 
 def test_scans_of_candidates_far_apart_on_an_axis_not_binned():
@@ -852,6 +975,7 @@ def test_scans_of_no_points_are_empty(monkeypatch, bulk):
         assert got.shape == (0,) and got.dtype == dtype
 
 
+@pytest.mark.usefixtures("checked_union")
 def test_sausage_past_the_compacted_grid():
     # 320000 points, each alone in a window of 7 cells per axis, on a grid of
     # 2^41 cells per axis: even compacted, 7 * 320000 cells per axis need 3 *
@@ -871,6 +995,7 @@ def test_sausage_past_the_compacted_grid():
         len(lone) * per_point + sum(oracles.brute_sausage_count(c, r, cell) for c in clusters)
 
 
+@pytest.mark.usefixtures("checked_union")
 def test_sausage_of_a_chain_with_no_gap_to_cut_at():
     # 220000 points 10 cells apart on the diagonal of a cube 2.2e6 cells
     # wide: the grid needs 3 * 22 key bits, and compacting keeps every gap of
@@ -904,6 +1029,7 @@ def test_dyadic_lattice_ties_are_separated(m):
                               oracles.brute_greedy_thinning(pts, radius, good))
 
 
+@pytest.mark.usefixtures("checked_union")
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_dyadic_lattice_sausage_ties_are_marked(m):
     # points k/2 + 1/8 on the centers of every other cell of side 1/4, with
@@ -916,6 +1042,7 @@ def test_dyadic_lattice_sausage_ties_are_marked(m):
     assert count == 4**m + m * 5 * 4 ** (m - 1)
 
 
+@pytest.mark.usefixtures("checked_union")
 def test_sausage_on_a_grid_too_large_to_pack():
     # about 2^42 cells of side 2^-22 per axis: the cell tuples cannot be packed
     far = np.array([[0.0, 0.0, 0.0], [1e6, 1e6, 1e6]])

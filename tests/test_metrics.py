@@ -271,6 +271,7 @@ def test_sausage_volume_from_a_subnormal_cell_volume_is_refused():
     assert "3.3e-105" in str(ei.value)
 
 
+@pytest.mark.usefixtures("checked_union")
 def test_sausage_matches_exact_union_length_1d():
     rng = np.random.default_rng(31337)
     for _ in range(100):
@@ -679,6 +680,7 @@ def test_dimension_estimate_json_fields():
 # exact step-graph counter
 
 
+@pytest.mark.usefixtures("checked_union")
 def test_step_graph_box_count_plain():
     # one segment strictly inside a box row: spans columns 0..2
     assert fd.step_graph_box_count([0.01, 0.55], [0.13], 0.2) == 3
@@ -688,6 +690,7 @@ def test_step_graph_box_count_of_no_steps_is_zero():
     assert fd.step_graph_box_count([0.5], [], 0.2) == 0
 
 
+@pytest.mark.usefixtures("checked_union")
 def test_step_graph_box_count_lattice_contacts():
     # value exactly on a lattice line counts both rows; endpoints exactly on
     # column boundaries touch the adjacent columns
@@ -695,6 +698,7 @@ def test_step_graph_box_count_lattice_contacts():
     assert fd.step_graph_box_count([0.0, 0.4], [0.1], 0.2) == 4
 
 
+@pytest.mark.usefixtures("checked_union")
 def test_step_graph_matches_box_count_off_lattice():
     # away from lattice alignment, the closed-box count of a dense sampling
     # equals the half-open count (no boundary contacts)
@@ -716,6 +720,7 @@ def test_step_graph_matches_box_count_off_lattice():
         assert fd.step_graph_box_count(breaks, vals, eps) == fd.box_count(sampled, eps)
 
 
+@pytest.mark.usefixtures("checked_union")
 def test_step_graph_box_count_matches_closed_box_oracle():
     # rows 2^31 and 0 of neighbouring columns are distinct boxes: 12 + 12
     e = 2.0**-32
@@ -747,6 +752,7 @@ def test_step_graph_box_count_matches_closed_box_oracle():
     assert seen == {"contact", "negative", "row >= 2^31"}
 
 
+@pytest.mark.usefixtures("checked_union")
 def test_step_graph_box_count_cost_does_not_grow_with_one_over_eps():
     breaks, values = fd.staircase_steps(256)
     for j in (22, 40):
