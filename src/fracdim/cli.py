@@ -25,14 +25,14 @@ from .constructions import (
 )
 from .errors import DomainError
 from .experiments import (
-    _METHOD_KINDS,
     CLAIM_IDS,
     build_grid,
     load_config,
     parse_drift_string,
     run_claims,
 )
-from .metrics import check_sweep_window, estimate_dimension, graph_cloud, image_cloud, scale_sweep
+from .metrics import (METHOD_KINDS, check_sweep_window, estimate_dimension, graph_cloud,
+                      image_cloud, scale_sweep)
 from .paths import apply_drift, generate_bm, levy_construct, read_path_csv, write_path_csv
 
 
@@ -146,7 +146,7 @@ def cmd_dims(args) -> int:
         else:
             path = _build_path(args)
         cloud = image_cloud(path) if args.object == "image" else graph_cloud(path)
-        series = scale_sweep(cloud, _METHOD_KINDS[args.method], j_min, j_max, refine=args.refine)
+        series = scale_sweep(cloud, METHOD_KINDS[args.method], j_min, j_max, refine=args.refine)
         estimate = estimate_dimension(series)
         # a CSV records neither the seed, the drift nor the set of its path
         made = (dict(seed=None, drift=None, set=None) if args.input
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="scale series and dimension estimate")
     p_dims.add_argument("--input", default=None, help="sample-path CSV to analyse")
     p_dims.add_argument("--object", choices=["image", "graph"], default="graph")
-    p_dims.add_argument("--method", choices=list(_METHOD_KINDS), default="box")
+    p_dims.add_argument("--method", choices=list(METHOD_KINDS), default="box")
     p_dims.add_argument("--scales", default="4:10",
                         help="jmin:jmax for eps = 2^-j, each j in [-1023, 1074]; write a "
                              "negative jmin as --scales=-2:3, since a separate -2:3 reads "

@@ -34,12 +34,14 @@ box sweep counts the graph's box pyramid projected onto it
 only.  A sweep that fails raises its error prefixed with ``"<object> by
 <method>: "``, and with ``"seed <seed>: "`` before that, keeping its code.
 
-A method runs on the objects it can measure (``_method_applies``): the
-sausage on those of at most three dimensions, and the column oscillation
-on the graphs of a 1-D path over the uniform dyadic grid, but on the
-drift's and the sum's graphs only when the drift is continuous.  In a
-column where the path jumps, the oscillation counts every row between the
-two plateaus, which the cadlag graph does not meet.
+The methods and their series kinds are ``metrics.METHOD_KINDS``.  A
+method runs on the objects it can measure (``_method_applies``): those
+whose clouds pass its ``metrics.check_premise``, the rule that
+``scale_sweep`` and ``fracdim dims`` enforce, and, for the column
+oscillation, graphs only, and the drift's and the sum's graphs only when
+the drift is continuous.  In a column where the path jumps, the
+oscillation counts every row between the two plateaus, which the cadlag
+graph does not meet.
 
 The claims registry ``CLAIMS`` is a table with one check per claim id:
 constancy, thm13-image, thm15-graph, thm16-equality, cor14-bound,
@@ -71,9 +73,11 @@ from .constructions import (
 )
 from .errors import DomainError, prefixed
 from .metrics import (
+    METHOD_KINDS,
     PointCloud,
     bm_graph_cloud,
     bm_image_cloud,
+    check_premise,
     check_sweep_window,
     drift_graph_cloud,
     drift_image_cloud,
@@ -92,14 +96,6 @@ from .paths import (
     drift_on_grid,
     generate_bm,
 )
-
-_METHOD_KINDS = {
-    "box": "box",
-    "packing": "packing",
-    "sausage": "sausage_volume",
-    "oscillation": "oscillation",
-}
-
 
 # ---------------------------------------------------------------------------
 # drift / grid mini-grammar (shared by the CLI and the config file)
@@ -248,7 +244,7 @@ class ExperimentConfig:
             )
         if not (isinstance(self.methods, tuple) and self.methods):
             raise ValueError(f"methods must be a non-empty list, got {self.methods!r}")
-        bad = [m for m in self.methods if not isinstance(m, str) or m not in _METHOD_KINDS]
+        bad = [m for m in self.methods if not isinstance(m, str) or m not in METHOD_KINDS]
         if bad:
             raise ValueError(f"unknown methods {bad}")
         if self.refine < 2:
@@ -317,15 +313,14 @@ class ExperimentReport:
 
 
 def _method_applies(method: str, obj: str, cloud: PointCloud, cfg: ExperimentConfig) -> bool:
-    if method == "sausage":
-        return cloud.dim <= 3
-    if method == "oscillation":
-        uniform_dyadic = cfg.set == "uniform" and (cfg.points - 1) & (cfg.points - 2) == 0
-        # a column where the path jumps counts the rows between its plateaus,
-        # which the cadlag graph does not meet
-        continuous = obj == "graph_bm" or cfg.drift_spec.is_continuous
-        return obj.startswith("graph") and cloud.dim == 2 and uniform_dyadic and continuous
-    return True
+    try:
+        check_premise(METHOD_KINDS[method], cloud)
+    except DomainError:
+        return False
+    # a column where the path jumps counts the rows between its plateaus,
+    # which the cadlag graph does not meet
+    return method != "oscillation" or (obj.startswith("graph") and (
+        obj == "graph_bm" or cfg.drift_spec.is_continuous))
 
 
 def _estimates(cfg: ExperimentConfig, clouds: dict) -> dict:
@@ -360,7 +355,7 @@ def _estimates(cfg: ExperimentConfig, clouds: dict) -> dict:
                 known = {"cells": box_cells(obj, cloud)} if method == "box" else {}
                 try:
                     ests[obj][method] = estimate_dimension(scale_sweep(
-                        cloud, _METHOD_KINDS[method], j_min, j_max, refine=cfg.refine, **known))
+                        cloud, METHOD_KINDS[method], j_min, j_max, refine=cfg.refine, **known))
                 except ValueError as exc:
                     raise prefixed(exc, f"{obj} by {method}: ") from exc
     return {obj: ests[obj] for obj in clouds}

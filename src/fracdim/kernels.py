@@ -727,7 +727,10 @@ def _union(start: np.ndarray, end: np.ndarray):
 
 def oscillation_counts(values: np.ndarray, n: int) -> np.ndarray:
     """Column counts max(1, ceil(2^n * (max - min))) over the 2^n closed
-    dyadic intervals, from values sampled on a uniform grid over [0, 1]."""
+    dyadic intervals, from values sampled on a uniform grid over [0, 1].
+    Every count is exact: before any cast, a value that is not finite
+    raises ``DomainError("non-finite-point")`` and a count of 2^63 or more
+    ``DomainError("cell-grid-too-large")``."""
     vals = np.ascontiguousarray(values, dtype=np.float64)
     n_cols = 1 << n
     step = (vals.size - 1) // n_cols
@@ -735,7 +738,12 @@ def oscillation_counts(values: np.ndarray, n: int) -> np.ndarray:
     right = vals[step::step]
     mx = np.maximum(body.max(axis=1), right)
     mn = np.minimum(body.min(axis=1), right)
-    w = np.ceil(float(n_cols) * (mx - mn))
+    if not (np.isfinite(mx).all() and np.isfinite(mn).all()):
+        raise DomainError("non-finite-point", "sampled values must be finite")
+    with np.errstate(over="ignore"):  # a count past the doubles is inf, refused below
+        w = np.ceil(float(n_cols) * (mx - mn))
+    if w.max() >= 2.0**63:
+        raise DomainError("cell-grid-too-large", "a column oscillation count of 2^63 or more")
     return np.maximum(w, 1.0).astype(np.int64)
 
 

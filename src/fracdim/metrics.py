@@ -7,6 +7,13 @@ union of r-balls), and per-column oscillation counts for graphs of sampled
 1-D functions.  ``estimate_dimension`` turns any of these scale series into
 lower/upper/least-squares slope estimates in log2 space.
 
+``METHOD_KINDS`` names the four methods and the series kind of each, for
+the experiments and the CLI alike, and ``check_premise`` holds the one rule
+of each kind on the clouds it can measure at all: the sausage those of at
+most three dimensions, the oscillation the graph of a 1-D function sampled
+on the full uniform dyadic grid.  ``scale_sweep`` checks it before the
+first scale, and an experiment skips a cloud it refuses.
+
 A ``PointCloud`` holds only its coordinate columns, a graph's shared with
 its path and an image's views of its array, and every count reads them: box
 counts floor and pack them a chunk at a time, packing and thinning scan
@@ -129,12 +136,22 @@ def drift_graph_cloud(path: SamplePath) -> PointCloud:
     return _graph(path, path.drift_values)
 
 
+# the series kind of each counting method
+METHOD_KINDS = {
+    "box": "box",
+    "packing": "packing",
+    "sausage": "sausage_volume",
+    "oscillation": "oscillation",
+}
+
+
 @dataclass(frozen=True)
 class ScaleSeries:
     """(scale, measurement) pairs for one counting method.
 
-    Scales are strictly decreasing positive reals; box/packing/oscillation
-    values are integer counts >= 1, sausage values positive volumes.
+    The kind is one of ``METHOD_KINDS``' values.  Scales are strictly
+    decreasing positive finite reals; box/packing/oscillation values are
+    integer counts >= 1, sausage values positive finite volumes.
     """
 
     kind: str  # box | packing | sausage_volume | oscillation
@@ -143,14 +160,16 @@ class ScaleSeries:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.kind not in METHOD_KINDS.values():
+            raise ValueError(f"unknown series kind {self.kind!r}")
         eps = np.asarray(self.epsilons, dtype=np.float64)
         val = np.asarray(self.values, dtype=np.float64)
         if eps.size != val.size or eps.size == 0:
             raise ValueError("epsilons and values must be matching non-empty arrays")
-        if np.any(eps <= 0) or (eps.size > 1 and not np.all(np.diff(eps) < 0)):
-            raise ValueError("scales must be positive and strictly decreasing")
-        if np.any(val <= 0):
-            raise ValueError("measurements must be positive")
+        if not np.all((eps > 0) & (eps < np.inf)) or np.any(np.diff(eps) >= 0):
+            raise ValueError("scales must be positive, finite and strictly decreasing")
+        if not np.all((val > 0) & (val < np.inf)):  # NaN is neither
+            raise ValueError("measurements must be positive and finite")
         if self.kind in ("box", "packing", "oscillation") and not np.all(val == np.round(val)):
             raise ValueError(f"{self.kind} values must be integer counts")
         object.__setattr__(self, "epsilons", eps)
@@ -217,9 +236,24 @@ def _dyadic_level(samples: int) -> int:
     return n_steps.bit_length() - 1
 
 
-def _check_sausage_dim(m: int) -> None:
-    if m > 3:
+def check_premise(kind: str, cloud: PointCloud) -> None:
+    """Refuse a cloud that the series ``kind`` measures at no scale: raises
+    ``ValueError`` for a kind not in ``METHOD_KINDS``' values,
+    ``DomainError("dimension-unsupported")`` for a sausage of a cloud above
+    3-D, and ``DomainError("not-dyadic-grid")`` for an oscillation of
+    anything but the graph of a 1-D function over the full uniform dyadic
+    grid: 2^J + 1 points whose times are ``linspace(0, 1)``'s, whatever set
+    named them."""
+    if kind not in METHOD_KINDS.values():
+        raise ValueError(f"unknown series kind {kind!r}")
+    if kind == "sausage_volume" and cloud.dim > 3:
         raise DomainError("dimension-unsupported", "sausage volumes computed for m <= 3 only")
+    if kind == "oscillation":
+        if cloud.dim != 2:
+            raise DomainError("not-dyadic-grid", "oscillation needs a 1-D graph cloud")
+        _dyadic_level(len(cloud))
+        if not np.array_equal(cloud.columns[0], np.linspace(0.0, 1.0, len(cloud))):
+            raise DomainError("not-dyadic-grid", "oscillation needs the full uniform dyadic grid")
 
 
 def packing_indices(cloud: PointCloud, eps: float) -> np.ndarray:
@@ -270,13 +304,19 @@ def graph_box_count_oscillation(values, n: int) -> int:
     sum_k max(1, ceil(2^n * (max - min over the k-th closed dyadic interval)))
     over the 2^n columns, a constant-factor proxy for the number of
     eps=2^-n boxes meeting the graph.  The floor at 1 keeps empty columns
-    counted, since a column always meets the graph.
+    counted, since a column always meets the graph.  The count is exact:
+    a value that is not finite raises ``DomainError("non-finite-point")``,
+    and a column count or a total of 2^63 or more
+    ``DomainError("cell-grid-too-large")``.
     """
     vals = np.asarray(values, dtype=np.float64).ravel()
     big_j = _dyadic_level(vals.size)
     if not 0 <= n <= big_j:
         raise DomainError("not-dyadic-grid", f"column level {n} exceeds sample level {big_j}")
-    return int(kernels.oscillation_counts(vals, int(n)).sum())
+    total = sum(kernels.oscillation_counts(vals, int(n)).tolist())  # Python ints do not wrap
+    if total >= 2**63:
+        raise DomainError("cell-grid-too-large", f"oscillation counts total {total}, 2^63 or more")
+    return total
 
 
 def sausage_volume(cloud: PointCloud, r: float, refine: int = 4, cell: float | None = None) -> float:
@@ -286,12 +326,12 @@ def sausage_volume(cloud: PointCloud, r: float, refine: int = 4, cell: float | N
     radii) are marked when their center lies within distance r of some point;
     the volume is the marked count times the cell volume.  Converges to the
     true union-of-balls volume as refine grows.  Supported for ambient
-    dimension m <= 3; the cost explodes beyond that.  No marked cell is a
-    volume of 0.0, whatever the cell.  A cell that is not positive and finite,
-    marked cells whose volume is not a positive normal finite double (it
-    underflows to a subnormal or zero, or overflows), or a cell volume
-    ``cell**m`` that is subnormal and not exact, whose lost bits a normal
-    volume would keep, raises ``DomainError("bad-scale")``; a cell so small
+    dimension m <= 3 (``check_premise``); the cost explodes beyond that.  No
+    marked cell is a volume of 0.0, whatever the cell.  A cell that is not
+    positive and finite, marked cells whose volume is not a positive normal
+    finite double (it underflows to a subnormal or zero, or overflows), or a
+    cell volume ``cell**m`` that is subnormal and not exact, whose lost bits
+    a normal volume would keep, raises ``DomainError("bad-scale")``; a cell so small
     against r that a point would scan more than ``kernels.MAX_SAUSAGE_ROWS``
     rows of cells raises ``DomainError("sausage-too-fine")``, and cells
     scanned of ``2^52`` or more in magnitude raise
@@ -300,7 +340,7 @@ def sausage_volume(cloud: PointCloud, r: float, refine: int = 4, cell: float | N
     _check_scale(r)
     if refine < 2:
         raise ValueError("refine must be >= 2")
-    _check_sausage_dim(cloud.dim)
+    check_premise("sausage_volume", cloud)
     h = float(r) / refine if cell is None else float(cell)
     # the sausage takes an (n, m) array: a stack that the cloud does not keep
     count = kernels.sausage_occupied_count(np.column_stack(cloud.columns), float(r), h)
@@ -428,18 +468,18 @@ def scale_sweep(cloud: PointCloud, kind: str, j_min: int, j_max: int,
                 refine: int = 4, *, cells=None) -> ScaleSeries:
     """Evaluate one counting method at the dyadic scales eps = 2^-j.
 
-    For ``oscillation`` the cloud must be the graph of a 1-D function sampled
-    on the full uniform dyadic grid; its second column is used as the sampled
-    values.  The window must pass ``check_sweep_window``.  A box sweep
-    counts each scale's ``cells`` (see ``box_count``), finest first, one per
-    scale and ``None`` where unknown; by default, the cloud's own
-    ``kernels.box_pyramid``.  A ``ValueError`` raised while it counts the
-    scale j gains ``"j = <j>: "`` before its message, and a ``DomainError``
-    keeps its code.  Those raised before any scale keep their text: the
-    window, an unknown kind, and the premises that no scale breaks, the
-    sausage's ambient dimension and the oscillation's grid.
+    ``kind`` is a series kind of ``METHOD_KINDS``, and the cloud must pass
+    its ``check_premise``; an oscillation counts the graph's second column
+    as the sampled values.  The window must pass ``check_sweep_window``.  A
+    box sweep counts each scale's ``cells`` (see ``box_count``), finest
+    first, one per scale and ``None`` where unknown; by default, the cloud's
+    own ``kernels.box_pyramid``.  A ``ValueError`` raised while it counts
+    the scale j gains ``"j = <j>: "`` before its message, and a
+    ``DomainError`` keeps its code.  Those raised before any scale keep
+    their text: the window's, then the premise's.
     """
     check_sweep_window(j_min, j_max)
+    check_premise(kind, cloud)
     js = np.arange(j_min, j_max + 1)
     eps = 2.0 ** -js.astype(np.float64)
     order = js
@@ -451,13 +491,9 @@ def scale_sweep(cloud: PointCloud, kind: str, j_min: int, j_max: int,
     elif kind == "packing":
         counts = (packing_number(cloud, e) for e in eps)
     elif kind == "sausage_volume":
-        _check_sausage_dim(cloud.dim)
         counts = (sausage_volume(cloud, e, refine=refine) for e in eps)
-    elif kind == "oscillation":
-        values = _uniform_graph_values(cloud)
-        counts = (graph_box_count_oscillation(values, int(j)) for j in js)
-    else:
-        raise ValueError(f"unknown series kind {kind!r}")
+    else:  # oscillation
+        counts = (graph_box_count_oscillation(cloud.columns[1], int(j)) for j in js)
     by_scale = {}
     for j in order:
         try:
@@ -467,16 +503,6 @@ def scale_sweep(cloud: PointCloud, kind: str, j_min: int, j_max: int,
     next(counts, None)  # none is left, but zip's strict check refuses more cells than scales
     vals = np.asarray([by_scale[j] for j in js], dtype=np.float64)
     return ScaleSeries(kind, eps, vals, {"ambient_dim": cloud.dim})
-
-
-def _uniform_graph_values(cloud: PointCloud) -> np.ndarray:
-    if cloud.dim != 2:
-        raise DomainError("not-dyadic-grid", "oscillation needs a 1-D graph cloud")
-    _dyadic_level(len(cloud))
-    times, values = cloud.columns
-    if not np.array_equal(times, np.linspace(0.0, 1.0, len(cloud))):
-        raise DomainError("not-dyadic-grid", "oscillation needs the full uniform dyadic grid")
-    return values
 
 
 def estimate_dimension(series: ScaleSeries, window: tuple | None = None) -> DimensionEstimate:

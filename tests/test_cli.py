@@ -1,5 +1,6 @@
 """CLI surface: subcommands, formats, exit codes."""
 
+import argparse
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import pytest
 
 from fracdim import cli, experiments
 from fracdim.cli import main
+from fracdim.metrics import METHOD_KINDS
 
 
 def run_cli(capsys, *argv):
@@ -186,6 +188,25 @@ def test_dims_incompatible_method(capsys, tmp_path):
 def test_a_refusal_prints_its_message_alone(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_an_oscillation_count_past_int64_is_refused(capsys, tmp_path):
+    # two columns of 1.2e19 at j = 2 once wrapped to INT64_MIN each and
+    # cancelled out: the sweep printed a count of 2 and exited 0
+    csv = tmp_path / "wrap.csv"
+    csv.write_text("t,b_1,f_1\n0,0,0\n0.125,3e18,0\n0.25,0,0\n0.375,3e18,0\n0.5,0,0\n"
+                   "0.625,0,0\n0.75,0,0\n0.875,0,0\n1,0,0\n")
+    code, out, err = run_cli(capsys, "dims", "--input", str(csv), "--object", "graph",
+                             "--method", "oscillation", "--scales", "0:2")
+    assert (code, out, err) == (
+        2, "", "error: cell-grid-too-large: j = 2: a column oscillation count of 2^63 or more\n")
+
+
+def test_dims_offers_exactly_the_methods_of_metrics():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    method = next(a for a in sub.choices["dims"]._actions if a.dest == "method")
+    assert method.choices == list(METHOD_KINDS)
 
 
 @pytest.mark.filterwarnings("error")

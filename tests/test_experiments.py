@@ -1,6 +1,7 @@
 """Experiment orchestration: structure, determinism, checks, registry."""
 
 import hashlib
+import itertools
 import json
 import sys
 import threading
@@ -31,6 +32,7 @@ from fracdim.experiments import (
     run_experiment,
 )
 from fracdim.metrics import (
+    METHOD_KINDS,
     PointCloud,
     bm_graph_cloud,
     bm_image_cloud,
@@ -222,6 +224,74 @@ def test_a_failing_sweep_names_its_object_and_method(tmp_path, capsys):
 def test_sausage_method_measures_objects_of_at_most_three_dimensions(d, measured):
     report = run_experiment(small_config(d=d, methods=("box", "sausage")))
     assert {obj: set(per) for obj, per in report.aggregates.items()} == measured
+
+
+def _clouds(cfg: ExperimentConfig, seed: int) -> dict:
+    """The clouds of the objects of one seed of ``cfg``, as an experiment
+    measures them: the noise's, and the drift's and the sum's unless the
+    drift is zero."""
+    path = fd.apply_drift(fd.generate_bm(experiments.build_grid(cfg.set, cfg.points), cfg.d,
+                                         seed), cfg.drift_spec)
+    clouds = {"image_bm": bm_image_cloud(path), "graph_bm": bm_graph_cloud(path)}
+    if not cfg.drift_spec.is_zero:
+        clouds.update(image_drift=drift_image_cloud(path), graph_drift=drift_graph_cloud(path),
+                      image_sum=image_cloud(path), graph_sum=graph_cloud(path))
+    return clouds
+
+
+@pytest.mark.parametrize("grid", ["uniform", "power:0.5", "power:1", "power:2"])
+def test_a_method_applies_exactly_where_its_claim_rules_and_premise_hold(grid):
+    # on every small grid, dimension and kind of drift: an experiment runs a
+    # method on exactly the objects that the claim-level rules allow (the
+    # oscillation on graphs only, and on the drift's and the sum's only for a
+    # continuous drift) and whose sweep passes its premise.  An error that
+    # scale_sweep raises at a scale names it; one raised before the first
+    # scale is the premise's.
+    seen = set()
+    for points, d, drift in itertools.product((1, 2, 3, 5, 9, 17), (1, 2, 3, 4),
+                                              ("zero", "linear", "psi_n:4")):
+        if (points == 1 and grid != "uniform") or (drift == "psi_n:4" and d > 1):
+            continue  # a power grid has 2 points or more, and psi_n is 1-D
+        j_max = points.bit_length() - 3  # the finest scale of ``points`` samples
+        cfg = small_config(set=grid, points=points, d=d, scales=(j_max - 2, j_max),
+                           drift=f"linear:{','.join(['0.5'] * d)}" if drift == "linear" else drift,
+                           methods=tuple(METHOD_KINDS))
+        for (obj, cloud), (method, kind) in itertools.product(_clouds(cfg, 1).items(),
+                                                              METHOD_KINDS.items()):
+            claim = method != "oscillation" or (obj.startswith("graph") and (
+                obj == "graph_bm" or cfg.drift_spec.is_continuous))
+            try:
+                fd.scale_sweep(cloud, kind, *cfg.scales)
+                premise = True
+            except ValueError as exc:
+                premise = "j = " in str(exc)
+            applies = experiments._method_applies(method, obj, cloud, cfg)
+            assert applies == (claim and premise), (points, d, drift, obj, method)
+            seen.add((method, applies))
+    assert seen == {(m, True) for m in METHOD_KINDS} | {("sausage", False), ("oscillation", False)}
+
+
+def test_an_experiment_on_one_sample_skips_the_oscillation():
+    # one sample is no 2^J + 1 grid: the oscillation once failed the seed
+    # with not-dyadic-grid instead of measuring nothing
+    report = run_experiment(small_config(points=1, scales=(-4, -2),
+                                         methods=("box", "oscillation")))
+    assert {obj: set(per) for obj, per in report.aggregates.items()} == \
+        {"graph_bm": {"box"}, "image_bm": {"box"}}
+
+
+@pytest.mark.parametrize("grid, points, level", [
+    ("uniform", 2, 0), ("power:2", 2, 0), ("uniform", 3, 1), ("power:1", 3, 1),
+])
+def test_a_grid_is_judged_by_its_times_not_its_set(grid, points, level):
+    # these grids are 0, 1 and 0, 1/2, 1 whichever set named them, so each
+    # is oscillated, and fails at the first scale past its samples' level
+    cfg = small_config(set=grid, points=points, scales=(-3, -1), methods=("box", "oscillation"))
+    with pytest.raises(DomainError) as ei:
+        run_experiment(cfg)
+    assert ei.value.code == "not-dyadic-grid"
+    assert ei.value.detail == (f"seed 1: graph_bm by oscillation: j = -3: column level -3 "
+                               f"exceeds sample level {level}")
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +711,7 @@ def scratch_estimates(cfg, seed) -> dict:
                       image_sum=image_cloud(path), graph_sum=graph_cloud(path))
     return {
         obj: {m: fd.estimate_dimension(fd.scale_sweep(
-            cloud, experiments._METHOD_KINDS[m], *cfg.scales, refine=cfg.refine)).to_dict()
+            cloud, METHOD_KINDS[m], *cfg.scales, refine=cfg.refine)).to_dict()
             for m in cfg.methods if experiments._method_applies(m, obj, cloud, cfg)}
         for obj, cloud in clouds.items()
     }

@@ -31,6 +31,7 @@ from oracles import (
     brute_closed_step_boxes,
     brute_max_packing,
     brute_neighbor_counts,
+    brute_oscillation_counts,
     pairwise_separated,
     union_interval_length,
 )
@@ -202,6 +203,47 @@ def test_oscillation_two_sided_bound_random():
         lower = og - of
         mask = lower >= 1
         assert np.all(ofg[mask] >= lower[mask])
+
+
+def test_oscillation_counts_below_2_63_are_exact():
+    # the counts are integers, exact below 2^63 (6e18 + 1 is no double); at
+    # n = 2, two columns of 1.2e19 once wrapped to INT64_MIN each and
+    # cancelled out, for a count of 2
+    vals = np.array([0, 3e18, 0, 3e18, 0, 0, 0, 0, 0])
+    assert fd.graph_box_count_oscillation(vals, 0) == 3 * 10**18
+    assert fd.graph_box_count_oscillation(vals, 1) == 6 * 10**18 + 1
+    with pytest.raises(DomainError) as ei:
+        fd.graph_box_count_oscillation(vals, 2)
+    assert ei.value.code == "cell-grid-too-large"
+    # a span past the largest double is refused, with no overflow warning
+    with pytest.raises(DomainError) as ei:
+        fd.graph_box_count_oscillation([1e308, -1e308, 0, 0, 0], 1)
+    assert ei.value.code == "cell-grid-too-large"
+
+
+def test_an_oscillation_sweep_refuses_a_total_past_int64():
+    # each of the 2^j columns counts about 3e16 rows: 7.68e18 at j = 8, past
+    # 2^62 and exact, and 1.536e19 at j = 9, which int64 cannot hold
+    path = fd.apply_drift(fd.generate_bm(fd.TimeGrid.uniform(1025), 1, 1),
+                          fd.DriftSpec.linear([3e16]))
+    values = path.combined[:, 0]
+    exact = sum(brute_oscillation_counts(values, 8))
+    assert 2**62 < exact < 2**63
+    assert fd.graph_box_count_oscillation(values, 8) == exact
+    series = fd.scale_sweep(fd.graph_cloud(path), "oscillation", 3, 8)
+    assert series.values[-1] == float(exact)
+    assert sum(brute_oscillation_counts(values, 9)) >= 2**63
+    with pytest.raises(DomainError) as ei:
+        fd.scale_sweep(fd.graph_cloud(path), "oscillation", 3, 9)
+    assert ei.value.code == "cell-grid-too-large" and ei.value.detail.startswith("j = 9: ")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_oscillation_of_a_value_that_is_not_finite_is_refused(bad):
+    # a NaN once cast to INT64_MIN: a count of -9223372036854775807
+    with pytest.raises(DomainError) as ei:
+        fd.graph_box_count_oscillation([0, bad, 0, 0, 0], 1)
+    assert ei.value.code == "non-finite-point"
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +686,27 @@ def test_scale_series_validation_and_csv():
     buf = io.StringIO()
     fd.ScaleSeries("box", np.array([1.0, 0.5]), np.array([3.0, 7.0])).write_csv(buf)
     assert buf.getvalue().splitlines()[1:] == ["0,1,3,box", "1,0.5,7,box"]
+
+
+_BAD_SCALES = "scales must be positive, finite and strictly decreasing"
+_BAD_VALUES = "measurements must be positive and finite"
+
+
+@pytest.mark.parametrize("kind, eps, values, message", [
+    # once written as -inf,inf,1,box, with a bare OverflowError on estimating
+    ("box", [np.inf, 1, 0.5], [1, 2, 4], _BAD_SCALES),
+    ("box", [1, np.nan, 0.25], [1, 2, 4], _BAD_SCALES),
+    # once estimated with ls_slope = nan
+    ("sausage_volume", [1, 0.5, 0.25], [np.inf, 1, 2], _BAD_VALUES),
+    # once refused as no integer count
+    ("box", [1, 0.5, 0.25], [np.nan, 2, 4], _BAD_VALUES),
+    ("volume", [1, 0.5, 0.25], [1, 2, 4], "unknown series kind 'volume'"),
+])
+def test_a_series_refuses_what_is_not_finite_and_unknown_kinds(kind, eps, values, message):
+    with pytest.raises(ValueError) as ei:
+        fd.ScaleSeries(kind, np.array(eps, dtype=float), np.array(values, dtype=float),
+                       {"ambient_dim": 2})
+    assert type(ei.value) is ValueError and str(ei.value) == message
 
 
 @pytest.mark.parametrize("refused, error, code", [
