@@ -10,8 +10,10 @@ square is not a positive, normal, finite double is refused (``_square``).
 Candidate pairs come from an origin-anchored grid of side ``radius``: a
 point is only compared with the points of its neighbour cells on at most
 three axes (``_neighbourhoods``).  The rows of neighbour cells are searched
-once per occupied cell, among the distinct sorted keys, and each point
-takes the ranges of its cell.
+once per occupied cell, among the distinct sorted keys, and a point reads
+the ranges of its cell through the cell's rank.  The keys are sorted with
+no stable sort, so the points of a cell come in no set order: no scan
+output depends on that order.
 
 Points come as an ``(n, m)`` array or as a sequence of their ``m``
 coordinate columns, the layout of a ``PointCloud``; one helper
@@ -20,19 +22,25 @@ packing work on that list, column by column: each column is floored into
 its cells and gathered in grid order, and no ``(n, m)`` copy is made.  Only
 the sausage takes an ``(n, m)`` array.
 
-Greedy packing and thinning selection are one greedy scan
-(``_greedy_scan``): in stored order, keep each eligible point that no earlier
-kept point is close to.  Where the candidates total at most
-``_BULK_CANDIDATES`` a point, the scan is resolved in bulk rounds over the
-earlier close pairs (``_bulk_rounds``): an undecided point with a kept
+Greedy packing is one greedy scan (``_greedy_scan``): in stored order, keep
+each point that no earlier kept point is close to.  Thinning selection is
+the same scan of its good points alone, scattered back: a good point is
+selected iff no earlier selected point is close to it, and only good points
+are selected, so the others never matter.  Where the candidates total at
+most ``_BULK_CANDIDATES`` a point, the scan is resolved in bulk rounds over
+the earlier close pairs (``_bulk_rounds``): an undecided point with a kept
 earlier neighbour is removed, and one whose earlier neighbours are all
 removed is kept.  The rounds needed are the longest chain of such
-neighbours, so after ``_MAX_ROUNDS`` the points still undecided go, in
-stored order, to the scan loop, which visits every point when the
-candidates are denser.  Both give the same mask.  Neighbour counts do not
-depend on any order.  They and the pairs of the rounds come from one pass
-over the candidate pairs (``_close_chunks``), chunked by the work budget
-(``_PAIR_CHUNK`` pairs); a count subtracts the self pair of each point.
+neighbours, so after ``_MAX_ROUNDS`` the points still undecided go to the
+stored-order step, where every point starts undecided when the candidates
+are denser.  That step marks the decided points in a ``bytearray`` and
+skips to the next undecided one with ``bytearray.find``, so it visits only
+the points it keeps; each one reads its cell's ranges through
+``memoryview``s and marks its close candidates decided.  Both give the same
+mask.  Neighbour counts do not depend on any order.  They and the pairs of
+the rounds come from one pass over the candidate pairs (``_close_chunks``),
+chunked by the work budget (``_PAIR_CHUNK`` pairs); a count subtracts the
+self pair of each point.
 
 The sausage count is a scanline (``sausage_occupied_count``): for each point
 and each row of cells in the first ``m - 1`` axes, the marked cells along the
@@ -262,20 +270,19 @@ def _neighbourhoods(cols: list, radius: float):
     ``radius`` on at most ``_BIN_AXES`` axes, those of widest span in cells,
     taken in axis order.
 
-    Returns ``(order, ranges, sizes)``: ``order`` lists point indices sorted
-    by cell key, and point ``i`` has the candidates ``order[lo[i]:hi[i]]``
-    over the at most 9 ``(lo, hi)`` pairs of ``ranges``, one per row of
-    neighbour cells; ``sizes[i]`` is their number, at least 1 since it
-    counts ``i``.  The cells pack with a margin of 1 (``pack_cells``), so a
-    row is the keys ``base - 1 .. base + 1`` for ``base`` the point's key
-    plus a constant offset.  The points of one cell share their ranges, so
-    the rows are searched once per occupied cell, among the distinct sorted
-    keys: ``bounds`` maps a cell's rank to its first position in ``order``,
-    and each point takes the ranges of its cell's rank.  A grid too large to
-    pack is compacted, and while even that is too large the narrowest binned
-    axis is dropped; one compacted axis is at most ``2 * n`` wide.  Either
-    way the candidates include every point closer than ``radius``, and
-    ``_close`` tests every axis.
+    Returns ``(order, rank, ranges, sizes)``: ``order`` lists point indices
+    sorted by cell key, in no order within a cell, and ``rank[i]`` is the
+    rank of point ``i``'s cell among the occupied cells.  Cell ``c`` has the
+    candidates ``order[lo[c]:hi[c]]`` over the at most 9 ``(lo, hi)`` pairs
+    of ``ranges``, one per row of neighbour cells, and ``sizes[c]`` is their
+    number, at least 1 since it counts the cell's own points.  The cells
+    pack with a margin of 1 (``pack_cells``), so a row is the keys ``base -
+    1 .. base + 1`` for ``base`` the cell's key plus a constant offset; the
+    rows are searched once per occupied cell, among the distinct sorted
+    keys.  A grid too large to pack is compacted, and while even that is
+    too large the narrowest binned axis is dropped; one compacted axis is at
+    most ``2 * n`` wide.  Either way the candidates include every point
+    closer than ``radius``, and the distance tests test every axis.
     """
     cells = [cell_indices(col, radius) for col in cols]
     span = np.array([c.max() - c.min() for c in cells])
@@ -292,14 +299,14 @@ def _neighbourhoods(cols: list, radius: float):
             except DomainError:
                 drop = np.argmin(span[axes])
                 axes, cells = np.delete(axes, drop), np.delete(cells, drop, axis=1)
-    order = np.argsort(keys, kind="stable")
+    # no scan output depends on the order of the points within a cell
+    order = np.argsort(keys)
     sorted_keys = keys[order]
     # the occupied cells, each searched once: cell c holds the points
     # order[bounds[c]:bounds[c + 1]]
     new_cell = _firsts(sorted_keys)
     bounds = np.append(np.flatnonzero(new_cell), sorted_keys.size)
     cell_keys = sorted_keys[bounds[:-1]]
-    # the rank of each point's cell, by point index
     rank = np.empty_like(order)
     rank[order] = np.cumsum(new_cell) - 1
     # every field holds at least 1, so the row keys from the lowest corner
@@ -311,19 +318,8 @@ def _neighbourhoods(cols: list, radius: float):
         lo = bounds[np.searchsorted(cell_keys, row, side="left")]
         row += 2
         hi = bounds[np.searchsorted(cell_keys, row, side="right")]
-        ranges.append((lo[rank], hi[rank]))
-    return order, ranges, sum(hi - lo for lo, hi in ranges)
-
-
-def _close(cols: list, i: int, order, ranges, rad2: float):
-    """Candidates of point ``i`` and the mask of those with ``d2 < rad2``,
-    for the greedy scan."""
-    js = np.concatenate([order[lo[i]:hi[i]] for lo, hi in ranges])
-    d2 = np.zeros(js.size)
-    for col in cols:
-        diff = col[i] - col[js]
-        d2 += diff * diff
-    return js, d2 < rad2
+        ranges.append((lo, hi))
+    return order, rank, ranges, sum(hi - lo for lo, hi in ranges)
 
 
 def _square(radius: float) -> float:
@@ -340,66 +336,81 @@ def _square(radius: float) -> float:
     return square
 
 
-def _greedy_scan(points, radius: float, eligible: np.ndarray) -> np.ndarray:
-    """Keep-mask of the greedy scan: in stored order, keep each eligible point
-    that no earlier kept point is closer to than ``radius``.
+def _greedy_scan(points, radius: float) -> np.ndarray:
+    """Keep-mask of the greedy scan: in stored order, keep each point that no
+    earlier kept point is closer to than ``radius``.
 
     Where the candidates total at most ``_BULK_CANDIDATES`` a point, most
-    points are decided in bulk rounds (``_bulk_rounds``) and the scan visits
-    only those still undecided; otherwise it visits every point.  Raises
-    ``DomainError("bad-shape")`` unless ``eligible`` has shape ``(n,)``.
+    points are decided first in bulk rounds (``_bulk_rounds``); otherwise
+    every point starts undecided.  The stored-order step then visits only
+    the undecided points: a ``bytearray`` marks the points kept or removed,
+    and ``find`` skips to the next unmarked one, which is kept.  A kept
+    point reads its cell's ranges through ``memoryview``s, with no numpy
+    scalar, and marks its candidates closer than ``radius`` removed; the
+    points skipped are not read.
     """
     rad2 = _square(radius)
     cols = _columns(points)
     n = len(cols[0])
-    eligible = np.asarray(eligible, dtype=bool)
-    if eligible.shape != (n,):
-        raise DomainError("bad-shape", f"eligible mask of shape {eligible.shape} for {n} points")
     kept = np.zeros(n, dtype=bool)
     if n == 0:
         return kept
-    order, ranges, sizes = _neighbourhoods(cols, radius)
-    removed = ~eligible
-    todo = range(n)
-    if sizes.sum() <= _BULK_CANDIDATES * n:
-        todo = _bulk_rounds(cols, order, ranges, rad2, kept, removed).tolist()
+    order, rank, ranges, sizes = _neighbourhoods(cols, radius)
+    # decided[j] = 1 marks a point j kept or removed before the scan reaches
+    # it; marked is its numpy view
+    decided = bytearray(n)
+    marked = np.frombuffer(decided, dtype=bool)
+    if sizes[rank].sum() <= _BULK_CANDIDATES * n:
+        marked[:] = True
+        marked[_bulk_rounds(cols, order, rank, ranges, rad2, kept)] = False
+    rank, sizes = memoryview(rank), memoryview(sizes)
+    rows = [(memoryview(lo), memoryview(hi)) for lo, hi in ranges]
+    # numpy compares an array with a 0-d array faster than with a float
+    rad2 = np.array(rad2)
+    i = decided.find(0)
     # a candidate far off on an axis that is not binned may square to inf,
     # which is not close
     with np.errstate(over="ignore"):
-        for i in todo:
-            if removed[i]:
-                continue
+        while i >= 0:
             kept[i] = True
-            if sizes[i] > 1:
-                js, close = _close(cols, i, order, ranges, rad2)
-                removed[js[close]] = True
+            c = rank[i]
+            if sizes[c] > 1:
+                js = np.concatenate([order[lo[c]:hi[c]] for lo, hi in rows])
+                diff = cols[0][js] - cols[0][i]
+                d2 = diff * diff
+                for col in cols[1:]:
+                    diff = col[js] - col[i]
+                    d2 += diff * diff
+                marked[js[d2 < rad2]] = True
+            i = decided.find(0, i + 1)
     return kept
 
 
-def _bulk_rounds(cols: list, order, ranges, rad2: float, kept: np.ndarray, removed: np.ndarray):
-    """Decide the greedy scan in rounds over its earlier close pairs, in place.
+def _bulk_rounds(cols: list, order, rank, ranges, rad2: float, kept: np.ndarray) -> np.ndarray:
+    """Decide the greedy scan in rounds over its earlier close pairs.
 
-    The pairs are ``(j, i)`` with ``j < i``, ``d2 < rad2`` and neither point
-    ``removed`` on entry (the ineligible ones).  In each round, an undecided
-    point with a kept earlier neighbour is removed, and one whose earlier
-    neighbours are all removed is kept: both are the scan's own choices.
-    Before each round, the pairs whose source is removed or whose target is
-    decided are dropped.  The rounds needed are the longest chain of
-    undecided earlier neighbours, short where the pairs are sparse but up to
-    ``n`` on a chain of close points; so after ``_MAX_ROUNDS`` the kept
-    points remove their neighbours, and the points still undecided are
-    returned, in index order, for the scan to finish.
+    The pairs are ``(j, i)`` with ``j < i`` and ``d2 < rad2``.  In each
+    round, an undecided point with a kept earlier neighbour is removed, and
+    one whose earlier neighbours are all removed is kept: both are the
+    scan's own choices.  Before each round, the pairs whose source is
+    removed or whose target is decided are dropped.  The rounds needed are
+    the longest chain of undecided earlier neighbours, short where the pairs
+    are sparse but up to ``n`` on a chain of close points; so after
+    ``_MAX_ROUNDS`` the kept points remove their neighbours.  Sets ``kept``
+    in place and returns the points still undecided, in index order, for
+    the scan to finish.
     """
     src, dst = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for s, sizes, pos, close in _close_chunks(cols, order, ranges, rad2):
+    for s, sizes, pos, close in _close_chunks(cols, order, rank, ranges, rad2):
         at = np.flatnonzero(close)
         i = np.repeat(order[s:s + sizes.size], sizes)[at]
         j = order[pos[at]]
-        pair = (j < i) & ~removed[i] & ~removed[j]
+        pair = j < i
         src.append(j[pair])
         dst.append(i[pair])
     src, dst = np.concatenate(src), np.concatenate(dst)
-    undecided = ~removed
+    removed = np.zeros(order.size, dtype=bool)
+    undecided = np.ones(order.size, dtype=bool)
     for _ in range(_MAX_ROUNDS):
         if not undecided.any():
             break
@@ -412,7 +423,7 @@ def _bulk_rounds(cols: list, order, ranges, rad2: float, kept: np.ndarray, remov
         kept |= undecided & ~removed & ~waiting
         undecided &= waiting & ~removed
     removed[dst[kept[src]]] = True
-    return np.flatnonzero(undecided)
+    return np.flatnonzero(undecided & ~removed)
 
 
 # ---------------------------------------------------------------------------
@@ -427,14 +438,27 @@ def greedy_pack_mask(points, eps: float) -> np.ndarray:
     point is kept iff its Euclidean distance to every previously kept point
     is >= 2*eps.
     """
-    cols = _columns(points)
-    return _greedy_scan(cols, 2.0 * eps, np.ones(len(cols[0]), dtype=bool))
+    return _greedy_scan(points, 2.0 * eps)
 
 
 def thin_select_mask(points, radius: float, good: np.ndarray) -> np.ndarray:
     """Scan good indices in order; select survivors, removing strict-<radius
-    neighbours (good or not) of each selection."""
-    return _greedy_scan(points, radius, good)
+    neighbours (good or not) of each selection.
+
+    A good point is selected iff no earlier selected point is closer than
+    ``radius``, and only good points are ever selected, so the points that
+    are not good never matter: the mask is the greedy scan of the good
+    points alone (``_greedy_scan``), scattered back.  Raises
+    ``DomainError("bad-shape")`` unless ``good`` has shape ``(n,)``.
+    """
+    cols = _columns(points)
+    n = len(cols[0])
+    good = np.asarray(good, dtype=bool)
+    if good.shape != (n,):
+        raise DomainError("bad-shape", f"good mask of shape {good.shape} for {n} points")
+    selected = np.zeros(n, dtype=bool)
+    selected[good] = _greedy_scan([col[good] for col in cols], radius)
+    return selected
 
 
 def neighbor_counts(points, radius: float) -> np.ndarray:
@@ -451,8 +475,8 @@ def neighbor_counts(points, radius: float) -> np.ndarray:
     counts = np.zeros(len(cols[0]), dtype=np.int64)
     if counts.size == 0:
         return counts
-    order, ranges, _ = _neighbourhoods(cols, radius)
-    for s, sizes, _, close in _close_chunks(cols, order, ranges, rad2):
+    order, rank, ranges, _ = _neighbourhoods(cols, radius)
+    for s, sizes, _, close in _close_chunks(cols, order, rank, ranges, rad2):
         hits = np.empty(close.size + 1, dtype=np.int64)
         hits[0] = 0
         np.cumsum(close, out=hits[1:])
@@ -463,21 +487,24 @@ def neighbor_counts(points, radius: float) -> np.ndarray:
     return out
 
 
-def _close_chunks(cols: list, order, ranges, rad2: float):
+def _close_chunks(cols: list, order, rank, ranges, rad2: float):
     """The candidate pairs of ``_neighbourhoods``, tested a chunk at a time.
 
     The columns are gathered once in ``order``, so the candidates of a range
-    are contiguous.  For each range, runs of consecutive points in ``order``
-    whose candidates total at most ``_PAIR_CHUNK`` (or one point alone, whose
-    candidates exceed it) are tested at once (``_close_mask``).  Yields
-    ``(s, sizes, pos, close)``: the points at ``s, s + 1, ...`` of ``order``
-    have ``sizes`` candidates each, at the positions ``pos`` of ``order``,
-    concatenated, and ``close`` marks those with ``d2 < rad2``.
+    are contiguous, and each range, kept by cell, is gathered by the rank of
+    each point's cell in ``order``.  For each range, runs of consecutive
+    points in ``order`` whose candidates total at most ``_PAIR_CHUNK`` (or
+    one point alone, whose candidates exceed it) are tested at once
+    (``_close_mask``).  Yields ``(s, sizes, pos, close)``: the points at
+    ``s, s + 1, ...`` of ``order`` have ``sizes`` candidates each, at the
+    positions ``pos`` of ``order``, concatenated, and ``close`` marks those
+    with ``d2 < rad2``.
     """
     cols = [col[order] for col in cols]
+    rank = rank[order]
     for lo, hi in ranges:
-        lo = lo[order]
-        sizes = hi[order] - lo
+        lo = lo[rank]
+        sizes = hi[rank] - lo
         ends = np.cumsum(sizes)
         s = 0
         while s < order.size:

@@ -746,7 +746,7 @@ def test_scans_bin_the_widest_axes():
     x = np.random.default_rng(17).uniform(0, 100, 400)
     pts = np.zeros((400, 4))
     pts[:, 3] = x
-    _, _, sizes = kernels._neighbourhoods(kernels._columns(pts), 0.5)
+    _, _, _, sizes = kernels._neighbourhoods(kernels._columns(pts), 0.5)
     assert sizes.max() < 20
     _scans_match_oracles(pts, 0.5, np.arange(400) % 3 != 0)
 
@@ -790,9 +790,12 @@ def _neighbourhood_inputs(rng):
 
 def _neighbourhoods_match_their_cells(pts, radius, seen):
     cols = kernels._columns(pts)
-    order, ranges, sizes = kernels._neighbourhoods(cols, radius)
+    order, rank, ranges, sizes = kernels._neighbourhoods(cols, radius)
     n = len(pts)
     assert sorted(order.tolist()) == list(range(n))
+    # the points of a cell share its rank, and the ranks follow the cells
+    # in order
+    assert np.all(np.diff(rank[order]) >= 0) and rank[order][0] == 0
     cells = [kernels.cell_indices(col, radius) for col in cols]
     axes = _binned_axes(cells, kernels._KEY_LIMIT)
     assert len(ranges) == 3 ** (len(axes) - 1)
@@ -802,8 +805,9 @@ def _neighbourhoods_match_their_cells(pts, radius, seen):
     for c in exact:
         near &= np.abs(c[:, None] - c[None, :]) <= 1
     for i in range(n):
-        found = np.concatenate([order[lo[i]:hi[i]] for lo, hi in ranges])
-        assert sizes[i] == found.size
+        c = rank[i]
+        found = np.concatenate([order[lo[c]:hi[c]] for lo, hi in ranges])
+        assert sizes[c] == found.size
         assert sorted(found.tolist()) == np.flatnonzero(near[i]).tolist()
     distinct = len({tuple(int(c[i]) for c in exact) for i in range(n)})
     seen.add("one cell" if distinct == 1 else "distinct" if distinct == n else "crowded")
@@ -956,13 +960,87 @@ def test_scan_of_a_chain_hands_off_after_the_round_cap(monkeypatch):
 
 
 @pytest.mark.parametrize("bulk", [0, math.inf])
-@pytest.mark.parametrize("shape", [(40,), (60,), (50, 1)])
+@pytest.mark.parametrize("shape", [(40,), (60,), (50, 1), (), (0,)])
 def test_thinning_refuses_a_good_mask_of_another_shape(monkeypatch, bulk, shape):
     monkeypatch.setattr(kernels, "_BULK_CANDIDATES", bulk)
+    seen = _record_scans(monkeypatch)
     pts = np.random.default_rng(22).uniform(0, 1, (50, 2))
     with pytest.raises(DomainError) as ei:
         kernels.thin_select_mask(pts, 0.1, np.ones(shape, dtype=bool))
     assert ei.value.code == "bad-shape"
+    # refused before the scan of the good points
+    assert seen["scans"] == 0
+
+
+def _thinning_inputs(rng):
+    """(points, radius, good): random clouds with coincident points, dyadic
+    lattices whose neighbours sit exactly at the radius, each with a random,
+    an all-good and a no-good mask."""
+    for _ in range(40):
+        pts = _random_points(rng)
+        pts[-1] = pts[0]
+        radius = float(rng.uniform(0.02, 1.0))
+        for good in (rng.random(len(pts)) < 0.6, np.ones(len(pts), bool), np.zeros(len(pts), bool)):
+            yield pts, radius, good
+    for m in (1, 2, 3):
+        pts = np.concatenate([_lattice(m), _lattice(m)[:5]])
+        for radius in (0.25, 0.5):
+            for good in (np.arange(len(pts)) % 3 != 0, np.ones(len(pts), bool),
+                         np.zeros(len(pts), bool)):
+                yield pts, radius, good
+
+
+@pytest.mark.parametrize("bulk", [0, math.inf])
+def test_thinning_is_packing_of_the_good_points(monkeypatch, bulk):
+    # a good point is selected iff no earlier selected point is within the
+    # radius, and only good points are selected: the points that are not
+    # good never matter, so thinning is the greedy scan of the good points
+    # alone, scattered back
+    monkeypatch.setattr(kernels, "_BULK_CANDIDATES", bulk)
+    rng = np.random.default_rng(23)
+    ties = 0
+    for pts, radius, good in _thinning_inputs(rng):
+        alone = np.zeros(len(pts), dtype=bool)
+        alone[good] = oracles.brute_greedy_thinning(pts[good], radius, [True] * int(good.sum()))
+        got = kernels.thin_select_mask(pts, radius, good)
+        assert np.array_equal(got, alone)
+        assert np.array_equal(got[good], kernels.greedy_pack_mask(pts[good], radius / 2))
+        assert np.array_equal(got, oracles.brute_greedy_thinning(pts, radius, good))
+        ties += bool(np.any(oracles.brute_neighbor_counts(pts, np.nextafter(radius, np.inf))
+                            > oracles.brute_neighbor_counts(pts, radius)))
+    assert ties > 5
+
+
+@pytest.mark.parametrize("bulk", [0, math.inf])
+def test_scans_do_not_depend_on_the_order_within_a_cell(monkeypatch, bulk):
+    # _neighbourhoods sorts the keys with no stable sort, so the points of a
+    # cell may come in any order; masks and counts must not move
+    monkeypatch.setattr(kernels, "_BULK_CANDIDATES", bulk)
+    rng = np.random.default_rng(24)
+    cases = list(_thinning_inputs(rng)) + [(np.full((40, 2), 0.25), 0.5, np.arange(40) % 2 == 0)]
+
+    def scans(pts, radius, good):
+        return (kernels.greedy_pack_mask(pts, radius / 2), kernels.thin_select_mask(pts, radius, good),
+                kernels.neighbor_counts(pts, radius))
+
+    before = [scans(*case) for case in cases]
+    neighbourhoods, changed = kernels._neighbourhoods, []
+
+    def reversed_cells(cols, radius):
+        # each cell's points, order[first:last + 1], listed last to first
+        order, rank, ranges, sizes = neighbourhoods(cols, radius)
+        cell = rank[order]
+        first = np.searchsorted(cell, cell, side="left")
+        last = np.searchsorted(cell, cell, side="right") - 1
+        flipped = order[first + last - np.arange(order.size)]
+        changed.append(not np.array_equal(flipped, order))
+        return flipped, rank, ranges, sizes
+
+    monkeypatch.setattr(kernels, "_neighbourhoods", reversed_cells)
+    for case, want in zip(cases, before):
+        for got, expected in zip(scans(*case), want):
+            assert np.array_equal(got, expected)
+    assert sum(changed) > 100
 
 
 @pytest.mark.parametrize("bulk", [0, math.inf])
