@@ -39,8 +39,11 @@ the points it keeps; each one reads its cell's ranges through
 ``memoryview``s and marks its close candidates decided.  Both give the same
 mask.  Neighbour counts do not depend on any order.  They and the pairs of
 the rounds come from one pass over the candidate pairs (``_close_chunks``),
-chunked by the work budget (``_PAIR_CHUNK`` pairs); a count subtracts the
-self pair of each point.
+chunked by the work budget (``_PAIR_CHUNK`` pairs), that reads half
+neighbourhoods: each unordered pair is tested once, from its end earlier in
+the key-sorted order, and no point with itself.  ``d2`` is the same bits
+from either end, as ``(x - y)**2 == (y - x)**2`` and the axes are summed in
+one order, so the counts credit both ends of each close pair.
 
 The sausage count is a scanline (``sausage_occupied_count``): for each point
 and each row of cells in the first ``m - 1`` axes, the marked cells along the
@@ -279,10 +282,15 @@ def _neighbourhoods(cols: list, radius: float):
     pack with a margin of 1 (``pack_cells``), so a row is the keys ``base -
     1 .. base + 1`` for ``base`` the cell's key plus a constant offset; the
     rows are searched once per occupied cell, among the distinct sorted
-    keys.  A grid too large to pack is compacted, and while even that is
-    too large the narrowest binned axis is dropped; one compacted axis is at
-    most ``2 * n`` wide.  Either way the candidates include every point
-    closer than ``radius``, and the distance tests test every axis.
+    keys.  They are listed in key order, the offsets on the most significant
+    axis varying slowest, so the own row is the middle one.  Axis 0's field
+    has at least 2 bits, so every key of a later row is above every key of
+    the own row, and the neighbour relation is symmetric: ``_close_chunks``
+    reads the own row and the later ones only.  A grid too large to pack is
+    compacted, and while even that is too large the narrowest binned axis is
+    dropped; one compacted axis is at most ``2 * n`` wide.  Either way the
+    candidates include every point closer than ``radius``, the neighbour
+    relation stays symmetric, and the distance tests test every axis.
     """
     cells = [cell_indices(col, radius) for col in cols]
     span = np.array([c.max() - c.min() for c in cells])
@@ -313,8 +321,9 @@ def _neighbourhoods(cols: list, radius: float):
     # of the neighbourhood up never wrap
     corner = cell_keys - sum(1 << shift for shift in layout.shifts)
     ranges = []
+    # the rows in key order: offsets on the most significant axis vary slowest
     for off in itertools.product((0, 1, 2), repeat=len(layout.shifts) - 1):
-        row = corner + sum(o << shift for o, shift in zip(off, layout.shifts[1:]))
+        row = corner + sum(o << shift for o, shift in zip(off, layout.shifts[:0:-1]))
         lo = bounds[np.searchsorted(cell_keys, row, side="left")]
         row += 2
         hi = bounds[np.searchsorted(cell_keys, row, side="right")]
@@ -389,25 +398,26 @@ def _greedy_scan(points, radius: float) -> np.ndarray:
 def _bulk_rounds(cols: list, order, rank, ranges, rad2: float, kept: np.ndarray) -> np.ndarray:
     """Decide the greedy scan in rounds over its earlier close pairs.
 
-    The pairs are ``(j, i)`` with ``j < i`` and ``d2 < rad2``.  In each
-    round, an undecided point with a kept earlier neighbour is removed, and
-    one whose earlier neighbours are all removed is kept: both are the
-    scan's own choices.  Before each round, the pairs whose source is
-    removed or whose target is decided are dropped.  The rounds needed are
-    the longest chain of undecided earlier neighbours, short where the pairs
-    are sparse but up to ``n`` on a chain of close points; so after
-    ``_MAX_ROUNDS`` the kept points remove their neighbours.  Sets ``kept``
-    in place and returns the points still undecided, in index order, for
-    the scan to finish.
+    The pairs are ``(j, i)`` with ``j < i`` and ``d2 < rad2``: each close
+    pair comes once from ``_close_chunks``, and is taken as ``(min, max)``
+    of its indices.  In each round, an undecided point with a kept earlier
+    neighbour is removed, and one whose earlier neighbours are all removed
+    is kept: both are the scan's own choices.  Before each round, the pairs
+    whose source is removed or whose target is decided are dropped.  The
+    rounds act on sets, so the order of the pairs does not matter.  The
+    rounds needed are the longest chain of undecided earlier neighbours,
+    short where the pairs are sparse but up to ``n`` on a chain of close
+    points; so after ``_MAX_ROUNDS`` the kept points remove their
+    neighbours.  Sets ``kept`` in place and returns the points still
+    undecided, in index order, for the scan to finish.
     """
     src, dst = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for s, sizes, pos, close in _close_chunks(cols, order, rank, ranges, rad2):
         at = np.flatnonzero(close)
         i = np.repeat(order[s:s + sizes.size], sizes)[at]
         j = order[pos[at]]
-        pair = j < i
-        src.append(j[pair])
-        dst.append(i[pair])
+        src.append(np.minimum(i, j))
+        dst.append(np.maximum(i, j))
     src, dst = np.concatenate(src), np.concatenate(dst)
     removed = np.zeros(order.size, dtype=bool)
     undecided = np.ones(order.size, dtype=bool)
@@ -465,10 +475,11 @@ def neighbor_counts(points, radius: float) -> np.ndarray:
     """Per-point count of other points at strict Euclidean distance < radius.
 
     One bulk pass over the candidate pairs (``_close_chunks``), with no
-    scan: the counts do not depend on any order.  The close pairs of each
-    point are summed; every point is its own candidate in exactly one range,
-    at ``d2 = 0 < rad2``, so 1 is subtracted at the end.  Coincident points
-    with different indices count each other.
+    scan: the counts do not depend on any order.  Each close pair is tested
+    once and credits both ends, each chunk with two ``np.bincount`` calls:
+    one over the chunk's own points, and one over the window of positions
+    that its close candidates span, for the far ends.  No point is its own
+    candidate.  Coincident points with different indices count each other.
     """
     rad2 = _square(radius)
     cols = _columns(points)
@@ -476,34 +487,44 @@ def neighbor_counts(points, radius: float) -> np.ndarray:
     if counts.size == 0:
         return counts
     order, rank, ranges, _ = _neighbourhoods(cols, radius)
-    for s, sizes, _, close in _close_chunks(cols, order, rank, ranges, rad2):
-        hits = np.empty(close.size + 1, dtype=np.int64)
-        hits[0] = 0
-        np.cumsum(close, out=hits[1:])
-        ends = np.cumsum(sizes)
-        counts[s:s + sizes.size] += hits[ends] - hits[ends - sizes]
+    for s, sizes, pos, close in _close_chunks(cols, order, rank, ranges, rad2):
+        at = np.flatnonzero(close)
+        if at.size:
+            near = np.repeat(np.arange(sizes.size), sizes)[at]
+            counts[s:s + sizes.size] += np.bincount(near, minlength=sizes.size)
+            far = pos[at]
+            first = far.min()
+            far -= first
+            credit = np.bincount(far)
+            counts[first:first + credit.size] += credit
     out = np.empty_like(counts)
-    out[order] = counts - 1
+    out[order] = counts
     return out
 
 
 def _close_chunks(cols: list, order, rank, ranges, rad2: float):
-    """The candidate pairs of ``_neighbourhoods``, tested a chunk at a time.
+    """The candidate pairs of ``_neighbourhoods``, each unordered pair tested
+    once, a chunk at a time.
 
-    The columns are gathered once in ``order``, so the candidates of a range
-    are contiguous, and each range, kept by cell, is gathered by the rank of
-    each point's cell in ``order``.  For each range, runs of consecutive
-    points in ``order`` whose candidates total at most ``_PAIR_CHUNK`` (or
-    one point alone, whose candidates exceed it) are tested at once
-    (``_close_mask``).  Yields ``(s, sizes, pos, close)``: the points at
-    ``s, s + 1, ...`` of ``order`` have ``sizes`` candidates each, at the
-    positions ``pos`` of ``order``, concatenated, and ``close`` marks those
-    with ``d2 < rad2``.
+    A point reads half its neighbourhood: the rows after its own cell's row
+    in key order, and in its own row only the points after itself in
+    ``order``, its cell's later points and the next cell.  So a pair is
+    tested from its end earlier in ``order``, and no point with itself.  The
+    columns are gathered once in ``order``, so the candidates of a range are
+    contiguous, and each range, kept by cell, is gathered by the rank of
+    each point's cell in ``order``; the own row starts at each point's
+    position plus 1.  For each range, runs of consecutive points in
+    ``order`` whose candidates total at most ``_PAIR_CHUNK`` (or one point
+    alone, whose candidates exceed it) are tested at once (``_close_mask``).
+    Yields ``(s, sizes, pos, close)``: the points at ``s, s + 1, ...`` of
+    ``order`` have ``sizes`` candidates each, at the positions ``pos`` of
+    ``order``, concatenated, and ``close`` marks those with ``d2 < rad2``.
     """
     cols = [col[order] for col in cols]
     rank = rank[order]
-    for lo, hi in ranges:
-        lo = lo[rank]
+    # the own row, in the middle, and the rows after it
+    for k, (lo, hi) in enumerate(ranges[len(ranges) // 2:]):
+        lo = lo[rank] if k else np.arange(1, order.size + 1)
         sizes = hi[rank] - lo
         ends = np.cumsum(sizes)
         s = 0

@@ -14,12 +14,16 @@ from itertools import combinations, product
 import numpy as np
 
 
-def _d2(p, q) -> float:
-    """Squared distance summed axis by axis in axis order, in Python floats."""
-    total = 0.0
-    for a in range(len(p)):
-        diff = p[a] - q[a]
-        total += diff * diff
+def _d2_to_all(p, pts: np.ndarray) -> np.ndarray:
+    """Squared distances from the point ``p`` to every row of the float64
+    array ``pts``, summed axis by axis in axis order: one numpy expression a
+    point, with no cells and no binning.  A difference far off may square to
+    inf, which is not close."""
+    total = np.zeros(len(pts))
+    with np.errstate(over="ignore"):
+        for a in range(len(p)):
+            diff = p[a] - pts[:, a]
+            total += diff * diff
     return total
 
 
@@ -83,11 +87,15 @@ def all_maximal_separated_subsets(points: np.ndarray, eps: float) -> list:
 
 @_memoised
 def brute_neighbor_counts(points: np.ndarray, radius: float) -> np.ndarray:
-    """N_i = #{j != i : |y_i - y_j| < radius} by direct O(n^2) scan."""
-    pts = np.atleast_2d(points).tolist()
+    """N_i = #{j != i : d2(y_i, y_j) < radius * radius} by direct O(n^2)
+    scan, one point's squared distances to all the others at a time."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    rad2 = radius * radius
     out = np.zeros(len(pts), dtype=np.int64)
     for i, p in enumerate(pts):
-        out[i] = sum(1 for j, q in enumerate(pts) if i != j and math.sqrt(_d2(p, q)) < radius)
+        close = _d2_to_all(p, pts) < rad2
+        close[i] = False
+        out[i] = np.count_nonzero(close)
     return out
 
 
@@ -136,15 +144,17 @@ def union_interval_length(centers, r: float) -> float:
 @_memoised
 def brute_greedy_thinning(points: np.ndarray, radius: float, good) -> np.ndarray:
     """Keep-mask of the greedy scan: in stored order, keep each good point
-    whose squared distance to every earlier kept point is >= radius*radius."""
-    pts = np.atleast_2d(points).tolist()
+    whose squared distance to every earlier kept point is >= radius*radius.
+    Each kept point blocks every point closer than that, one numpy
+    expression a kept point."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     rad2 = radius * radius
-    kept = []
-    for i, p in enumerate(pts):
-        if good[i] and all(_d2(p, pts[k]) >= rad2 for k in kept):
-            kept.append(i)
     mask = np.zeros(len(pts), dtype=bool)
-    mask[kept] = True
+    blocked = np.zeros(len(pts), dtype=bool)
+    for i, p in enumerate(pts):
+        if good[i] and not blocked[i]:
+            mask[i] = True
+            blocked |= _d2_to_all(p, pts) < rad2
     return mask
 
 

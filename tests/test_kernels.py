@@ -47,11 +47,24 @@ def test_greedy_pack_matches_oracle():
                               oracles.brute_greedy_packing(pts, eps))
 
 
+# (radius, q): the pair (0, 0), q is close, d2 < radius * radius, though
+# sqrt(d2) rounds to radius or above
+_CLOSE_BY_THE_SQUARE = (
+    (0.14270128027469312, (-0.11706617693999215, 0.08160371075319411)),
+    (0.752861025903752, (-0.14297094706411576, 0.7391610329423757)),
+    (0.5970116079232411, (-0.037851480243401465, 0.5958104777850731)))
+
+
 def test_neighbor_counts_match_oracle():
     rng = np.random.default_rng(2)
     for _ in range(150):
         pts = _random_points(rng)
         radius = float(rng.uniform(0.02, 1.0))
+        assert np.array_equal(kernels.neighbor_counts(pts, radius),
+                              oracles.brute_neighbor_counts(pts, radius))
+    for radius, q in _CLOSE_BY_THE_SQUARE:
+        pts = np.array([(0.0, 0.0), q])
+        assert kernels.neighbor_counts(pts, radius).tolist() == [1, 1]
         assert np.array_equal(kernels.neighbor_counts(pts, radius),
                               oracles.brute_neighbor_counts(pts, radius))
 
@@ -113,6 +126,102 @@ def test_neighbor_counts_in_chunks_dropping_binned_axes_match_oracle(monkeypatch
         assert np.array_equal(kernels.neighbor_counts(pts, radius),
                               oracles.brute_neighbor_counts(pts, radius))
     assert sum(dropped) > 50 and len(chunks) > 1000
+
+
+def _pairs_tested(monkeypatch, pts, radius):
+    """``neighbor_counts(pts, radius)`` with what it searched and tested:
+    ``(counts, full, tested)``, where ``full`` is the set of unordered
+    candidate pairs of the full neighbourhoods, as (position, position) in
+    ``order`` with the lower position first, and ``tested`` lists each pair
+    ``_close_mask`` tested, as (the point's position, its candidate's)."""
+    found, tested = [], []
+    neighbourhoods, close_mask = kernels._neighbourhoods, kernels._close_mask
+
+    def searching(cols, radius):
+        found.append(neighbourhoods(cols, radius))
+        return found[-1]
+
+    def testing(cols, s, lo, sizes, rad2):
+        pos, close = close_mask(cols, s, lo, sizes, rad2)
+        tested.extend(zip(np.repeat(np.arange(s, s + sizes.size), sizes).tolist(), pos.tolist()))
+        return pos, close
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "_neighbourhoods", searching)
+        patch.setattr(kernels, "_close_mask", testing)
+        counts = kernels.neighbor_counts(pts, radius)
+    (order, rank, ranges, _), = found
+    full = set()
+    for p, i in enumerate(order):
+        c = rank[i]
+        for q in itertools.chain.from_iterable(range(lo[c], hi[c]) for lo, hi in ranges):
+            if q != p:
+                full.add((min(p, q), max(p, q)))
+    return counts, full, tested
+
+
+def _hp_values():
+    """The points of an image with coordinates of 1e30: cells of 2^62 and
+    more, so the scans compact the grid."""
+    return np.array([[0.0], [0.1], [0.35], [0.6], [1e30], [-1e30], [1e30], [3.5], [-2.25]])
+
+
+@pytest.mark.parametrize("budget", [7, 1 << 15])
+def test_half_neighbourhoods_test_each_pair_once(monkeypatch, budget):
+    # every unordered candidate pair of the full neighbourhoods is tested
+    # exactly once, from its end earlier in key order, and no point is
+    # tested with itself; the counts credit both ends.  1-3-D clouds, all
+    # points in one cell, a 7-D cloud binned on 3 axes and a compacted grid
+    monkeypatch.setattr(kernels, "_PAIR_CHUNK", budget)
+    compacted = []
+    compact = kernels._compact
+
+    def compacting(cells, near):
+        compacted.append(len(cells))
+        return compact(cells, near)
+
+    monkeypatch.setattr(kernels, "_compact", compacting)
+    rng = np.random.default_rng(35)
+    cases = [(rng.uniform(0, 1, (n, m)), float(rng.uniform(0.05, 0.4)))
+             for m in (1, 2, 3) for n in (1, 2, 60, 200)]
+    cases += [(np.full((30, 2), 0.25), 0.5)]
+    cloud = rng.uniform(-1, 1, (150, 7)) * [4, 0.1, 3, 0.1, 0.1, 2, 0.1]
+    cases += [(cloud, radius) for radius in (0.3, 0.8)]
+    cases += [(_hp_values(), 2 * 2.0**-j) for j in range(1, 7)]
+    tested_pairs = 0
+    for pts, radius in cases:
+        counts, full, tested = _pairs_tested(monkeypatch, pts, radius)
+        # each from its earlier end, so never a point with itself
+        assert all(p < q for p, q in tested)
+        assert len(tested) == len(set(tested)) and set(tested) == full
+        assert np.array_equal(counts, oracles.brute_neighbor_counts(pts, radius))
+        tested_pairs += len(tested)
+    assert compacted and tested_pairs > 10000
+    # the 7-D cloud is binned on its three widest axes: 9 rows a cell
+    assert len(kernels._neighbourhoods(kernels._columns(cloud), 0.3)[2]) == 9
+
+
+@pytest.mark.parametrize("bulk", [0, math.inf])
+def test_far_end_credits_cross_many_chunk_windows(monkeypatch, bulk):
+    # about 35 candidates a point in a budget of 64 pairs: the far end of a
+    # close pair is credited in a chunk that does not hold it, one window of
+    # positions a chunk
+    chunks = _recording_chunks(monkeypatch)
+    monkeypatch.setattr(kernels, "_PAIR_CHUNK", 64)
+    monkeypatch.setattr(kernels, "_BULK_CANDIDATES", bulk)
+    rng = np.random.default_rng(36)
+    pts = rng.uniform(0, 1, (900, 2))
+    pts[1] = pts[0]
+    good = rng.random(len(pts)) < 0.7
+    for radius in (0.05, 0.1):
+        assert np.array_equal(kernels.neighbor_counts(pts, radius),
+                              oracles.brute_neighbor_counts(pts, radius))
+        assert np.array_equal(kernels.greedy_pack_mask(pts, radius / 2),
+                              oracles.brute_greedy_packing(pts, radius / 2))
+        assert np.array_equal(kernels.thin_select_mask(pts, radius, good),
+                              oracles.brute_greedy_thinning(pts, radius, good))
+    assert all(pairs <= 64 or points == 1 for points, pairs in chunks)
+    assert len(chunks) > 500
 
 
 def test_neighbor_counts_sum_d2_in_axis_order():
@@ -746,8 +855,14 @@ def test_scans_bin_the_widest_axes():
     x = np.random.default_rng(17).uniform(0, 100, 400)
     pts = np.zeros((400, 4))
     pts[:, 3] = x
-    _, _, _, sizes = kernels._neighbourhoods(kernels._columns(pts), 0.5)
-    assert sizes.max() < 20
+    order, rank, ranges, sizes = kernels._neighbourhoods(kernels._columns(pts), 0.5)
+    assert sizes.max() < 20 and len(ranges) == 9
+    # the half neighbourhoods, the own row after each point and the rows
+    # after it, hold each pair of distinct points once
+    at = np.empty(400, dtype=np.intp)
+    at[order] = np.arange(400)
+    half = ranges[4][1][rank] - (at + 1) + sum(hi[rank] - lo[rank] for lo, hi in ranges[5:])
+    assert half.min() >= 0 and half.sum() * 2 == sizes[rank].sum() - 400
     _scans_match_oracles(pts, 0.5, np.arange(400) % 3 != 0)
 
 
@@ -804,11 +919,18 @@ def _neighbourhoods_match_their_cells(pts, radius, seen):
     near = np.ones((n, n), dtype=bool)
     for c in exact:
         near &= np.abs(c[:, None] - c[None, :]) <= 1
+    at = np.empty(n, dtype=np.intp)
+    at[order] = np.arange(n)
     for i in range(n):
         c = rank[i]
         found = np.concatenate([order[lo[c]:hi[c]] for lo, hi in ranges])
         assert sizes[c] == found.size
         assert sorted(found.tolist()) == np.flatnonzero(near[i]).tolist()
+        # the rows come in key order, the own row in the middle
+        row_bounds = [b[c] for lo, hi in ranges for b in (lo, hi)]
+        assert row_bounds == sorted(row_bounds)
+        lo, hi = ranges[len(ranges) // 2]
+        assert lo[c] <= at[i] < hi[c]
     distinct = len({tuple(int(c[i]) for c in exact) for i in range(n)})
     seen.add("one cell" if distinct == 1 else "distinct" if distinct == n else "crowded")
     seen |= {"huge"} if max(abs(int(c)) for col in exact for c in col) >= 2**62 else set()
