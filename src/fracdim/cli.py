@@ -136,6 +136,8 @@ def _parse_eps(text: str, n: int) -> float:
 def cmd_dims(args) -> int:
     j_min, j_max = _parse_scales(args.scales)
     check_sweep_window(j_min, j_max)
+    if args.refine < 2:  # whatever the method, as an experiment's refine
+        raise ValueError(f"--refine={args.refine}; need --refine >= 2")
     _refuse_unused(args)
     prefix = args.out
     with _output(prefix and prefix + ".csv") as csv_out, \

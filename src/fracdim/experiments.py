@@ -28,11 +28,15 @@ releases the GIL in the draws, sums, sorts and packing that take most of
 the time, and the bytes are those of a serial run, as is the error of a
 failing seed.
 
-An object's image is its graph with the time axis dropped, so the image's
-box sweep counts the graph's box pyramid projected onto it
-(``_estimates``): a seed floors, packs and sorts the points of its graphs
-only.  A sweep that fails raises its error prefixed with ``"<object> by
-<method>: "``, and with ``"seed <seed>: "`` before that, keeping its code.
+Each kind (bm, drift, sum) is measured as a graph and an image, and
+``_measure``, which builds both, passes them to ``_estimates`` as the pair
+(graph, image) with their kind, so the graph is swept first.  The image is
+its graph with the time axis dropped, so the image's box sweep counts the
+graph's box pyramid projected onto it: a seed floors, packs and sorts the
+points of its graphs only.  No object's role is read from its name.  A
+sweep that fails raises its error prefixed with
+``"<object> by <method>: "``, and with ``"seed <seed>: "`` before that,
+keeping its code.
 
 The methods and their series kinds are ``metrics.METHOD_KINDS``.  A
 method runs on the objects it can measure (``_method_applies``): those
@@ -45,12 +49,13 @@ graph does not meet.
 
 The claims registry ``CLAIMS`` is a table with one check per claim id:
 constancy, thm13-image, thm15-graph, thm16-equality, cor14-bound,
-example-53, example-74-directional.  ``run_claims`` shares one memo between
-the claims of one call, so ``experiment --name all`` measures each object
-once per distinct set of inputs: example-53 and example-74-directional
-share every object, thm15-graph reuses constancy's, and thm16-equality
-measures no noise of its own, since constancy's first eight seeds share its
-grid, d and sweep.
+example-53, example-74-directional.  A check reads its medians by the
+claim's method, the config's first, through ``_medians``.  ``run_claims``
+shares one memo between the claims of one call, so ``experiment --name
+all`` measures each object once per distinct set of inputs: example-53
+and example-74-directional share every object, thm15-graph reuses
+constancy's, and thm16-equality measures no noise of its own, since
+constancy's first eight seeds share its grid, d and sweep.
 """
 
 import importlib.resources
@@ -312,53 +317,52 @@ class ExperimentReport:
 # running
 
 
-def _method_applies(method: str, obj: str, cloud: PointCloud, cfg: ExperimentConfig) -> bool:
+def _method_applies(method: str, kind: str, is_graph: bool, cloud: PointCloud,
+                    cfg: ExperimentConfig) -> bool:
     try:
         check_premise(METHOD_KINDS[method], cloud)
     except DomainError:
         return False
     # a column where the path jumps counts the rows between its plateaus,
     # which the cadlag graph does not meet
-    return method != "oscillation" or (obj.startswith("graph") and (
-        obj == "graph_bm" or cfg.drift_spec.is_continuous))
+    return method != "oscillation" or (is_graph and (kind == "bm" or cfg.drift_spec.is_continuous))
 
 
-def _estimates(cfg: ExperimentConfig, clouds: dict) -> dict:
+def _estimates(cfg: ExperimentConfig, kind: str, graph: PointCloud, image: PointCloud) -> dict:
     """``{object: {method: estimate}}`` for every method that applies, for
-    the image and the graph of one kind (``image_<kind>``, ``graph_<kind>``).
+    the graph and the image of one kind (``graph_<kind>``, ``image_<kind>``).
 
-    The graph is swept first.  Its box sweep counts its pyramid
-    (``kernels.box_pyramid``), and each scale's keys are projected onto the
-    image as they go by (``kernels.drop_first_axis``): the image is the
-    graph with its time axis dropped, so its occupied boxes are the
-    projections of the graph's.  The image's box sweep counts those, and its
-    own cells at a scale where the graph's were refused.  Only the
-    projections outlive the graph's sweep.
+    The graph is swept first, as ``_measure`` passes it first.  Its box
+    sweep counts its pyramid (``kernels.box_pyramid``), and each scale's
+    keys are projected onto the image as they go by
+    (``kernels.drop_first_axis``): the image is the graph with its time
+    axis dropped, so its occupied boxes are the projections of the graph's.
+    The image's box sweep counts those, and its own cells at a scale where
+    the graph's were refused.  Only the projections outlive the graph's
+    sweep.
     """
     j_min, j_max = cfg.scales
     projected = []
 
-    def box_cells(obj: str, cloud: PointCloud):
-        if obj.startswith("image"):
-            yield from projected
-            return
+    def graph_cells():
         projected.clear()
-        for boxes in kernels.box_pyramid(cloud.columns, j_min, j_max, cloud.bounds):
+        for boxes in kernels.box_pyramid(graph.columns, j_min, j_max, graph.bounds):
             projected.append(boxes and kernels.drop_first_axis(*boxes))
             yield boxes
 
     ests = {}
-    for obj in sorted(clouds):  # graph_<kind> before image_<kind>
-        cloud, ests[obj] = clouds[obj], {}
+    for obj, cloud, cells in ((f"graph_{kind}", graph, graph_cells),
+                              (f"image_{kind}", image, lambda: iter(projected))):
+        ests[obj] = {}
         for method in cfg.methods:
-            if _method_applies(method, obj, cloud, cfg):
-                known = {"cells": box_cells(obj, cloud)} if method == "box" else {}
+            if _method_applies(method, kind, cloud is graph, cloud, cfg):
+                known = {"cells": cells()} if method == "box" else {}
                 try:
                     ests[obj][method] = estimate_dimension(scale_sweep(
                         cloud, METHOD_KINDS[method], j_min, j_max, refine=cfg.refine, **known))
                 except ValueError as exc:
                     raise prefixed(exc, f"{obj} by {method}: ") from exc
-    return {obj: ests[obj] for obj in clouds}
+    return ests
 
 
 def _setup_key(cfg: ExperimentConfig) -> tuple:
@@ -402,7 +406,9 @@ def _measure(cfg: ExperimentConfig, seed: int, memo: dict, objs: tuple) -> None:
     """Measure those of the objects ``objs`` (of bm, drift and sum, in that
     order) of ``seed`` that ``memo`` lacks, and store each one's estimates
     in it.  An object whose memo key is held is skipped, as is one with no
-    key: a zero drift's drift and sum (``_memo_keys``).
+    key: a zero drift's drift and sum (``_memo_keys``).  Each object's graph
+    and image are built here and passed to ``_estimates`` with its kind,
+    the graph first.
 
     The drift is measured on the setup alone.  The noise is drawn only if
     bm or sum is left, with the setup's drift values attached, and the path
@@ -415,15 +421,14 @@ def _measure(cfg: ExperimentConfig, seed: int, memo: dict, objs: tuple) -> None:
     setup = _setup(cfg, memo)
     path = (generate_bm(setup.grid, cfg.d, seed, setup.drift_values)
             if {"bm", "sum"} & set(objs) else None)
-    builders = {"bm": (bm_image_cloud, bm_graph_cloud), "sum": (image_cloud, graph_cloud),
-                "drift": (drift_image_cloud, drift_graph_cloud)}
-    for obj in objs:
-        image, graph = builders[obj]
-        source = setup if obj == "drift" else path
-        clouds = {f"image_{obj}": image(source), f"graph_{obj}": graph(source)}
-        if obj == "sum":
+    builders = {"bm": (bm_graph_cloud, bm_image_cloud), "sum": (graph_cloud, image_cloud),
+                "drift": (drift_graph_cloud, drift_image_cloud)}
+    for kind in objs:
+        source = setup if kind == "drift" else path
+        graph, image = (build(source) for build in builders[kind])
+        if kind == "sum":
             path = source = None  # the noise is no longer needed
-        memo[keys[obj]] = _estimates(cfg, clouds)
+        memo[keys[kind]] = _estimates(cfg, kind, graph, image)
 
 
 def seed_estimates(cfg: ExperimentConfig, seed: int, memo: dict) -> dict:
@@ -530,6 +535,13 @@ def _verdict(claim: str, passed: bool, margin: float, detail: str) -> dict:
     return {"claim": claim, "pass": bool(passed), "margin": float(margin), "detail": detail}
 
 
+def _medians(cfg: ExperimentConfig, report: ExperimentReport, role: str, *kinds: str) -> list:
+    """The median of ``<role>_<kind>`` for each of ``kinds``, in order, by
+    the claim's method, the config's first; ``not-measured`` at the first
+    that has none."""
+    return [report.median(f"{role}_{kind}", cfg.methods[0]) for kind in kinds]
+
+
 def check_constancy(cfg: ExperimentConfig, report: ExperimentReport, iqr_tol: float) -> dict:
     """Cross-seed constancy: the IQR of ls_slope stays below the tolerance
     for every measured object."""
@@ -545,10 +557,7 @@ def _inequality(cfg: ExperimentConfig, report: ExperimentReport, claim: str, pre
                 slack: float) -> dict:
     if cfg.drift_spec.is_zero:
         return _verdict(claim, True, 0.0, "zero drift: inequality collapses to equality")
-    method = cfg.methods[0]
-    med_sum = report.median(f"{prefix}_sum", method)
-    med_bm = report.median(f"{prefix}_bm", method)
-    med_drift = report.median(f"{prefix}_drift", method)
+    med_sum, med_bm, med_drift = _medians(cfg, report, prefix, "sum", "bm", "drift")
     margin = med_sum - max(med_bm, med_drift)
     return _verdict(claim, margin >= -slack, margin, f"median {prefix}(sum)={med_sum:.4f} vs "
                     f"max(bm={med_bm:.4f}, drift={med_drift:.4f}), slack {slack}")
@@ -570,10 +579,7 @@ def check_graph_equality_continuous(cfg: ExperimentConfig, report: ExperimentRep
     dimension of the sum matches the larger component dimension."""
     if cfg.drift_spec.is_zero:
         return _verdict("thm16-equality", True, 0.0, "zero drift: trivial equality")
-    method = cfg.methods[0]
-    med_sum = report.median("graph_sum", method)
-    med_bm = report.median("graph_bm", method)
-    med_drift = report.median("graph_drift", method)
+    med_sum, med_bm, med_drift = _medians(cfg, report, "graph", "sum", "bm", "drift")
     diff = abs(med_sum - max(med_bm, med_drift))
     return _verdict("thm16-equality", diff <= tol, diff,
                     f"|median graph(sum) - max components| = {diff:.4f} (tolerance {tol})")
@@ -585,7 +591,7 @@ def check_corollary_bound(cfg: ExperimentConfig, report: ExperimentReport, below
     window around 2*alpha/(alpha+1) with alpha = 1/(1+beta)."""
     alpha = 1.0 / (1.0 + parse_set_string(cfg.set)[1]["beta"])
     target = theoretical_image_bound(alpha, 1)
-    med = report.median("image_bm", cfg.methods[0])
+    [med] = _medians(cfg, report, "image", "bm")
     margin = med - target
     return _verdict("cor14-bound", -below <= margin <= above, margin, f"median image(bm)={med:.4f} "
                     f"vs target {target:.4f} (window -{below}/+{above})")
@@ -595,7 +601,7 @@ def check_example_53(cfg: ExperimentConfig, report: ExperimentReport) -> dict:
     """Measured graph dimension of the truncated staircase sum is within the
     tolerance of the analytic target, both frozen in the config's target."""
     target, tol = (float(x) for x in cfg.target)
-    med = report.median("graph_drift", cfg.methods[0])
+    [med] = _medians(cfg, report, "graph", "drift")
     margin = med - target
     return _verdict("example-53", abs(margin) <= tol, margin, f"median graph(drift)={med:.4f} "
                     f"vs analytic target {target:.4f} (tolerance {tol})")
@@ -604,9 +610,7 @@ def check_example_53(cfg: ExperimentConfig, report: ExperimentReport) -> dict:
 def check_example_74(cfg: ExperimentConfig, report: ExperimentReport, min_gap: float) -> dict:
     """Directional version of the jump-interpolation effect: the graph of
     noise+staircase beats the staircase graph by at least min_gap."""
-    method = cfg.methods[0]
-    med_sum = report.median("graph_sum", method)
-    med_drift = report.median("graph_drift", method)
+    med_sum, med_drift = _medians(cfg, report, "graph", "sum", "drift")
     margin = med_sum - med_drift
     return _verdict("example-74-directional", margin >= min_gap, margin, f"median graph(sum)="
                     f"{med_sum:.4f} vs graph(drift)={med_drift:.4f} (min gap {min_gap})")

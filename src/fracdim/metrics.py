@@ -222,6 +222,14 @@ def _check_scale(eps: float) -> None:
         raise DomainError("bad-scale", f"scale must be positive, got {eps}")
 
 
+def _check_box_side(eps: float) -> None:
+    """``_check_scale``, and refuse an infinite side: ``x / inf`` floors to
+    0 or -0.0, which would merge the boxes on either side of the origin."""
+    _check_scale(eps)
+    if eps == math.inf:
+        raise DomainError("bad-scale", f"box side must be finite, got {eps}")
+
+
 def _check_finite(pts: np.ndarray) -> None:
     if not np.isfinite(pts).all():
         raise DomainError("non-finite-point", "point coordinates must be finite")
@@ -284,9 +292,10 @@ def box_count(cloud: PointCloud, eps: float, cells=None) -> int:
     (``kernels.box_keys``).  Cells too large for the keys (of 2^62 or more,
     or fields over 63 bits) are counted as distinct rows of the float floors
     of the points (``kernels.distinct_cell_count``), floored from a stack of
-    the columns that the cloud does not keep.
+    the columns that the cloud does not keep.  A side that is not positive
+    and finite raises ``DomainError("bad-scale")``.
     """
-    _check_scale(eps)
+    _check_box_side(eps)
     eps = float(eps)
     if cells is None:
         cells = kernels.box_keys(cloud.columns, eps, cloud.bounds)
@@ -307,8 +316,12 @@ def graph_box_count_oscillation(values, n: int) -> int:
     counted, since a column always meets the graph.  The count is exact:
     a value that is not finite raises ``DomainError("non-finite-point")``,
     and a column count or a total of 2^63 or more
-    ``DomainError("cell-grid-too-large")``.
+    ``DomainError("cell-grid-too-large")``.  A level ``n`` that is not an
+    integer (a bool is not) raises ``ValueError``; numpy integers are
+    integers.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"column level must be an integer, got {n!r}")
     vals = np.asarray(values, dtype=np.float64).ravel()
     big_j = _dyadic_level(vals.size)
     if not 0 <= n <= big_j:
@@ -371,11 +384,12 @@ def step_graph_box_count(breaks, values, eps: float) -> int:
     lattice line.  An end or value within ``1e-9 * max(1, |q|)`` of a lattice
     line lies on it.  Each (segment, row) is one run of columns and the count
     is the size of their union, so the cost grows with the number of steps,
-    not with 1/eps.  Raises ``DomainError("non-finite-cell")`` for a break or
+    not with 1/eps.  Raises ``DomainError("bad-scale")`` for an eps that is
+    not positive and finite, ``DomainError("non-finite-cell")`` for a break or
     value over eps that is not finite and ``DomainError("cell-grid-too-large")``
     for cells of 2^62 or more.
     """
-    _check_scale(eps)
+    _check_box_side(eps)
     b = np.asarray(breaks, dtype=np.float64)
     v = np.asarray(values, dtype=np.float64).ravel()
     if b.size != v.size + 1 or np.any(b[1:] < b[:-1]):

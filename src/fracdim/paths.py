@@ -68,7 +68,7 @@ class TimeGrid:
             raise DomainError("bad-shape", f"times of shape {t.shape}, not one-dimensional")
         if t.size > 1 and not np.all(np.diff(t) > 0):
             raise ValueError("grid times must be strictly increasing")
-        if t[0] < 0.0 or t[-1] > 1.0:
+        if not (t[0] >= 0.0 and t[-1] <= 1.0):  # NaN is refused too
             raise ValueError("grid times must lie in [0, 1]")
         object.__setattr__(self, "times", t)
 
@@ -217,10 +217,11 @@ def eval_drift(spec: DriftSpec, t) -> np.ndarray:
     Scalar t gives shape (d,); an array of shape (k,) gives (k, d).  Step
     variants return the right-limit value at jumps.  A staircase sum adds its
     terms to a zero start, so ``psi_n(n)`` gives the bare staircase bit for bit.
+    A time outside [0, 1], or NaN, raises ``DomainError("time-out-of-range")``.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     scalar = np.ndim(t) == 0
-    if t_arr.size and (t_arr.min() < 0.0 or t_arr.max() > 1.0):
+    if t_arr.size and not (t_arr.min() >= 0.0 and t_arr.max() <= 1.0):  # NaN is refused too
         raise DomainError("time-out-of-range", "drift defined on [0, 1] only")
 
     if spec.variant == "zero":

@@ -337,7 +337,7 @@ def _paired_counts(monkeypatch, image, graph, j_min, j_max):
     monkeypatch.setattr(experiments, "scale_sweep", sweep)
     monkeypatch.setattr(fd.metrics, "box_count", count)
     cfg = types.SimpleNamespace(scales=(j_min, j_max), methods=("box",), refine=4)
-    experiments._estimates(cfg, {"image_x": image, "graph_x": graph})
+    experiments._estimates(cfg, "x", graph, image)
     return sweeps, calls
 
 

@@ -219,6 +219,9 @@ def test_dims_offers_exactly_the_methods_of_metrics():
     ("t,b_1,f_1\n0\n0.5\n", "rows have 1 values"),
     ("t,b_1,f_1\n", "no rows"),
     ("t,b_1,f_1\n\n", "no rows"),
+    # a one-row grid skips the increasing check, and NaN passed both range
+    # comparisons, so this once printed a series
+    ("t,b_1,f_1\nnan,0.25,0\n", "grid times must lie in [0, 1]"),
 ])
 def test_dims_refuses_a_malformed_path_csv(capsys, tmp_path, text, word):
     csv = tmp_path / "bad.csv"
@@ -249,6 +252,10 @@ def test_a_file_that_cannot_be_opened_exits_2(capsys, tmp_path, monkeypatch, arg
     ["dims", "--scales", "4"],
     ["dims", "--scales", "9:3"],
     ["dims", "--scales=-2000:3"],
+    # whatever the method; the sausage once built the path first
+    *(["dims", "--points", "65", "--method", method, "--scales", "2:4", "--refine", "1",
+       "--out", "rf"] for method in METHOD_KINDS),
+    ["dims", "--refine", "0"],
     ["experiment", "--name", "all", "--out", "nodir/all.json"],
 ])
 def test_a_bad_out_or_scales_exits_2_before_any_work(capsys, tmp_path, monkeypatch, argv):

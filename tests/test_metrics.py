@@ -167,6 +167,18 @@ def test_oscillation_grid_validation():
         fd.graph_box_count_oscillation(np.zeros(5), 3)
 
 
+def test_an_oscillation_level_is_an_integer():
+    # int() once truncated 1.5 to the level-1 count, 6, and read True as level 1
+    values = 3 * np.linspace(0, 1, 9)
+    for level in (1.5, 1.0, True, np.float64(1.0), np.bool_(True), "1", None):
+        with pytest.raises(ValueError) as ei:
+            fd.graph_box_count_oscillation(values, level)
+        assert type(ei.value) is ValueError
+        assert str(ei.value) == f"column level must be an integer, got {level!r}"
+    levels = (1, 2, np.int64(2), np.int32(2), np.uint8(2))
+    assert [fd.graph_box_count_oscillation(values, n) for n in levels] == [6, 12, 12, 12, 12]
+
+
 def _random_piecewise_linear(rng, j=10):
     knots = int(rng.integers(2, 9))
     kx = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0, 1, knots)]))
@@ -840,6 +852,8 @@ def test_step_graph_box_count_cost_does_not_grow_with_one_over_eps():
     ([0.0, 1.0], [0.5], 2.0**-62, "cell-grid-too-large"),
     # two rows of keys 2^61 + 4 wide reach 2^62
     ([0.0, 2.0**61], [1.0], 1.0, "cell-grid-too-large"),
+    # once counted 4, every box floored to 0 or -0.0
+    ([0.0, 1.0], [0.5], math.inf, "bad-scale"),
 ])
 def test_step_graph_box_count_refuses_grids_it_cannot_index(breaks, values, eps, code):
     with warnings.catch_warnings():
@@ -847,6 +861,17 @@ def test_step_graph_box_count_refuses_grids_it_cannot_index(breaks, values, eps,
         with pytest.raises(DomainError) as ei:
             fd.step_graph_box_count(breaks, values, eps)
     assert ei.value.code == code
+
+
+def test_box_count_refuses_an_infinite_side():
+    # x / inf floors to 0 or -0.0, so the two origin-anchored boxes that
+    # hold -0.3 and 0.3 at a side of 1e300 once counted as one at inf
+    points = cloud([[-0.3], [0.3]])
+    assert fd.box_count(points, 1e300) == 2
+    with pytest.raises(DomainError) as ei:
+        fd.box_count(points, math.inf)
+    assert ei.value.code == "bad-scale"
+    assert ei.value.detail == "box side must be finite, got inf"
 
 
 def test_step_graph_box_count_refuses_decreasing_breaks():

@@ -1,6 +1,7 @@
 """Path generation, drifts, and the splittable RNG."""
 
 import io
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -91,6 +92,10 @@ def test_grid_validation():
         fd.TimeGrid([0.0, 0.5, 0.5])
     with pytest.raises(ValueError):
         fd.TimeGrid([0.0, 1.5])
+    # a one-point grid skips the increasing check, so NaN once made a grid
+    for times in ([np.nan], [0.0, np.nan], [np.nan, 0.5]):
+        with pytest.raises(ValueError):
+            fd.TimeGrid(np.array(times))
 
 
 def test_a_time_grid_leaves_the_callers_times_writeable():
@@ -221,6 +226,14 @@ def test_drift_time_range():
     with pytest.raises(DomainError) as ei:
         fd.eval_drift(fd.DriftSpec.zero(), 1.5)
     assert ei.value.code == "time-out-of-range"
+    # NaN passed both range comparisons: a table drift read it as its last
+    # value, formula drifts returned NaN
+    for spec in (fd.DriftSpec.table([0, 0.5], [1, 2]), fd.DriftSpec.zero(),
+                 fd.DriftSpec.linear([1.0]), fd.DriftSpec.psi_n(16)):
+        for t in (math.nan, np.array([0.25, np.nan])):
+            with pytest.raises(DomainError) as ei:
+                fd.eval_drift(spec, t)
+            assert ei.value.code == "time-out-of-range"
 
 
 def test_staircase_point_value():
