@@ -31,7 +31,7 @@ from .experiments import (
     parse_drift_string,
     run_claims,
 )
-from .metrics import (METHOD_KINDS, check_sweep_window, estimate_dimension, graph_cloud,
+from .metrics import (METHOD_KINDS, check_dimension_sweep, estimate_dimension, graph_cloud,
                       image_cloud, scale_sweep)
 from .paths import apply_drift, generate_bm, levy_construct, read_path_csv, write_path_csv
 
@@ -135,9 +135,7 @@ def _parse_eps(text: str, n: int) -> float:
 
 def cmd_dims(args) -> int:
     j_min, j_max = _parse_scales(args.scales)
-    check_sweep_window(j_min, j_max)
-    if args.refine < 2:  # whatever the method, as an experiment's refine
-        raise ValueError(f"--refine={args.refine}; need --refine >= 2")
+    check_dimension_sweep(j_min, j_max, args.refine)
     _refuse_unused(args)
     prefix = args.out
     with _output(prefix and prefix + ".csv") as csv_out, \

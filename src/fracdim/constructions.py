@@ -54,7 +54,8 @@ class LacunarySchedule:
         if k < 1:
             raise ValueError("schedule index is 1-based")
         if self.preset == "desk":
-            return 2.0 * (k + 2)
+            # 2 * (k + 2) is past the largest double from k + 2 = 2^1023 on
+            return 2.0 * (k + 2) if k + 2 < 2**1023 else math.inf
         if self.preset == "paper":
             # 6^k is past the largest double from k = 397 on
             return float(6**k) if k < 397 else math.inf
@@ -186,9 +187,12 @@ def theoretical_image_bound(alpha: float, d: int) -> float:
 
 def psi_jump_size(n: int) -> float:
     """Jump size n^(-3/4) of the frequency-n staircase, where the two
-    branches of ``psi_graph_count_formula`` meet."""
+    branches of ``psi_graph_count_formula`` meet.  An ``n`` of 2^1024 or
+    more, which no double holds, raises ``DomainError("frequency-too-large")``."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n >= 2**1024:
+        raise DomainError("frequency-too-large", "n must be below 2^1024 to be a double")
     return float(n) ** -0.75
 
 
@@ -200,15 +204,21 @@ def psi_graph_count_formula(n: int, epsilon: float) -> float:
     order sqrt(n)/eps boxes.  At or above it, each column needs
     oscillation/eps boxes: order n^(-1/4)/eps^2.  The two branches agree, at
     n^(5/4), when eps = n^(-3/4).  Valid for eps strictly between the step
-    width n^(-3/2) and 1.
+    width n^(-3/2) and 1.  A count past the largest double raises
+    ``DomainError("count-too-large")``.
     """
     jump = psi_jump_size(n)
     lo = float(n) ** -1.5
     if not lo < epsilon < 1.0:
         raise DomainError("scale-out-of-regime", f"need eps in (n^-1.5, 1), got {epsilon}")
-    if epsilon < jump:
-        return math.sqrt(float(n)) / epsilon
-    return float(n) ** -0.25 / epsilon**2
+    # eps**2 is subnormal from about n = 2^681 and 0 from 2^716 on: divide
+    # by eps twice there
+    square = epsilon**2
+    count = (math.sqrt(float(n)) / epsilon if epsilon < jump else float(n) ** -0.25 / square
+             if square >= 2.0**-1022 else float(n) ** -0.25 / epsilon / epsilon)
+    if count == math.inf:
+        raise DomainError("count-too-large", f"the count at eps = {epsilon!r} overflows")
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -82,8 +82,8 @@ from .metrics import (
     PointCloud,
     bm_graph_cloud,
     bm_image_cloud,
+    check_dimension_sweep,
     check_premise,
-    check_sweep_window,
     drift_graph_cloud,
     drift_image_cloud,
     estimate_dimension,
@@ -210,7 +210,11 @@ class ExperimentConfig:
 
     Every field but ``name`` and ``drift_spec`` is the entry key of that
     name, as the entry gives it, with the default an entry that leaves the
-    key out gets; ``drift_spec`` is derived from ``drift``.
+    key out gets; ``drift_spec`` is derived from ``drift``.  The window and
+    ``refine`` must pass ``metrics.check_dimension_sweep``, so a window of
+    fewer than three scales is refused before any seed runs.  ``to_dict``
+    gives the init fields as they are, tuples included, but ``set`` as its
+    parsed ``{"kind": ..., **params}`` block.
     """
 
     name: str
@@ -240,7 +244,7 @@ class ExperimentConfig:
                 and all(isinstance(j, int) and not isinstance(j, bool) for j in self.scales)):
             raise ValueError(f"scales must be two integers [j_min, j_max], got {self.scales!r}")
         j_min, j_max = self.scales
-        check_sweep_window(j_min, j_max)
+        check_dimension_sweep(j_min, j_max, self.refine)
         check_path_shape(self.points, self.d)
         parse_set_string(self.set)
         if self.points < 2 ** (j_max + 2):
@@ -252,8 +256,6 @@ class ExperimentConfig:
         bad = [m for m in self.methods if not isinstance(m, str) or m not in METHOD_KINDS]
         if bad:
             raise ValueError(f"unknown methods {bad}")
-        if self.refine < 2:
-            raise ValueError(f"refine={self.refine}; need refine >= 2")
         if self.target is not None and not (
                 isinstance(self.target, tuple) and len(self.target) == 2
                 and all(map(_finite, self.target))):
@@ -263,18 +265,8 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         kind, params = parse_set_string(self.set)
-        return {
-            "name": self.name,
-            "drift": self.drift,
-            "set": {"kind": kind, **params},
-            "d": self.d,
-            "seeds": list(self.seeds),
-            "points": self.points,
-            "scales": list(self.scales),
-            "methods": list(self.methods),
-            "refine": self.refine,
-            "target": list(self.target) if self.target else None,
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self) if f.init},
+                "set": {"kind": kind, **params}}
 
 
 # the keys of an experiment entry, those it needs, and the keys of an example entry
@@ -286,18 +278,17 @@ _EXAMPLE_KEYS = ("schedule", "truncation", "points", "scales", "seeds", "target"
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """One experiment's config block, per-seed estimates, aggregates and
+    verdicts; ``to_dict`` gives the fields as they are, and ``json`` writes
+    their tuples as arrays."""
+
     config: dict
     per_seed: tuple
     aggregates: dict
     verdicts: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "per_seed": list(self.per_seed),
-            "aggregates": self.aggregates,
-            "verdicts": list(self.verdicts),
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

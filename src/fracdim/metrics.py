@@ -13,6 +13,9 @@ of each kind on the clouds it can measure at all: the sausage those of at
 most three dimensions, the oscillation the graph of a 1-D function sampled
 on the full uniform dyadic grid.  ``scale_sweep`` checks it before the
 first scale, and an experiment skips a cloud it refuses.
+``check_dimension_sweep`` holds the rules of a sweep's inputs alone: the
+window's, the three scales an estimate needs, and ``refine >= 2``.  An
+experiment's config and ``fracdim dims`` call it before any work.
 
 A ``PointCloud`` holds only its coordinate columns, a graph's shared with
 its path and an image's views of its array, and every count reads them: box
@@ -38,7 +41,7 @@ Conventions fixed here for reproducibility:
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -190,6 +193,7 @@ class DimensionEstimate:
     j = log2(1/eps) between consecutive scales; ``lower``/``upper`` are their
     min/max over the window (finite-scale stand-ins for liminf/limsup) and
     ``ls_slope`` the least-squares slope, which always lies between them.
+    ``to_dict`` gives the fields as they are, tuples included.
     """
 
     lower: float
@@ -200,14 +204,7 @@ class DimensionEstimate:
     window: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "ls_slope": self.ls_slope,
-            "residual": self.residual,
-            "window": list(self.window),
-            "local_slopes": list(self.local_slopes),
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -228,6 +225,18 @@ def _check_box_side(eps: float) -> None:
     _check_scale(eps)
     if eps == math.inf:
         raise DomainError("bad-scale", f"box side must be finite, got {eps}")
+
+
+def _check_refine(refine: int) -> None:
+    if refine < 2:
+        raise ValueError(f"refine={refine}; need refine >= 2")
+
+
+def _check_scale_count(count: int) -> None:
+    """Refuse fewer than three scales: through two, the least-squares line
+    is the one local slope, with no residual to judge it by."""
+    if count < 3:
+        raise DomainError("window-too-small", "need at least 3 scales inside the window")
 
 
 def _check_finite(pts: np.ndarray) -> None:
@@ -346,14 +355,16 @@ def sausage_volume(cloud: PointCloud, r: float, refine: int = 4, cell: float | N
     cell volume ``cell**m`` that is subnormal and not exact, whose lost bits
     a normal volume would keep, raises ``DomainError("bad-scale")``; a cell so small
     against r that a point would scan more than ``kernels.MAX_SAUSAGE_ROWS``
-    rows of cells raises ``DomainError("sausage-too-fine")``, and cells
-    scanned of ``2^52`` or more in magnitude raise
-    ``DomainError("cell-grid-too-large")``.
+    rows of cells, as any ``refine`` above that number gives, raises
+    ``DomainError("sausage-too-fine")``, and cells scanned of ``2^52`` or
+    more in magnitude raise ``DomainError("cell-grid-too-large")``.  A
+    ``refine`` below 2 raises ``ValueError``, even beside a ``cell``.
     """
     _check_scale(r)
-    if refine < 2:
-        raise ValueError("refine must be >= 2")
+    _check_refine(refine)
     check_premise("sausage_volume", cloud)
+    if cell is None and refine > kernels.MAX_SAUSAGE_ROWS:  # past that, r / refine may overflow
+        raise DomainError("sausage-too-fine", f"refine over {kernels.MAX_SAUSAGE_ROWS}")
     h = float(r) / refine if cell is None else float(cell)
     # the sausage takes an (n, m) array: a stack that the cloud does not keep
     count = kernels.sausage_occupied_count(np.column_stack(cloud.columns), float(r), h)
@@ -478,21 +489,33 @@ def check_sweep_window(j_min: int, j_max: int) -> None:
                           f"{list(SWEEP_J_RANGE)}, where every 2^-j is a positive finite double")
 
 
+def check_dimension_sweep(j_min: int, j_max: int, refine: int) -> None:
+    """Refuse, before any work, a sweep whose dimension no cloud could
+    estimate: a window that fails ``check_sweep_window`` or holds fewer than
+    the three scales ``estimate_dimension`` needs, or a ``refine`` below 2,
+    whatever the method.  ``scale_sweep`` itself takes a two-scale window."""
+    check_sweep_window(j_min, j_max)
+    _check_scale_count(j_max - j_min + 1)
+    _check_refine(refine)
+
+
 def scale_sweep(cloud: PointCloud, kind: str, j_min: int, j_max: int,
                 refine: int = 4, *, cells=None) -> ScaleSeries:
     """Evaluate one counting method at the dyadic scales eps = 2^-j.
 
     ``kind`` is a series kind of ``METHOD_KINDS``, and the cloud must pass
     its ``check_premise``; an oscillation counts the graph's second column
-    as the sampled values.  The window must pass ``check_sweep_window``.  A
-    box sweep counts each scale's ``cells`` (see ``box_count``), finest
-    first, one per scale and ``None`` where unknown; by default, the cloud's
-    own ``kernels.box_pyramid``.  A ``ValueError`` raised while it counts
+    as the sampled values.  The window must pass ``check_sweep_window`` and
+    ``refine`` be 2 or more, whatever the kind.  A box sweep counts each
+    scale's ``cells`` (see ``box_count``), finest first, one per scale and
+    ``None`` where unknown; by default, the cloud's own
+    ``kernels.box_pyramid``.  A ``ValueError`` raised while it counts
     the scale j gains ``"j = <j>: "`` before its message, and a
     ``DomainError`` keeps its code.  Those raised before any scale keep
-    their text: the window's, then the premise's.
+    their text: the window's, then the refine's, then the premise's.
     """
     check_sweep_window(j_min, j_max)
+    _check_refine(refine)
     check_premise(kind, cloud)
     js = np.arange(j_min, j_max + 1)
     eps = 2.0 ** -js.astype(np.float64)
@@ -532,8 +555,7 @@ def estimate_dimension(series: ScaleSeries, window: tuple | None = None) -> Dime
         window = (int(round(js[0])), int(round(js[-1])))
     j_lo, j_hi = window
     sel = (js >= j_lo - 1e-9) & (js <= j_hi + 1e-9)
-    if int(sel.sum()) < 3:
-        raise DomainError("window-too-small", "need at least 3 scales inside the window")
+    _check_scale_count(int(sel.sum()))
     x = js[sel]
     y = np.log2(series.values[sel])
     local = np.diff(y) / np.diff(x)

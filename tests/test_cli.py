@@ -1,6 +1,7 @@
 """CLI surface: subcommands, formats, exit codes."""
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -184,8 +185,22 @@ def test_dims_incompatible_method(capsys, tmp_path):
     (["experiment", "--name", "nope"],
      "unknown claim 'nope'; valid ids: constancy, thm13-image, thm15-graph, thm16-equality, "
      "cor14-bound, example-53, example-74-directional"),
+    # one refine text for the flag and the config entry alike
+    (["dims", "--points", "65", "--method", "sausage", "--scales", "2:4", "--refine", "1"],
+     "refine=1; need refine >= 2"),
+    (["dims", "--points", "65", "--scales", "4:5", "--out", "w2"],
+     "window-too-small: need at least 3 scales inside the window"),
+    # integers past the doubles: float(n) overflows from n = 2^1024, the
+    # count n^(5/4) from about 2^819, and r / refine for a refine of 10**400
+    (["bounds", "psi-count", "--n", str(2**1024)],
+     "frequency-too-large: n must be below 2^1024 to be a double"),
+    (["bounds", "psi-count", "--n", str(2**820)],
+     f"count-too-large: the count at eps = {2.0**-615!r} overflows"),
+    (["dims", "--points", "65", "--method", "sausage", "--scales", "2:4", "--refine",
+      str(10**400)], "sausage-too-fine: j = 2: refine over 65536"),
 ])
-def test_a_refusal_prints_its_message_alone(capsys, argv, message):
+def test_a_refusal_prints_its_message_alone(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -257,6 +272,8 @@ def test_a_file_that_cannot_be_opened_exits_2(capsys, tmp_path, monkeypatch, arg
        "--out", "rf"] for method in METHOD_KINDS),
     ["dims", "--refine", "0"],
     ["experiment", "--name", "all", "--out", "nodir/all.json"],
+    # a window of two scales, which no estimate takes
+    ["dims", "--points", "65", "--scales", "4:5", "--out", "w2"],
 ])
 def test_a_bad_out_or_scales_exits_2_before_any_work(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -370,6 +387,19 @@ def test_dims_writes_files(capsys, tmp_path):
     assert payload["config"]["seed"] == 3
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["--points", "1025", "--seed", "3", "--object", "graph", "--method", "box",
+      "--scales", "2:6"], "a082d6b7a3b05e61233460c7e35d2f548adac54369c474f740eb161068cbc3bf"),
+    (["--points", "257", "--d", "2", "--seed", "2", "--object", "image", "--method", "sausage",
+      "--scales", "2:5"], "cd8c87c7f6b854a804feb3f3041663f22e3cc70e8e1358c0c17fa27ab7d52c2c"),
+])
+def test_dims_json_keeps_its_bytes(capsys, tmp_path, argv, digest):
+    # json writes the estimate's tuples as the arrays a list gives
+    assert main(["dims", *argv, "--out", str(tmp_path / "k")]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256((tmp_path / "k.json").read_bytes()).hexdigest() == digest
+
+
 def test_bounds_formulas(capsys):
     code, out, _ = run_cli(capsys, "bounds", "image", "--alpha", "0.5", "--d", "1")
     assert code == 0
@@ -404,6 +434,30 @@ def test_bounds_psi_count_below_the_jump_size(capsys):
     # eps = 0.001 < 256^-3/4: the count is sqrt(n) / eps
     code, out, _ = run_cli(capsys, "bounds", "psi-count", "--n", "256", "--eps", "0.001")
     assert code == 0 and json.loads(out)["value"] == 16000.0
+
+
+def test_oversized_integers_give_their_finite_answers(capsys):
+    # eps**2 underflows to 0 from about n = 2^716; the count n^(5/4) at
+    # eps = n^(-3/4) is exact here
+    code, out, _ = run_cli(capsys, "bounds", "psi-count", "--n", str(2**720))
+    assert code == 0 and json.loads(out)["value"] == 2.0**900
+    # K + 2 is no double; the tail's terms are far below the smallest one
+    code, out, _ = run_cli(capsys, "bounds", "tail", "--schedule", "desk",
+                           "--truncation", str(10**400))
+    assert code == 0 and json.loads(out)["value"] == 0.0
+
+
+def test_an_oversized_sausage_refine_in_a_config_exits_2(capsys, tmp_path):
+    path = _tiny_config(tmp_path, [1.0, 5.0])
+    cfg = json.loads(path.read_text())
+    cfg["experiments"]["constancy"] = {"points": 2**9 + 1, "scales": [3, 7],
+                                       "seeds": list(range(1, 9)), "methods": ["sausage"],
+                                       "refine": 10**400}
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "experiment", "--name", "constancy", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: sausage-too-fine: claim 'constancy': seed 1: graph_bm by sausage: "
+                   "j = 3: refine over 65536\n")
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])
@@ -652,6 +706,10 @@ def test_experiment_all_names_the_failing_claim_and_seed(capsys, tmp_path):
     ("cor14-bound", {"set": "uniform"}, "not-power-grid: claim 'cor14-bound': "),
     ("cor14-bound", {"d": 2}, "corollary-needs-d1: claim 'cor14-bound': "),
     ("example-53", {"target": None}, "claim 'example-53': missing target [value, tolerance]"),
+    # the entry's sweep rules: a window too small to estimate, and refine < 2
+    ("constancy", {"scales": [6, 7]},
+     "window-too-small: claim 'constancy': need at least 3 scales inside the window"),
+    ("thm15-graph", {"refine": 1}, "claim 'thm15-graph': refine=1; need refine >= 2"),
 ])
 def test_experiment_all_refuses_a_claim_it_cannot_judge_before_any_seed_runs(
         capsys, tmp_path, monkeypatch, claim, fields, start):

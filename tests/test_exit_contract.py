@@ -36,7 +36,7 @@ CLAIMS = tuple(CONFIG["experiments"])
 ENTRY_KEYS = ("drift", "set", "d", "seeds", "points", "scales", "methods", "refine", "target",
               "schedule", "truncation", "bogus")
 STAIRCASE = {"kind": "staircase_table", "n": 16}
-VALUES = (None, True, 0, -1, 1.5, 10**12, float("nan"), float("inf"), "x", "power:-1",
+VALUES = (None, True, 0, -1, 1.5, 10**12, 10**400, float("nan"), float("inf"), "x", "power:-1",
           [], [1], [3, 2], ["box", "x"], {}, dict(STAIRCASE, n=0), dict(STAIRCASE, n=2**40),
           dict(STAIRCASE, d=10**12))
 DELETE = object()

@@ -112,8 +112,10 @@ def test_config_validation():
         small_config(points=2**8)  # under-resolves j_max=7
     with pytest.raises(ValueError):
         small_config(methods=("magic",))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^refine=1; need refine >= 2$"):
         small_config(methods=("sausage",), refine=1)
+    with pytest.raises(DomainError, match="window-too-small"):
+        small_config(scales=(6, 7))
     with pytest.raises(ValueError, match="must lie in"):
         small_config(scales=(-2000, 7))
     with pytest.raises(ValueError, match="must lie in"):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import fracdim as fd
-from fracdim import kernels
+from fracdim import kernels, metrics
 from fracdim.errors import DomainError
 from fracdim.metrics import (
     PointCloud,
@@ -584,17 +584,51 @@ def test_a_sweep_error_names_its_scale():
         fd.scale_sweep(solid, "sausage_volume", 3, 6, refine=1000)
     assert ei.value.code == "sausage-too-fine"
     assert ei.value.detail.startswith("j = 3: r/cell = 1000 in 3-D: ")
+    # errors raised before any scale keep their text: the window, the
+    # refine, and the oscillation's premise
     with pytest.raises(ValueError) as ei:
         fd.scale_sweep(solid, "sausage_volume", 3, 6, refine=1)
-    assert type(ei.value) is ValueError and str(ei.value) == "j = 3: refine must be >= 2"
-    # errors raised before any scale keep their text: the window, and the
-    # oscillation's premise
+    assert type(ei.value) is ValueError and str(ei.value) == "refine=1; need refine >= 2"
     with pytest.raises(ValueError) as ei:
         fd.scale_sweep(solid, "box", 6, 3)
     assert str(ei.value) == "scales [6, 3] need j_min < j_max"
     with pytest.raises(DomainError) as ei:
         fd.scale_sweep(solid, "oscillation", 3, 6)
     assert ei.value.detail == "oscillation needs a 1-D graph cloud"
+
+
+@pytest.mark.parametrize("kind", ["box", "packing", "sausage_volume"])
+@pytest.mark.parametrize("refine", [1, 0, -3])
+def test_a_refine_below_two_is_refused_before_the_first_scale(monkeypatch, kind, refine):
+    for name in ("box_count", "packing_number", "sausage_volume"):
+        monkeypatch.setattr(metrics, name, lambda *a, **k: pytest.fail("counted a scale"))
+    monkeypatch.setattr(kernels, "box_pyramid", lambda *a: pytest.fail("built a pyramid"))
+    with pytest.raises(ValueError) as ei:
+        fd.scale_sweep(cloud([[0.1, 0.2], [0.4, 0.5]]), kind, 2, 4, refine=refine)
+    assert type(ei.value) is ValueError and str(ei.value) == f"refine={refine}; need refine >= 2"
+
+
+def test_a_two_scale_sweep_is_kept_but_not_estimated():
+    # the sweep takes two scales; the estimate and the front ends' check
+    # refuse them alike
+    series = fd.scale_sweep(cloud([[0.1], [0.6]]), "box", -3, -2)
+    assert np.array_equal(series.values, [1, 1])
+    for refuse in (lambda: fd.estimate_dimension(series),
+                   lambda: metrics.check_dimension_sweep(-3, -2, 4)):
+        with pytest.raises(DomainError) as ei:
+            refuse()
+        assert str(ei.value) == "window-too-small: need at least 3 scales inside the window"
+    metrics.check_dimension_sweep(-3, -1, 2)
+
+
+@pytest.mark.parametrize("refine", [2**16 + 1, 10**400])
+def test_a_sausage_refine_past_the_row_cap_is_too_fine(refine):
+    # 10**400 is no double: it is refused before r / refine is formed
+    with pytest.raises(DomainError) as ei:
+        fd.sausage_volume(cloud([[0.1], [0.6]]), 0.25, refine=refine)
+    assert str(ei.value) == "sausage-too-fine: refine over 65536"
+    # a given cell leaves the refine unused
+    assert fd.sausage_volume(cloud([[0.5]]), 0.25, refine=refine, cell=0.125) == 0.5
 
 
 def _bad_scale(call):
