@@ -135,7 +135,7 @@ def _parse_eps(text: str, n: int) -> float:
 
 def cmd_dims(args) -> int:
     j_min, j_max = _parse_scales(args.scales)
-    check_dimension_sweep(j_min, j_max, args.refine)
+    check_dimension_sweep(j_min, j_max, args.refine, (args.method,))
     _refuse_unused(args)
     prefix = args.out
     with _output(prefix and prefix + ".csv") as csv_out, \

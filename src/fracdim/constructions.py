@@ -187,13 +187,14 @@ def theoretical_image_bound(alpha: float, d: int) -> float:
 
 def psi_jump_size(n: int) -> float:
     """Jump size n^(-3/4) of the frequency-n staircase, where the two
-    branches of ``psi_graph_count_formula`` meet.  An ``n`` of 2^1024 or
-    more, which no double holds, raises ``DomainError("frequency-too-large")``."""
+    branches of ``psi_graph_count_formula`` meet.  An ``n`` that rounds past
+    the largest double raises ``DomainError("frequency-too-large")``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n >= 2**1024:
-        raise DomainError("frequency-too-large", "n must be below 2^1024 to be a double")
-    return float(n) ** -0.75
+    try:
+        return float(n) ** -0.75
+    except OverflowError:
+        raise DomainError("frequency-too-large", "n is too large for a double") from None
 
 
 def psi_graph_count_formula(n: int, epsilon: float) -> float:
@@ -208,14 +209,11 @@ def psi_graph_count_formula(n: int, epsilon: float) -> float:
     ``DomainError("count-too-large")``.
     """
     jump = psi_jump_size(n)
-    lo = float(n) ** -1.5
-    if not lo < epsilon < 1.0:
+    if not float(n) ** -1.5 < epsilon < 1.0:
         raise DomainError("scale-out-of-regime", f"need eps in (n^-1.5, 1), got {epsilon}")
-    # eps**2 is subnormal from about n = 2^681 and 0 from 2^716 on: divide
-    # by eps twice there
-    square = epsilon**2
-    count = (math.sqrt(float(n)) / epsilon if epsilon < jump else float(n) ** -0.25 / square
-             if square >= 2.0**-1022 else float(n) ** -0.25 / epsilon / epsilon)
+    # divide by eps twice: eps**2 underflows to 0 from about n = 2^716 on
+    count = (math.sqrt(float(n)) / epsilon if epsilon < jump
+             else float(n) ** -0.25 / epsilon / epsilon)
     if count == math.inf:
         raise DomainError("count-too-large", f"the count at eps = {epsilon!r} overflows")
     return count

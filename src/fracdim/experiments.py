@@ -211,8 +211,9 @@ class ExperimentConfig:
     Every field but ``name`` and ``drift_spec`` is the entry key of that
     name, as the entry gives it, with the default an entry that leaves the
     key out gets; ``drift_spec`` is derived from ``drift``.  The window and
-    ``refine`` must pass ``metrics.check_dimension_sweep``, so a window of
-    fewer than three scales is refused before any seed runs.  ``to_dict``
+    ``refine`` must pass ``metrics.check_dimension_sweep`` for the methods,
+    so a window of fewer than three scales, or a sausage ``refine`` too fine
+    at every scale, is refused before any seed runs.  ``to_dict``
     gives the init fields as they are, tuples included, but ``set`` as its
     parsed ``{"kind": ..., **params}`` block.
     """
@@ -243,19 +244,19 @@ class ExperimentConfig:
         if not (isinstance(self.scales, tuple) and len(self.scales) == 2
                 and all(isinstance(j, int) and not isinstance(j, bool) for j in self.scales)):
             raise ValueError(f"scales must be two integers [j_min, j_max], got {self.scales!r}")
+        if not (isinstance(self.methods, tuple) and self.methods):
+            raise ValueError(f"methods must be a non-empty list, got {self.methods!r}")
+        bad = [m for m in self.methods if not isinstance(m, str) or m not in METHOD_KINDS]
+        if bad:
+            raise ValueError(f"unknown methods {bad}")
         j_min, j_max = self.scales
-        check_dimension_sweep(j_min, j_max, self.refine)
+        check_dimension_sweep(j_min, j_max, self.refine, self.methods)
         check_path_shape(self.points, self.d)
         parse_set_string(self.set)
         if self.points < 2 ** (j_max + 2):
             raise ValueError(
                 f"points={self.points} under-resolves j_max={j_max}; need >= 2^{j_max + 2}"
             )
-        if not (isinstance(self.methods, tuple) and self.methods):
-            raise ValueError(f"methods must be a non-empty list, got {self.methods!r}")
-        bad = [m for m in self.methods if not isinstance(m, str) or m not in METHOD_KINDS]
-        if bad:
-            raise ValueError(f"unknown methods {bad}")
         if self.target is not None and not (
                 isinstance(self.target, tuple) and len(self.target) == 2
                 and all(map(_finite, self.target))):

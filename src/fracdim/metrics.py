@@ -14,8 +14,9 @@ most three dimensions, the oscillation the graph of a 1-D function sampled
 on the full uniform dyadic grid.  ``scale_sweep`` checks it before the
 first scale, and an experiment skips a cloud it refuses.
 ``check_dimension_sweep`` holds the rules of a sweep's inputs alone: the
-window's, the three scales an estimate needs, and ``refine >= 2``.  An
-experiment's config and ``fracdim dims`` call it before any work.
+window's, the three scales an estimate needs, ``refine >= 2``, and a
+sausage's ``refine`` cap.  An experiment's config and ``fracdim dims``
+call it before any work.
 
 A ``PointCloud`` holds only its coordinate columns, a graph's shared with
 its path and an image's views of its array, and every count reads them: box
@@ -227,9 +228,14 @@ def _check_box_side(eps: float) -> None:
         raise DomainError("bad-scale", f"box side must be finite, got {eps}")
 
 
-def _check_refine(refine: int) -> None:
+def _check_refine(refine: int, kind: str | None = None) -> None:
+    """Refuse a ``refine`` below 2, whatever the kind, and for a sausage one
+    above ``kernels.MAX_SAUSAGE_ROWS``: a point would scan more rows of cells
+    than that at every scale, and ``r / refine`` may overflow."""
     if refine < 2:
         raise ValueError(f"refine={refine}; need refine >= 2")
+    if kind == "sausage_volume" and refine > kernels.MAX_SAUSAGE_ROWS:
+        raise DomainError("sausage-too-fine", f"refine over {kernels.MAX_SAUSAGE_ROWS}")
 
 
 def _check_scale_count(count: int) -> None:
@@ -361,10 +367,8 @@ def sausage_volume(cloud: PointCloud, r: float, refine: int = 4, cell: float | N
     ``refine`` below 2 raises ``ValueError``, even beside a ``cell``.
     """
     _check_scale(r)
-    _check_refine(refine)
+    _check_refine(refine, "sausage_volume" if cell is None else None)
     check_premise("sausage_volume", cloud)
-    if cell is None and refine > kernels.MAX_SAUSAGE_ROWS:  # past that, r / refine may overflow
-        raise DomainError("sausage-too-fine", f"refine over {kernels.MAX_SAUSAGE_ROWS}")
     h = float(r) / refine if cell is None else float(cell)
     # the sausage takes an (n, m) array: a stack that the cloud does not keep
     count = kernels.sausage_occupied_count(np.column_stack(cloud.columns), float(r), h)
@@ -489,14 +493,17 @@ def check_sweep_window(j_min: int, j_max: int) -> None:
                           f"{list(SWEEP_J_RANGE)}, where every 2^-j is a positive finite double")
 
 
-def check_dimension_sweep(j_min: int, j_max: int, refine: int) -> None:
-    """Refuse, before any work, a sweep whose dimension no cloud could
-    estimate: a window that fails ``check_sweep_window`` or holds fewer than
-    the three scales ``estimate_dimension`` needs, or a ``refine`` below 2,
-    whatever the method.  ``scale_sweep`` itself takes a two-scale window."""
+def check_dimension_sweep(j_min: int, j_max: int, refine: int, methods) -> None:
+    """Refuse, before any work, sweeps of the ``methods`` (names of
+    ``METHOD_KINDS``) whose dimension no cloud could estimate: a window that
+    fails ``check_sweep_window`` or holds fewer than the three scales
+    ``estimate_dimension`` needs, or a ``refine`` that ``scale_sweep``
+    refuses for one of the methods.  ``scale_sweep`` itself takes a two-scale
+    window."""
     check_sweep_window(j_min, j_max)
     _check_scale_count(j_max - j_min + 1)
-    _check_refine(refine)
+    for method in methods:
+        _check_refine(refine, METHOD_KINDS[method])
 
 
 def scale_sweep(cloud: PointCloud, kind: str, j_min: int, j_max: int,
@@ -506,16 +513,17 @@ def scale_sweep(cloud: PointCloud, kind: str, j_min: int, j_max: int,
     ``kind`` is a series kind of ``METHOD_KINDS``, and the cloud must pass
     its ``check_premise``; an oscillation counts the graph's second column
     as the sampled values.  The window must pass ``check_sweep_window`` and
-    ``refine`` be 2 or more, whatever the kind.  A box sweep counts each
-    scale's ``cells`` (see ``box_count``), finest first, one per scale and
-    ``None`` where unknown; by default, the cloud's own
+    ``refine`` be 2 or more, whatever the kind, and for a sausage at most
+    ``kernels.MAX_SAUSAGE_ROWS`` (``DomainError("sausage-too-fine")``).  A
+    box sweep counts each scale's ``cells`` (see ``box_count``), finest
+    first, one per scale and ``None`` where unknown; by default, the cloud's own
     ``kernels.box_pyramid``.  A ``ValueError`` raised while it counts
     the scale j gains ``"j = <j>: "`` before its message, and a
     ``DomainError`` keeps its code.  Those raised before any scale keep
     their text: the window's, then the refine's, then the premise's.
     """
     check_sweep_window(j_min, j_max)
-    _check_refine(refine)
+    _check_refine(refine, kind)
     check_premise(kind, cloud)
     js = np.arange(j_min, j_max + 1)
     eps = 2.0 ** -js.astype(np.float64)

@@ -190,14 +190,15 @@ def test_dims_incompatible_method(capsys, tmp_path):
      "refine=1; need refine >= 2"),
     (["dims", "--points", "65", "--scales", "4:5", "--out", "w2"],
      "window-too-small: need at least 3 scales inside the window"),
-    # integers past the doubles: float(n) overflows from n = 2^1024, the
-    # count n^(5/4) from about 2^819, and r / refine for a refine of 10**400
-    (["bounds", "psi-count", "--n", str(2**1024)],
-     "frequency-too-large: n must be below 2^1024 to be a double"),
+    # integers past the doubles: float(n) overflows from n = 2^1024 - 2^970,
+    # which rounds up to 2^1024, the count n^(5/4) from about 2^819, and
+    # r / refine for a refine of 10**400
+    *((["bounds", "psi-count", "--n", str(n)], "frequency-too-large: n is too large for a double")
+      for n in (2**1024 - 2**970, 2**1024 - 1, 2**1024)),
     (["bounds", "psi-count", "--n", str(2**820)],
      f"count-too-large: the count at eps = {2.0**-615!r} overflows"),
     (["dims", "--points", "65", "--method", "sausage", "--scales", "2:4", "--refine",
-      str(10**400)], "sausage-too-fine: j = 2: refine over 65536"),
+      str(10**400)], "sausage-too-fine: refine over 65536"),
 ])
 def test_a_refusal_prints_its_message_alone(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -456,8 +457,7 @@ def test_an_oversized_sausage_refine_in_a_config_exits_2(capsys, tmp_path):
     path.write_text(json.dumps(cfg))
     code, out, err = run_cli(capsys, "experiment", "--name", "constancy", "--config", str(path))
     assert (code, out) == (2, "")
-    assert err == ("error: sausage-too-fine: claim 'constancy': seed 1: graph_bm by sausage: "
-                   "j = 3: refine over 65536\n")
+    assert err == "error: sausage-too-fine: claim 'constancy': refine over 65536\n"
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])
@@ -710,6 +710,9 @@ def test_experiment_all_names_the_failing_claim_and_seed(capsys, tmp_path):
     ("constancy", {"scales": [6, 7]},
      "window-too-small: claim 'constancy': need at least 3 scales inside the window"),
     ("thm15-graph", {"refine": 1}, "claim 'thm15-graph': refine=1; need refine >= 2"),
+    # and a sausage refine too fine at every scale
+    ("thm15-graph", {"methods": ["box", "sausage"], "refine": 2**16 + 1},
+     "sausage-too-fine: claim 'thm15-graph': refine over 65536"),
 ])
 def test_experiment_all_refuses_a_claim_it_cannot_judge_before_any_seed_runs(
         capsys, tmp_path, monkeypatch, claim, fields, start):

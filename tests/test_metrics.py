@@ -614,21 +614,31 @@ def test_a_two_scale_sweep_is_kept_but_not_estimated():
     series = fd.scale_sweep(cloud([[0.1], [0.6]]), "box", -3, -2)
     assert np.array_equal(series.values, [1, 1])
     for refuse in (lambda: fd.estimate_dimension(series),
-                   lambda: metrics.check_dimension_sweep(-3, -2, 4)):
+                   lambda: metrics.check_dimension_sweep(-3, -2, 4, ("box",))):
         with pytest.raises(DomainError) as ei:
             refuse()
         assert str(ei.value) == "window-too-small: need at least 3 scales inside the window"
-    metrics.check_dimension_sweep(-3, -1, 2)
+    metrics.check_dimension_sweep(-3, -1, 2, ("box",))
 
 
 @pytest.mark.parametrize("refine", [2**16 + 1, 10**400])
-def test_a_sausage_refine_past_the_row_cap_is_too_fine(refine):
+def test_a_sausage_refine_past_the_row_cap_is_too_fine(monkeypatch, refine):
     # 10**400 is no double: it is refused before r / refine is formed
     with pytest.raises(DomainError) as ei:
         fd.sausage_volume(cloud([[0.1], [0.6]]), 0.25, refine=refine)
     assert str(ei.value) == "sausage-too-fine: refine over 65536"
     # a given cell leaves the refine unused
     assert fd.sausage_volume(cloud([[0.5]]), 0.25, refine=refine, cell=0.125) == 0.5
+    # a sweep refuses it before its first scale, and the front ends' check
+    # for a sausage only
+    monkeypatch.setattr(metrics, "sausage_volume", lambda *a, **k: pytest.fail("counted a scale"))
+    for refuse in (lambda: fd.scale_sweep(cloud([[0.1], [0.6]]), "sausage_volume", 2, 4, refine),
+                   lambda: metrics.check_dimension_sweep(2, 4, refine, ("box", "sausage"))):
+        with pytest.raises(DomainError) as ei:
+            refuse()
+        assert str(ei.value) == "sausage-too-fine: refine over 65536"
+    metrics.check_dimension_sweep(2, 4, refine, ("box", "packing", "oscillation"))
+    assert fd.scale_sweep(cloud([[0.1], [0.6]]), "box", 2, 4, refine).values.tolist() == [2, 2, 2]
 
 
 def _bad_scale(call):
